@@ -9,13 +9,12 @@ substitution, and prime-order cyclotomic fields.  Everything is exact;
 there are no tolerances anywhere.
 """
 
-from .fields import (CycloElement, CyclotomicField, FFElement, FieldError,
-                     FiniteField, RationalFunctions, RFElement, apply_sigma,
-                     fixed_field_check)
-from .linalg import Matrix, left_kernel, rank, rcef, rref, solve_row_system
+from .fields import (CyclotomicField, Element, FieldError, FiniteField,
+                     RationalFunctions)
+from .linalg import Matrix, left_kernel, solve_row_system
 from .parsing import ParseError, parse_element, parse_poly
 from .skewpoly import (SkewPolynomial, gcrd, lclm, lclm_many, left_divmod,
-                       mul, norm, norm_column, right_eval)
+                       norm_column, right_eval)
 from .codes import (CodeError, ConfigError, SkewRSCode, build_code,
                     code_from_config, codewords, encode, find_normal_element,
                     full_beta_decomposition_test, is_normal,
@@ -29,11 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FiniteField", "RationalFunctions", "CyclotomicField",
-    "FFElement", "RFElement", "CycloElement", "FieldError",
-    "apply_sigma", "fixed_field_check",
-    "SkewPolynomial", "left_divmod", "mul", "norm", "norm_column",
+    "Element", "FieldError",
+    "SkewPolynomial", "left_divmod", "norm_column",
     "right_eval", "gcrd", "lclm", "lclm_many",
-    "Matrix", "rref", "rcef", "rank", "solve_row_system", "left_kernel",
+    "Matrix", "solve_row_system", "left_kernel",
     "parse_element", "parse_poly", "ParseError",
     "SkewRSCode", "build_code", "encode", "is_normal", "find_normal_element",
     "full_beta_decomposition_test", "min_distance_oracle", "codewords",

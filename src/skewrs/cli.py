@@ -95,14 +95,14 @@ def simulate(code, trials, weights, seed):
     statistics are independent of execution order.
     """
     stats = TrialStats()
-    start = time.time()
+    start = time.perf_counter()
     weights = list(weights)
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
         weight = weights[0] if len(weights) == 1 else rng.choice(weights)
         ok, report = run_trial(code, rng, weight)
         stats.record(weight, ok, report.branch == BRANCH_ECHELON)
-    stats.wall_time = time.time() - start
+    stats.wall_time = time.perf_counter() - start
     return stats
 
 
@@ -175,6 +175,9 @@ def cmd_decode(args):
     ctx, code = load_bundle(args.code)
     with open(args.infile) as fh:
         received = parse_poly(ctx, fh.read())
+    if received.degree >= code.n:
+        raise CodeError(f"received word has degree {received.degree};"
+                        f" words of length {code.n} have degree below {code.n}")
     report = decode(code, received.vector(code.n))
     out = report.to_text(ctx)
     if args.out:
@@ -247,7 +250,7 @@ def nearest_codeword_equivalence(code, radius=None):
     ball = {}
     nonzero = [e for e in ctx.elements() if e]
     for cw in codewords(code):
-        key = tuple(v.val for v in cw)
+        key = tuple(v.raw for v in cw)
         if key in ball:
             raise CodeError("codeword enumeration repeated a word")
         ball[key] = cw
@@ -257,7 +260,7 @@ def nearest_codeword_equivalence(code, radius=None):
                     noisy = list(cw)
                     for pos, e in zip(positions, values):
                         noisy[pos] = noisy[pos] + e
-                    nkey = tuple(v.val for v in noisy)
+                    nkey = tuple(v.raw for v in noisy)
                     if nkey in ball:
                         raise CodeError("balls are not disjoint")
                     ball[nkey] = cw

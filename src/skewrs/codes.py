@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .fields import FiniteField, RationalFunctions, CyclotomicField, FieldError
 from .linalg import Matrix
-from .skewpoly import SkewPolynomial, left_divmod, lclm_many, norm_column, twisted_shift_rows
+from .skewpoly import SkewPolynomial, left_divmod, lclm_many, norm_column, shift_echelon
 
 
 class CodeError(ValueError):
@@ -148,15 +148,10 @@ def full_beta_decomposition_test(f, code):
         raise CodeError("polynomial does not right-divide x^n - 1")
     if m == n:
         return set(range(n))
-    h = Matrix(ctx, twisted_shift_rows(f, n)) * code.N
-    reduced = h.rref()
-    root_cols = set(range(n))
-    for row in reduced.rows:
-        nonzero = [j for j, v in enumerate(row) if v]
-        if len(nonzero) != 1 or row[nonzero[0]] != ctx.one:
-            return None
-        root_cols.discard(nonzero[0])
-    return root_cols
+    unit_cols, others = shift_echelon(f, code.N)
+    if others:
+        return None
+    return set(range(n)).difference(unit_cols)
 
 
 def codewords(code):

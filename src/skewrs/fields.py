@@ -8,9 +8,26 @@ Each backend bundles a field L with a finite-order automorphism sigma:
 * ``CyclotomicField``   -- Q(chi) for chi a primitive m-th root of unity
                            (m prime) with sigma(chi) = chi^k.
 
-All arithmetic is exact.  Elements are small immutable value objects that
-carry a reference to their field context; the usual operators are
-overloaded.  Contexts are immutable after construction and safe to share.
+All arithmetic is exact.  Every backend is a context that computes on raw
+values through one small protocol, with the same names everywhere:
+
+    add(u, v)  sub(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
+    sigma_raw(u, k)  is_zero(u)
+
+Raw values are canonical, so two values are equal exactly when they denote
+the same element:
+
+* GF(p^d)  -- an int packing the coefficient digits in base p;
+* F_q(z)   -- ``(num, den)``, coprime low-first tuples of GF(q) ints with
+              ``den`` monic;
+* Q(chi)   -- ``(coords, den)``, integer coordinates over the power basis
+              1, chi, ..., chi^(m-2) and a positive denominator with no
+              common factor.
+
+``Element(ctx, raw)`` is the one element class for all backends: an
+immutable value object whose operators check that both operands share a
+context and then delegate to it.  Contexts are immutable after
+construction and safe to share.
 
 Finite fields of size up to 2^16 get exp/log tables with respect to a
 primitive element, so multiplication, inversion and Frobenius application
@@ -37,8 +54,114 @@ def same_context(a, b):
 
 
 def _require_same(a, b):
-    if not same_context(a.ctx, b.ctx):
+    if a.key != b.key:
         raise FieldError("elements belong to different field contexts")
+
+
+class Element:
+    """A field element: a canonical raw value and the context it lives in."""
+
+    __slots__ = ("ctx", "raw")
+
+    def __init__(self, ctx, raw):
+        self.ctx = ctx
+        self.raw = raw
+
+    def __eq__(self, other):
+        if isinstance(other, Element):
+            return self.raw == other.raw and same_context(self.ctx, other.ctx)
+        if isinstance(other, int):
+            return self == self.ctx.from_int(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.raw)
+
+    def __bool__(self):
+        return not self.ctx.is_zero(self.raw)
+
+    def __add__(self, other):
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            _require_same(ctx, other.ctx)
+        return Element(ctx, ctx.add(self.raw, other.raw))
+
+    def __sub__(self, other):
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            _require_same(ctx, other.ctx)
+        return Element(ctx, ctx.sub(self.raw, other.raw))
+
+    def __neg__(self):
+        return Element(self.ctx, self.ctx.neg(self.raw))
+
+    def __mul__(self, other):
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            _require_same(ctx, other.ctx)
+        return Element(ctx, ctx.mul(self.raw, other.raw))
+
+    def __truediv__(self, other):
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            _require_same(ctx, other.ctx)
+        return Element(ctx, ctx.mul(self.raw, ctx.inv(other.raw)))
+
+    def __pow__(self, k):
+        return Element(self.ctx, self.ctx.pow(self.raw, k))
+
+    def inverse(self):
+        return Element(self.ctx, self.ctx.inv(self.raw))
+
+    def __repr__(self):
+        return self.ctx.format(self)
+
+    __str__ = __repr__
+
+
+class FieldContext:
+    """What the backends share on top of the raw protocol.
+
+    A backend supplies ``key``, ``order``, ``zero``, ``one``, ``generator``,
+    the raw operations add, neg, mul, inv, sigma_raw and is_zero (plus sub
+    and pow where it has a faster route), and ``from_int``,
+    ``random_element`` and ``format``.
+    """
+
+    def element(self, raw):
+        return Element(self, raw)
+
+    def sub(self, u, v):
+        return self.add(u, self.neg(v))
+
+    def pow(self, u, k):
+        if k < 0:
+            u, k = self.inv(u), -k
+        r = self.one.raw
+        while k:
+            if k & 1:
+                r = self.mul(r, u)
+            u = self.mul(u, u)
+            k >>= 1
+        return r
+
+    def sigma(self, x, k=1):
+        """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
+        return Element(self, self.sigma_raw(x.raw, k))
+
+    def fixed_field_check(self, x):
+        """True when sigma fixes x, i.e. x lies in the invariant subfield."""
+        return self.sigma_raw(x.raw, 1) == x.raw
+
+    def random_nonzero(self, rng, *args):
+        while True:
+            x = self.random_element(rng, *args)
+            if x:
+                return x
+
+    def parse(self, text):
+        from .parsing import parse_element
+        return parse_element(self, text)
 
 
 # ---------------------------------------------------------------------------
@@ -91,59 +214,6 @@ def parse_int_poly(text, symbol):
 # GF(p^d)
 # ---------------------------------------------------------------------------
 
-class FFElement:
-    """Element of a ``FiniteField``; ``val`` packs base-p digits."""
-
-    __slots__ = ("ctx", "val")
-
-    def __init__(self, ctx, val):
-        self.ctx = ctx
-        self.val = val
-
-    def __eq__(self, other):
-        if isinstance(other, FFElement):
-            return self.val == other.val and same_context(self.ctx, other.ctx)
-        if isinstance(other, int):
-            return self == self.ctx.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("ff", self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __add__(self, other):
-        _require_same(self, other)
-        return FFElement(self.ctx, self.ctx.add_int(self.val, other.val))
-
-    def __sub__(self, other):
-        _require_same(self, other)
-        return FFElement(self.ctx, self.ctx.sub_int(self.val, other.val))
-
-    def __neg__(self):
-        return FFElement(self.ctx, self.ctx.neg_int(self.val))
-
-    def __mul__(self, other):
-        _require_same(self, other)
-        return FFElement(self.ctx, self.ctx.mul_int(self.val, other.val))
-
-    def __truediv__(self, other):
-        _require_same(self, other)
-        return FFElement(self.ctx, self.ctx.mul_int(self.val, self.ctx.inv_int(other.val)))
-
-    def __pow__(self, k):
-        return FFElement(self.ctx, self.ctx.pow_int(self.val, k))
-
-    def inverse(self):
-        return FFElement(self.ctx, self.ctx.inv_int(self.val))
-
-    def __repr__(self):
-        return self.ctx.format(self)
-
-    __str__ = __repr__
-
-
 def _factorize(n):
     fs = {}
     d = 2
@@ -157,12 +227,12 @@ def _factorize(n):
     return fs
 
 
-class FiniteField:
+class FiniteField(FieldContext):
     """GF(p^d) presented as F_p[a]/(modulus), sigma = Frobenius^e.
 
     ``modulus`` is monic irreducible of degree d, given as a low-first
-    coefficient list or as text in the generator symbol.  Element values
-    pack the coefficient vector in base p, so the residue class of the
+    coefficient list or as text in the generator symbol.  Raw values pack
+    the coefficient vector in base p, so the residue class of the
     symbol itself has value p.
     """
 
@@ -198,9 +268,9 @@ class FiniteField:
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
         self.key = ("ff", p, degree, self.modulus, self.frobenius_power)
-        self.zero = FFElement(self, 0)
-        self.one = FFElement(self, 1)
-        self.generator = FFElement(self, p if degree > 1 else 1 % p)
+        self.zero = Element(self, 0)
+        self.one = Element(self, 1)
+        self.generator = Element(self, p if degree > 1 else 1 % p)
 
     # -- packed-int helpers ------------------------------------------------
 
@@ -218,22 +288,22 @@ class FiniteField:
             out.append(r)
         return out
 
-    def add_int(self, u, v):
+    def add(self, u, v):
         if self.char == 2:
             return u ^ v
         p = self.char
         return self._pack([(x + y) % p for x, y in zip(self._digits(u), self._digits(v))])
 
-    def neg_int(self, u):
+    def neg(self, u):
         if self.char == 2:
             return u
         p = self.char
         return self._pack([(-x) % p for x in self._digits(u)])
 
-    def sub_int(self, u, v):
+    def sub(self, u, v):
         if self.char == 2:
             return u ^ v
-        return self.add_int(u, self.neg_int(v))
+        return self.add(u, self.neg(v))
 
     def _raw_mul(self, u, v):
         # schoolbook product with on-the-fly reduction by the modulus
@@ -329,23 +399,26 @@ class FiniteField:
         self._sigma_mult = [pow(self.char, (self.frobenius_power * k) % self.degree, q - 1)
                             for k in range(self.order)]
 
-    # -- public int-level ops (used by the rational-function backend) -------
+    # -- raw protocol (the rational-function backend calls it on its base) --
 
-    def mul_int(self, u, v):
+    def is_zero(self, u):
+        return u == 0
+
+    def mul(self, u, v):
         if u == 0 or v == 0:
             return 0
         if self._exp is not None:
             return self._exp[self._log[u] + self._log[v]]
         return self._raw_mul(u, v)
 
-    def inv_int(self, u):
+    def inv(self, u):
         if u == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[(self.size - 1 - self._log[u]) % (self.size - 1)]
         return self._raw_pow(u, self.size - 2)
 
-    def pow_int(self, u, k):
+    def pow(self, u, k):
         if u == 0:
             if k == 0:
                 return 1
@@ -355,10 +428,10 @@ class FiniteField:
         if self._exp is not None:
             return self._exp[(self._log[u] * k) % (self.size - 1)]
         if k < 0:
-            return self._raw_pow(self.inv_int(u), -k)
+            return self._raw_pow(self.inv(u), -k)
         return self._raw_pow(u, k)
 
-    def sigma_int(self, u, k=1):
+    def sigma_raw(self, u, k=1):
         k %= self.order
         if k == 0 or u == 0:
             return u
@@ -368,30 +441,21 @@ class FiniteField:
 
     # -- context API ---------------------------------------------------------
 
-    def sigma(self, x, k=1):
-        return FFElement(self, self.sigma_int(x.val, k))
-
-    def fixed_field_check(self, x):
-        return self.sigma_int(x.val, 1) == x.val
-
     def from_int(self, k):
-        return FFElement(self, k % self.char)
-
-    def element(self, val):
-        return FFElement(self, val)
+        return Element(self, k % self.char)
 
     def elements(self):
         for v in range(self.size):
-            yield FFElement(self, v)
+            yield Element(self, v)
 
     def random_element(self, rng):
-        return FFElement(self, rng.randrange(self.size))
+        return Element(self, rng.randrange(self.size))
 
     def random_nonzero(self, rng):
-        return FFElement(self, rng.randrange(1, self.size))
+        return Element(self, rng.randrange(1, self.size))
 
     def format(self, x):
-        v = x.val
+        v = x.raw
         if v == 0:
             return "0"
         if v == 1:
@@ -411,10 +475,6 @@ class FiniteField:
                 head = "" if c == 1 else f"{c}*"
                 terms.append(f"{head}{sym}" + (f"^{i}" if i > 1 else ""))
         return " + ".join(terms)
-
-    def parse(self, text):
-        from .parsing import parse_element
-        return parse_element(self, text)
 
     def __repr__(self):
         return f"GF({self.char}^{self.degree}), sigma=Frobenius^{self.frobenius_power}"
@@ -437,14 +497,7 @@ def _padd(base, f, g):
         f, g = g, f
     out = list(f)
     for i, c in enumerate(g):
-        out[i] = base.add_int(out[i], c)
-    return _pnorm(out)
-
-
-def _psub(base, f, g):
-    out = list(f) + [0] * max(0, len(g) - len(f))
-    for i, c in enumerate(g):
-        out[i] = base.sub_int(out[i], c)
+        out[i] = base.add(out[i], c)
     return _pnorm(out)
 
 
@@ -452,8 +505,8 @@ def _pmul(base, f, g):
     if not f or not g:
         return ()
     out = [0] * (len(f) + len(g) - 1)
-    mul = base.mul_int
-    add = base.add_int
+    mul = base.mul
+    add = base.add
     for i, a in enumerate(f):
         if a:
             for j, b in enumerate(g):
@@ -467,7 +520,7 @@ def _pscale(base, f, c):
         return ()
     if c == 1:
         return f
-    mul = base.mul_int
+    mul = base.mul
     return _pnorm([mul(a, c) for a in f])
 
 
@@ -478,9 +531,9 @@ def _pdivmod(base, f, g):
     dg = len(g) - 1
     if len(f) - 1 < dg:
         return (), _pnorm(rem)
-    inv_lead = base.inv_int(g[-1])
+    inv_lead = base.inv(g[-1])
     q = [0] * (len(f) - dg)
-    sub, mul = base.sub_int, base.mul_int
+    sub, mul = base.sub, base.mul
     for k in range(len(f) - 1, dg - 1, -1):
         c = rem[k]
         if c:
@@ -495,7 +548,7 @@ def _pgcd(base, f, g):
     while g:
         f, g = g, _pdivmod(base, f, g)[1]
     if f:
-        f = _pscale(base, f, base.inv_int(f[-1]))
+        f = _pscale(base, f, base.inv(f[-1]))
     return f
 
 
@@ -513,68 +566,7 @@ def _ppow(base, f, k):
 # F_q(z)
 # ---------------------------------------------------------------------------
 
-class RFElement:
-    """Reduced fraction of F_q[z] polynomials with a monic denominator."""
-
-    __slots__ = ("ctx", "num", "den")
-
-    def __init__(self, ctx, num, den):
-        self.ctx = ctx
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        if isinstance(other, RFElement):
-            return (self.num == other.num and self.den == other.den
-                    and same_context(self.ctx, other.ctx))
-        if isinstance(other, int):
-            return self == self.ctx.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("rf", self.num, self.den))
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __add__(self, other):
-        _require_same(self, other)
-        return self.ctx._add(self, other)
-
-    def __sub__(self, other):
-        _require_same(self, other)
-        return self.ctx._add(self, -other)
-
-    def __neg__(self):
-        base = self.ctx.base
-        return RFElement(self.ctx, tuple(base.neg_int(c) for c in self.num), self.den)
-
-    def __mul__(self, other):
-        _require_same(self, other)
-        return self.ctx._mul(self, other)
-
-    def __truediv__(self, other):
-        _require_same(self, other)
-        return self.ctx._mul(self, other.inverse())
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero")
-        return self.ctx._make(self.den, self.num)
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        base = self.ctx.base
-        return self.ctx._make(_ppow(base, self.num, k), _ppow(base, self.den, k))
-
-    def __repr__(self):
-        return self.ctx.format(self)
-
-    __str__ = __repr__
-
-
-class RationalFunctions:
+class RationalFunctions(FieldContext):
     """F_q(z) with sigma(z) = (az+b)/(cz+d) fixing F_q pointwise.
 
     The Moebius coefficients are elements of the base field; sigma's order
@@ -594,13 +586,13 @@ class RationalFunctions:
         for c in mobius:
             if isinstance(c, str):
                 from .parsing import parse_element
-                mob.append(parse_element(base, c).val)
-            elif isinstance(c, FFElement):
-                mob.append(c.val)
+                mob.append(parse_element(base, c).raw)
+            elif isinstance(c, Element):
+                mob.append(c.raw)
             else:
                 mob.append(int(c))
         a, b, c, d = mob
-        det = base.sub_int(base.mul_int(a, d), base.mul_int(b, c))
+        det = base.sub(base.mul(a, d), base.mul(b, c))
         if det == 0:
             raise FieldError("Moebius coefficient matrix is singular")
         self.mobius = (a, b, c, d)
@@ -618,18 +610,18 @@ class RationalFunctions:
             raise FieldError("automorphism order exceeds bound")
         self.order = order
         self.key = ("rf", base.key, self.mobius)
-        self.zero = RFElement(self, (), (1,))
-        self.one = RFElement(self, (1,), (1,))
-        self.generator = RFElement(self, (0, 1), (1,))
+        self.zero = Element(self, ((), (1,)))
+        self.one = Element(self, ((1,), (1,)))
+        self.generator = Element(self, ((0, 1), (1,)))
 
     def _mat_mul(self, m1, m2):
         a, b, c, d = m1
         e, f, g, h = m2
         B = self.base
-        return (B.add_int(B.mul_int(a, e), B.mul_int(b, g)),
-                B.add_int(B.mul_int(a, f), B.mul_int(b, h)),
-                B.add_int(B.mul_int(c, e), B.mul_int(d, g)),
-                B.add_int(B.mul_int(c, f), B.mul_int(d, h)))
+        return (B.add(B.mul(a, e), B.mul(b, g)),
+                B.add(B.mul(a, f), B.mul(b, h)),
+                B.add(B.mul(c, e), B.mul(d, g)),
+                B.add(B.mul(c, f), B.mul(d, h)))
 
     def _is_scalar(self, m):
         a, b, c, d = m
@@ -642,53 +634,65 @@ class RationalFunctions:
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return RFElement(self, (), (1,))
+            return (), (1,)
         g = _pgcd(base, num, den)
         if len(g) > 1:
             num = _pdivmod(base, num, g)[0]
             den = _pdivmod(base, den, g)[0]
         lead = den[-1]
         if lead != 1:
-            inv = base.inv_int(lead)
+            inv = base.inv(lead)
             num = _pscale(base, num, inv)
             den = _pscale(base, den, inv)
-        return RFElement(self, num, den)
+        return num, den
 
-    def _add(self, x, y):
+    # -- raw protocol ----------------------------------------------------------
+
+    def is_zero(self, u):
+        return not u[0]
+
+    def add(self, u, v):
         base = self.base
-        if x.den == y.den:
-            return self._make(_padd(base, x.num, y.num), x.den)
-        num = _padd(base, _pmul(base, x.num, y.den), _pmul(base, y.num, x.den))
-        return self._make(num, _pmul(base, x.den, y.den))
+        (xn, xd), (yn, yd) = u, v
+        if xd == yd:
+            return self._make(_padd(base, xn, yn), xd)
+        num = _padd(base, _pmul(base, xn, yd), _pmul(base, yn, xd))
+        return self._make(num, _pmul(base, xd, yd))
 
-    def _mul(self, x, y):
-        if not x.num or not y.num:
-            return self.zero
+    def neg(self, u):
+        base = self.base
+        return tuple(base.neg(c) for c in u[0]), u[1]
+
+    def mul(self, u, v):
+        (xn, xd), (yn, yd) = u, v
+        if not xn or not yn:
+            return (), (1,)
         base = self.base
         # cross-cancel before the full products to limit degree growth
-        g1 = _pgcd(base, x.num, y.den)
-        g2 = _pgcd(base, y.num, x.den)
-        xn = _pdivmod(base, x.num, g1)[0] if len(g1) > 1 else x.num
-        yd = _pdivmod(base, y.den, g1)[0] if len(g1) > 1 else y.den
-        yn = _pdivmod(base, y.num, g2)[0] if len(g2) > 1 else y.num
-        xd = _pdivmod(base, x.den, g2)[0] if len(g2) > 1 else x.den
+        g1 = _pgcd(base, xn, yd)
+        g2 = _pgcd(base, yn, xd)
+        if len(g1) > 1:
+            xn, yd = _pdivmod(base, xn, g1)[0], _pdivmod(base, yd, g1)[0]
+        if len(g2) > 1:
+            yn, xd = _pdivmod(base, yn, g2)[0], _pdivmod(base, xd, g2)[0]
         return self._make(_pmul(base, xn, yn), _pmul(base, xd, yd))
 
-    # -- context API ---------------------------------------------------------
+    def inv(self, u):
+        if not u[0]:
+            raise ZeroDivisionError("inverse of zero")
+        return self._make(u[1], u[0])
 
-    def sigma(self, x, k=1):
+    def sigma_raw(self, u, k=1):
         k %= self.order
-        if k == 0 or not x.num:
-            return x
+        num, den = u
+        if k == 0 or not num:
+            return u
         a, b, c, d = self._mob_pows[k]
-        base = self.base
         lin_num = _pnorm([b, a])   # a*z + b
         lin_den = _pnorm([d, c])   # c*z + d
-        dn, dd = len(x.num) - 1, len(x.den) - 1
-        m = max(dn, dd)
-        num = self._subst(x.num, lin_num, lin_den, m)
-        den = self._subst(x.den, lin_num, lin_den, m)
-        return self._make(num, den)
+        m = max(len(num), len(den)) - 1
+        return self._make(self._subst(num, lin_num, lin_den, m),
+                          self._subst(den, lin_num, lin_den, m))
 
     def _subst(self, poly, lin_num, lin_den, m):
         # poly((az+b)/(cz+d)) * (cz+d)^m, for m >= deg(poly)
@@ -700,16 +704,15 @@ class RationalFunctions:
                 acc = _padd(base, acc, _pscale(base, term, coeff))
         return acc
 
-    def fixed_field_check(self, x):
-        return self.sigma(x, 1) == x
+    # -- context API ---------------------------------------------------------
 
     def from_int(self, k):
         v = k % self.char
-        return RFElement(self, (v,) if v else (), (1,))
+        return Element(self, ((v,) if v else (), (1,)))
 
     def from_base(self, c):
-        v = c.val if isinstance(c, FFElement) else int(c)
-        return RFElement(self, (v,) if v else (), (1,))
+        v = c.raw if isinstance(c, Element) else int(c)
+        return Element(self, ((v,) if v else (), (1,)))
 
     def random_element(self, rng, num_degree=1, den_degree=1):
         base = self.base
@@ -717,19 +720,14 @@ class RationalFunctions:
         den = ()
         while not den:
             den = _pnorm([rng.randrange(base.size) for _ in range(den_degree + 1)])
-        return self._make(_pnorm(num), den)
-
-    def random_nonzero(self, rng, num_degree=1, den_degree=1):
-        while True:
-            x = self.random_element(rng, num_degree, den_degree)
-            if x:
-                return x
+        return Element(self, self._make(_pnorm(num), den))
 
     def format(self, x):
-        num = self._format_poly(x.num)
-        if x.den == (1,):
+        num, den = x.raw
+        num = self._format_poly(num)
+        if den == (1,):
             return num
-        den = self._format_poly(x.den)
+        den = self._format_poly(den)
         if " + " in num or num.startswith("-"):
             num = f"({num})"
         return f"{num}/({den})"
@@ -744,7 +742,7 @@ class RationalFunctions:
             c = poly[i]
             if not c:
                 continue
-            cs = base.format(FFElement(base, c))
+            cs = base.format(base.element(c))
             if i == 0:
                 terms.append(cs)
             else:
@@ -752,14 +750,10 @@ class RationalFunctions:
                 terms.append(zs if cs == "1" else f"{cs}*{zs}")
         return " + ".join(terms)
 
-    def parse(self, text):
-        from .parsing import parse_element
-        return parse_element(self, text)
-
     def __repr__(self):
         a, b, c, d = self.mobius
         B = self.base
-        fmt = lambda v: B.format(FFElement(B, v))
+        fmt = lambda v: B.format(B.element(v))
         return (f"GF({B.char}^{B.degree})({self.variable}), "
                 f"sigma({self.variable})=({fmt(a)}*{self.variable}+{fmt(b)})/"
                 f"({fmt(c)}*{self.variable}+{fmt(d)})")
@@ -769,82 +763,7 @@ class RationalFunctions:
 # Q(chi), chi a primitive m-th root of unity, m prime
 # ---------------------------------------------------------------------------
 
-class CycloElement:
-    """Element of Q(chi) as integer coordinates over a common denominator.
-
-    Coordinates are in the power basis 1, chi, ..., chi^(m-2); the content
-    gcd with the denominator is 1 and the denominator is positive.
-    """
-
-    __slots__ = ("ctx", "num", "den")
-
-    def __init__(self, ctx, num, den):
-        self.ctx = ctx
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other):
-        if isinstance(other, CycloElement):
-            return (self.num == other.num and self.den == other.den
-                    and same_context(self.ctx, other.ctx))
-        if isinstance(other, int):
-            return self == self.ctx.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("cyc", self.num, self.den))
-
-    def __bool__(self):
-        return any(self.num)
-
-    def __add__(self, other):
-        _require_same(self, other)
-        d1, d2 = self.den, other.den
-        g = math.gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        num = tuple(a * m1 + b * m2 for a, b in zip(self.num, other.num))
-        return self.ctx._make(num, d1 * m1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CycloElement(self.ctx, tuple(-a for a in self.num), self.den)
-
-    def __mul__(self, other):
-        _require_same(self, other)
-        return self.ctx._mul(self, other)
-
-    def __truediv__(self, other):
-        _require_same(self, other)
-        return self * other.inverse()
-
-    def inverse(self):
-        return self.ctx._inverse(self)
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        r = self.ctx.one
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
-
-    def coordinates(self):
-        """Coefficients over the power basis as exact Fractions."""
-        return tuple(Fraction(a, self.den) for a in self.num)
-
-    def __repr__(self):
-        return self.ctx.format(self)
-
-    __str__ = __repr__
-
-
-class CyclotomicField:
+class CyclotomicField(FieldContext):
     """Q(chi) with chi^m = 1 primitive, m prime, and sigma(chi) = chi^k."""
 
     kind = "cyclotomic"
@@ -869,9 +788,9 @@ class CyclotomicField:
         self.order = n
         self._sigma_exp = [pow(exponent, t, m) for t in range(n)]
         self.key = ("cyc", m, self.exponent)
-        self.zero = CycloElement(self, (0,) * self.dim, 1)
-        self.one = CycloElement(self, (1,) + (0,) * (self.dim - 1), 1)
-        self.generator = CycloElement(self, (0, 1) + (0,) * (self.dim - 2), 1)
+        self.zero = Element(self, ((0,) * self.dim, 1))
+        self.one = Element(self, ((1,) + (0,) * (self.dim - 1), 1))
+        self.generator = Element(self, ((0, 1) + (0,) * (self.dim - 2), 1))
 
     def _make(self, num, den):
         if den == 0:
@@ -887,30 +806,44 @@ class CyclotomicField:
         if g > 1:
             num = tuple(a // g for a in num)
             den //= g
-        return CycloElement(self, num, den)
+        return num, den
 
     def _reduce_cyclic(self, full):
         # length-m coordinate vector mod (chi^m - 1) down to the power basis
         top = full[self.dim]
         return tuple(full[i] - top for i in range(self.dim))
 
-    def _mul(self, x, y):
+    # -- raw protocol ----------------------------------------------------------
+
+    def is_zero(self, u):
+        return not any(u[0])
+
+    def add(self, u, v):
+        (xn, d1), (yn, d2) = u, v
+        g = math.gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        return self._make(tuple(a * m1 + b * m2 for a, b in zip(xn, yn)), d1 * m1)
+
+    def neg(self, u):
+        return tuple(-a for a in u[0]), u[1]
+
+    def mul(self, u, v):
         m = self.root_order
         full = [0] * m
-        for i, a in enumerate(x.num):
+        for i, a in enumerate(u[0]):
             if a:
-                for j, b in enumerate(y.num):
+                for j, b in enumerate(v[0]):
                     if b:
                         full[(i + j) % m] += a * b
-        return self._make(self._reduce_cyclic(full), x.den * y.den)
+        return self._make(self._reduce_cyclic(full), u[1] * v[1])
 
-    def _inverse(self, x):
-        if not x:
+    def inv(self, u):
+        if self.is_zero(u):
             raise ZeroDivisionError("inverse of zero")
         # extended Euclid in Q[t] against the m-th cyclotomic polynomial
         m = self.root_order
         phi = [Fraction(1)] * m  # 1 + t + ... + t^(m-1)
-        f = [Fraction(a, x.den) for a in x.num]
+        f = [Fraction(a, u[1]) for a in u[0]]
         while f and f[-1] == 0:
             f.pop()
         r0, r1 = phi, f
@@ -953,49 +886,42 @@ class CyclotomicField:
             den = den * fr.denominator // math.gcd(den, fr.denominator)
         return self._make(tuple(int(fr * den) for fr in inv_coeffs[:self.dim]), den)
 
-    # -- context API ---------------------------------------------------------
-
-    def sigma(self, x, k=1):
+    def sigma_raw(self, u, k=1):
         k %= self.order
         if k == 0:
-            return x
+            return u
         e = self._sigma_exp[k]
         m = self.root_order
         full = [0] * m
-        for j, a in enumerate(x.num):
+        for j, a in enumerate(u[0]):
             if a:
                 full[(j * e) % m] += a
-        return self._make(self._reduce_cyclic(full), x.den)
+        return self._make(self._reduce_cyclic(full), u[1])
 
-    def fixed_field_check(self, x):
-        return self.sigma(x, 1) == x
+    # -- context API ---------------------------------------------------------
 
     def from_int(self, k):
-        return CycloElement(self, (k,) + (0,) * (self.dim - 1), 1)
+        return Element(self, ((k,) + (0,) * (self.dim - 1), 1))
 
     def from_fraction(self, fr):
         fr = Fraction(fr)
-        return self._make((fr.numerator,) + (0,) * (self.dim - 1), fr.denominator)
+        return Element(self, self._make((fr.numerator,) + (0,) * (self.dim - 1),
+                                        fr.denominator))
 
     def random_element(self, rng, height=4):
         num = tuple(rng.randint(-height, height) for _ in range(self.dim))
-        return self._make(num, rng.randint(1, height))
-
-    def random_nonzero(self, rng, height=4):
-        while True:
-            x = self.random_element(rng, height)
-            if x:
-                return x
+        return Element(self, self._make(num, rng.randint(1, height)))
 
     def format(self, x):
-        if not x:
+        num, den = x.raw
+        if not any(num):
             return "0"
         terms = []
         for i in reversed(range(self.dim)):
-            a = x.num[i]
+            a = num[i]
             if not a:
                 continue
-            c = Fraction(a, x.den)
+            c = Fraction(a, den)
             sign = "-" if c < 0 else "+"
             c = abs(c)
             cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
@@ -1011,23 +937,5 @@ class CyclotomicField:
             out += f" {sign} {body}"
         return out
 
-    def parse(self, text):
-        from .parsing import parse_element
-        return parse_element(self, text)
-
     def __repr__(self):
         return f"Q(chi), chi^{self.root_order}=1, sigma(chi)=chi^{self.exponent}"
-
-
-# ---------------------------------------------------------------------------
-# spec-level conveniences
-# ---------------------------------------------------------------------------
-
-def apply_sigma(ctx, k, x):
-    """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
-    return ctx.sigma(x, k)
-
-
-def fixed_field_check(ctx, x):
-    """True when sigma fixes x, i.e. x lies in the invariant subfield."""
-    return ctx.fixed_field_check(x)

@@ -119,18 +119,6 @@ class Matrix:
         return f"[{body}]"
 
 
-def rref(a):
-    return a.rref()
-
-
-def rcef(a):
-    return a.rcef()
-
-
-def rank(a):
-    return a.rank()
-
-
 def solve_row_system(a, b):
     """The unique row vector X with X * a = b, for square nonsingular a."""
     n = a.nrows

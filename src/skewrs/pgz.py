@@ -12,10 +12,12 @@ Pipeline for a received word y of length n:
    full locator through a row echelon computation (echelon branch).
 5. error values: the unique solution of a conjugate-matrix linear system.
 
-The decoder then verifies the correction (fresh syndromes vanish and the
-generator right-divides the corrected word) and recovers the message as a
-left quotient; any mismatch produces an explicit failure report instead of
-a silent wrong answer.
+The decoder then verifies the correction by left-dividing the corrected
+word by the generator g, which also yields the message as the quotient; a
+nonzero remainder produces an explicit failure report instead of a silent
+wrong answer.  No second syndrome pass is needed: g is the lclm of
+x - sigma^i(beta) for 0 <= i <= delta-2 and 2t <= delta-1, so g
+right-dividing the word already makes every syndrome vanish.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .linalg import Matrix, solve_row_system
-from .skewpoly import SkewPolynomial, left_divmod, twisted_shift_rows
+from .skewpoly import SkewPolynomial, left_divmod, shift_echelon
 
 BRANCH_ALL_ZERO = "all-zero"
 BRANCH_DIRECT = "direct"
@@ -34,9 +36,9 @@ BRANCH_ECHELON = "echelon"
 @dataclass
 class DecodeReport:
     syndromes: list
+    branch: Optional[str]      # None when decoding stopped before a branch
     mu: int = 0
     rho: Optional[SkewPolynomial] = None
-    branch: str = BRANCH_ALL_ZERO
     positions: list = field(default_factory=list)
     values: list = field(default_factory=list)
     error: Optional[list] = None
@@ -57,7 +59,8 @@ class DecodeReport:
         lines.append(f"mu = {self.mu}")
         if self.rho is not None:
             lines.append(f"rho = {self.rho}")
-        lines.append(f"branch = {self.branch}")
+        if self.branch is not None:
+            lines.append(f"branch = {self.branch}")
         lines.append("positions = " + ", ".join(str(k) for k in self.positions))
         lines.append("values = " + "; ".join(fmt(v) for v in self.values))
         if self.error is not None:
@@ -91,21 +94,6 @@ def syndromes(code, y):
             if yj:
                 acc = acc + yj * conj[(i + j) % code.n]
         out.append(ctx.sigma(alpha_inv, i) * acc)
-    return out
-
-
-def syndromes_by_remainder(code, y):
-    """Same syndromes computed through the norm columns; test oracle for
-    the conjugate-sum formula used by ``syndromes``."""
-    vec = _as_vector(code, y)
-    ctx = code.ctx
-    out = []
-    for i in range(2 * code.t):
-        acc = ctx.zero
-        for j, yj in enumerate(vec):
-            if yj:
-                acc = acc + yj * code.N_w.rows[j][i]
-        out.append(acc)
     return out
 
 
@@ -165,21 +153,14 @@ def locate_positions(code, mu, rho):
     them.  Echelon branch: complete rho to the full locator by reducing
     the row space of its left multiples and keeping the canonical rows.
     """
-    ctx, n = code.ctx, code.n
     rho_eval = beta_evaluation_vector(code, rho)
     zeros = [j for j, v in enumerate(rho_eval) if not v]
     if len(zeros) == mu:
         return zeros, BRANCH_DIRECT
-    h = Matrix(ctx, twisted_shift_rows(rho, n)) * code.N_w
-    reduced = h.rref()
-    kept = []
-    for row in reduced.rows:
-        nonzero = [j for j, v in enumerate(row) if v]
-        if len(nonzero) == 1 and row[nonzero[0]] == ctx.one:
-            kept.append(row)
+    kept, _ = shift_echelon(rho, code.N_w)
     if not kept:
         raise LocateFailure("no canonical rows survive the echelon reduction")
-    positions = [j for j in range(n) if all(not row[j] for row in kept)]
+    positions = [j for j in range(code.n) if j not in kept]
     if not positions:
         raise LocateFailure("echelon reduction leaves no zero columns")
     return positions, BRANCH_ECHELON
@@ -206,8 +187,8 @@ def decode(code, y):
     ctx = code.ctx
     s = syndromes(code, vec) if code.t >= 1 else []
 
-    def fail(reason, **kw):
-        return DecodeReport(syndromes=s, failure=reason, **kw)
+    def fail(reason, branch, **kw):
+        return DecodeReport(syndromes=s, branch=branch, failure=reason, **kw)
 
     if all(not si for si in s):
         zero_err = [ctx.zero] * code.n
@@ -216,7 +197,8 @@ def decode(code, y):
         if not rem.is_zero:
             return fail("word is not a codeword and no syndrome is available"
                         if code.t == 0 else
-                        "syndromes vanish but the generator does not divide the word")
+                        "syndromes vanish but the generator does not divide the word",
+                        BRANCH_ALL_ZERO)
         return DecodeReport(syndromes=s, branch=BRANCH_ALL_ZERO,
                             error=zero_err, codeword=vec, message=q)
 
@@ -224,32 +206,28 @@ def decode(code, y):
     try:
         mu, rho = extract_rho(st)
     except ValueError as exc:
-        return fail(f"locator extraction failed: {exc}")
+        return fail(f"locator extraction failed: {exc}", None)
     try:
         positions, branch = locate_positions(code, mu, rho)
     except LocateFailure as exc:
-        return fail(f"position search failed: {exc}", mu=mu, rho=rho)
+        return fail(f"position search failed: {exc}", BRANCH_ECHELON, mu=mu, rho=rho)
     nu = len(positions)
     if nu > code.t:
         return fail(f"{nu} candidate error positions exceed capability t={code.t}",
-                    mu=mu, rho=rho, branch=branch, positions=positions)
+                    branch, mu=mu, rho=rho, positions=positions)
     try:
         values = error_values(code, positions, s)
     except ValueError as exc:
-        return fail(f"value solve failed: {exc}", mu=mu, rho=rho,
-                    branch=branch, positions=positions)
+        return fail(f"value solve failed: {exc}", branch, mu=mu, rho=rho,
+                    positions=positions)
     err = [ctx.zero] * code.n
     for k, v in zip(positions, values):
         err[k] = v
     corrected = [a - b for a, b in zip(vec, err)]
-    if any(si for si in syndromes(code, corrected)):
-        return fail("corrected word still has nonzero syndromes",
-                    mu=mu, rho=rho, branch=branch, positions=positions, values=values)
-    cw = SkewPolynomial(ctx, corrected)
-    q, rem = left_divmod(cw, code.g)
+    q, rem = left_divmod(SkewPolynomial(ctx, corrected), code.g)
     if not rem.is_zero:
-        return fail("generator does not divide the corrected word",
-                    mu=mu, rho=rho, branch=branch, positions=positions, values=values)
+        return fail("generator does not divide the corrected word", branch,
+                    mu=mu, rho=rho, positions=positions, values=values)
     return DecodeReport(syndromes=s, mu=mu, rho=rho, branch=branch,
                         positions=positions, values=values, error=err,
                         codeword=corrected, message=q)

@@ -10,6 +10,7 @@ remainder vanishes.
 from __future__ import annotations
 
 from .fields import same_context
+from .linalg import Matrix
 
 
 class SkewPolynomial:
@@ -212,19 +213,9 @@ def left_divmod(g, f):
     return SkewPolynomial(ctx, q), SkewPolynomial(ctx, rem)
 
 
-def norm(i, gamma):
-    """The i-th twisted norm gamma * sigma(gamma) * ... * sigma^(i-1)(gamma)."""
-    if i < 0:
-        raise ValueError("norm index must be nonnegative")
-    ctx = gamma.ctx
-    acc = ctx.one
-    for k in range(i):
-        acc = acc * ctx.sigma(gamma, k)
-    return acc
-
-
 def norm_column(gamma, n):
-    """All norms N_0(gamma) ... N_(n-1)(gamma) in one sweep."""
+    """All twisted norms N_0(gamma) ... N_(n-1)(gamma) in one sweep, where
+    N_i(gamma) = gamma * sigma(gamma) * ... * sigma^(i-1)(gamma)."""
     ctx = gamma.ctx
     out = [ctx.one]
     acc = ctx.one
@@ -284,10 +275,6 @@ def lclm_many(polys):
     return acc
 
 
-def mul(f, g):
-    return f * g
-
-
 def twisted_shift_rows(f, n):
     """Rows of the (n - deg f) x n matrix whose i-th row holds the
     coefficients of x^i * f, i.e. sigma^i applied and shifted right by i."""
@@ -302,3 +289,23 @@ def twisted_shift_rows(f, n):
             row[i + j] = ctx.sigma(c, i)
         rows.append(row)
     return rows
+
+
+def shift_echelon(f, evaluation):
+    """Row-reduce the twisted shift rows of f times an n x n evaluation
+    matrix and sort the reduced rows into unit rows (a single nonzero
+    entry, equal to one) and the rest.
+
+    Returns (the unit rows' columns, the indices of the other rows); the
+    second list is empty exactly when every row is a unit row.
+    """
+    ctx = f.ctx
+    shifted = Matrix(ctx, twisted_shift_rows(f, evaluation.nrows)) * evaluation
+    columns, others = [], []
+    for i, row in enumerate(shifted.rref().rows):
+        support = [j for j, v in enumerate(row) if v]
+        if len(support) == 1 and row[support[0]] == ctx.one:
+            columns.append(support[0])
+        else:
+            others.append(i)
+    return columns, others

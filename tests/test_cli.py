@@ -61,6 +61,16 @@ def test_decode_failure_exit_code(workspace, capsys):
     assert ("status = failed" in out) == (rc == 1)
 
 
+def test_decode_rejects_word_longer_than_code(workspace, capsys):
+    tmp, bundle = workspace
+    rx = tmp / "rx.txt"
+    rx.write_text("x^6 + a\n")
+    assert main(["decode", "--code", str(bundle), "--in", str(rx)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "degree 6" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_is_seeded(workspace, capsys):
     tmp, bundle = workspace
     assert main(["simulate", "--code", str(bundle), "--trials", "50",

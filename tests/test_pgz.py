@@ -3,9 +3,9 @@ import pytest
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     FiniteField, SkewPolynomial, build_code, build_syndrome_matrix,
                     decode, encode, extract_rho, find_normal_element,
-                    locate_positions, parse_poly, syndromes)
+                    left_divmod, locate_positions, parse_poly, syndromes)
 from skewrs.cli import nearest_codeword_equivalence, run_trial, simulate
-from skewrs.pgz import beta_evaluation_vector, syndromes_by_remainder
+from skewrs.pgz import beta_evaluation_vector
 
 from conftest import rng_for, random_poly
 
@@ -21,6 +21,20 @@ def random_error(code, rng, weight):
     for pos in rng.sample(range(code.n), weight):
         vec[pos] = ctx.random_nonzero(rng)
     return vec
+
+
+def syndromes_by_remainder(code, y):
+    """The syndromes computed through the norm columns; oracle for the
+    conjugate-sum formula used by ``syndromes``."""
+    ctx = code.ctx
+    out = []
+    for i in range(2 * code.t):
+        acc = ctx.zero
+        for j, yj in enumerate(y):
+            if yj:
+                acc = acc + yj * code.N_w.rows[j][i]
+        out.append(acc)
+    return out
 
 
 # -- syndromes -----------------------------------------------------------------
@@ -62,6 +76,27 @@ def test_zero_syndrome_matrix(code_gf):
     s = [code_gf.ctx.zero] * (2 * code_gf.t)
     st = build_syndrome_matrix(code_gf, s)
     assert all(not v for row in st.rows for v in row)
+
+
+def test_zero_remainder_forces_zero_syndromes(all_codes, gf4096):
+    # decode verifies by the division alone: g right-dividing a word must
+    # make all 2t syndromes vanish, also for r > 0 and for even delta,
+    # where g has one more linear factor than there are syndromes
+    codes = dict(all_codes)
+    codes["offset-even"] = build_code(gf4096, gf4096.generator, 2, 4)
+    codes["full-length"] = build_code(gf4096, gf4096.generator, 1, 6)
+    for name, code in codes.items():
+        ctx = code.ctx
+        rng = rng_for(f"verify-{name}")
+        divisible = 0
+        for i in range(40):
+            msg = random_poly(ctx, rng, code.n - code.delta)
+            y = make_received(code, msg, random_error(code, rng, i % (code.t + 2)))
+            rem = left_divmod(SkewPolynomial(ctx, y), code.g)[1]
+            if rem.is_zero:
+                divisible += 1
+                assert all(not si for si in syndromes(code, y))
+        assert divisible >= 10
 
 
 # -- decode: exact recovery ------------------------------------------------------
@@ -191,6 +226,31 @@ def test_beyond_capability_never_invents_noncodeword(all_codes, name):
         else:
             explicit_failures += 1
     assert explicit_failures > 0
+
+
+def test_failed_reports_carry_the_branch_they_reached(code_gf, gf4096, gf16):
+    rng = rng_for("failed-branch")
+    searched = 0
+    for _ in range(30):
+        msg = random_poly(gf4096, rng, code_gf.n - code_gf.delta)
+        report = decode(code_gf, make_received(code_gf, msg, random_error(code_gf, rng, 3)))
+        if report.failure and report.failure.startswith("position search"):
+            searched += 1
+            assert report.branch == BRANCH_ECHELON
+            assert "branch = echelon" in report.to_text(gf4096)
+    assert searched > 0
+    # a t = 1 code whose first syndrome vanishes has no identity block in
+    # its column echelon form, so decoding stops before choosing a branch
+    code = build_code(gf16, find_normal_element(gf16), 0, 3)
+    rng = rng_for("no-branch")
+    stopped = 0
+    for _ in range(100):
+        report = decode(code, [gf16.random_element(rng) for _ in range(code.n)])
+        if report.failure and report.failure.startswith("locator extraction"):
+            stopped += 1
+            assert report.branch is None
+            assert "branch =" not in report.to_text(gf16)
+    assert stopped > 0
 
 
 # -- exhaustive oracle comparison ---------------------------------------------------

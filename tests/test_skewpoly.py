@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from skewrs import (SkewPolynomial, gcrd, lclm, lclm_many, left_divmod, norm,
+from skewrs import (SkewPolynomial, gcrd, lclm, lclm_many, left_divmod,
                     norm_column, parse_poly, right_eval)
 
 from conftest import rng_for, random_poly, random_nonzero_poly
@@ -119,21 +119,27 @@ def test_division_by_zero_rejected(gf4096):
 def test_norm_zero_is_one(all_contexts):
     for ctx in all_contexts.values():
         rng = rng_for("norm0")
-        assert norm(0, ctx.random_element(rng)) == ctx.one
+        assert norm_column(ctx.random_element(rng), 1) == [ctx.one]
 
 
 def test_norm_values_from_reference_code(gf4096):
     a = gf4096.generator
     beta = a ** 1023
-    assert norm(6, beta) == gf4096.one
-    assert norm(2, beta) == a ** 255
+    col = norm_column(beta, 7)
+    assert col[6] == gf4096.one
+    assert col[2] == a ** 255
 
 
 def test_norm_column_matches_norm(gf4096):
     rng = rng_for("normcol")
     gamma = gf4096.random_element(rng)
     col = norm_column(gamma, 7)
-    assert col == [norm(i, gamma) for i in range(7)]
+    for i in range(7):
+        # N_i(gamma) = gamma * sigma(gamma) * ... * sigma^(i-1)(gamma)
+        expected = gf4096.one
+        for k in range(i):
+            expected = expected * gf4096.sigma(gamma, k)
+        assert col[i] == expected
 
 
 def test_right_eval_constant(all_contexts):

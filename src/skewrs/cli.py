@@ -192,10 +192,17 @@ def parse_weights(spec, t):
     """--weights accepts 'W', 'LO:HI' or a comma list; default 0..t."""
     if spec is None:
         return list(range(t + 1))
-    if ":" in spec:
-        lo, _, hi = spec.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(w) for w in spec.split(",")]
+    try:
+        if ":" in spec:
+            lo, _, hi = spec.partition(":")
+            weights = list(range(int(lo), int(hi) + 1))
+        else:
+            weights = [int(w) for w in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"weights {spec!r} are not integers") from None
+    if not weights:
+        raise ConfigError(f"weight range {spec!r} is empty")
+    return weights
 
 
 def cmd_simulate(args):

@@ -34,6 +34,10 @@ primitive element, so multiplication, inversion and Frobenius application
 are table lookups.  Elements print as powers of the modulus root whenever
 that root is primitive (all bundled examples qualify), otherwise in
 polynomial form; printing then parsing round-trips either way.
+
+Q(chi) inverts by the norm: u times the product of its other Galois
+conjugates chi -> chi^e (2 <= e < m) is the rational N(u), so u^-1 is that
+product divided by N(u).
 """
 
 from __future__ import annotations
@@ -840,57 +844,22 @@ class CyclotomicField(FieldContext):
     def inv(self, u):
         if self.is_zero(u):
             raise ZeroDivisionError("inverse of zero")
-        # extended Euclid in Q[t] against the m-th cyclotomic polynomial
-        m = self.root_order
-        phi = [Fraction(1)] * m  # 1 + t + ... + t^(m-1)
-        f = [Fraction(a, u[1]) for a in u[0]]
-        while f and f[-1] == 0:
-            f.pop()
-        r0, r1 = phi, f
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def polydivmod(a, b):
-            a = a[:]
-            q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-            inv = 1 / b[-1]
-            for k in range(len(a) - 1, len(b) - 2, -1):
-                c = a[k] * inv
-                if c:
-                    q[k - len(b) + 1] = c
-                    for j, bc in enumerate(b):
-                        a[k - len(b) + 1 + j] -= c * bc
-            while a and a[-1] == 0:
-                a.pop()
-            return q, a
-
-        while r1:
-            q, r = polydivmod(r0, r1)
-            # s_next = s0 - q * s1
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        prod[i + j] += qc * sc
-            s_next = [a - b for a, b in
-                      zip(s0 + [Fraction(0)] * max(0, len(prod) - len(s0)),
-                          prod + [Fraction(0)] * max(0, len(s0) - len(prod)))]
-            while s_next and s_next[-1] == 0:
-                s_next.pop()
-            r0, r1, s0, s1 = r1, r, s1, s_next
-        # r0 = gcd is a nonzero constant (phi is irreducible over Q)
-        c = r0[0]
-        inv_coeffs = [sc / c for sc in s0]
-        inv_coeffs += [Fraction(0)] * (self.dim - len(inv_coeffs))
-        den = 1
-        for fr in inv_coeffs:
-            den = den * fr.denominator // math.gcd(den, fr.denominator)
-        return self._make(tuple(int(fr * den) for fr in inv_coeffs[:self.dim]), den)
+        # u times its other Galois conjugates is the rational norm N(u)
+        rest = self._conjugate(u, 2)
+        for e in range(3, self.root_order):
+            rest = self.mul(rest, self._conjugate(u, e))
+        (c, *_), d = self.mul(u, rest)
+        coords, den = rest
+        return self._make(tuple(a * d for a in coords), den * c)
 
     def sigma_raw(self, u, k=1):
         k %= self.order
         if k == 0:
             return u
-        e = self._sigma_exp[k]
+        return self._conjugate(u, self._sigma_exp[k])
+
+    def _conjugate(self, u, e):
+        # the automorphism chi -> chi^e
         m = self.root_order
         full = [0] * m
         for j, a in enumerate(u[0]):

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .fields import Element, same_context
 from .linalg import Matrix, solve_row_system
 from .skewpoly import SkewPolynomial, left_divmod, shift_echelon
 
@@ -74,10 +75,12 @@ class DecodeReport:
 
 def _as_vector(code, y):
     if isinstance(y, SkewPolynomial):
-        return y.vector(code.n)
+        y = y.vector(code.n)
     y = list(y)
     if len(y) != code.n:
         raise ValueError(f"received word must have length {code.n}")
+    if not all(isinstance(v, Element) and same_context(v.ctx, code.ctx) for v in y):
+        raise ValueError("received word has entries outside the code's field")
     return y
 
 
@@ -182,48 +185,44 @@ def error_values(code, positions, s):
 
 def decode(code, y):
     """Full decode of a received word; never returns a wrong answer on a
-    path that passes verification."""
-    vec = _as_vector(code, y)
+    path that passes verification, and never raises on a malformed word."""
+    try:
+        vec = _as_vector(code, y)
+    except ValueError as exc:
+        return DecodeReport(syndromes=[], branch=None,
+                            failure=f"invalid received word: {exc}")
     ctx = code.ctx
     s = syndromes(code, vec) if code.t >= 1 else []
 
     def fail(reason, branch, **kw):
         return DecodeReport(syndromes=s, branch=branch, failure=reason, **kw)
 
-    if all(not si for si in s):
-        zero_err = [ctx.zero] * code.n
-        cw = SkewPolynomial(ctx, vec)
-        q, rem = left_divmod(cw, code.g)
-        if not rem.is_zero:
-            return fail("word is not a codeword and no syndrome is available"
-                        if code.t == 0 else
-                        "syndromes vanish but the generator does not divide the word",
-                        BRANCH_ALL_ZERO)
-        return DecodeReport(syndromes=s, branch=BRANCH_ALL_ZERO,
-                            error=zero_err, codeword=vec, message=q)
-
-    st = build_syndrome_matrix(code, s)
-    try:
-        mu, rho = extract_rho(st)
-    except ValueError as exc:
-        return fail(f"locator extraction failed: {exc}", None)
-    try:
-        positions, branch = locate_positions(code, mu, rho)
-    except LocateFailure as exc:
-        return fail(f"position search failed: {exc}", BRANCH_ECHELON, mu=mu, rho=rho)
-    nu = len(positions)
-    if nu > code.t:
-        return fail(f"{nu} candidate error positions exceed capability t={code.t}",
-                    branch, mu=mu, rho=rho, positions=positions)
-    try:
-        values = error_values(code, positions, s)
-    except ValueError as exc:
-        return fail(f"value solve failed: {exc}", branch, mu=mu, rho=rho,
-                    positions=positions)
+    mu, rho, positions, values, branch = 0, None, [], [], BRANCH_ALL_ZERO
+    if any(s):
+        st = build_syndrome_matrix(code, s)
+        try:
+            mu, rho = extract_rho(st)
+        except ValueError as exc:
+            return fail(f"locator extraction failed: {exc}", None)
+        try:
+            positions, branch = locate_positions(code, mu, rho)
+        except LocateFailure as exc:
+            return fail(f"position search failed: {exc}", BRANCH_ECHELON,
+                        mu=mu, rho=rho)
+        nu = len(positions)
+        if nu > code.t:
+            return fail(f"{nu} candidate error positions exceed capability t={code.t}",
+                        branch, mu=mu, rho=rho, positions=positions)
+        try:
+            values = error_values(code, positions, s)
+        except ValueError as exc:
+            return fail(f"value solve failed: {exc}", branch, mu=mu, rho=rho,
+                        positions=positions)
     err = [ctx.zero] * code.n
+    corrected = list(vec)
     for k, v in zip(positions, values):
         err[k] = v
-    corrected = [a - b for a, b in zip(vec, err)]
+        corrected[k] = vec[k] - v
     q, rem = left_divmod(SkewPolynomial(ctx, corrected), code.g)
     if not rem.is_zero:
         return fail("generator does not divide the corrected word", branch,

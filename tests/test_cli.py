@@ -147,3 +147,13 @@ def test_parse_weights_forms():
     assert parse_weights("1", 2) == [1]
     assert parse_weights("0:3", 2) == [0, 1, 2, 3]
     assert parse_weights("0,2", 2) == [0, 2]
+
+
+@pytest.mark.parametrize("spec", ["3:1", "x", "1,y"])
+def test_simulate_rejects_bad_weights(workspace, capsys, spec):
+    tmp, bundle = workspace
+    assert main(["simulate", "--code", str(bundle), "--trials", "5",
+                 "--weights", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -1,7 +1,11 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skewrs
-from skewrs import Element, FieldError, FiniteField, parse_element
+from skewrs import CyclotomicField, Element, FieldError, FiniteField, parse_element
 
 from conftest import rng_for
 
@@ -186,3 +190,33 @@ def test_operands_must_share_a_field(gf4096, gf16):
 def test_public_names_resolve():
     for name in skewrs.__all__:
         assert getattr(skewrs, name) is not None, name
+
+
+@st.composite
+def cyclotomic_cases(draw):
+    m = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    ctx = CyclotomicField(m, draw(st.integers(1, m - 1)))
+    coords = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=m - 1, max_size=m - 1))
+    den = draw(st.integers(1, 10 ** 6))
+    x = ctx.zero
+    for i, c in enumerate(coords):
+        x = x + ctx.from_fraction(Fraction(c, den)) * ctx.generator ** i
+    return ctx, x, coords[0], den
+
+
+@settings(deadline=None)
+@given(cyclotomic_cases())
+def test_cyclotomic_inverse_by_norm(case):
+    ctx, x, c, den = case
+    with pytest.raises(ZeroDivisionError):
+        ctx.zero.inverse()
+    if c:
+        rational = ctx.from_fraction(Fraction(c, den))
+        assert rational.inverse() == ctx.from_fraction(Fraction(den, c))
+    if not x:
+        return
+    y = x.inverse()
+    assert x * y == ctx.one
+    assert y.inverse() == x
+    coords, d = y.raw
+    assert d > 0 and math.gcd(*coords, d) == 1

@@ -72,6 +72,20 @@ def test_syndromes_reject_wrong_length(code_gf):
         syndromes(code_gf, [code_gf.ctx.zero] * 3)
 
 
+@pytest.mark.parametrize("case", ["length", "degree", "context"])
+def test_decode_reports_malformed_words(code_gf, gf16, case):
+    ctx, n = code_gf.ctx, code_gf.n
+    word = {
+        "length": [ctx.zero] * 3,
+        "degree": SkewPolynomial(ctx, [ctx.one] * (n + 1)),
+        "context": [gf16.one] * n,
+    }[case]
+    report = decode(code_gf, word)
+    assert not report.ok and report.branch is None
+    assert report.failure.startswith("invalid received word:")
+    assert "\n" not in report.failure
+
+
 def test_zero_syndrome_matrix(code_gf):
     s = [code_gf.ctx.zero] * (2 * code_gf.t)
     st = build_syndrome_matrix(code_gf, s)

@@ -8,19 +8,23 @@ multiple of x - sigma^(r+i)(beta) for 0 <= i <= delta-2; the code is the
 left ideal it generates modulo x^n - 1 and corrects t = (delta-1)//2
 errors.
 
-Codes with r > 0 are decoded by substituting sigma^r(alpha) for alpha,
-which reduces everything to the r = 0 case; the substituted data is kept
-on the code object so the decoder never branches on r.
+The twisted norms of the beta-roots telescope:
+N_i(sigma^k(beta)) = sigma^k(alpha)^(-1) * sigma^(k+i)(alpha).  So every
+right evaluation at a beta-root is one sum over the conjugates
+sigma^k(alpha), and the code keeps that table, k < n, with the inverses;
+the evaluation matrix N is read off it.  A code with r > 0 reads the
+same table from index r, all indices taken mod n, so the decoder never
+branches on r.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import FiniteField, RationalFunctions, CyclotomicField, FieldError
 from .linalg import Matrix
-from .skewpoly import SkewPolynomial, left_divmod, lclm_many, norm_column, shift_echelon
+from .skewpoly import SkewPolynomial, left_divmod, lclm_many, shift_echelon
 
 
 class CodeError(ValueError):
@@ -68,19 +72,13 @@ class SkewRSCode:
     N: Matrix
     t: int
     n: int
-    # narrow-sense working data used by the decoder (differs only for r > 0)
-    alpha_w: object = field(repr=False, default=None)
-    beta_w: object = field(repr=False, default=None)
-    N_w: Matrix = field(repr=False, default=None)
-    conj_alpha_w: list = field(repr=False, default=None)
+    # the conjugates sigma^k(alpha) for k < n and their inverses
+    conj: list
+    conj_inv: list
 
     @property
     def dimension(self):
         return self.n - self.delta + 1
-
-    def beta_root(self, j):
-        """sigma^j of the working beta."""
-        return self.ctx.sigma(self.beta_w, j)
 
     def contains(self, f):
         """Membership test: g right-divides f."""
@@ -91,10 +89,31 @@ class SkewRSCode:
                 f"r={self.r}, dim={self.dimension})")
 
 
-def evaluation_matrix(ctx, beta, n):
-    """Column j holds the norms N_0 ... N_(n-1) of sigma^j(beta)."""
-    cols = [norm_column(ctx.sigma(beta, j), n) for j in range(n)]
-    return Matrix(ctx, [[cols[j][i] for j in range(n)] for i in range(n)])
+def evaluate(code, vec, count, offset):
+    """Right evaluations of the word vec (coefficients lowest degree
+    first) at sigma^(offset+j)(beta) for 0 <= j < count: each value is
+    sigma^k(alpha)^(-1) * sum_i vec_i * sigma^(k+i)(alpha), k = offset+j."""
+    n, conj, conj_inv, one = code.n, code.conj, code.conj_inv, code.ctx.one
+    # a unit coefficient (a monic locator, its shifts, the x^i behind N)
+    # adds its conjugate as it is: over F_q(z) a product by one still
+    # pays for its gcds
+    terms = [(i, None if v == one else v) for i, v in enumerate(vec) if v]
+    out = []
+    for k in range(offset, offset + count):
+        acc = code.ctx.zero
+        for i, v in terms:
+            c = conj[(k + i) % n]
+            acc = acc + (c if v is None else v * c)
+        out.append(acc * conj_inv[k % n])
+    return out
+
+
+def evaluation_matrix(code):
+    """Row i holds the evaluations of x^i at sigma^j(beta), so entry
+    (i, j) is the twisted norm N_i(sigma^j(beta))."""
+    ctx, n = code.ctx, code.n
+    units = [[ctx.one if k == i else ctx.zero for k in range(n)] for i in range(n)]
+    return Matrix(ctx, [evaluate(code, u, n, 0) for u in units])
 
 
 def build_code(ctx, alpha, r, delta):
@@ -105,22 +124,18 @@ def build_code(ctx, alpha, r, delta):
         raise CodeError("root offset must be nonnegative")
     if not is_normal(ctx, alpha):
         raise CodeError("alpha is not a normal element")
-    beta = alpha.inverse() * ctx.sigma(alpha)
+    conj = [ctx.sigma(alpha, k) for k in range(n)]
+    alpha_inv = alpha.inverse()
+    conj_inv = [ctx.sigma(alpha_inv, k) for k in range(n)]
+    beta = alpha_inv * conj[1]
     x = SkewPolynomial.variable(ctx)
     factors = [x - SkewPolynomial.constant(ctx, ctx.sigma(beta, (r + i) % n))
                for i in range(delta - 1)]
     g = lclm_many(factors)
-    N = evaluation_matrix(ctx, beta, n)
-    t = (delta - 1) // 2
-    r_ = r % n
-    alpha_w = ctx.sigma(alpha, r_)
-    beta_w = ctx.sigma(beta, r_)
-    N_w = N if r_ == 0 else Matrix(
-        ctx, [[N.rows[i][(j + r_) % n] for j in range(n)] for i in range(n)])
-    conj = [ctx.sigma(alpha_w, k) for k in range(2 * n)]
-    return SkewRSCode(ctx=ctx, alpha=alpha, beta=beta, r=r, delta=delta, g=g,
-                      N=N, t=t, n=n, alpha_w=alpha_w, beta_w=beta_w, N_w=N_w,
-                      conj_alpha_w=conj)
+    code = SkewRSCode(ctx=ctx, alpha=alpha, beta=beta, r=r, delta=delta, g=g,
+                      N=None, t=(delta - 1) // 2, n=n, conj=conj, conj_inv=conj_inv)
+    code.N = evaluation_matrix(code)
+    return code
 
 
 def encode(code, message):
@@ -148,7 +163,7 @@ def full_beta_decomposition_test(f, code):
         raise CodeError("polynomial does not right-divide x^n - 1")
     if m == n:
         return set(range(n))
-    unit_cols, others = shift_echelon(f, code.N)
+    unit_cols, others = shift_echelon(f, n, lambda row: evaluate(code, row, n, 0))
     if others:
         return None
     return set(range(n)).difference(unit_cols)
@@ -198,41 +213,36 @@ def _parse_kv(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = (value.strip(), lineno)
+        out[key.strip()] = value.strip()
     return out
+
+
+def _need(kv, key):
+    if key not in kv:
+        raise ConfigError(f"missing required key {key!r}")
+    return kv[key]
 
 
 def context_from_config(text):
     kv = _parse_kv(text)
-
-    def need(key):
-        if key not in kv:
-            raise ConfigError(f"missing required key {key!r}")
-        return kv[key][0]
-
-    def get(key, default=None):
-        return kv[key][0] if key in kv else default
-
-    kind = need("field.kind")
+    kind = _need(kv, "field.kind")
     try:
-        if kind == "finite-field":
+        if kind in ("finite-field", "rational-function"):
+            # F_q(z) takes its constants from a base field with trivial sigma
             ctx = FiniteField(
-                int(need("field.p")), int(need("field.degree")),
-                need("field.modulus"), generator=get("field.generator", "a"),
-                frobenius_power=int(need("sigma.frobenius_power")))
-        elif kind == "rational-function":
-            base = FiniteField(
-                int(need("field.p")), int(need("field.degree")),
-                need("field.modulus"), generator=get("field.generator", "a"),
-                frobenius_power=0)
-            mob = [s.strip() for s in need("sigma.mobius").split(",")]
-            if len(mob) != 4:
-                raise ConfigError("sigma.mobius needs four comma-separated values")
-            ctx = RationalFunctions(base, mob, variable=get("field.variable", "z"))
+                int(_need(kv, "field.p")), int(_need(kv, "field.degree")),
+                _need(kv, "field.modulus"), generator=kv.get("field.generator", "a"),
+                frobenius_power=0 if kind == "rational-function"
+                else int(_need(kv, "sigma.frobenius_power")))
+            if kind == "rational-function":
+                mob = [s.strip() for s in _need(kv, "sigma.mobius").split(",")]
+                if len(mob) != 4:
+                    raise ConfigError("sigma.mobius needs four comma-separated values")
+                ctx = RationalFunctions(ctx, mob, variable=kv.get("field.variable", "z"))
         elif kind == "cyclotomic":
-            ctx = CyclotomicField(int(need("cyclotomic.order")),
-                                  int(need("sigma.exponent")),
-                                  symbol=get("cyclotomic.symbol", "chi"))
+            ctx = CyclotomicField(int(_need(kv, "cyclotomic.order")),
+                                  int(_need(kv, "sigma.exponent")),
+                                  symbol=kv.get("cyclotomic.symbol", "chi"))
         else:
             raise ConfigError(f"unknown field.kind {kind!r}")
     except (FieldError, ValueError) as exc:
@@ -245,20 +255,13 @@ def context_from_config(text):
 def code_from_config(text):
     """Build (ctx, code) from a configuration document."""
     ctx, kv = context_from_config(text)
-
-    def need(key):
-        if key not in kv:
-            raise ConfigError(f"missing required key {key!r}")
-        return kv[key][0]
-
     from .parsing import parse_element, ParseError
     try:
-        alpha = parse_element(ctx, need("alpha"))
+        alpha = parse_element(ctx, _need(kv, "alpha"))
     except ParseError as exc:
         raise ConfigError(f"alpha: {exc}") from exc
     try:
-        code = build_code(ctx, alpha, int(kv.get("r", ("0", 0))[0]),
-                          int(need("delta")))
+        code = build_code(ctx, alpha, int(kv.get("r", "0")), int(_need(kv, "delta")))
     except CodeError as exc:
         raise ConfigError(str(exc)) from exc
     return ctx, code

@@ -48,16 +48,6 @@ class Matrix:
             return self.rows == other.rows and same_context(self.ctx, other.ctx)
         return NotImplemented
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def row(self, i):
-        return list(self.rows[i])
-
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
     def transpose(self):
         return Matrix(self.ctx, [list(col) for col in zip(*self.rows)]) if self.rows \
             else Matrix(self.ctx, [])

@@ -2,9 +2,9 @@
 
 Pipeline for a received word y of length n:
 
-1. syndromes: s_i = left remainder of y by x - sigma^i(beta), 0 <= i < 2t.
+1. syndromes: s_i = left remainder of y by x - sigma^(r+i)(beta), 0 <= i < 2t.
 2. syndrome matrix S of shape (t+1) x t with entry (i, j) =
-   sigma^(-j)(s_(i+j)) * sigma^i(alpha).
+   sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha).
 3. locator seed rho from the reduced column echelon form of S; its degree
    mu = rank S is a lower bound on the number of errors.
 4. error positions: the zero coordinates of rho's evaluation vector when
@@ -16,7 +16,7 @@ The decoder then verifies the correction by left-dividing the corrected
 word by the generator g, which also yields the message as the quotient; a
 nonzero remainder produces an explicit failure report instead of a silent
 wrong answer.  No second syndrome pass is needed: g is the lclm of
-x - sigma^i(beta) for 0 <= i <= delta-2 and 2t <= delta-1, so g
+x - sigma^(r+i)(beta) for 0 <= i <= delta-2 and 2t <= delta-1, so g
 right-dividing the word already makes every syndrome vanish.
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .codes import evaluate
 from .fields import Element, same_context
 from .linalg import Matrix, solve_row_system
 from .skewpoly import SkewPolynomial, left_divmod, shift_echelon
@@ -85,30 +86,18 @@ def _as_vector(code, y):
 
 
 def syndromes(code, y):
-    """The 2t syndromes of y with respect to the working beta-roots."""
-    vec = _as_vector(code, y)
-    ctx = code.ctx
-    conj = code.conj_alpha_w
-    alpha_inv = code.alpha_w.inverse()
-    out = []
-    for i in range(2 * code.t):
-        acc = ctx.zero
-        for j, yj in enumerate(vec):
-            if yj:
-                acc = acc + yj * conj[(i + j) % code.n]
-        out.append(ctx.sigma(alpha_inv, i) * acc)
-    return out
+    """The 2t syndromes of y: its right evaluations at sigma^(r+i)(beta)."""
+    return evaluate(code, _as_vector(code, y), 2 * code.t, code.r)
 
 
 def build_syndrome_matrix(code, s):
-    """(t+1) x t matrix with entry (i, j) = sigma^(-j)(s_(i+j)) * sigma^i(alpha)."""
-    ctx, t = code.ctx, code.t
+    """(t+1) x t matrix with entry (i, j) = sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha)."""
+    ctx, t, n, r = code.ctx, code.t, code.n, code.r
     if len(s) != 2 * t:
         raise ValueError(f"expected {2 * t} syndromes")
-    conj = code.conj_alpha_w
     rows = []
     for i in range(t + 1):
-        rows.append([ctx.sigma(s[i + j], -j) * conj[i] for j in range(t)])
+        rows.append([ctx.sigma(s[i + j], -j) * code.conj[(r + i) % n] for j in range(t)])
     return Matrix(ctx, rows)
 
 
@@ -130,21 +119,6 @@ def extract_rho(st):
     return mu, SkewPolynomial(ctx, coeffs)
 
 
-def beta_evaluation_vector(code, rho):
-    """rho's coefficient vector times the working evaluation matrix; its
-    zero coordinates are the beta-roots of rho."""
-    ctx = code.ctx
-    vec = rho.vector(code.n)
-    out = []
-    for j in range(code.n):
-        acc = ctx.zero
-        for i, c in enumerate(vec):
-            if c:
-                acc = acc + c * code.N_w.rows[i][j]
-        out.append(acc)
-    return out
-
-
 class LocateFailure(Exception):
     pass
 
@@ -156,11 +130,13 @@ def locate_positions(code, mu, rho):
     them.  Echelon branch: complete rho to the full locator by reducing
     the row space of its left multiples and keeping the canonical rows.
     """
-    rho_eval = beta_evaluation_vector(code, rho)
-    zeros = [j for j, v in enumerate(rho_eval) if not v]
+    def evaluate_row(vec):
+        return evaluate(code, vec, code.n, code.r)
+
+    zeros = [j for j, v in enumerate(evaluate_row(rho.vector(code.n))) if not v]
     if len(zeros) == mu:
         return zeros, BRANCH_DIRECT
-    kept, _ = shift_echelon(rho, code.N_w)
+    kept, _ = shift_echelon(rho, code.n, evaluate_row)
     if not kept:
         raise LocateFailure("no canonical rows survive the echelon reduction")
     positions = [j for j in range(code.n) if j not in kept]
@@ -172,14 +148,13 @@ def locate_positions(code, mu, rho):
 def error_values(code, positions, s):
     """Solve for the error values at the given positions from the leading
     syndromes; the conjugate matrix is nonsingular for distinct positions."""
-    ctx = code.ctx
+    ctx, n, r, conj = code.ctx, code.n, code.r, code.conj
     nu = len(positions)
     if nu == 0:
         raise ValueError("no positions")
-    conj = code.conj_alpha_w
-    m = Matrix(ctx, [[conj[(k + i) % code.n] for i in range(nu)]
+    m = Matrix(ctx, [[conj[(r + k + i) % n] for i in range(nu)]
                      for k in positions])
-    rhs = [conj[i] * s[i] for i in range(nu)]
+    rhs = [conj[(r + i) % n] * s[i] for i in range(nu)]
     return solve_row_system(m, rhs)
 
 
@@ -188,11 +163,11 @@ def decode(code, y):
     path that passes verification, and never raises on a malformed word."""
     try:
         vec = _as_vector(code, y)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         return DecodeReport(syndromes=[], branch=None,
                             failure=f"invalid received word: {exc}")
     ctx = code.ctx
-    s = syndromes(code, vec) if code.t >= 1 else []
+    s = evaluate(code, vec, 2 * code.t, code.r)
 
     def fail(reason, branch, **kw):
         return DecodeReport(syndromes=s, branch=branch, failure=reason, **kw)

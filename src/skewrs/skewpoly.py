@@ -291,16 +291,17 @@ def twisted_shift_rows(f, n):
     return rows
 
 
-def shift_echelon(f, evaluation):
-    """Row-reduce the twisted shift rows of f times an n x n evaluation
-    matrix and sort the reduced rows into unit rows (a single nonzero
-    entry, equal to one) and the rest.
+def shift_echelon(f, n, evaluate_row):
+    """Row-reduce the evaluations of the twisted shift rows of f (each
+    length-n row mapped to its n values by evaluate_row) and sort the
+    reduced rows into unit rows (a single nonzero entry, equal to one)
+    and the rest.
 
     Returns (the unit rows' columns, the indices of the other rows); the
     second list is empty exactly when every row is a unit row.
     """
     ctx = f.ctx
-    shifted = Matrix(ctx, twisted_shift_rows(f, evaluation.nrows)) * evaluation
+    shifted = Matrix(ctx, [evaluate_row(row) for row in twisted_shift_rows(f, n)])
     columns, others = [], []
     for i, row in enumerate(shifted.rref().rows):
         support = [j for j, v in enumerate(row) if v]

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import code_from_config, encode, full_beta_decomposition_test
+from .codes import code_from_config, encode, evaluate
 from .linalg import Matrix
 from .parsing import parse_element, parse_poly
-from .pgz import (BRANCH_DIRECT, BRANCH_ECHELON, beta_evaluation_vector,
-                  build_syndrome_matrix, decode, extract_rho, locate_positions,
-                  error_values, syndromes)
+from .pgz import (BRANCH_DIRECT, BRANCH_ECHELON, build_syndrome_matrix, decode,
+                  extract_rho, locate_positions, error_values, syndromes)
 from .skewpoly import SkewPolynomial, shift_echelon, twisted_shift_rows
 
 EXAMPLE_CONFIGS = {
@@ -191,20 +190,20 @@ def _scenario_checks(t, ctx, code, cw, scenario):
     mu, rho = extract_rho(st)
     t.compare("rank of syndrome matrix", mu, scenario["mu"])
     t.compare("locator seed", rho, parse_poly(ctx, scenario["rho"]))
-    t.compare("locator evaluation vector", beta_evaluation_vector(code, rho),
-              _vector(ctx, scenario["rho_eval"]))
+    rho_eval = evaluate(code, rho.vector(code.n), code.n, code.r)
+    t.compare("locator evaluation vector", rho_eval, _vector(ctx, scenario["rho_eval"]))
     positions, branch = locate_positions(code, mu, rho)
     t.compare("branch", branch, scenario["branch"])
     if "shift_matrix" in scenario:
         m_rho = Matrix(ctx, twisted_shift_rows(rho, code.n))
         t.compare("shift matrix of the seed", m_rho, _matrix(ctx, scenario["shift_matrix"]))
-        n_rho = m_rho * code.N_w
+        n_rho = m_rho * code.N
         t.compare("evaluated shift matrix", n_rho, _matrix(ctx, scenario["shift_eval"]))
         h_rho = n_rho.rref()
         expected_h = _matrix(ctx, scenario["row_echelon"])
         t.compare("row echelon form", h_rho, expected_h)
-        t.compare("rows removed", shift_echelon(rho, code.N_w)[1],
-                  scenario["removed_rows"])
+        removed = shift_echelon(rho, code.n, lambda row: evaluate(code, row, code.n, code.r))[1]
+        t.compare("rows removed", removed, scenario["removed_rows"])
     t.compare("error positions", positions, scenario["positions"])
     values = error_values(code, positions, s)
     t.compare("error values", values, _vector(ctx, scenario["values"]))
@@ -316,17 +315,17 @@ def _run_example_2():
     t.compare("rank of syndrome matrix", mu, _EX2["mu"])
     t.compare("locator seed", rho, parse_poly(ctx, _EX2["rho"]))
     t.confirm("locator evaluation vector has no zero",
-              all(bool(v) for v in beta_evaluation_vector(code, rho)))
+              all(bool(v) for v in evaluate(code, rho.vector(code.n), code.n, code.r)))
     m_rho = Matrix(ctx, twisted_shift_rows(rho, code.n))
     t.compare("shift matrix of the seed", m_rho, _matrix(ctx, _EX2["shift_matrix"]))
-    h_rho = (m_rho * code.N_w).rref()
+    h_rho = (m_rho * code.N).rref()
     t.compare("row echelon form", h_rho, _matrix(ctx, _EX2["row_echelon"]))
-    t.compare("rows removed", shift_echelon(rho, code.N_w)[1], _EX2["removed_rows"])
+    removed = shift_echelon(rho, code.n, lambda row: evaluate(code, row, code.n, code.r))[1]
+    t.compare("rows removed", removed, _EX2["removed_rows"])
     positions, branch = locate_positions(code, mu, rho)
     t.compare("branch", branch, BRANCH_ECHELON)
     t.compare("error positions", positions, _EX2["positions"])
-    conj = code.conj_alpha_w
-    system = Matrix(ctx, [[conj[(k + i) % code.n] for i in range(2)]
+    system = Matrix(ctx, [[code.conj[(k + i) % code.n] for i in range(2)]
                           for k in positions])
     t.compare("value system matrix", system, _matrix(ctx, _EX2["value_system"]))
     values = error_values(code, positions, s)
@@ -389,7 +388,8 @@ def _run_example_3():
     mu, rho = extract_rho(st)
     t.compare("rank of syndrome matrix", mu, _EX3["mu"])
     t.compare("locator seed", rho, parse_poly(ctx, _EX3["rho"]))
-    t.compare("locator evaluation vector", beta_evaluation_vector(code, rho),
+    rho_eval = evaluate(code, rho.vector(code.n), code.n, code.r)
+    t.compare("locator evaluation vector", rho_eval,
               _vector(ctx, _EX3["rho_eval"], symbols={"b": b}))
     positions, branch = locate_positions(code, mu, rho)
     t.compare("branch", branch, BRANCH_DIRECT)

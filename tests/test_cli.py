@@ -1,3 +1,5 @@
+import pathlib
+
 import pytest
 
 from skewrs import EXAMPLE_CONFIGS
@@ -81,6 +83,25 @@ def test_simulate_is_seeded(workspace, capsys):
     second = capsys.readouterr().out
     assert first.split("wall_time")[0] == second.split("wall_time")[0]
     assert "failures = 0" in first
+
+
+def test_seeded_simulate_matches_recorded_statistics(tmp_path, capsys):
+    # simulate --trials 200 --weights 0:4 --seed 5 on each demo config must
+    # reproduce a recorded run line for line; only wall_time may differ
+    root = pathlib.Path(__file__).resolve().parents[1]
+    lines = []
+    for name in ("gf4096", "rational", "cyclotomic"):
+        bundle = tmp_path / f"{name}.bundle"
+        assert main(["build", "--config", str(root / "demos" / "configs" / f"{name}.cfg"),
+                     "--out", str(bundle)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--code", str(bundle), "--trials", "200",
+                     "--weights", "0:4", "--seed", "5"]) == 0
+        lines.append(f"== {name}.cfg")
+        lines += [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("wall_time")]
+    recorded = (root / "tests" / "data" / "simulate_seed5.txt").read_text()
+    assert "\n".join(lines) + "\n" == recorded
 
 
 def test_paper_example_verbs(capsys):

@@ -1,10 +1,10 @@
 import pytest
 
 from skewrs import (CodeError, ConfigError, FiniteField, SkewPolynomial,
-                    build_code, code_from_config, encode, find_normal_element,
-                    full_beta_decomposition_test, is_normal, left_divmod,
-                    min_distance_oracle, parse_poly, right_eval)
-from skewrs.codes import evaluation_matrix
+                    build_code, code_from_config, encode, evaluate,
+                    find_normal_element, full_beta_decomposition_test,
+                    is_normal, left_divmod, min_distance_oracle, norm_column,
+                    parse_poly, right_eval)
 
 from conftest import rng_for, random_poly
 
@@ -135,10 +135,9 @@ def test_full_beta_decomposition_single_factor(code_gf, gf4096):
 def test_divisor_without_beta_roots_is_not_decomposable(code_gf, gf4096):
     # x + a^981 right-divides x^6 - 1 but has no beta-root at all: it is
     # the locator seed that forces the decoder's echelon branch
-    from skewrs.pgz import beta_evaluation_vector
     f = parse_poly(gf4096, "x + a^981")
     assert full_beta_decomposition_test(f, code_gf) is None
-    assert all(bool(v) for v in beta_evaluation_vector(code_gf, f))
+    assert all(bool(v) for v in evaluate(code_gf, f.vector(code_gf.n), code_gf.n, 0))
 
 
 def test_full_beta_decomposition_rejects_non_divisor(code_gf, gf4096):
@@ -162,13 +161,18 @@ def test_shift_property_of_codewords(all_codes):
 def test_nonzero_offset_reduces_to_narrow_sense(gf4096):
     code = build_code(gf4096, gf4096.generator, 2, 4)
     assert code.g.degree == 3
-    # working data is the shifted normal element
-    assert code.alpha_w == gf4096.sigma(code.alpha, 2)
-    assert code.beta_w == gf4096.sigma(code.beta, 2)
+    # the one table is the unshifted conjugates of alpha and their inverses
+    assert code.conj == [gf4096.sigma(code.alpha, k) for k in range(code.n)]
+    assert code.conj_inv == [c.inverse() for c in code.conj]
     assert full_beta_decomposition_test(code.g, code) == {2, 3, 4}
-    # the rotated evaluation matrix columns match the shifted beta
-    ev = evaluation_matrix(gf4096, code.beta_w, code.n)
-    assert code.N_w == ev
+    # read from index r, the table evaluates at the shifted beta-roots:
+    # x^i at sigma^(r+j)(beta) is the norm N_i(sigma^(r+j)(beta))
+    n = code.n
+    rows = [evaluate(code, [gf4096.one if k == i else gf4096.zero for k in range(n)],
+                     n, code.r) for i in range(n)]
+    for j in range(n):
+        column = norm_column(gf4096.sigma(code.beta, code.r + j), n)
+        assert [row[j] for row in rows] == column
 
 
 def test_min_distance_of_small_mds_codes(gf16, gf8):

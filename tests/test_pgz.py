@@ -2,10 +2,10 @@ import pytest
 
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     FiniteField, SkewPolynomial, build_code, build_syndrome_matrix,
-                    decode, encode, extract_rho, find_normal_element,
-                    left_divmod, locate_positions, parse_poly, syndromes)
+                    decode, encode, evaluate, extract_rho, find_normal_element,
+                    left_divmod, locate_positions, norm_column, parse_poly,
+                    right_eval, syndromes)
 from skewrs.cli import nearest_codeword_equivalence, run_trial, simulate
-from skewrs.pgz import beta_evaluation_vector
 
 from conftest import rng_for, random_poly
 
@@ -24,17 +24,11 @@ def random_error(code, rng, weight):
 
 
 def syndromes_by_remainder(code, y):
-    """The syndromes computed through the norm columns; oracle for the
-    conjugate-sum formula used by ``syndromes``."""
+    """The syndromes as right evaluations of y at sigma^(r+i)(beta); oracle
+    for the conjugate-sum formula used by ``syndromes``."""
     ctx = code.ctx
-    out = []
-    for i in range(2 * code.t):
-        acc = ctx.zero
-        for j, yj in enumerate(y):
-            if yj:
-                acc = acc + yj * code.N_w.rows[j][i]
-        out.append(acc)
-    return out
+    f = SkewPolynomial(ctx, y)
+    return [right_eval(f, ctx.sigma(code.beta, code.r + i)) for i in range(2 * code.t)]
 
 
 # -- syndromes -----------------------------------------------------------------
@@ -64,7 +58,9 @@ def test_single_error_syndromes_are_norms(code_gf):
         e = [ctx.zero] * code_gf.n
         e[k] = v
         s = syndromes(code_gf, e)
-        assert s == [v * code_gf.N_w.rows[k][i] for i in range(2 * code_gf.t)]
+        norms = [norm_column(ctx.sigma(code_gf.beta, code_gf.r + i), code_gf.n)
+                 for i in range(2 * code_gf.t)]
+        assert s == [v * norms[i][k] for i in range(2 * code_gf.t)]
 
 
 def test_syndromes_reject_wrong_length(code_gf):
@@ -72,16 +68,18 @@ def test_syndromes_reject_wrong_length(code_gf):
         syndromes(code_gf, [code_gf.ctx.zero] * 3)
 
 
-@pytest.mark.parametrize("case", ["length", "degree", "context"])
+@pytest.mark.parametrize("case", ["length", "degree", "context", "not-iterable", "none"])
 def test_decode_reports_malformed_words(code_gf, gf16, case):
     ctx, n = code_gf.ctx, code_gf.n
     word = {
         "length": [ctx.zero] * 3,
         "degree": SkewPolynomial(ctx, [ctx.one] * (n + 1)),
         "context": [gf16.one] * n,
+        "not-iterable": 5,
+        "none": None,
     }[case]
     report = decode(code_gf, word)
-    assert not report.ok and report.branch is None
+    assert not report.ok and report.branch is None and report.syndromes == []
     assert report.failure.startswith("invalid received word:")
     assert "\n" not in report.failure
 
@@ -169,7 +167,8 @@ def test_fixed_field_values_force_echelon_branch(code_gf):
         assert report.branch == BRANCH_ECHELON
         assert report.mu == 1 and len(report.positions) == 2
         # branch soundness: the seed's direct root count differs from mu
-        zeros = [w for w in beta_evaluation_vector(code_gf, report.rho) if not w]
+        rho_eval = evaluate(code_gf, report.rho.vector(code_gf.n), code_gf.n, code_gf.r)
+        zeros = [w for w in rho_eval if not w]
         assert len(zeros) != report.mu
 
 

@@ -262,6 +262,8 @@ def code_from_config(text):
         raise ConfigError(f"alpha: {exc}") from exc
     try:
         code = build_code(ctx, alpha, int(kv.get("r", "0")), int(_need(kv, "delta")))
-    except CodeError as exc:
+    except ValueError as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(str(exc)) from exc
     return ctx, code

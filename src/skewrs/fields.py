@@ -31,9 +31,15 @@ construction and safe to share.
 
 Finite fields of size up to 2^16 get exp/log tables with respect to a
 primitive element, so multiplication, inversion and Frobenius application
-are table lookups.  Elements print as powers of the modulus root whenever
-that root is primitive (all bundled examples qualify), otherwise in
-polynomial form; printing then parsing round-trips either way.
+are table lookups.  For p = 2 the tables come from one walk over the
+powers of the modulus root a, where times a is a shift and a conditional
+XOR, and a is primitive exactly when the walk first returns to 1 after
+2^d - 1 steps.  Odd characteristic, and a non-primitive root, take the
+general route: find a primitive element (the root first) by its order and
+walk its powers by general multiplication.
+Elements print as powers of the modulus root whenever that root is
+primitive (all bundled examples qualify), otherwise in polynomial form;
+printing then parsing round-trips either way.
 
 Q(chi) inverts by the norm: u times the product of its other Galois
 conjugates chi -> chi^e (2 <= e < m) is the rational N(u), so u^-1 is that
@@ -245,6 +251,8 @@ class FiniteField(FieldContext):
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise FieldError(f"characteristic {p} is not prime")
+        if degree < 1:
+            raise FieldError(f"degree must be at least 1, got {degree}")
         if isinstance(modulus, str):
             modulus = parse_int_poly(modulus, generator)
         modulus = [c % p for c in modulus]
@@ -378,25 +386,36 @@ class FiniteField(FieldContext):
         return order
 
     def _build_tables(self):
-        q = self.size
-        gen_val = self.char if self.degree > 1 else 1 % self.char
-        if self._element_order(gen_val) == q - 1:
-            prim = gen_val
-            self.generator_primitive = True
-        else:
-            prim = None
-            for cand in range(2, q):
-                if self._element_order(cand) == q - 1:
-                    prim = cand
-                    break
+        q, p, d = self.size, self.char, self.degree
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            exp[i + q - 1] = acc
-            log[acc] = i
-            acc = self._raw_mul(acc, prim)
+        gen_val = p if d > 1 else 1 % p
+        walked = p == 2 and d > 1
+        if walked:
+            # walk 1, a, a^2, ...: times a is a shift, folding a^d back in
+            top = 1 << d
+            fold = top ^ self._adeg
+            v = 1
+            for i in range(q - 1):
+                exp[i] = v
+                log[v] = i
+                v <<= 1
+                if v & top:
+                    v ^= fold
+            # a of order m < q - 1 comes back to 1 at step m, so the walk
+            # leaves log[1] > 0 exactly when a is not primitive
+            self.generator_primitive = log[1] == 0
+        else:
+            self.generator_primitive = self._element_order(gen_val) == q - 1
+        if not (walked and self.generator_primitive):
+            prim = gen_val if self.generator_primitive else next(
+                c for c in range(2, q) if self._element_order(c) == q - 1)
+            acc = 1
+            for i in range(q - 1):
+                exp[i] = acc
+                log[acc] = i
+                acc = self._raw_mul(acc, prim)
+        exp[q - 1:] = exp[:q - 1]
         self._exp = exp
         self._log = log
         # sigma^k multiplies discrete logs by p^(e*k mod d)
@@ -570,6 +589,9 @@ def _ppow(base, f, k):
 # F_q(z)
 # ---------------------------------------------------------------------------
 
+_RF_ONE = ((1,), (1,))
+
+
 class RationalFunctions(FieldContext):
     """F_q(z) with sigma(z) = (az+b)/(cz+d) fixing F_q pointwise.
 
@@ -615,7 +637,7 @@ class RationalFunctions(FieldContext):
         self.order = order
         self.key = ("rf", base.key, self.mobius)
         self.zero = Element(self, ((), (1,)))
-        self.one = Element(self, ((1,), (1,)))
+        self.one = Element(self, _RF_ONE)
         self.generator = Element(self, ((0, 1), (1,)))
 
     def _mat_mul(self, m1, m2):
@@ -668,6 +690,11 @@ class RationalFunctions(FieldContext):
         return tuple(base.neg(c) for c in u[0]), u[1]
 
     def mul(self, u, v):
+        # a product by one would still pay for three gcds
+        if u == _RF_ONE:
+            return v
+        if v == _RF_ONE:
+            return u
         (xn, xd), (yn, yd) = u, v
         if not xn or not yn:
             return (), (1,)
@@ -684,6 +711,8 @@ class RationalFunctions(FieldContext):
     def inv(self, u):
         if not u[0]:
             raise ZeroDivisionError("inverse of zero")
+        if u == _RF_ONE:
+            return u
         return self._make(u[1], u[0])
 
     def sigma_raw(self, u, k=1):

@@ -31,6 +31,24 @@ def test_build_rejects_bad_delta(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"r = 0": "r = x"},
+    {"delta = 5": "delta = five"},
+    {"field.degree = 12": "field.degree = 0",
+     "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1": "1"},
+], ids=["r", "delta", "degree"])
+def test_build_rejects_malformed_config(capsys, tmp_path, bad):
+    text = EXAMPLE_CONFIGS[1]
+    for old, new in bad.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["build", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_encode_decode_round_trip(workspace, capsys):
     tmp, bundle = workspace
     msg = tmp / "msg.txt"

@@ -127,6 +127,16 @@ def test_rational_canonical_form_is_reduced_and_monic(rational):
     assert num_times_back == z + a
 
 
+def test_rational_product_by_one_is_the_operand(rational):
+    rng = rng_for("rf-one")
+    one = rational.one.raw
+    assert rational.inv(one) is one
+    for _ in range(50):
+        x = rational.random_element(rng).raw
+        if x != one:
+            assert rational.mul(one, x) is x and rational.mul(x, one) is x
+
+
 def test_nonmonic_denominator_text_canonicalizes(rational):
     lhs = parse_element(rational, "(a z^5 + a^2 z^4)/(a^2 z^5 + a^2 z^4 + a z + a)")
     rhs = parse_element(rational, "(a^2 z^5 + z^4)/(z^5 + z^4 + a^2 z + a^2)")
@@ -157,6 +167,57 @@ def test_bad_moduli_are_rejected():
         FiniteField(4, 2, "a^2 + a + 1")  # composite characteristic
     with pytest.raises(FieldError):
         FiniteField(2, 3, "a^2 + a + 1")  # degree mismatch
+    with pytest.raises(FieldError):
+        FiniteField(2, 0, "1")  # no extension at all
+
+
+def _reference_tables(F):
+    """exp/log by general multiplication: the modulus root when it is
+    primitive (the symbol reads as 1 when d = 1), else the least
+    primitive packed value."""
+    q = F.size
+    gen = F.char if F.degree > 1 else 1 % F.char
+    primitive = F._element_order(gen) == q - 1
+    prim = gen if primitive else next(
+        c for c in range(2, q) if F._element_order(c) == q - 1)
+    exp, log, acc = [0] * (2 * (q - 1)), [0] * q, 1
+    for i in range(q - 1):
+        exp[i] = exp[i + q - 1] = acc
+        log[acc] = i
+        acc = F._raw_mul(acc, prim)
+    # sigma^k(x) = x^(p^(e*k mod d))
+    sigma_mult = [pow(F.char, F.frobenius_power * k % F.degree, q - 1)
+                  for k in range(F.order)]
+    return exp, log, primitive, sigma_mult
+
+
+@pytest.mark.parametrize("p, d, modulus, primitive", [
+    (2, 12, "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", True),
+    (2, 4, "a^4 + a + 1", True),
+    (2, 4, "a^4 + a^3 + a^2 + a + 1", False),
+    (2, 8, "a^8 + a^4 + a^3 + a + 1", False),
+    (3, 4, "a^4 + 2a^3 + 2", True),
+    (5, 3, "a^3 + 3a + 2", True),
+    (5, 3, "a^3 + a + 1", False),
+    (3, 6, "a^6 + a^5 + 2", True),
+    (2, 1, "a + 1", True),
+    (3, 1, "a + 1", False),
+    (5, 1, "a + 1", False),
+])
+def test_tables_match_a_general_multiplication_walk(p, d, modulus, primitive):
+    F = FiniteField(p, d, modulus, frobenius_power=1)
+    assert F.generator_primitive is primitive
+    assert (F._exp, F._log, F.generator_primitive, F._sigma_mult) == _reference_tables(F)
+
+
+def test_gf65536_tables_follow_the_modulus_root():
+    F = FiniteField(2, 16, "a^16 + a^12 + a^3 + a + 1", frobenius_power=1)
+    assert F.generator_primitive
+    q, exp = F.size, F._exp
+    assert exp[0] == 1 and exp[q - 1:] == exp[:q - 1]
+    for i in range(q - 1):
+        assert exp[i + 1] == F._raw_mul(exp[i], 2)
+        assert F._log[exp[i]] == i
 
 
 def test_singular_mobius_rejected(rational):

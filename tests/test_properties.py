@@ -26,6 +26,7 @@ FIELDS = {
     "cyclotomic": (lambda: CyclotomicField(7, 3), 6, (4,)),
     "gf81": (lambda: FiniteField(3, 4, "a^4 + 2a^3 + 2", frobenius_power=1), 4, (0,)),
     "gf125": (lambda: FiniteField(5, 3, "a^3 + 3a + 2", frobenius_power=1), 3, (0,)),
+    "gf729": (lambda: FiniteField(3, 6, "a^6 + a^5 + 2", frobenius_power=1), 6, (2,)),
 }
 CASES = [(name, r, delta) for name, (_, n, offsets) in FIELDS.items() for r in offsets
          for delta in sorted({2, 5, n}) if delta <= n]

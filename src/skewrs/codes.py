@@ -12,9 +12,9 @@ The twisted norms of the beta-roots telescope:
 N_i(sigma^k(beta)) = sigma^k(alpha)^(-1) * sigma^(k+i)(alpha).  So every
 right evaluation at a beta-root is one sum over the conjugates
 sigma^k(alpha), and the code keeps that table, k < n, with the inverses;
-the evaluation matrix N is read off it.  A code with r > 0 reads the
-same table from index r, all indices taken mod n, so the decoder never
-branches on r.
+``evaluation_matrix`` reads the evaluation matrix N off it on demand.  A
+code with r > 0 reads the same table from index r, all indices taken
+mod n, so the decoder never branches on r.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ class SkewRSCode:
     r: int
     delta: int
     g: SkewPolynomial
-    N: Matrix
     t: int
     n: int
     # the conjugates sigma^k(alpha) for k < n and their inverses
@@ -132,10 +131,8 @@ def build_code(ctx, alpha, r, delta):
     factors = [x - SkewPolynomial.constant(ctx, ctx.sigma(beta, (r + i) % n))
                for i in range(delta - 1)]
     g = lclm_many(factors)
-    code = SkewRSCode(ctx=ctx, alpha=alpha, beta=beta, r=r, delta=delta, g=g,
-                      N=None, t=(delta - 1) // 2, n=n, conj=conj, conj_inv=conj_inv)
-    code.N = evaluation_matrix(code)
-    return code
+    return SkewRSCode(ctx=ctx, alpha=alpha, beta=beta, r=r, delta=delta, g=g,
+                      t=(delta - 1) // 2, n=n, conj=conj, conj_inv=conj_inv)
 
 
 def encode(code, message):

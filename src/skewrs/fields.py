@@ -48,6 +48,7 @@ product divided by N(u).
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -66,6 +67,58 @@ def same_context(a, b):
 def _require_same(a, b):
     if a.key != b.key:
         raise FieldError("elements belong to different field contexts")
+
+
+def power(mul, one, u, k):
+    """u^k for k >= 0 by square-and-multiply, with one the identity of mul."""
+    r = one
+    while k:
+        if k & 1:
+            r = mul(r, u)
+        k >>= 1
+        if k:
+            u = mul(u, u)
+    return r
+
+
+def _atomic(s):
+    depth = 0
+    for ch in s:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch in "+-" and depth == 0:
+            return False
+    return True
+
+
+def join_terms(terms, var):
+    """Print a sum of (coefficient text, exponent) terms, given lowest
+    exponent first, as a polynomial in ``var``, highest power first.  A
+    leading minus on an atomic coefficient becomes the term's sign, a unit
+    coefficient is dropped, and a compound one is parenthesised before its
+    power of var.  No terms print as "0"."""
+    out = ""
+    for cs, i in reversed(terms):
+        sign = "+"
+        if cs[0] == "-" and _atomic(cs[1:]):
+            sign, cs = "-", cs[1:]
+        if i:
+            vs = f"{var}^{i}" if i > 1 else var
+            if cs == "1":
+                cs = vs
+            elif _atomic(cs):
+                cs = f"{cs}*{vs}"
+            else:
+                cs = f"({cs})*{vs}"
+        if out:
+            out = f"{out} {sign} {cs}"
+        elif sign == "-":
+            out = "-" + cs
+        else:
+            out = cs
+    return out or "0"
 
 
 class Element:
@@ -147,13 +200,7 @@ class FieldContext:
     def pow(self, u, k):
         if k < 0:
             u, k = self.inv(u), -k
-        r = self.one.raw
-        while k:
-            if k & 1:
-                r = self.mul(r, u)
-            u = self.mul(u, u)
-            k >>= 1
-        return r
+        return power(self.mul, self.one.raw, u, k)
 
     def sigma(self, x, k=1):
         """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
@@ -168,10 +215,6 @@ class FieldContext:
             x = self.random_element(rng, *args)
             if x:
                 return x
-
-    def parse(self, text):
-        from .parsing import parse_element
-        return parse_element(self, text)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +313,8 @@ class FiniteField(FieldContext):
         self.size = p ** degree
         self.order = degree // math.gcd(degree, frobenius_power)
         # residue of a^d used during reduction: a^d = -(f - a^d)
-        self._adeg = self._pack([(-c) % p for c in modulus[:degree]])
+        self._adeg_digits = [(-c) % p for c in modulus[:degree]]
+        self._adeg = self._pack(self._adeg_digits)
         if not self._is_irreducible():
             raise FieldError("modulus is not irreducible")
         self._exp = None
@@ -342,28 +386,18 @@ class FiniteField(FieldContext):
             c = acc[k]
             if c:
                 acc[k] = 0
-                red = self._digits(self._adeg)
                 # a^k = a^(k-d) * a^d
-                for j, y in enumerate(red):
+                for j, y in enumerate(self._adeg_digits):
                     acc[k - d + j] = (acc[k - d + j] + c * y) % p
         return self._pack(acc[:d])
-
-    def _raw_pow(self, u, k):
-        r, b = 1, u
-        while k:
-            if k & 1:
-                r = self._raw_mul(r, b)
-            b = self._raw_mul(b, b)
-            k >>= 1
-        return r
 
     def _is_irreducible(self):
         # Rabin: x^(p^d) == x mod f, and x^(p^(d/l)) != x for prime l | d
         p, d = self.char, self.degree
         if d == 1:
             return True
-        xq = self._raw_pow_frob(self._pack([0, 1] + [0] * (d - 2)) if d >= 2 else 1, d)
-        if xq != (p if d >= 2 else 1):
+        # the symbol a packs to p
+        if self._raw_pow_frob(p, d) != p:
             return False
         for ell in _factorize(d):
             xe = self._raw_pow_frob(p, d // ell)
@@ -374,14 +408,14 @@ class FiniteField(FieldContext):
     def _raw_pow_frob(self, u, k):
         # u^(p^k) by repeated p-th powering
         for _ in range(k):
-            u = self._raw_pow(u, self.char)
+            u = power(self._raw_mul, 1, u, self.char)
         return u
 
     def _element_order(self, u):
         n = self.size - 1
         order = n
         for q in _factorize(n):
-            while order % q == 0 and self._raw_pow(u, order // q) == 1:
+            while order % q == 0 and power(self._raw_mul, 1, u, order // q) == 1:
                 order //= q
         return order
 
@@ -439,20 +473,12 @@ class FiniteField(FieldContext):
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[(self.size - 1 - self._log[u]) % (self.size - 1)]
-        return self._raw_pow(u, self.size - 2)
+        return power(self._raw_mul, 1, u, self.size - 2)
 
     def pow(self, u, k):
-        if u == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        if self._exp is not None:
+        if u and self._exp is not None:
             return self._exp[(self._log[u] * k) % (self.size - 1)]
-        if k < 0:
-            return self._raw_pow(self.inv(u), -k)
-        return self._raw_pow(u, k)
+        return super().pow(u, k)
 
     def sigma_raw(self, u, k=1):
         k %= self.order
@@ -479,25 +505,11 @@ class FiniteField(FieldContext):
 
     def format(self, x):
         v = x.raw
-        if v == 0:
-            return "0"
-        if v == 1:
-            return "1"
-        sym = self.generator_symbol
-        if self.generator_primitive:
-            k = self._log[v]
-            return sym if k == 1 else f"{sym}^{k}"
-        terms = []
-        for i in reversed(range(self.degree)):
-            c = self._digits(v)[i]
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                terms.append(f"{head}{sym}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(terms)
+        if v and self.generator_primitive:
+            terms = (("1", self._log[v]),)
+        else:
+            terms = [(str(c), i) for i, c in enumerate(self._digits(v)) if c]
+        return join_terms(terms, self.generator_symbol)
 
     def __repr__(self):
         return f"GF({self.char}^{self.degree}), sigma=Frobenius^{self.frobenius_power}"
@@ -573,16 +585,6 @@ def _pgcd(base, f, g):
     if f:
         f = _pscale(base, f, base.inv(f[-1]))
     return f
-
-
-def _ppow(base, f, k):
-    r = (1,)
-    while k:
-        if k & 1:
-            r = _pmul(base, r, f)
-        f = _pmul(base, f, f)
-        k >>= 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +732,11 @@ class RationalFunctions(FieldContext):
     def _subst(self, poly, lin_num, lin_den, m):
         # poly((az+b)/(cz+d)) * (cz+d)^m, for m >= deg(poly)
         base = self.base
+        mul = functools.partial(_pmul, base)
         acc = ()
         for i, coeff in enumerate(poly):
             if coeff:
-                term = _pmul(base, _ppow(base, lin_num, i), _ppow(base, lin_den, m - i))
+                term = mul(power(mul, (1,), lin_num, i), power(mul, (1,), lin_den, m - i))
                 acc = _padd(base, acc, _pscale(base, term, coeff))
         return acc
 
@@ -766,22 +769,9 @@ class RationalFunctions(FieldContext):
         return f"{num}/({den})"
 
     def _format_poly(self, poly):
-        if not poly:
-            return "0"
         base = self.base
-        z = self.variable
-        terms = []
-        for i in reversed(range(len(poly))):
-            c = poly[i]
-            if not c:
-                continue
-            cs = base.format(base.element(c))
-            if i == 0:
-                terms.append(cs)
-            else:
-                zs = z if i == 1 else f"{z}^{i}"
-                terms.append(zs if cs == "1" else f"{cs}*{zs}")
-        return " + ".join(terms)
+        return join_terms([(base.format(Element(base, c)), i) for i, c in enumerate(poly) if c],
+                          self.variable)
 
     def __repr__(self):
         a, b, c, d = self.mobius
@@ -912,28 +902,8 @@ class CyclotomicField(FieldContext):
 
     def format(self, x):
         num, den = x.raw
-        if not any(num):
-            return "0"
-        terms = []
-        for i in reversed(range(self.dim)):
-            a = num[i]
-            if not a:
-                continue
-            c = Fraction(a, den)
-            sign = "-" if c < 0 else "+"
-            c = abs(c)
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            if i == 0:
-                body = cs
-            else:
-                sym = self.symbol if i == 1 else f"{self.symbol}^{i}"
-                body = sym if cs == "1" else f"{cs}*{sym}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+        return join_terms([(str(Fraction(a, den)), i) for i, a in enumerate(num) if a],
+                          self.symbol)
 
     def __repr__(self):
         return f"Q(chi), chi^{self.root_order}=1, sigma(chi)=chi^{self.exponent}"

@@ -16,6 +16,14 @@ constant divisor.  An unknown name is split greedily into known
 single-character symbols (``az`` means a*z).  Whitespace is ignored.
 
 ``parse_element`` additionally demands the result be a constant.
+
+Every ``^`` is bounded before it is computed.  A non-constant power may not
+pass degree n, the order of sigma, so ``x^n - 1`` still parses.  Over an
+infinite field a constant's power grows with its exponent (degrees in
+F_q(z), integer sizes in Q(chi)), so there the exponent, multiplied
+through nested powers such as ``((z^9)^9)^9``, may not pass
+``MAX_EXPONENT``.  Finite-field constants are uncapped: their power is a
+table lookup or O(log k) products.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+
+MAX_EXPONENT = 1 << 10
 
 
 def _tokenize(text):
@@ -80,6 +90,8 @@ class _Parser:
             else:
                 self.tokens.append((kind, tok, pos))
         self.pos = 0
+        # the largest exponent, multiplied through nested powers, so far
+        self.exponent = 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -132,11 +144,21 @@ class _Parser:
         return self.power()
 
     def power(self):
+        outer, self.exponent = self.exponent, 1
         value = self.atom()
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            value = value ** int(tok[1])
+            k = int(tok[1])
+            self.exponent *= k
+            n = self.ctx.order
+            if value.degree > 0 and value.degree * k > n:
+                raise ParseError(f"power of degree {value.degree * k} exceeds n = {n}", tok[2])
+            if self.ctx.size is None and self.exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {self.exponent} exceeds {MAX_EXPONENT}"
+                                 " over an infinite field", tok[2])
+            value = value ** k
+        self.exponent = max(outer, self.exponent)
         return value
 
     def atom(self):

@@ -9,7 +9,7 @@ remainder vanishes.
 
 from __future__ import annotations
 
-from .fields import same_context
+from .fields import join_terms, power, same_context
 from .linalg import Matrix
 
 
@@ -121,14 +121,7 @@ class SkewPolynomial:
             raise ValueError("negative powers are not defined for skew polynomials")
         if self.degree == 0:
             return SkewPolynomial(self.ctx, (self.coeffs[0] ** k,))
-        r = SkewPolynomial.one(self.ctx)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return power(SkewPolynomial.__mul__, SkewPolynomial.one(self.ctx), self, k)
 
     def scale_left(self, c):
         """c * f for a field constant c."""
@@ -145,47 +138,10 @@ class SkewPolynomial:
             raise ValueError("operands live over different field contexts")
 
     def __repr__(self):
-        if self.is_zero:
-            return "0"
-        ctx = self.ctx
-        parts = []
-        for i in reversed(range(len(self.coeffs))):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = ctx.format(c)
-            sign = "+"
-            if cs.startswith("-") and _atomic(cs[1:]):
-                sign, cs = "-", cs[1:]
-            if i == 0:
-                body = cs
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                if cs == "1":
-                    body = xs
-                elif _atomic(cs):
-                    body = f"{cs}*{xs}"
-                else:
-                    body = f"({cs})*{xs}"
-            parts.append((sign, body))
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        fmt = self.ctx.format
+        return join_terms([(fmt(c), i) for i, c in enumerate(self.coeffs) if c], "x")
 
     __str__ = __repr__
-
-
-def _atomic(s):
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            return False
-    return True
 
 
 def left_divmod(g, f):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import code_from_config, encode, evaluate
+from .codes import code_from_config, encode, evaluate, evaluation_matrix
 from .linalg import Matrix
 from .parsing import parse_element, parse_poly
 from .pgz import (BRANCH_DIRECT, BRANCH_ECHELON, build_syndrome_matrix, decode,
@@ -197,7 +197,7 @@ def _scenario_checks(t, ctx, code, cw, scenario):
     if "shift_matrix" in scenario:
         m_rho = Matrix(ctx, twisted_shift_rows(rho, code.n))
         t.compare("shift matrix of the seed", m_rho, _matrix(ctx, scenario["shift_matrix"]))
-        n_rho = m_rho * code.N
+        n_rho = m_rho * evaluation_matrix(code)
         t.compare("evaluated shift matrix", n_rho, _matrix(ctx, scenario["shift_eval"]))
         h_rho = n_rho.rref()
         expected_h = _matrix(ctx, scenario["row_echelon"])
@@ -221,7 +221,7 @@ def _run_example_1():
     t.compare("beta", code.beta, a ** 1023)
     t.compare("beta conjugates", [ctx.sigma(code.beta, k) for k in range(6)],
               _vector(ctx, _EX1_N[1]))
-    t.compare("evaluation matrix", code.N, _matrix(ctx, _EX1_N))
+    t.compare("evaluation matrix", evaluation_matrix(code), _matrix(ctx, _EX1_N))
     t.compare("generator", code.g,
               parse_poly(ctx, "x^4 + a^2103x^3 + a^687x^2 + a^1848x + a^759"))
     msg = parse_poly(ctx, "x + a")
@@ -301,7 +301,7 @@ def _run_example_2():
     t = Transcript("worked example 2: F_4(z), n=5, delta=5, two errors, echelon branch")
     ctx, code = code_from_config(EXAMPLE_CONFIGS[2])
     t.compare("beta", code.beta, parse_element(ctx, _EX2["beta"]))
-    t.compare("evaluation matrix", code.N, _matrix(ctx, _EX2_N))
+    t.compare("evaluation matrix", evaluation_matrix(code), _matrix(ctx, _EX2_N))
     t.compare("generator", code.g, parse_poly(ctx, _EX2["generator"]))
     err = parse_poly(ctx, _EX2["error"])
     y_poly = code.g + err
@@ -318,7 +318,7 @@ def _run_example_2():
               all(bool(v) for v in evaluate(code, rho.vector(code.n), code.n, code.r)))
     m_rho = Matrix(ctx, twisted_shift_rows(rho, code.n))
     t.compare("shift matrix of the seed", m_rho, _matrix(ctx, _EX2["shift_matrix"]))
-    h_rho = (m_rho * code.N).rref()
+    h_rho = (m_rho * evaluation_matrix(code)).rref()
     t.compare("row echelon form", h_rho, _matrix(ctx, _EX2["row_echelon"]))
     removed = shift_echelon(rho, code.n, lambda row: evaluate(code, row, code.n, code.r))[1]
     t.compare("rows removed", removed, _EX2["removed_rows"])
@@ -376,7 +376,7 @@ def _run_example_3():
     two = SkewPolynomial.constant(ctx, ctx.from_int(2))
     t.compare("generator up to a left scalar", two * code.g, g_scaled)
     b = parse_element(ctx, "-chi^5 - chi^4 - chi^3 - chi^2 - chi - 1")
-    t.compare("evaluation matrix", code.N, _matrix(ctx, _EX3_N, symbols={"b": b}))
+    t.compare("evaluation matrix", evaluation_matrix(code), _matrix(ctx, _EX3_N, symbols={"b": b}))
     err = parse_poly(ctx, _EX3["error"])
     y_poly = g_scaled + err
     t.compare("received word", y_poly, parse_poly(ctx, _EX3["received"]))

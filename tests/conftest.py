@@ -30,6 +30,17 @@ def all_contexts(gf4096, rational, cyclotomic):
 
 
 @pytest.fixture(scope="session")
+def round_trip_contexts(all_contexts):
+    """Every backend, plus F_q(z) over two bases whose elements print in
+    polynomial form: a non-primitive modulus root, and odd characteristic."""
+    shift = ("1", "1", "0", "1")   # sigma(z) = z + 1
+    f256 = FiniteField(2, 8, "a^8 + a^4 + a^3 + a + 1", frobenius_power=0)
+    f9 = FiniteField(3, 2, "a^2 + 1", frobenius_power=0)
+    return dict(all_contexts, f256z=RationalFunctions(f256, shift),
+                f9z=RationalFunctions(f9, shift))
+
+
+@pytest.fixture(scope="session")
 def code_gf(gf4096):
     return build_code(gf4096, gf4096.generator, 0, 5)
 

@@ -91,6 +91,16 @@ def test_decode_rejects_word_longer_than_code(workspace, capsys):
     assert "Traceback" not in err
 
 
+def test_encode_rejects_huge_exponent_before_expanding_it(workspace, capsys):
+    tmp, bundle = workspace
+    msg = tmp / "msg.txt"
+    msg.write_text("x^99999999999\n")
+    assert main(["encode", "--code", str(bundle), "--in", str(msg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_simulate_is_seeded(workspace, capsys):
     tmp, bundle = workspace
     assert main(["simulate", "--code", str(bundle), "--trials", "50",

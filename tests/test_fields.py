@@ -76,9 +76,9 @@ def test_sigma_is_a_field_homomorphism(all_contexts, name):
         assert ctx.sigma(x * y, k) == ctx.sigma(x, k) * ctx.sigma(y, k)
 
 
-@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])
-def test_print_parse_round_trip(all_contexts, name):
-    ctx = all_contexts[name]
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic", "f256z", "f9z"])
+def test_print_parse_round_trip(round_trip_contexts, name):
+    ctx = round_trip_contexts[name]
     rng = rng_for(f"roundtrip-{name}")
     for _ in range(N_PAIRS):
         x = ctx.random_element(rng)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from skewrs import ParseError, SkewPolynomial, parse_element, parse_poly
@@ -82,11 +84,12 @@ def test_element_parse_rejects_polynomials(gf4096):
         parse_element(gf4096, "x + a")
 
 
-def test_poly_round_trip_through_text(all_contexts):
-    for name, ctx in all_contexts.items():
+def test_poly_round_trip_through_text(round_trip_contexts):
+    for name, ctx in round_trip_contexts.items():
         rng = rng_for(f"poly-roundtrip-{name}")
         for _ in range(50):
-            f = random_poly(ctx, rng, 4)
+            # a power of x may not pass the ring's degree n
+            f = random_poly(ctx, rng, min(4, ctx.order))
             assert parse_poly(ctx, str(f)) == f
 
 
@@ -95,3 +98,34 @@ def test_skew_product_in_source_text(gf4096):
     a = gf4096.generator
     f = parse_poly(gf4096, "x*a")
     assert f == SkewPolynomial.monomial(gf4096, gf4096.sigma(a), 1)
+
+
+def test_compound_base_coefficients_print_in_parentheses(round_trip_contexts):
+    for name, text in (("f256z", "(a^3 + a)*z + a"), ("f9z", "(a + 2)*z^2 + a")):
+        ctx = round_trip_contexts[name]
+        assert ctx.format(parse_element(ctx, text)) == text
+
+
+def test_skew_powers_stop_at_the_ring_degree(gf4096):
+    n = gf4096.order
+    assert parse_poly(gf4096, f"x^{n} - 1").degree == n
+    assert parse_poly(gf4096, "(x^2)^3").degree == n
+    for text in (f"x^{n + 1}", "(x^2)^4", "(x + a)^99999999999"):
+        with pytest.raises(ParseError):
+            parse_poly(gf4096, text)
+    # finite-field constants have no exponent cap
+    assert parse_element(gf4096, "a^99999999999") == gf4096.generator ** 99999999999
+
+
+@pytest.mark.parametrize("fixture, text", [
+    ("rational", "z^99999999999"),
+    ("rational", "((z^99)^99)^99"),
+    ("cyclotomic", "(chi + 1)^99999999999"),
+    ("cyclotomic", "2^99999999999"),
+])
+def test_infinite_field_exponents_are_capped_before_expansion(request, fixture, text):
+    ctx = request.getfixturevalue(fixture)
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_element(ctx, text)
+    assert time.perf_counter() - start < 0.5

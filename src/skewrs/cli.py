@@ -121,10 +121,17 @@ def write_bundle(path, config_text, code):
         fh.write(f"# derived: g = {code.g}\n")
 
 
+def read_text(path):
+    """A file's text; bytes that are not UTF-8 are a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def load_bundle(path):
-    with open(path) as fh:
-        text = fh.read()
-    return code_from_config(text)
+    return code_from_config(read_text(path))
 
 
 def summarize(code):
@@ -147,8 +154,7 @@ def summarize(code):
 # ---------------------------------------------------------------------------
 
 def cmd_build(args):
-    with open(args.config) as fh:
-        text = fh.read()
+    text = read_text(args.config)
     ctx, code = code_from_config(text)
     print(summarize(code))
     if args.out:
@@ -159,8 +165,7 @@ def cmd_build(args):
 
 def cmd_encode(args):
     ctx, code = load_bundle(args.code)
-    with open(args.infile) as fh:
-        msg = parse_poly(ctx, fh.read())
+    msg = parse_poly(ctx, read_text(args.infile))
     cw = encode(code, msg)
     out = str(cw) + "\n"
     if args.out:
@@ -173,8 +178,7 @@ def cmd_encode(args):
 
 def cmd_decode(args):
     ctx, code = load_bundle(args.code)
-    with open(args.infile) as fh:
-        received = parse_poly(ctx, fh.read())
+    received = parse_poly(ctx, read_text(args.infile))
     if received.degree >= code.n:
         raise CodeError(f"received word has degree {received.degree};"
                         f" words of length {code.n} have degree below {code.n}")

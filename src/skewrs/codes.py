@@ -31,9 +31,9 @@ class CodeError(ValueError):
     pass
 
 
-def conjugate_matrix(ctx, alpha, n=None):
-    """n x n matrix with entry (i, j) = sigma^(i+j)(alpha)."""
-    n = n or ctx.order
+def conjugate_matrix(ctx, alpha):
+    """n x n matrix with entry (i, j) = sigma^(i+j)(alpha), n = ctx.order."""
+    n = ctx.order
     conj = [ctx.sigma(alpha, k) for k in range(2 * n - 1)]
     return Matrix(ctx, [[conj[i + j] for j in range(n)] for i in range(n)])
 
@@ -46,7 +46,7 @@ def is_normal(ctx, alpha):
     return conjugate_matrix(ctx, alpha).rank() == ctx.order
 
 
-def find_normal_element(ctx, rng=None, max_trials=64):
+def find_normal_element(ctx, rng=None):
     """A normal element: the backend generator when it qualifies, else a
     random search."""
     if is_normal(ctx, ctx.generator):
@@ -54,7 +54,7 @@ def find_normal_element(ctx, rng=None, max_trials=64):
     if rng is None:
         import random
         rng = random.Random(0)
-    for _ in range(max_trials):
+    for _ in range(64):   # random candidates to try before giving up
         cand = ctx.random_nonzero(rng)
         if is_normal(ctx, cand):
             return cand
@@ -92,14 +92,14 @@ def evaluate(code, vec, count, offset):
     """Right evaluations of the word vec (coefficients lowest degree
     first) at sigma^(offset+j)(beta) for 0 <= j < count: each value is
     sigma^k(alpha)^(-1) * sum_i vec_i * sigma^(k+i)(alpha), k = offset+j."""
-    n, conj, conj_inv, one = code.n, code.conj, code.conj_inv, code.ctx.one
+    n, conj, conj_inv, ctx = code.n, code.conj, code.conj_inv, code.ctx
     # a unit coefficient (a monic locator, its shifts, the x^i behind N)
-    # adds its conjugate as it is: over F_q(z) a product by one still
-    # pays for its gcds
-    terms = [(i, None if v == one else v) for i, v in enumerate(vec) if v]
-    out = []
+    # adds its conjugate as it is: over Q(chi) a product by one is still a
+    # full convolution
+    terms = [(i, None if v.raw == ctx.one_raw else v) for i, v in enumerate(vec) if v]
+    zero, out = ctx.zero, []
     for k in range(offset, offset + count):
-        acc = code.ctx.zero
+        acc = zero
         for i, v in terms:
             c = conj[(k + i) % n]
             acc = acc + (c if v is None else v * c)

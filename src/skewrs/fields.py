@@ -44,6 +44,11 @@ printing then parsing round-trips either way.
 Q(chi) inverts by the norm: u times the product of its other Galois
 conjugates chi -> chi^e (2 <= e < m) is the rational N(u), so u^-1 is that
 product divided by N(u).
+
+Polynomials have one arithmetic: the ``poly_*`` kernels on low-first
+tuples of raw values, twisted by x*c = sigma(c)*x.  Over a context they are
+L[x;sigma], which ``SkewPolynomial`` wraps; over a base field with sigma =
+id (``frobenius_power=0``, which F_q(z) demands) they are F_q[z].
 """
 
 from __future__ import annotations
@@ -185,11 +190,17 @@ class Element:
 class FieldContext:
     """What the backends share on top of the raw protocol.
 
-    A backend supplies ``key``, ``order``, ``zero``, ``one``, ``generator``,
-    the raw operations add, neg, mul, inv, sigma_raw and is_zero (plus sub
-    and pow where it has a faster route), and ``from_int``,
-    ``random_element`` and ``format``.
+    A backend supplies ``key``, ``order``, ``zero_raw``, ``one_raw``,
+    ``generator_raw``, the raw operations add, neg, mul, inv, sigma_raw and
+    is_zero (plus sub and pow where it has a faster route), and
+    ``from_int``, ``random_element`` and ``format``.
     """
+
+    # built on access: a context holding Elements of itself would be a
+    # reference cycle, freed with its tables only by the cyclic collector
+    zero = property(lambda self: Element(self, self.zero_raw))
+    one = property(lambda self: Element(self, self.one_raw))
+    generator = property(lambda self: Element(self, self.generator_raw))
 
     def element(self, raw):
         return Element(self, raw)
@@ -200,7 +211,7 @@ class FieldContext:
     def pow(self, u, k):
         if k < 0:
             u, k = self.inv(u), -k
-        return power(self.mul, self.one.raw, u, k)
+        return power(self.mul, self.one_raw, u, k)
 
     def sigma(self, x, k=1):
         """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
@@ -324,9 +335,9 @@ class FiniteField(FieldContext):
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
         self.key = ("ff", p, degree, self.modulus, self.frobenius_power)
-        self.zero = Element(self, 0)
-        self.one = Element(self, 1)
-        self.generator = Element(self, p if degree > 1 else 1 % p)
+        self.zero_raw = 0
+        self.one_raw = 1
+        self.generator_raw = p if degree > 1 else 1 % p
 
     # -- packed-int helpers ------------------------------------------------
 
@@ -516,75 +527,91 @@ class FiniteField(FieldContext):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over a FiniteField, packed-int coefficients (low-first
-# tuples).  Internal machinery for the rational-function backend.
+# sigma-twisted polynomials: low-first raw tuples with no trailing zero
 # ---------------------------------------------------------------------------
 
-def _pnorm(c):
+def poly_trim(ctx, c):
+    zero = ctx.zero_raw
     n = len(c)
-    while n and c[n - 1] == 0:
+    while n and c[n - 1] == zero:
         n -= 1
     return tuple(c[:n])
 
 
-def _padd(base, f, g):
+def _twist(ctx, f, k):
+    # x^k * c = sigma^k(c) * x^k; sigma^k is the identity when order | k
+    if k % ctx.order == 0:
+        return f
+    sigma, zero = ctx.sigma_raw, ctx.zero_raw
+    return [c if c == zero else sigma(c, k) for c in f]
+
+
+def poly_add(ctx, f, g):
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
+    add = ctx.add
     for i, c in enumerate(g):
-        out[i] = base.add(out[i], c)
-    return _pnorm(out)
+        out[i] = add(out[i], c)
+    return poly_trim(ctx, out)
 
 
-def _pmul(base, f, g):
+def poly_neg(ctx, f):
+    return tuple(map(ctx.neg, f))
+
+
+def poly_scale(ctx, f, c):
+    """c*f for a constant c."""
+    if c == ctx.zero_raw:
+        return ()
+    if c == ctx.one_raw:
+        return f
+    mul = ctx.mul
+    return tuple(mul(c, a) for a in f)
+
+
+def poly_mul(ctx, f, g):
+    """f*g: row i adds f_i * sigma^i(g), shifted up by i."""
     if not f or not g:
         return ()
-    out = [0] * (len(f) + len(g) - 1)
-    mul = base.mul
-    add = base.add
+    zero = ctx.zero_raw
+    add, mul = ctx.add, ctx.mul
+    out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = add(out[i + j], mul(a, b))
-    return _pnorm(out)
+        if a != zero:
+            for j, b in enumerate(_twist(ctx, g, i), i):
+                if b != zero:
+                    out[j] = add(out[j], mul(a, b))
+    return poly_trim(ctx, out)
 
 
-def _pscale(base, f, c):
-    if c == 0:
-        return ()
-    if c == 1:
-        return f
-    mul = base.mul
-    return _pnorm([mul(a, c) for a in f])
-
-
-def _pdivmod(base, f, g):
+def poly_divmod(ctx, f, g):
+    """Left division f = q*g + rem with deg rem < deg g: step k takes
+    q_k * x^k * g = q_k * sigma^k(g) * x^k off the remainder."""
     if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
+        raise ZeroDivisionError("division by the zero polynomial")
     dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return (), _pnorm(rem)
-    inv_lead = base.inv(g[-1])
-    q = [0] * (len(f) - dg)
-    sub, mul = base.sub, base.mul
-    for k in range(len(f) - 1, dg - 1, -1):
-        c = rem[k]
-        if c:
-            qc = mul(c, inv_lead)
-            q[k - dg] = qc
-            for j in range(dg + 1):
-                rem[k - dg + j] = sub(rem[k - dg + j], mul(qc, g[j]))
-    return _pnorm(q), _pnorm(rem[:dg])
+    zero = ctx.zero_raw
+    sub, mul = ctx.sub, ctx.mul
+    inv_lead = ctx.inv(g[-1])
+    rem = list(f)
+    q = [zero] * (len(f) - dg)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = rem[k + dg]
+        if c != zero:
+            gk = _twist(ctx, g, k)
+            qk = q[k] = mul(c, inv_lead if gk is g else ctx.sigma_raw(inv_lead, k))
+            for j, b in enumerate(gk, k):
+                if b != zero:
+                    rem[j] = sub(rem[j], mul(qk, b))
+    return poly_trim(ctx, q), poly_trim(ctx, rem[:dg])
 
 
-def _pgcd(base, f, g):
+def poly_gcrd(ctx, f, g):
+    """The monic greatest common right divisor; () when f = g = ()."""
     while g:
-        f, g = g, _pdivmod(base, f, g)[1]
-    if f:
-        f = _pscale(base, f, base.inv(f[-1]))
-    return f
+        f, g = g, poly_divmod(ctx, f, g)[1]
+    return poly_scale(ctx, f, ctx.inv(f[-1])) if f else f
 
 
 # ---------------------------------------------------------------------------
@@ -592,20 +619,24 @@ def _pgcd(base, f, g):
 # ---------------------------------------------------------------------------
 
 _RF_ONE = ((1,), (1,))
+_MAX_MOBIUS_ORDER = 512
 
 
 class RationalFunctions(FieldContext):
     """F_q(z) with sigma(z) = (az+b)/(cz+d) fixing F_q pointwise.
 
-    The Moebius coefficients are elements of the base field; sigma's order
-    is derived by iterating the 2x2 coefficient matrix until it becomes a
-    scalar.  Fractions are kept reduced with a monic denominator after
-    every operation so intermediate expressions stay small.
+    The Moebius coefficients are elements of the base field, whose own
+    sigma must be the identity; sigma's order is derived by iterating the
+    2x2 coefficient matrix until it becomes a scalar.  Fractions are kept
+    reduced with a monic denominator after every operation so intermediate
+    expressions stay small.
     """
 
     kind = "rational-function"
 
-    def __init__(self, base: FiniteField, mobius, variable="z", max_order=512):
+    def __init__(self, base: FiniteField, mobius, variable="z"):
+        if base.order != 1:
+            raise FieldError("the base of F_q(z) needs sigma = id (frobenius_power=0)")
         self.base = base
         self.char = base.char
         self.variable = variable
@@ -627,20 +658,18 @@ class RationalFunctions(FieldContext):
         # M^k scalar  <=>  sigma^k is the identity on z
         self._mob_pows = [(1, 0, 0, 1)]
         m = self.mobius
-        order = None
-        for k in range(1, max_order + 1):
+        for k in range(1, _MAX_MOBIUS_ORDER + 1):
             if self._is_scalar(m):
-                order = k
                 break
             self._mob_pows.append(m)
             m = self._mat_mul(m, self.mobius)
-        if order is None:
+        else:
             raise FieldError("automorphism order exceeds bound")
-        self.order = order
+        self.order = k
         self.key = ("rf", base.key, self.mobius)
-        self.zero = Element(self, ((), (1,)))
-        self.one = Element(self, _RF_ONE)
-        self.generator = Element(self, ((0, 1), (1,)))
+        self.zero_raw = ((), (1,))
+        self.one_raw = _RF_ONE
+        self.generator_raw = ((0, 1), (1,))
 
     def _mat_mul(self, m1, m2):
         a, b, c, d = m1
@@ -663,16 +692,12 @@ class RationalFunctions(FieldContext):
             raise ZeroDivisionError("zero denominator")
         if not num:
             return (), (1,)
-        g = _pgcd(base, num, den)
+        g = poly_gcrd(base, num, den)
         if len(g) > 1:
-            num = _pdivmod(base, num, g)[0]
-            den = _pdivmod(base, den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            inv = base.inv(lead)
-            num = _pscale(base, num, inv)
-            den = _pscale(base, den, inv)
-        return num, den
+            num = poly_divmod(base, num, g)[0]
+            den = poly_divmod(base, den, g)[0]
+        inv = base.inv(den[-1])
+        return poly_scale(base, num, inv), poly_scale(base, den, inv)
 
     # -- raw protocol ----------------------------------------------------------
 
@@ -683,32 +708,22 @@ class RationalFunctions(FieldContext):
         base = self.base
         (xn, xd), (yn, yd) = u, v
         if xd == yd:
-            return self._make(_padd(base, xn, yn), xd)
-        num = _padd(base, _pmul(base, xn, yd), _pmul(base, yn, xd))
-        return self._make(num, _pmul(base, xd, yd))
+            return self._make(poly_add(base, xn, yn), xd)
+        num = poly_add(base, poly_mul(base, xn, yd), poly_mul(base, yn, xd))
+        return self._make(num, poly_mul(base, xd, yd))
 
     def neg(self, u):
-        base = self.base
-        return tuple(base.neg(c) for c in u[0]), u[1]
+        return poly_neg(self.base, u[0]), u[1]
 
     def mul(self, u, v):
-        # a product by one would still pay for three gcds
+        # a product by one would still pay for a gcd
         if u == _RF_ONE:
             return v
         if v == _RF_ONE:
             return u
         (xn, xd), (yn, yd) = u, v
-        if not xn or not yn:
-            return (), (1,)
         base = self.base
-        # cross-cancel before the full products to limit degree growth
-        g1 = _pgcd(base, xn, yd)
-        g2 = _pgcd(base, yn, xd)
-        if len(g1) > 1:
-            xn, yd = _pdivmod(base, xn, g1)[0], _pdivmod(base, yd, g1)[0]
-        if len(g2) > 1:
-            yn, xd = _pdivmod(base, yn, g2)[0], _pdivmod(base, xd, g2)[0]
-        return self._make(_pmul(base, xn, yn), _pmul(base, xd, yd))
+        return self._make(poly_mul(base, xn, yn), poly_mul(base, xd, yd))
 
     def inv(self, u):
         if not u[0]:
@@ -723,8 +738,8 @@ class RationalFunctions(FieldContext):
         if k == 0 or not num:
             return u
         a, b, c, d = self._mob_pows[k]
-        lin_num = _pnorm([b, a])   # a*z + b
-        lin_den = _pnorm([d, c])   # c*z + d
+        lin_num = poly_trim(self.base, [b, a])   # a*z + b
+        lin_den = poly_trim(self.base, [d, c])   # c*z + d
         m = max(len(num), len(den)) - 1
         return self._make(self._subst(num, lin_num, lin_den, m),
                           self._subst(den, lin_num, lin_den, m))
@@ -732,19 +747,18 @@ class RationalFunctions(FieldContext):
     def _subst(self, poly, lin_num, lin_den, m):
         # poly((az+b)/(cz+d)) * (cz+d)^m, for m >= deg(poly)
         base = self.base
-        mul = functools.partial(_pmul, base)
+        mul = functools.partial(poly_mul, base)
         acc = ()
         for i, coeff in enumerate(poly):
             if coeff:
                 term = mul(power(mul, (1,), lin_num, i), power(mul, (1,), lin_den, m - i))
-                acc = _padd(base, acc, _pscale(base, term, coeff))
+                acc = poly_add(base, acc, poly_scale(base, term, coeff))
         return acc
 
     # -- context API ---------------------------------------------------------
 
     def from_int(self, k):
-        v = k % self.char
-        return Element(self, ((v,) if v else (), (1,)))
+        return self.from_base(k % self.char)
 
     def from_base(self, c):
         v = c.raw if isinstance(c, Element) else int(c)
@@ -755,8 +769,8 @@ class RationalFunctions(FieldContext):
         num = [rng.randrange(base.size) for _ in range(num_degree + 1)]
         den = ()
         while not den:
-            den = _pnorm([rng.randrange(base.size) for _ in range(den_degree + 1)])
-        return Element(self, self._make(_pnorm(num), den))
+            den = poly_trim(base, [rng.randrange(base.size) for _ in range(den_degree + 1)])
+        return Element(self, self._make(poly_trim(base, num), den))
 
     def format(self, x):
         num, den = x.raw
@@ -811,9 +825,9 @@ class CyclotomicField(FieldContext):
         self.order = n
         self._sigma_exp = [pow(exponent, t, m) for t in range(n)]
         self.key = ("cyc", m, self.exponent)
-        self.zero = Element(self, ((0,) * self.dim, 1))
-        self.one = Element(self, ((1,) + (0,) * (self.dim - 1), 1))
-        self.generator = Element(self, ((0, 1) + (0,) * (self.dim - 2), 1))
+        self.zero_raw = ((0,) * self.dim, 1)
+        self.one_raw = ((1,) + (0,) * (self.dim - 1), 1)
+        self.generator_raw = ((0, 1) + (0,) * (self.dim - 2), 1)
 
     def _make(self, num, den):
         if den == 0:

@@ -17,6 +17,9 @@ single-character symbols (``az`` means a*z).  Whitespace is ignored.
 
 ``parse_element`` additionally demands the result be a constant.
 
+Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep, so
+deeper input is a ``ParseError``, not a ``RecursionError``.
+
 Every ``^`` is bounded before it is computed.  A non-constant power may not
 pass degree n, the order of sigma, so ``x^n - 1`` still parses.  Over an
 infinite field a constant's power grows with its exponent (degrees in
@@ -40,6 +43,8 @@ class ParseError(ValueError):
 _OPS = set("+-*/^()")
 
 MAX_EXPONENT = 1 << 10
+
+MAX_NESTING = 100
 
 
 def _tokenize(text):
@@ -92,6 +97,7 @@ class _Parser:
         self.pos = 0
         # the largest exponent, multiplied through nested powers, so far
         self.exponent = 1
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -137,10 +143,18 @@ class _Parser:
             else:
                 return value
 
+    def nested(self, parse, pos):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
     def unary(self):
         if self.peek()[0] == "-":
             tok = self.advance()
-            return -self.unary()
+            return -self.nested(self.unary, tok[2])
         return self.power()
 
     def power(self):
@@ -165,7 +179,7 @@ class _Parser:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "(":
-            value = self.expr()
+            value = self.nested(self.expr, pos)
             closing = self.advance()
             if closing[0] != ")":
                 raise ParseError("missing closing parenthesis", closing[2])
@@ -186,9 +200,7 @@ class _Parser:
             raise ParseError("division by zero", pos)
         if rhs.degree > 0:
             raise ParseError("division by a non-constant polynomial", pos)
-        inv = rhs.coeffs[0].inverse()
-        return lhs.scale_left(inv) if lhs.degree <= 0 else \
-            SkewPolynomial.constant(lhs.ctx, inv) * lhs
+        return lhs.scale_left(rhs.coeffs[0].inverse())
 
 
 def _symbol_table(ctx):

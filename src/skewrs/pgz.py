@@ -110,12 +110,12 @@ def extract_rho(st):
     mu = sum(1 for j in range(reduced.ncols) if any(row[j] for row in reduced.rows))
     if mu == 0:
         raise ValueError("zero syndrome matrix has no locator")
+    one, zero = ctx.one, ctx.zero
     for i in range(mu):
         for j in range(mu):
-            expected = ctx.one if i == j else ctx.zero
-            if reduced.rows[i][j] != expected:
+            if reduced.rows[i][j] != (one if i == j else zero):
                 raise ValueError("echelon form lacks the identity block")
-    coeffs = [-reduced.rows[mu][i] for i in range(mu)] + [ctx.one]
+    coeffs = [-reduced.rows[mu][i] for i in range(mu)] + [one]
     return mu, SkewPolynomial(ctx, coeffs)
 
 

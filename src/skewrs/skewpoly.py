@@ -5,24 +5,42 @@ Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple.  "Left division of g by f" always means writing
 g = q*f + rem with deg rem < deg f, so f right-divides g exactly when the
 remainder vanishes.
+
+A polynomial stores the raw values of its coefficients in ``raw``;
+``coeffs`` wraps them as Elements.  Sums, products, scaling, left division
+and gcrd are the sigma-twisted kernels of ``fields`` on ``raw``, the same
+ones that compute F_q[z] inside F_q(z).
 """
 
 from __future__ import annotations
 
-from .fields import join_terms, power, same_context
+from .fields import (Element, join_terms, poly_add, poly_divmod, poly_gcrd,
+                     poly_mul, poly_neg, poly_scale, poly_trim, power,
+                     same_context)
 from .linalg import Matrix
 
 
 class SkewPolynomial:
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "raw")
 
     def __init__(self, ctx, coeffs=()):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
+        coeffs = tuple(coeffs)
+        if not all(same_context(c.ctx, ctx) for c in coeffs):
+            raise ValueError("coefficients live over a different field context")
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self.raw = poly_trim(ctx, [c.raw for c in coeffs])
+
+    @classmethod
+    def _of_raw(cls, ctx, raw):
+        # raw comes from a kernel, so it has no trailing zero
+        f = cls.__new__(cls)
+        f.ctx, f.raw = ctx, raw
+        return f
+
+    @property
+    def coeffs(self):
+        return tuple(Element(self.ctx, v) for v in self.raw)
 
     # -- constructors --------------------------------------------------------
 
@@ -50,88 +68,72 @@ class SkewPolynomial:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.raw) - 1
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.raw
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.raw:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Element(self.ctx, self.raw[-1])
 
     def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.raw):
+            return Element(self.ctx, self.raw[i])
         return self.ctx.zero
 
     def vector(self, n):
         """Coefficient vector of length n (degree must be < n)."""
         if self.degree >= n:
             raise ValueError(f"degree {self.degree} does not fit in length {n}")
-        return [self.coeff(i) for i in range(n)]
+        return list(self.coeffs) + [self.ctx.zero] * (n - len(self.raw))
 
     def __eq__(self, other):
         if isinstance(other, SkewPolynomial):
-            return self.coeffs == other.coeffs and same_context(self.ctx, other.ctx)
+            return self.raw == other.raw and same_context(self.ctx, other.ctx)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.raw)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.raw)
 
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return SkewPolynomial(self.ctx, out)
+        return self._of_raw(self.ctx, poly_add(self.ctx, self.raw, other.raw))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return SkewPolynomial(self.ctx, [-c for c in self.coeffs])
+        return self._of_raw(self.ctx, poly_neg(self.ctx, self.raw))
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return SkewPolynomial(self.ctx, ())
-        ctx = self.ctx
-        out = [ctx.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, fi in enumerate(self.coeffs):
-            if not fi:
-                continue
-            for j, gj in enumerate(other.coeffs):
-                if gj:
-                    out[i + j] = out[i + j] + fi * ctx.sigma(gj, i)
-        return SkewPolynomial(ctx, out)
+        return self._of_raw(self.ctx, poly_mul(self.ctx, self.raw, other.raw))
 
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers are not defined for skew polynomials")
         if self.degree == 0:
-            return SkewPolynomial(self.ctx, (self.coeffs[0] ** k,))
+            return SkewPolynomial(self.ctx, (self.leading ** k,))
         return power(SkewPolynomial.__mul__, SkewPolynomial.one(self.ctx), self, k)
 
     def scale_left(self, c):
         """c * f for a field constant c."""
-        return SkewPolynomial(self.ctx, [c * a for a in self.coeffs])
+        self._check(c)
+        return self._of_raw(self.ctx, poly_scale(self.ctx, self.raw, c.raw))
 
     def monic(self):
         if self.is_zero:
             return self
-        inv = self.leading.inverse()
-        return self.scale_left(inv) if inv != self.ctx.one else self
+        return self.scale_left(self.leading.inverse())
 
     def _check(self, other):
         if not same_context(self.ctx, other.ctx):
@@ -146,27 +148,9 @@ class SkewPolynomial:
 
 def left_divmod(g, f):
     """Quotient and remainder of the left division g = q*f + rem."""
-    if f.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
     g._check(f)
-    ctx = g.ctx
-    df = f.degree
-    rem = list(g.coeffs)
-    if len(rem) - 1 < df:
-        return SkewPolynomial.zero(ctx), g
-    q = [ctx.zero] * (len(rem) - df)
-    flead = f.leading
-    while len(rem) - 1 >= df:
-        k = len(rem) - 1 - df
-        qk = rem[-1] / ctx.sigma(flead, k)
-        q[k] = qk
-        for j, fj in enumerate(f.coeffs):
-            if fj:
-                rem[k + j] = rem[k + j] - qk * ctx.sigma(fj, k)
-        rem.pop()
-        while rem and not rem[-1]:
-            rem.pop()
-    return SkewPolynomial(ctx, q), SkewPolynomial(ctx, rem)
+    q, rem = poly_divmod(g.ctx, g.raw, f.raw)
+    return SkewPolynomial._of_raw(g.ctx, q), SkewPolynomial._of_raw(g.ctx, rem)
 
 
 def norm_column(gamma, n):
@@ -186,23 +170,16 @@ def right_eval(f, gamma):
 
     Equals sum_i f_i N_i(gamma); zero exactly when x - gamma right-divides f.
     """
-    ctx = f.ctx
-    acc = ctx.zero
-    npow = ctx.one
-    for i, fi in enumerate(f.coeffs):
-        if fi:
-            acc = acc + fi * npow
-        npow = npow * ctx.sigma(gamma, i)
-    return acc
+    norms = norm_column(gamma, len(f.raw))
+    return sum((fi * ni for fi, ni in zip(f.coeffs, norms) if fi), f.ctx.zero)
 
 
 def gcrd(f, g):
     """Greatest common right divisor, monic."""
     if f.is_zero and g.is_zero:
         raise ValueError("gcrd(0, 0) is undefined")
-    while not g.is_zero:
-        f, g = g, left_divmod(f, g)[1]
-    return f.monic()
+    f._check(g)
+    return SkewPolynomial._of_raw(f.ctx, poly_gcrd(f.ctx, f.raw, g.raw))
 
 
 def lclm(f, g):
@@ -238,10 +215,10 @@ def twisted_shift_rows(f, n):
     m = f.degree
     if m < 0 or m > n:
         raise ValueError("polynomial does not fit")
-    rows = []
+    rows, zero, coeffs = [], ctx.zero, f.coeffs
     for i in range(n - m):
-        row = [ctx.zero] * n
-        for j, c in enumerate(f.coeffs):
+        row = [zero] * n
+        for j, c in enumerate(coeffs):
             row[i + j] = ctx.sigma(c, i)
         rows.append(row)
     return rows
@@ -256,12 +233,12 @@ def shift_echelon(f, n, evaluate_row):
     Returns (the unit rows' columns, the indices of the other rows); the
     second list is empty exactly when every row is a unit row.
     """
-    ctx = f.ctx
+    ctx, one = f.ctx, f.ctx.one
     shifted = Matrix(ctx, [evaluate_row(row) for row in twisted_shift_rows(f, n)])
     columns, others = [], []
     for i, row in enumerate(shifted.rref().rows):
         support = [j for j, v in enumerate(row) if v]
-        if len(support) == 1 and row[support[0]] == ctx.one:
+        if len(support) == 1 and row[support[0]] == one:
             columns.append(support[0])
         else:
             others.append(i)

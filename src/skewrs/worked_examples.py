@@ -101,22 +101,13 @@ class Transcript:
         return "\n".join(lines)
 
 
-def _matrix(ctx, cells, symbols=None):
-    rows = []
-    for r in cells:
-        row = []
-        for text in r:
-            if symbols and text in symbols:
-                row.append(symbols[text])
-            else:
-                row.append(parse_element(ctx, text))
-        rows.append(row)
-    return Matrix(ctx, rows)
-
-
 def _vector(ctx, texts, symbols=None):
     return [symbols[t] if symbols and t in symbols else parse_element(ctx, t)
             for t in texts]
+
+
+def _matrix(ctx, cells, symbols=None):
+    return Matrix(ctx, [_vector(ctx, row, symbols) for row in cells])
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,35 @@ def test_cyclotomic_decode_through_cli(tmp_path, capsys):
     assert "values = chi" in out
 
 
+@pytest.mark.parametrize("text", ["(" * 300 + "a" + ")" * 300, "-" * 2000 + "a"],
+                         ids=["parentheses", "minus-signs"])
+def test_decode_rejects_deep_nesting_with_one_line(workspace, capsys, text):
+    tmp, bundle = workspace
+    word = tmp / "deep.txt"
+    word.write_text(text)
+    capsys.readouterr()
+    assert main(["decode", "--code", str(bundle), "--in", str(word)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb, flag", [("build", "--config"), ("encode", "--in"),
+                                        ("decode", "--in"), ("decode", "--code")])
+def test_non_utf8_file_is_usage_error(workspace, capsys, verb, flag):
+    tmp, bundle = workspace
+    bad = tmp / "bad.txt"
+    bad.write_bytes(b"x + a\xff\n")
+    good = tmp / "word.txt"
+    good.write_text("x + a\n")
+    args = {"--config": str(bad)} if verb == "build" else \
+        {"--code": str(bundle), "--in": str(good), flag: str(bad)}
+    capsys.readouterr()
+    assert main([verb] + [s for kv in args.items() for s in kv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "UTF-8" in err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["build", "--config", "/nonexistent/nowhere.cfg"]) == 2
 

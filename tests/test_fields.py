@@ -1,11 +1,15 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import skewrs
-from skewrs import CyclotomicField, Element, FieldError, FiniteField, parse_element
+from skewrs import (CyclotomicField, Element, FieldError, FiniteField,
+                    RationalFunctions, parse_element)
+from skewrs.fields import poly_gcrd
 
 from conftest import rng_for
 
@@ -125,6 +129,19 @@ def test_rational_canonical_form_is_reduced_and_monic(rational):
     assert x.raw[1][-1] == 1
     num_times_back = x * (z * z + a * a * z)
     assert num_times_back == z + a
+    rng = rng_for("rf-canonical")
+    for _ in range(100):
+        u = rational.random_element(rng, 2, 2)
+        v = rational.random_element(rng, 2, 2)
+        num, den = (u * v).raw
+        assert den[-1] == 1
+        assert poly_gcrd(rational.base, num, den) == (1,)
+
+
+def test_rational_base_must_have_trivial_sigma():
+    twisted = FiniteField(2, 2, "a^2 + a + 1", frobenius_power=1)
+    with pytest.raises(FieldError):
+        RationalFunctions(twisted, ("1", "a", "1", "a^2"))
 
 
 def test_rational_product_by_one_is_the_operand(rational):
@@ -221,7 +238,6 @@ def test_gf65536_tables_follow_the_modulus_root():
 
 
 def test_singular_mobius_rejected(rational):
-    from skewrs import RationalFunctions
     with pytest.raises(FieldError):
         RationalFunctions(rational.base, ("1", "a", "a^2", "a^3"))
 
@@ -239,6 +255,24 @@ def test_one_element_class_over_raw_values(all_contexts):
         assert ctx.element(x.raw) == x
         assert (x * x).raw == ctx.mul(x.raw, x.raw)
         assert ctx.is_zero(ctx.zero.raw) and not ctx.is_zero(x.raw)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteField(2, 12, "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", frobenius_power=10),
+    lambda: RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
+                              ("1", "a", "1", "a^2")),
+    lambda: CyclotomicField(7, 3),
+], ids=["gf4096", "rational", "cyclotomic"])
+def test_a_dropped_context_is_freed_without_the_cycle_collector(make):
+    gc.disable()
+    try:
+        ctx = make()
+        x = ctx.generator * ctx.one + ctx.zero
+        ref = weakref.ref(ctx)
+        del ctx, x
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_operands_must_share_a_field(gf4096, gf16):

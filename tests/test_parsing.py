@@ -69,6 +69,19 @@ def test_unbalanced_parens_rejected(gf4096):
         parse_element(gf4096, "(a + 1")
 
 
+@pytest.mark.parametrize("text", ["(" * 300 + "a" + ")" * 300, "-" * 2000 + "a"],
+                         ids=["parentheses", "minus-signs"])
+def test_deep_nesting_is_a_parse_error(gf4096, text):
+    with pytest.raises(ParseError, match="nesting"):
+        parse_poly(gf4096, text)
+
+
+def test_nesting_up_to_the_bound_parses(gf4096):
+    a = parse_poly(gf4096, "a")
+    assert parse_poly(gf4096, "(" * 100 + "a" + ")" * 100) == a
+    assert parse_poly(gf4096, "-" * 100 + "a") == a
+
+
 def test_division_by_zero_literal(rational):
     with pytest.raises(ParseError):
         parse_element(rational, "1/(z - z)")

@@ -19,6 +19,11 @@ def x_pow_n_minus_1(ctx):
 
 # -- multiplication ----------------------------------------------------------
 
+def test_coefficients_must_share_the_field(gf4096, gf16):
+    with pytest.raises(ValueError):
+        SkewPolynomial(gf4096, [gf16.generator, gf16.one])
+
+
 def test_mul_by_one_is_identity(gf4096):
     rng = rng_for("mulone")
     f = random_poly(gf4096, rng, 5)
@@ -179,6 +184,23 @@ def test_gcrd_lclm_of_self(gf4096, code_gf):
     two_g = g.scale_left(gf4096.generator)
     assert gcrd(two_g, two_g) == g
     assert lclm(two_g, two_g) == g
+
+
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])
+def test_gcrd_is_a_monic_common_right_divisor(all_contexts, name):
+    ctx = all_contexts[name]
+    rng = rng_for(f"gcrd-{name}")
+    for _ in range(5):
+        h = random_nonzero_poly(ctx, rng, 2)
+        f = random_nonzero_poly(ctx, rng, 2) * h
+        g = random_nonzero_poly(ctx, rng, 1) * h
+        d = gcrd(f, g)
+        assert d.leading == ctx.one
+        assert left_divmod(f, d)[1].is_zero and left_divmod(g, d)[1].is_zero
+        assert left_divmod(d, h)[1].is_zero
+        # the raw values and the Elements describe the same polynomial
+        assert d.raw == tuple(c.raw for c in d.coeffs)
+        assert d == SkewPolynomial(ctx, d.coeffs)
 
 
 def test_reference_generator_is_iterated_lclm(gf4096):

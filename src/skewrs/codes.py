@@ -11,7 +11,10 @@ errors.
 The twisted norms of the beta-roots telescope:
 N_i(sigma^k(beta)) = sigma^k(alpha)^(-1) * sigma^(k+i)(alpha).  So every
 right evaluation at a beta-root is one sum over the conjugates
-sigma^k(alpha), and the code keeps that table, k < n, with the inverses;
+sigma^k(alpha).  The code keeps the conjugates, k < n, with their
+inverses, and a table of them that the field context prepares once and
+sums over on raw values (``ctx.conjugate_table`` and
+``ctx.conjugate_sums``; a tabled finite field sums in the log domain).
 ``evaluation_matrix`` reads the evaluation matrix N off it on demand.  A
 code with r > 0 reads the same table from index r, all indices taken
 mod n, so the decoder never branches on r.
@@ -22,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fields import FiniteField, RationalFunctions, CyclotomicField, FieldError
+from .fields import (CyclotomicField, Element, FieldError, FiniteField,
+                     RationalFunctions, require_context)
 from .linalg import Matrix
 from .skewpoly import SkewPolynomial, left_divmod, lclm_many, shift_echelon
 
@@ -34,8 +38,8 @@ class CodeError(ValueError):
 def conjugate_matrix(ctx, alpha):
     """n x n matrix with entry (i, j) = sigma^(i+j)(alpha), n = ctx.order."""
     n = ctx.order
-    conj = [ctx.sigma(alpha, k) for k in range(2 * n - 1)]
-    return Matrix(ctx, [[conj[i + j] for j in range(n)] for i in range(n)])
+    conj = [ctx.sigma_raw(alpha.raw, k) for k in range(2 * n - 1)]
+    return Matrix.from_raw(ctx, [conj[i:i + n] for i in range(n)])
 
 
 def is_normal(ctx, alpha):
@@ -74,6 +78,8 @@ class SkewRSCode:
     # the conjugates sigma^k(alpha) for k < n and their inverses
     conj: list
     conj_inv: list
+    # the same, prepared by ctx.conjugate_table for ctx.conjugate_sums
+    conj_table: object
 
     @property
     def dimension(self):
@@ -92,27 +98,19 @@ def evaluate(code, vec, count, offset):
     """Right evaluations of the word vec (coefficients lowest degree
     first) at sigma^(offset+j)(beta) for 0 <= j < count: each value is
     sigma^k(alpha)^(-1) * sum_i vec_i * sigma^(k+i)(alpha), k = offset+j."""
-    n, conj, conj_inv, ctx = code.n, code.conj, code.conj_inv, code.ctx
-    # a unit coefficient (a monic locator, its shifts, the x^i behind N)
-    # adds its conjugate as it is: over Q(chi) a product by one is still a
-    # full convolution
-    terms = [(i, None if v.raw == ctx.one_raw else v) for i, v in enumerate(vec) if v]
-    zero, out = ctx.zero, []
-    for k in range(offset, offset + count):
-        acc = zero
-        for i, v in terms:
-            c = conj[(k + i) % n]
-            acc = acc + (c if v is None else v * c)
-        out.append(acc * conj_inv[k % n])
-    return out
+    ctx = code.ctx
+    require_context(ctx, vec)
+    sums = ctx.conjugate_sums(code.conj_table, [v.raw for v in vec], count, offset)
+    return [Element(ctx, v) for v in sums]
 
 
 def evaluation_matrix(code):
     """Row i holds the evaluations of x^i at sigma^j(beta), so entry
     (i, j) is the twisted norm N_i(sigma^j(beta))."""
     ctx, n = code.ctx, code.n
-    units = [[ctx.one if k == i else ctx.zero for k in range(n)] for i in range(n)]
-    return Matrix(ctx, [evaluate(code, u, n, 0) for u in units])
+    return Matrix.from_raw(ctx, [
+        ctx.conjugate_sums(code.conj_table, [ctx.zero_raw] * i + [ctx.one_raw], n, 0)
+        for i in range(n)])
 
 
 def build_code(ctx, alpha, r, delta):
@@ -127,12 +125,14 @@ def build_code(ctx, alpha, r, delta):
     alpha_inv = alpha.inverse()
     conj_inv = [ctx.sigma(alpha_inv, k) for k in range(n)]
     beta = alpha_inv * conj[1]
+    conj_table = ctx.conjugate_table([c.raw for c in conj], [c.raw for c in conj_inv])
     x = SkewPolynomial.variable(ctx)
     factors = [x - SkewPolynomial.constant(ctx, ctx.sigma(beta, (r + i) % n))
                for i in range(delta - 1)]
     g = lclm_many(factors)
     return SkewRSCode(ctx=ctx, alpha=alpha, beta=beta, r=r, delta=delta, g=g,
-                      t=(delta - 1) // 2, n=n, conj=conj, conj_inv=conj_inv)
+                      t=(delta - 1) // 2, n=n, conj=conj, conj_inv=conj_inv,
+                      conj_table=conj_table)
 
 
 def encode(code, message):
@@ -160,7 +160,8 @@ def full_beta_decomposition_test(f, code):
         raise CodeError("polynomial does not right-divide x^n - 1")
     if m == n:
         return set(range(n))
-    unit_cols, others = shift_echelon(f, n, lambda row: evaluate(code, row, n, 0))
+    unit_cols, others = shift_echelon(
+        f, n, lambda row: ctx.conjugate_sums(code.conj_table, row, n, 0))
     if others:
         return None
     return set(range(n)).difference(unit_cols)

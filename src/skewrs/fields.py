@@ -13,6 +13,13 @@ values through one small protocol, with the same names everywhere:
 
     add(u, v)  sub(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
     sigma_raw(u, k)  is_zero(u)
+    conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
+
+The last two are the right evaluations at the beta-roots of a skew
+Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha) over
+a table of conjugates that the context prepares once per code.  The generic
+version runs on add and mul; a tabled finite field keeps the conjugates'
+discrete logs and sums in the log domain.
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 _TABLE_LIMIT = 1 << 16
@@ -71,6 +79,14 @@ def same_context(a, b):
 
 def _require_same(a, b):
     if a.key != b.key:
+        raise FieldError("elements belong to different field contexts")
+
+
+def require_context(ctx, items):
+    """Raise FieldError unless every item (an Element or a polynomial)
+    lives over ctx: code that computes on raw values meets no operator
+    check of its own."""
+    if not all(same_context(x.ctx, ctx) for x in items):
         raise FieldError("elements belong to different field contexts")
 
 
@@ -212,6 +228,33 @@ class FieldContext:
         if k < 0:
             u, k = self.inv(u), -k
         return power(self.mul, self.one_raw, u, k)
+
+    def conjugate_table(self, conj, conj_inv):
+        """What ``conjugate_sums`` reads: the raw conjugates sigma^k(alpha),
+        k < n, twice over (so no index wraps), and their inverses."""
+        return list(conj) * 2, list(conj_inv)
+
+    def conjugate_sums(self, table, vec, count, offset):
+        """For k = offset + j, 0 <= j < count, the raw value
+        sigma^k(alpha)^(-1) * sum_i vec_i * sigma^(k+i)(alpha), indices mod
+        n; vec holds at most n raw values, lowest degree first."""
+        conj, conj_inv = table
+        n = len(conj_inv)
+        add, mul, one = self.add, self.mul, self.one_raw
+        # a unit coefficient (a monic locator, its shifts, the x^i behind N)
+        # adds its conjugate as it is: over Q(chi) a product by one is still
+        # a full convolution
+        terms = [(i, None if v == one else v)
+                 for i, v in enumerate(vec) if not self.is_zero(v)]
+        out = []
+        for k in range(offset, offset + count):
+            k %= n
+            acc = self.zero_raw
+            for i, v in terms:
+                c = conj[k + i]
+                acc = add(acc, c if v is None else mul(v, c))
+            out.append(mul(acc, conj_inv[k]))
+        return out
 
     def sigma(self, x, k=1):
         """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
@@ -499,6 +542,32 @@ class FiniteField(FieldContext):
             return self._exp[(self._log[u] * self._sigma_mult[k]) % (self.size - 1)]
         return self._raw_pow_frob(u, (self.frobenius_power * k) % self.degree)
 
+    def conjugate_table(self, conj, conj_inv):
+        if self._exp is None:
+            return super().conjugate_table(conj, conj_inv)
+        # the conjugates of a normal element are nonzero, so all have logs
+        log = self._log
+        return [log[c] for c in conj] * 2, [log[c] for c in conj_inv]
+
+    def conjugate_sums(self, table, vec, count, offset):
+        if self._exp is None:
+            return super().conjugate_sums(table, vec, count, offset)
+        # every term is exp[log v_i + log c]; the sum is scaled once, by
+        # exp[log acc + log c_inv]
+        exp, log = self._exp, self._log
+        logs, inv_logs = table
+        n = len(inv_logs)
+        add = operator.xor if self.char == 2 else self.add
+        terms = [(i, log[v]) for i, v in enumerate(vec) if v]
+        out = []
+        for k in range(offset, offset + count):
+            k %= n
+            acc = 0
+            for i, lv in terms:
+                acc = add(acc, exp[lv + logs[k + i]])
+            out.append(exp[log[acc] + inv_logs[k]] if acc else 0)
+        return out
+
     # -- context API ---------------------------------------------------------
 
     def from_int(self, k):
@@ -705,6 +774,11 @@ class RationalFunctions(FieldContext):
         return not u[0]
 
     def add(self, u, v):
+        # the other operand of a zero is canonical already: no gcd needed
+        if not u[0]:
+            return v
+        if not v[0]:
+            return u
         base = self.base
         (xn, xd), (yn, yd) = u, v
         if xd == yd:

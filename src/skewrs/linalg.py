@@ -4,16 +4,21 @@ Everything is elimination-based with deterministic pivoting (first nonzero
 entry in scan order); arithmetic is exact so no pivoting heuristics are
 needed and echelon forms are canonical.  The reduced column echelon form
 is the transpose of the reduced row echelon form of the transpose.
+
+A matrix stores the raw values of its entries in ``raw`` and eliminates on
+them through the context's raw protocol; ``rows`` wraps them as Elements.
 """
 
 from __future__ import annotations
 
-from .fields import same_context
+from functools import reduce
+
+from .fields import Element, require_context, same_context
 
 
 class Matrix:
 
-    __slots__ = ("ctx", "rows")
+    __slots__ = ("ctx", "raw")
 
     def __init__(self, ctx, rows):
         rows = [list(r) for r in rows]
@@ -21,53 +26,68 @@ class Matrix:
             w = len(rows[0])
             if any(len(r) != w for r in rows):
                 raise ValueError("ragged rows")
+        require_context(ctx, (v for r in rows for v in r))
         self.ctx = ctx
-        self.rows = rows
+        self.raw = [[v.raw for v in r] for r in rows]
+
+    @classmethod
+    def from_raw(cls, ctx, rows):
+        """A matrix of equal-length rows of canonical raw values, taken as
+        they are."""
+        m = cls.__new__(cls)
+        m.ctx, m.raw = ctx, rows
+        return m
 
     @classmethod
     def zeros(cls, ctx, nrows, ncols):
-        return cls(ctx, [[ctx.zero] * ncols for _ in range(nrows)])
+        return cls.from_raw(ctx, [[ctx.zero_raw] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, ctx, n):
         m = cls.zeros(ctx, n, n)
         for i in range(n):
-            m.rows[i][i] = ctx.one
+            m.raw[i][i] = ctx.one_raw
         return m
 
     @property
+    def rows(self):
+        ctx = self.ctx
+        return [[Element(ctx, v) for v in r] for r in self.raw]
+
+    @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.raw)
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return len(self.raw[0]) if self.raw else 0
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
-            return self.rows == other.rows and same_context(self.ctx, other.ctx)
+            return self.raw == other.raw and same_context(self.ctx, other.ctx)
         return NotImplemented
 
     def transpose(self):
-        return Matrix(self.ctx, [list(col) for col in zip(*self.rows)]) if self.rows \
-            else Matrix(self.ctx, [])
+        return Matrix.from_raw(self.ctx, [list(col) for col in zip(*self.raw)])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        zero = self.ctx.zero
-        bt = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            out.append([sum((a * b for a, b in zip(r, col) if a and b), zero)
-                        for col in bt])
-        return Matrix(self.ctx, out)
+        ctx = self.ctx
+        zero, add, mul = ctx.zero_raw, ctx.add, ctx.mul
+        bt = list(zip(*other.raw))
+        return Matrix.from_raw(ctx, [
+            [reduce(add, (mul(a, b) for a, b in zip(r, col) if a != zero and b != zero), zero)
+             for col in bt]
+            for r in self.raw])
 
     def _eliminated(self):
-        """Row reduction; returns (rows, pivot column indices)."""
-        rows = [list(r) for r in self.rows]
+        """Row reduction on raw values; returns (rows, pivot column indices)."""
+        ctx = self.ctx
+        zero, mul, sub = ctx.zero_raw, ctx.mul, ctx.sub
+        rows = [list(r) for r in self.raw]
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
         pivots = []
@@ -75,18 +95,21 @@ class Matrix:
         for pc in range(nc):
             pivot_row = None
             for r in range(pr, nr):
-                if rows[r][pc]:
+                if rows[r][pc] != zero:
                     pivot_row = r
                     break
             if pivot_row is None:
                 continue
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = rows[pr][pc].inverse()
-            rows[pr] = [inv * v for v in rows[pr]]
-            for r in range(nr):
-                if r != pr and rows[r][pc]:
-                    factor = rows[r][pc]
-                    rows[r] = [v - factor * w for v, w in zip(rows[r], rows[pr])]
+            # left of pc the pivot row is zero, so every update starts at pc
+            prow = rows[pr]
+            inv = ctx.inv(prow[pc])
+            prow[pc:] = [mul(inv, v) for v in prow[pc:]]
+            for r, row in enumerate(rows):
+                factor = row[pc]
+                if r != pr and factor != zero:
+                    row[pc:] = [v if w == zero else sub(v, mul(factor, w))
+                                for v, w in zip(row[pc:], prow[pc:])]
             pivots.append(pc)
             pr += 1
             if pr == nr:
@@ -94,8 +117,7 @@ class Matrix:
         return rows, pivots
 
     def rref(self):
-        rows, _ = self._eliminated()
-        return Matrix(self.ctx, rows)
+        return Matrix.from_raw(self.ctx, self._eliminated()[0])
 
     def rcef(self):
         return self.transpose().rref().transpose()
@@ -116,26 +138,26 @@ def solve_row_system(a, b):
         raise ValueError("matrix must be square")
     if len(b) != n:
         raise ValueError("right-hand side has the wrong length")
-    at = a.transpose()
-    aug = Matrix(a.ctx, [at.rows[i] + [b[i]] for i in range(n)])
+    ctx = a.ctx
+    require_context(ctx, b)
+    aug = Matrix.from_raw(ctx, [[row[i] for row in a.raw] + [b[i].raw] for i in range(n)])
     rows, pivots = aug._eliminated()
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [rows[i][n] for i in range(n)]
+    return [Element(ctx, rows[i][n]) for i in range(n)]
 
 
 def left_kernel(a):
     """Basis rows for { v : v * a = 0 }."""
     ctx = a.ctx
-    at = a.transpose()
-    rows, pivots = at._eliminated()
+    rows, pivots = a.transpose()._eliminated()
     m = a.nrows
     free = [j for j in range(m) if j not in pivots]
     basis = []
     for j in free:
-        v = [ctx.zero] * m
-        v[j] = ctx.one
+        v = [ctx.zero_raw] * m
+        v[j] = ctx.one_raw
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][j]
-        basis.append(v)
+            v[pc] = ctx.neg(rows[r][j])
+        basis.append([Element(ctx, c) for c in v])
     return basis

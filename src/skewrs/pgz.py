@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .codes import evaluate
-from .fields import Element, same_context
+from .fields import Element, require_context, same_context
 from .linalg import Matrix, solve_row_system
 from .skewpoly import SkewPolynomial, left_divmod, shift_echelon
 
@@ -53,6 +53,7 @@ class DecodeReport:
         return self.failure is None
 
     def to_text(self, ctx):
+        """The report as "key = value" lines, every value printed by ctx."""
         fmt = ctx.format
         lines = [f"status = {'ok' if self.ok else 'failed'}"]
         if self.failure:
@@ -60,7 +61,7 @@ class DecodeReport:
         lines.append("syndromes = " + "; ".join(fmt(s) for s in self.syndromes))
         lines.append(f"mu = {self.mu}")
         if self.rho is not None:
-            lines.append(f"rho = {self.rho}")
+            lines.append(f"rho = {SkewPolynomial(ctx, self.rho.coeffs)}")
         if self.branch is not None:
             lines.append(f"branch = {self.branch}")
         lines.append("positions = " + ", ".join(str(k) for k in self.positions))
@@ -70,7 +71,7 @@ class DecodeReport:
         if self.codeword is not None:
             lines.append(f"codeword = {SkewPolynomial(ctx, self.codeword)}")
         if self.message is not None:
-            lines.append(f"message = {self.message}")
+            lines.append(f"message = {SkewPolynomial(ctx, self.message.coeffs)}")
         return "\n".join(lines) + "\n"
 
 
@@ -95,10 +96,12 @@ def build_syndrome_matrix(code, s):
     ctx, t, n, r = code.ctx, code.t, code.n, code.r
     if len(s) != 2 * t:
         raise ValueError(f"expected {2 * t} syndromes")
-    rows = []
-    for i in range(t + 1):
-        rows.append([ctx.sigma(s[i + j], -j) * code.conj[(r + i) % n] for j in range(t)])
-    return Matrix(ctx, rows)
+    require_context(ctx, s)
+    sigma, mul = ctx.sigma_raw, ctx.mul
+    s = [v.raw for v in s]
+    return Matrix.from_raw(ctx, [
+        [mul(sigma(s[i + j], -j), code.conj[(r + i) % n].raw) for j in range(t)]
+        for i in range(t + 1)])
 
 
 def extract_rho(st):
@@ -107,15 +110,15 @@ def extract_rho(st):
     lower coefficients of the monic degree-mu locator seed."""
     ctx = st.ctx
     reduced = st.rcef()
-    mu = sum(1 for j in range(reduced.ncols) if any(row[j] for row in reduced.rows))
+    rows, zero, one = reduced.raw, ctx.zero_raw, ctx.one_raw
+    mu = sum(1 for j in range(reduced.ncols) if any(row[j] != zero for row in rows))
     if mu == 0:
         raise ValueError("zero syndrome matrix has no locator")
-    one, zero = ctx.one, ctx.zero
     for i in range(mu):
         for j in range(mu):
-            if reduced.rows[i][j] != (one if i == j else zero):
+            if rows[i][j] != (one if i == j else zero):
                 raise ValueError("echelon form lacks the identity block")
-    coeffs = [-reduced.rows[mu][i] for i in range(mu)] + [one]
+    coeffs = [Element(ctx, ctx.neg(rows[mu][i])) for i in range(mu)] + [ctx.one]
     return mu, SkewPolynomial(ctx, coeffs)
 
 
@@ -130,10 +133,13 @@ def locate_positions(code, mu, rho):
     them.  Echelon branch: complete rho to the full locator by reducing
     the row space of its left multiples and keeping the canonical rows.
     """
-    def evaluate_row(vec):
-        return evaluate(code, vec, code.n, code.r)
+    ctx = code.ctx
+    require_context(ctx, (rho,))
 
-    zeros = [j for j, v in enumerate(evaluate_row(rho.vector(code.n))) if not v]
+    def evaluate_row(raw):
+        return ctx.conjugate_sums(code.conj_table, raw, code.n, code.r)
+
+    zeros = [j for j, v in enumerate(evaluate_row(rho.raw)) if ctx.is_zero(v)]
     if len(zeros) == mu:
         return zeros, BRANCH_DIRECT
     kept, _ = shift_echelon(rho, code.n, evaluate_row)
@@ -152,8 +158,8 @@ def error_values(code, positions, s):
     nu = len(positions)
     if nu == 0:
         raise ValueError("no positions")
-    m = Matrix(ctx, [[conj[(r + k + i) % n] for i in range(nu)]
-                     for k in positions])
+    m = Matrix.from_raw(ctx, [[conj[(r + k + i) % n].raw for i in range(nu)]
+                              for k in positions])
     rhs = [conj[(r + i) % n] * s[i] for i in range(nu)]
     return solve_row_system(m, rhs)
 

@@ -215,29 +215,30 @@ def twisted_shift_rows(f, n):
     m = f.degree
     if m < 0 or m > n:
         raise ValueError("polynomial does not fit")
-    rows, zero, coeffs = [], ctx.zero, f.coeffs
+    zero, zero_raw, sigma = ctx.zero, ctx.zero_raw, ctx.sigma_raw
+    rows = []
     for i in range(n - m):
-        row = [zero] * n
-        for j, c in enumerate(coeffs):
-            row[i + j] = ctx.sigma(c, i)
-        rows.append(row)
+        shifted = [Element(ctx, c if c == zero_raw else sigma(c, i)) for c in f.raw]
+        rows.append([zero] * i + shifted + [zero] * (n - m - 1 - i))
     return rows
 
 
 def shift_echelon(f, n, evaluate_row):
     """Row-reduce the evaluations of the twisted shift rows of f (each
-    length-n row mapped to its n values by evaluate_row) and sort the
-    reduced rows into unit rows (a single nonzero entry, equal to one)
-    and the rest.
+    row of n raw coefficients mapped to its n raw values by evaluate_row)
+    and sort the reduced rows into unit rows (a single nonzero entry,
+    equal to one) and the rest.
 
     Returns (the unit rows' columns, the indices of the other rows); the
     second list is empty exactly when every row is a unit row.
     """
-    ctx, one = f.ctx, f.ctx.one
-    shifted = Matrix(ctx, [evaluate_row(row) for row in twisted_shift_rows(f, n)])
+    ctx = f.ctx
+    zero, one = ctx.zero_raw, ctx.one_raw
+    shifted = Matrix.from_raw(ctx, [evaluate_row([c.raw for c in row])
+                                    for row in twisted_shift_rows(f, n)])
     columns, others = [], []
-    for i, row in enumerate(shifted.rref().rows):
-        support = [j for j, v in enumerate(row) if v]
+    for i, row in enumerate(shifted.rref().raw):
+        support = [j for j, v in enumerate(row) if v != zero]
         if len(support) == 1 and row[support[0]] == one:
             columns.append(support[0])
         else:

@@ -193,7 +193,8 @@ def _scenario_checks(t, ctx, code, cw, scenario):
         h_rho = n_rho.rref()
         expected_h = _matrix(ctx, scenario["row_echelon"])
         t.compare("row echelon form", h_rho, expected_h)
-        removed = shift_echelon(rho, code.n, lambda row: evaluate(code, row, code.n, code.r))[1]
+        removed = shift_echelon(rho, code.n, lambda row: ctx.conjugate_sums(
+            code.conj_table, row, code.n, code.r))[1]
         t.compare("rows removed", removed, scenario["removed_rows"])
     t.compare("error positions", positions, scenario["positions"])
     values = error_values(code, positions, s)
@@ -311,7 +312,8 @@ def _run_example_2():
     t.compare("shift matrix of the seed", m_rho, _matrix(ctx, _EX2["shift_matrix"]))
     h_rho = (m_rho * evaluation_matrix(code)).rref()
     t.compare("row echelon form", h_rho, _matrix(ctx, _EX2["row_echelon"]))
-    removed = shift_echelon(rho, code.n, lambda row: evaluate(code, row, code.n, code.r))[1]
+    removed = shift_echelon(rho, code.n, lambda row: ctx.conjugate_sums(
+        code.conj_table, row, code.n, code.r))[1]
     t.compare("rows removed", removed, _EX2["removed_rows"])
     positions, branch = locate_positions(code, mu, rho)
     t.compare("branch", branch, BRANCH_ECHELON)

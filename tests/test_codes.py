@@ -6,6 +6,7 @@ from skewrs import (CodeError, ConfigError, FiniteField, SkewPolynomial,
                     is_normal, left_divmod, min_distance_oracle, norm_column,
                     parse_poly, right_eval)
 from skewrs.codes import evaluation_matrix
+from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
 
@@ -176,6 +177,46 @@ def test_nonzero_offset_reduces_to_narrow_sense(gf4096):
     for j in range(n):
         column = norm_column(gf4096.sigma(code.beta, code.r + j), n)
         assert [row[j] for row in rows] == column
+
+
+@pytest.fixture(scope="module")
+def sum_codes(all_codes):
+    """The three backend codes plus two tabled odd-characteristic ones."""
+    codes = dict(all_codes)
+    for name, ctx in (("gf81", FiniteField(3, 4, "a^4 + 2a^3 + 2", frobenius_power=1)),
+                      ("gf125", FiniteField(5, 3, "a^3 + 3a + 2", frobenius_power=1))):
+        codes[name] = build_code(ctx, find_normal_element(ctx), 0, 2)
+    return codes
+
+
+@pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "rational", "cyclotomic"])
+def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
+    code = sum_codes[name]
+    ctx, n = code.ctx, code.n
+    generic = FieldContext.conjugate_table(ctx, [c.raw for c in code.conj],
+                                           [c.raw for c in code.conj_inv])
+    rng = rng_for(f"conjugate-sums-{name}")
+    for _ in range(4):
+        # zeros, ones and random values, in words of every length up to n
+        vec = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng))).raw
+               for _ in range(rng.randrange(n + 1))]
+        for offset in range(2 * n + 1):
+            for count in range(n + 1):
+                assert ctx.conjugate_sums(code.conj_table, vec, count, offset) == \
+                    FieldContext.conjugate_sums(ctx, generic, vec, count, offset)
+
+
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])
+def test_evaluate_is_right_evaluation_at_the_beta_roots(all_codes, name):
+    code = all_codes[name]
+    ctx, n = code.ctx, code.n
+    rng = rng_for(f"evaluate-oracle-{name}")
+    for _ in range(2):
+        vec = [ctx.random_element(rng) for _ in range(n)]
+        f = SkewPolynomial(ctx, vec)
+        for k in range(2 * n):
+            assert evaluate(code, vec, n, k) == \
+                [right_eval(f, ctx.sigma(code.beta, k + j)) for j in range(n)]
 
 
 def test_min_distance_of_small_mds_codes(gf16, gf8):

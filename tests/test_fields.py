@@ -154,6 +154,22 @@ def test_rational_product_by_one_is_the_operand(rational):
             assert rational.mul(one, x) is x and rational.mul(x, one) is x
 
 
+def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
+    rng = rng_for("rf-zero-add")
+    xs = [rational.random_element(rng, 3, 3).raw for _ in range(50)]
+    real, calls = skewrs.fields.poly_gcrd, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(skewrs.fields, "poly_gcrd", counted)
+    zero = rational.zero.raw
+    for x in xs:
+        assert rational.add(zero, x) is x and rational.add(x, zero) is x
+    assert calls == []
+
+
 def test_nonmonic_denominator_text_canonicalizes(rational):
     lhs = parse_element(rational, "(a z^5 + a^2 z^4)/(a^2 z^5 + a^2 z^4 + a z + a)")
     rhs = parse_element(rational, "(a^2 z^5 + z^4)/(z^5 + z^4 + a^2 z + a^2)")

@@ -1,13 +1,15 @@
 import pytest
 
+from skewrs import fields
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
-                    FiniteField, SkewPolynomial, build_code, build_syndrome_matrix,
-                    decode, encode, evaluate, extract_rho, find_normal_element,
-                    left_divmod, locate_positions, norm_column, parse_poly,
-                    right_eval, syndromes)
+                    FieldError, FiniteField, Matrix, SkewPolynomial,
+                    build_code, build_syndrome_matrix, decode, encode,
+                    evaluate, extract_rho, find_normal_element, left_divmod,
+                    locate_positions, norm_column, parse_poly, right_eval,
+                    solve_row_system, syndromes)
 from skewrs.cli import nearest_codeword_equivalence, run_trial, simulate
 
-from conftest import rng_for, random_poly
+from conftest import GF4096_MODULUS, rng_for, random_poly
 
 
 def make_received(code, msg, error_vec):
@@ -61,6 +63,20 @@ def test_single_error_syndromes_are_norms(code_gf):
         norms = [norm_column(ctx.sigma(code_gf.beta, code_gf.r + i), code_gf.n)
                  for i in range(2 * code_gf.t)]
         assert s == [v * norms[i][k] for i in range(2 * code_gf.t)]
+
+
+def test_raw_stages_reject_a_foreign_field(code_gf, gf4096, gf16):
+    # the stages compute on raw values, so they check contexts themselves
+    with pytest.raises(FieldError):
+        evaluate(code_gf, [gf16.one] * code_gf.n, 2, 0)
+    with pytest.raises(FieldError):
+        build_syndrome_matrix(code_gf, [gf16.one] * (2 * code_gf.t))
+    with pytest.raises(FieldError):
+        locate_positions(code_gf, 1, SkewPolynomial(gf16, [gf16.one, gf16.one]))
+    with pytest.raises(FieldError):
+        Matrix(gf4096, [[gf4096.one, gf16.one]])
+    with pytest.raises(FieldError):
+        solve_row_system(Matrix.identity(gf4096, 1), [gf16.one])
 
 
 def test_syndromes_reject_wrong_length(code_gf):
@@ -295,3 +311,26 @@ def test_report_serialization_mentions_all_fields(code_gf, gf4096):
     for key in ("status", "syndromes", "mu", "rho", "branch", "positions",
                 "values", "error", "codeword", "message"):
         assert key in text
+
+
+def test_tabled_and_untabled_fields_decode_alike(monkeypatch):
+    # the log-domain fast paths must agree with the general arithmetic
+    tabled = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    monkeypatch.setattr(fields, "_TABLE_LIMIT", 1 << 11)
+    untabled = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    assert tabled._exp is not None and untabled._exp is None
+    codes = [build_code(ctx, ctx.generator, 0, 5) for ctx in (tabled, untabled)]
+    n, t, k = codes[0].n, codes[0].t, codes[0].dimension
+    rng = rng_for("tabled-untabled")
+    for i in range(200):
+        msg = [rng.randrange(1 << 12) for _ in range(k)]
+        err = dict.fromkeys(rng.sample(range(n), i % (t + 2)), 0)
+        for pos in err:
+            err[pos] = rng.randrange(1, 1 << 12)
+        texts = []
+        for code in codes:
+            ctx = code.ctx
+            cw = encode(code, SkewPolynomial(ctx, [ctx.element(v) for v in msg]))
+            y = [v + ctx.element(err.get(j, 0)) for j, v in enumerate(cw.vector(n))]
+            texts.append(decode(code, y).to_text(tabled))
+        assert texts[0] == texts[1]

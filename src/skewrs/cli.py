@@ -18,6 +18,7 @@ usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -284,7 +285,10 @@ def nearest_codeword_equivalence(code, radius=None):
     return mismatches
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    # built once per process: building it costs about as much as a whole
+    # in-process encode request, and parsing leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="skewrs",
         description="skew Reed-Solomon codes over exact fields")
@@ -325,8 +329,11 @@ def main(argv=None):
                    help="property-suite trials for infinite fields")
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_oracle)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError, CodeError, OSError) as exc:

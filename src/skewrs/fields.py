@@ -12,14 +12,22 @@ All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
     add(u, v)  sub(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
-    sigma_raw(u, k)  is_zero(u)
+    sigma_raw(u, k)  is_zero(u)  add_scaled(acc, c, src, shift)
     conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
+
+``add_scaled`` does acc[shift + j] += c * src[j] in place, skipping zero
+src[j]: it is the one inner loop of polynomial products and divisions and
+of matrix elimination.  The generic version runs on add and mul; a tabled
+finite field looks up log c once and adds exp[log c + log src[j]].
 
 The last two are the right evaluations at the beta-roots of a skew
 Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha) over
 a table of conjugates that the context prepares once per code.  The generic
 version runs on add and mul; a tabled finite field keeps the conjugates'
-discrete logs and sums in the log domain.
+discrete logs and sums in the log domain.  F_q(z) and Q(chi) read the
+generic table and reduce once per output: each output's terms are summed
+over a common denominator (by F_q[z] products, or as integer cyclic
+convolutions) and put in canonical form by one gcd.
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -228,6 +236,14 @@ class FieldContext:
         if k < 0:
             u, k = self.inv(u), -k
         return power(self.mul, self.one_raw, u, k)
+
+    def add_scaled(self, acc, c, src, shift):
+        """acc[shift + j] += c * src[j] in place, skipping zero src[j]: the
+        one inner loop of polynomial products, divisions and elimination."""
+        zero, add, mul = self.zero_raw, self.add, self.mul
+        for j, b in enumerate(src, shift):
+            if b != zero:
+                acc[j] = add(acc[j], mul(c, b))
 
     def conjugate_table(self, conj, conj_inv):
         """What ``conjugate_sums`` reads: the raw conjugates sigma^k(alpha),
@@ -542,6 +558,22 @@ class FiniteField(FieldContext):
             return self._exp[(self._log[u] * self._sigma_mult[k]) % (self.size - 1)]
         return self._raw_pow_frob(u, (self.frobenius_power * k) % self.degree)
 
+    def add_scaled(self, acc, c, src, shift):
+        if self._exp is None or c == 0:
+            return super().add_scaled(acc, c, src, shift)
+        # every term is exp[log c + log b], with log c looked up once
+        exp, log = self._exp, self._log
+        lc = log[c]
+        if self.char == 2:
+            for j, b in enumerate(src, shift):
+                if b:
+                    acc[j] ^= exp[lc + log[b]]
+        else:
+            add = self.add
+            for j, b in enumerate(src, shift):
+                if b:
+                    acc[j] = add(acc[j], exp[lc + log[b]])
+
     def conjugate_table(self, conj, conj_inv):
         if self._exp is None:
             return super().conjugate_table(conj, conj_inv)
@@ -644,13 +676,11 @@ def poly_mul(ctx, f, g):
     if not f or not g:
         return ()
     zero = ctx.zero_raw
-    add, mul = ctx.add, ctx.mul
+    add_scaled = ctx.add_scaled
     out = [zero] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a != zero:
-            for j, b in enumerate(_twist(ctx, g, i), i):
-                if b != zero:
-                    out[j] = add(out[j], mul(a, b))
+            add_scaled(out, a, _twist(ctx, g, i), i)
     return poly_trim(ctx, out)
 
 
@@ -661,18 +691,19 @@ def poly_divmod(ctx, f, g):
         raise ZeroDivisionError("division by the zero polynomial")
     dg = len(g) - 1
     zero = ctx.zero_raw
-    sub, mul = ctx.sub, ctx.mul
+    mul, neg, add_scaled = ctx.mul, ctx.neg, ctx.add_scaled
     inv_lead = ctx.inv(g[-1])
+    # step k clears rem[k + dg] by construction, and nothing reads it again,
+    # so only g's lower terms are taken off
+    low = g[:dg]
     rem = list(f)
     q = [zero] * (len(f) - dg)
     for k in range(len(f) - 1 - dg, -1, -1):
         c = rem[k + dg]
         if c != zero:
-            gk = _twist(ctx, g, k)
-            qk = q[k] = mul(c, inv_lead if gk is g else ctx.sigma_raw(inv_lead, k))
-            for j, b in enumerate(gk, k):
-                if b != zero:
-                    rem[j] = sub(rem[j], mul(qk, b))
+            lk = _twist(ctx, low, k)
+            qk = q[k] = mul(c, inv_lead if lk is low else ctx.sigma_raw(inv_lead, k))
+            add_scaled(rem, neg(qk), lk, k)
     return poly_trim(ctx, q), poly_trim(ctx, rem[:dg])
 
 
@@ -698,7 +729,7 @@ class RationalFunctions(FieldContext):
     sigma must be the identity; sigma's order is derived by iterating the
     2x2 coefficient matrix until it becomes a scalar.  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
-    expressions stay small.
+    expressions stay small; a conjugate sum reduces once per output.
     """
 
     kind = "rational-function"
@@ -817,6 +848,33 @@ class RationalFunctions(FieldContext):
         m = max(len(num), len(den)) - 1
         return self._make(self._subst(num, lin_num, lin_den, m),
                           self._subst(den, lin_num, lin_den, m))
+
+    def conjugate_sums(self, table, vec, count, offset):
+        # each output's terms meet over one common denominator by F_q[z]
+        # products alone, and the output pays for one gcd, in _make
+        conj, conj_inv = table
+        n = len(conj_inv)
+        base = self.base
+        mul = functools.partial(poly_mul, base)
+        terms = [(i, None if v == _RF_ONE else v) for i, v in enumerate(vec) if v[0]]
+        out = []
+        for k in range(offset, offset + count):
+            k %= n
+            num, den = (), (1,)
+            for i, v in terms:
+                tn, td = conj[k + i]
+                if v is not None:
+                    tn, td = mul(v[0], tn), mul(v[1], td)
+                if not num:
+                    num, den = tn, td
+                elif td == den:
+                    num = poly_add(base, num, tn)
+                else:
+                    num = poly_add(base, mul(num, td), mul(tn, den))
+                    den = mul(den, td)
+            cn, cd = conj_inv[k]
+            out.append(self._make(mul(num, cn), mul(den, cd)))
+        return out
 
     def _subst(self, poly, lin_num, lin_den, m):
         # poly((az+b)/(cz+d)) * (cz+d)^m, for m >= deg(poly)
@@ -947,6 +1005,35 @@ class CyclotomicField(FieldContext):
                     if b:
                         full[(i + j) % m] += a * b
         return self._make(self._reduce_cyclic(full), u[1] * v[1])
+
+    def conjugate_sums(self, table, vec, count, offset):
+        # each output's cyclic convolutions accumulate in one length-m
+        # integer vector over a common denominator; the product by the
+        # inverse conjugate then reduces its content once, in _make
+        conj, conj_inv = table
+        n, m = len(conj_inv), self.root_order
+        terms = [(i, [(j, a) for j, a in enumerate(v[0]) if a], v[1])
+                 for i, v in enumerate(vec) if any(v[0])]
+        out = []
+        for k in range(offset, offset + count):
+            k %= n
+            full, den = [0] * m, 1
+            for i, coords, vd in terms:
+                cn, cd = conj[k + i]
+                d = vd * cd
+                g = math.gcd(den, d)
+                if d != g:
+                    scale = d // g
+                    full = [x * scale for x in full]
+                    den *= scale
+                w = den // d
+                for j, a in coords:
+                    a *= w
+                    for l, b in enumerate(cn, j):
+                        if b:
+                            full[l % m] += a * b
+            out.append(self.mul((self._reduce_cyclic(full), den), conj_inv[k]))
+        return out
 
     def inv(self, u):
         if self.is_zero(u):

@@ -86,7 +86,7 @@ class Matrix:
     def _eliminated(self):
         """Row reduction on raw values; returns (rows, pivot column indices)."""
         ctx = self.ctx
-        zero, mul, sub = ctx.zero_raw, ctx.mul, ctx.sub
+        zero, mul, neg, add_scaled = ctx.zero_raw, ctx.mul, ctx.neg, ctx.add_scaled
         rows = [list(r) for r in self.raw]
         nr = len(rows)
         nc = len(rows[0]) if rows else 0
@@ -101,15 +101,17 @@ class Matrix:
             if pivot_row is None:
                 continue
             rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            # left of pc the pivot row is zero, so every update starts at pc
+            # left of pc the pivot row is zero and at pc it is one, so an
+            # update clears row[pc] and takes factor * prow off the rest
             prow = rows[pr]
             inv = ctx.inv(prow[pc])
             prow[pc:] = [mul(inv, v) for v in prow[pc:]]
+            tail = prow[pc + 1:]
             for r, row in enumerate(rows):
                 factor = row[pc]
                 if r != pr and factor != zero:
-                    row[pc:] = [v if w == zero else sub(v, mul(factor, w))
-                                for v, w in zip(row[pc:], prow[pc:])]
+                    row[pc] = zero
+                    add_scaled(row, neg(factor), tail, pc + 1)
             pivots.append(pc)
             pr += 1
             if pr == nr:

@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from skewrs import EXAMPLE_CONFIGS
+from skewrs import EXAMPLE_CONFIGS, cli
 from skewrs.cli import main, parse_weights
 
 
@@ -235,3 +235,35 @@ def test_simulate_rejects_bad_weights(workspace, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_main_answers_each_call_as_a_first_call(workspace, capsys):
+    # the parser is built once per process; a call must not see what an
+    # earlier call parsed, nor how it ended
+    tmp, bundle = workspace
+    word = tmp / "word.txt"
+    word.write_text("x^5 + a\n")
+    calls = [["paper-example", "--which", "1"],
+             ["simulate", "--code", str(bundle), "--trials", "3", "--weights", "1"],
+             ["paper-example"],
+             ["decode", "--code", str(bundle), "--in", str(word)],
+             ["simulate", "--code", str(bundle), "--trials", "3"],
+             ["encode", "--code", str(bundle)],
+             ["oracle", "--code", str(bundle), "--budget", "x"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        # simulate's timing line is the one output that may differ
+        return code, [l for l in out.splitlines() if not l.startswith("wall_time")], err
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 2, 2]
+    assert all(first[i][2].startswith("usage:") for i in (2, 5, 6))
+    assert [run(argv) for argv in calls] == first

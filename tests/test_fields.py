@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import skewrs
 from skewrs import (CyclotomicField, Element, FieldError, FiniteField,
                     RationalFunctions, parse_element)
-from skewrs.fields import poly_gcrd
+from skewrs.fields import FieldContext, poly_gcrd
 
-from conftest import rng_for
+from conftest import GF4096_MODULUS, rng_for
 
 N_PAIRS = 1000
 
@@ -168,6 +168,53 @@ def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
     for x in xs:
         assert rational.add(zero, x) is x and rational.add(x, zero) is x
     assert calls == []
+
+
+def test_rational_sums_reduce_once_per_output(code_rf, monkeypatch):
+    # a sum output pays for one gcd, in _make, not one per term
+    ctx, n = code_rf.ctx, code_rf.n
+    rng = rng_for("rf-sums-gcd")
+    words = [[ctx.random_nonzero(rng, 2, 2).raw for _ in range(n)] for _ in range(4)]
+    real, calls = skewrs.fields.poly_gcrd, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(skewrs.fields, "poly_gcrd", counted)
+    for vec in words:
+        for offset in range(n):
+            for count in range(1, n + 1):
+                calls.clear()
+                ctx.conjugate_sums(code_rf.conj_table, vec, count, offset)
+                assert 0 < len(calls) <= count
+
+
+@pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "gf4096-untabled",
+                                  "rational", "cyclotomic"])
+def test_add_scaled_equals_the_generic_path(name, request, monkeypatch):
+    finite = {"gf4096": (2, 12, GF4096_MODULUS, 10), "gf81": (3, 4, "a^4 + 2a^3 + 2", 1),
+              "gf125": (5, 3, "a^3 + 3a + 2", 1)}
+    field, _, untabled = name.partition("-")
+    if field in finite:
+        if untabled:
+            monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 1 << 11)
+        p, degree, modulus, e = finite[field]
+        ctx = FiniteField(p, degree, modulus, frobenius_power=e)
+        assert (ctx._exp is None) == bool(untabled)
+    else:
+        ctx = request.getfixturevalue(name)
+    rng = rng_for(f"add-scaled-{name}")
+    for _ in range(40):
+        src = [rng.choice((ctx.zero, ctx.random_nonzero(rng))).raw
+               for _ in range(rng.randrange(7))]
+        for shift in range(4):
+            acc = [ctx.random_element(rng).raw for _ in range(shift + len(src) + 1)]
+            for c in (ctx.one_raw, ctx.random_nonzero(rng).raw):
+                fast, generic = list(acc), list(acc)
+                ctx.add_scaled(fast, c, src, shift)
+                FieldContext.add_scaled(ctx, generic, c, src, shift)
+                assert fast == generic
 
 
 def test_nonmonic_denominator_text_canonicalizes(rational):

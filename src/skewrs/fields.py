@@ -18,7 +18,8 @@ values through one small protocol, with the same names everywhere:
 ``add_scaled`` does acc[shift + j] += c * src[j] in place, skipping zero
 src[j]: it is the one inner loop of polynomial products and divisions and
 of matrix elimination.  The generic version runs on add and mul; a tabled
-finite field looks up log c once and adds exp[log c + log src[j]].
+field of characteristic 2 looks up log c once and XORs in
+exp[log c + log src[j]].
 
 The last two are the right evaluations at the beta-roots of a skew
 Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha) over
@@ -559,20 +560,15 @@ class FiniteField(FieldContext):
         return self._raw_pow_frob(u, (self.frobenius_power * k) % self.degree)
 
     def add_scaled(self, acc, c, src, shift):
-        if self._exp is None or c == 0:
+        if self._exp is None or c == 0 or self.char != 2:
             return super().add_scaled(acc, c, src, shift)
-        # every term is exp[log c + log b], with log c looked up once
+        # every term is exp[log c + log b], with log c looked up once, and
+        # addition in characteristic 2 is XOR
         exp, log = self._exp, self._log
         lc = log[c]
-        if self.char == 2:
-            for j, b in enumerate(src, shift):
-                if b:
-                    acc[j] ^= exp[lc + log[b]]
-        else:
-            add = self.add
-            for j, b in enumerate(src, shift):
-                if b:
-                    acc[j] = add(acc[j], exp[lc + log[b]])
+        for j, b in enumerate(src, shift):
+            if b:
+                acc[j] ^= exp[lc + log[b]]
 
     def conjugate_table(self, conj, conj_inv):
         if self._exp is None:

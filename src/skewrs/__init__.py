@@ -11,10 +11,9 @@ there are no tolerances anywhere.
 
 from .fields import (CyclotomicField, Element, FieldError, FiniteField,
                      RationalFunctions)
-from .linalg import Matrix, left_kernel, solve_row_system
+from .linalg import Matrix, solve_row_system
 from .parsing import ParseError, parse_element, parse_poly
-from .skewpoly import (SkewPolynomial, gcrd, lclm, lclm_many, left_divmod,
-                       norm_column, right_eval)
+from .skewpoly import SkewPolynomial, gcrd, lclm, lclm_many, left_divmod
 from .codes import (CodeError, ConfigError, SkewRSCode, build_code,
                     code_from_config, codewords, encode, evaluate,
                     find_normal_element, full_beta_decomposition_test,
@@ -29,9 +28,8 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteField", "RationalFunctions", "CyclotomicField",
     "Element", "FieldError",
-    "SkewPolynomial", "left_divmod", "norm_column",
-    "right_eval", "gcrd", "lclm", "lclm_many",
-    "Matrix", "solve_row_system", "left_kernel",
+    "SkewPolynomial", "left_divmod", "gcrd", "lclm", "lclm_many",
+    "Matrix", "solve_row_system",
     "parse_element", "parse_poly", "ParseError",
     "SkewRSCode", "build_code", "encode", "evaluate", "is_normal",
     "find_normal_element",

@@ -18,6 +18,18 @@ sums over on raw values (``ctx.conjugate_table`` and
 ``evaluation_matrix`` reads the evaluation matrix N off it on demand.  A
 code with r > 0 reads the same table from index r, all indices taken
 mod n, so the decoder never branches on r.
+
+The conjugate matrix C(alpha) = (sigma^(i+j)(alpha)) is nonsingular
+exactly when alpha is normal, and its inverse is C(alpha*) for the
+trace-dual alpha*: Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij (Lidl &
+Niederreiter, Finite Fields, ch. 2).  ``build_code`` solves
+X * C(alpha) = e_0 once for X_i = sigma^i(alpha*) and keeps them as a
+second table, with unit scales, which ``dual_support`` sums over.  The
+generator g = x^d + sum_(k<d) g_k x^k, d = delta-1, vanishes at
+sigma^m(beta) exactly when sum_k g_k * sigma^(m+k)(alpha) =
+-sigma^(m+d)(alpha), so it is one d x d Hankel solve, rows m = r..r+d-1,
+nonsingular because the lclm of d beta-roots has degree d (Lam & Leroy,
+J. Algebra 1988).
 """
 
 from __future__ import annotations
@@ -27,19 +39,21 @@ from dataclasses import dataclass
 
 from .fields import (CyclotomicField, Element, FieldError, FiniteField,
                      RationalFunctions, require_context)
-from .linalg import Matrix
-from .skewpoly import SkewPolynomial, left_divmod, lclm_many, shift_echelon
+from .linalg import Matrix, solve_row_system
+# lclm_many is bound here because perfbench/tracing.py times it by this name
+from .skewpoly import SkewPolynomial, left_divmod, lclm_many
 
 
 class CodeError(ValueError):
     pass
 
 
-def conjugate_matrix(ctx, alpha):
-    """n x n matrix with entry (i, j) = sigma^(i+j)(alpha), n = ctx.order."""
-    n = ctx.order
-    conj = [ctx.sigma_raw(alpha.raw, k) for k in range(2 * n - 1)]
-    return Matrix.from_raw(ctx, [conj[i:i + n] for i in range(n)])
+def conjugate_matrix(ctx, conj, start, size):
+    """size x size matrix with entry (i, j) = conj[(start + i + j) % n] for
+    the n raw conjugates conj = sigma^k(alpha), k < n."""
+    n = len(conj)
+    return Matrix.from_raw(ctx, [[conj[(start + i + j) % n] for j in range(size)]
+                                 for i in range(size)])
 
 
 def is_normal(ctx, alpha):
@@ -47,7 +61,9 @@ def is_normal(ctx, alpha):
     invariant subfield (the conjugate matrix is nonsingular)."""
     if not alpha:
         return False
-    return conjugate_matrix(ctx, alpha).rank() == ctx.order
+    n = ctx.order
+    conj = [ctx.sigma_raw(alpha.raw, k) for k in range(n)]
+    return conjugate_matrix(ctx, conj, 0, n).rank() == n
 
 
 def find_normal_element(ctx, rng=None):
@@ -80,14 +96,14 @@ class SkewRSCode:
     conj_inv: list
     # the same, prepared by ctx.conjugate_table for ctx.conjugate_sums
     conj_table: object
+    # the trace-dual conjugates sigma^k(alpha*), k < n, and a table of them
+    # with unit scales, prepared the same way
+    dual: list
+    dual_table: object
 
     @property
     def dimension(self):
         return self.n - self.delta + 1
-
-    def contains(self, f):
-        """Membership test: g right-divides f."""
-        return left_divmod(f, self.g)[1].is_zero
 
     def __repr__(self):
         return (f"SkewRSCode(n={self.n}, delta={self.delta}, t={self.t}, "
@@ -119,20 +135,25 @@ def build_code(ctx, alpha, r, delta):
         raise CodeError(f"designed distance must be within [2, {n}], got {delta}")
     if r < 0:
         raise CodeError("root offset must be nonnegative")
-    if not is_normal(ctx, alpha):
-        raise CodeError("alpha is not a normal element")
     conj = [ctx.sigma(alpha, k) for k in range(n)]
+    raw = [c.raw for c in conj]
+    # X * C(alpha) = e_0 is solved by X_i = sigma^i(alpha*) when alpha is normal
+    try:
+        dual = solve_row_system(conjugate_matrix(ctx, raw, 0, n),
+                                [ctx.one] + [ctx.zero] * (n - 1))
+    except ValueError:
+        raise CodeError("alpha is not a normal element") from None
     alpha_inv = alpha.inverse()
     conj_inv = [ctx.sigma(alpha_inv, k) for k in range(n)]
-    beta = alpha_inv * conj[1]
-    conj_table = ctx.conjugate_table([c.raw for c in conj], [c.raw for c in conj_inv])
-    x = SkewPolynomial.variable(ctx)
-    factors = [x - SkewPolynomial.constant(ctx, ctx.sigma(beta, (r + i) % n))
-               for i in range(delta - 1)]
-    g = lclm_many(factors)
-    return SkewRSCode(ctx=ctx, alpha=alpha, beta=beta, r=r, delta=delta, g=g,
-                      t=(delta - 1) // 2, n=n, conj=conj, conj_inv=conj_inv,
-                      conj_table=conj_table)
+    # the generator's lower coefficients solve the d x d Hankel system
+    d = delta - 1
+    low = solve_row_system(conjugate_matrix(ctx, raw, r, d),
+                           [-conj[(r + m + d) % n] for m in range(d)])
+    return SkewRSCode(
+        ctx=ctx, alpha=alpha, beta=alpha_inv * conj[1], r=r, delta=delta,
+        g=SkewPolynomial(ctx, low + [ctx.one]), t=(delta - 1) // 2, n=n, conj=conj,
+        conj_inv=conj_inv, conj_table=ctx.conjugate_table(raw, [c.raw for c in conj_inv]),
+        dual=dual, dual_table=ctx.conjugate_table([v.raw for v in dual], [ctx.one_raw] * n))
 
 
 def encode(code, message):
@@ -141,6 +162,36 @@ def encode(code, message):
         raise CodeError(
             f"message degree {message.degree} exceeds {code.n - code.delta}")
     return message * code.g
+
+
+def dual_support(code, f, offset):
+    """Sorted j < n such that no unit vector e_j lies in the row space W of
+    the twisted shift rows x^i * f, i < n - deg f, evaluated at
+    sigma^(offset+j)(beta); f is monic.  These are the supports of
+    N^(-1) * w over a basis w of ker T, T the shift matrix, whose entries
+    are the dual sums of w up to nonzero factors.  T has a one at column
+    i + mu of row i, mu = deg f, so forward substitution gives the basis:
+    w_s = 1 for one s < mu and w_(i+mu) = -sum_(k<mu) sigma^i(f_k) * w_(i+k).
+    """
+    ctx, n = code.ctx, code.n
+    zero, one, add, mul = ctx.zero_raw, ctx.one_raw, ctx.add, ctx.mul
+    mu = len(f.raw) - 1
+    twisted = [[ctx.sigma_raw(c, i) for c in f.raw[:mu]] for i in range(n - mu)]
+    support = set()
+    for s in range(mu):
+        w = [zero] * n
+        w[s] = one
+        for i, row in enumerate(twisted):
+            acc = zero
+            for c, v in zip(row, w[i:]):
+                if v != zero:
+                    acc = add(acc, mul(c, v))
+            w[i + mu] = ctx.neg(acc)
+        zeros = ctx.conjugate_zeros(code.dual_table, w, n, offset)
+        support.update(j for j, z in enumerate(zeros) if not z)
+        if len(support) == n:
+            break
+    return sorted(support)
 
 
 def full_beta_decomposition_test(f, code):
@@ -152,19 +203,13 @@ def full_beta_decomposition_test(f, code):
     ctx, n = code.ctx, code.n
     if f.is_zero or f.leading != ctx.one:
         raise CodeError("polynomial must be monic")
-    m = f.degree
-    if m > n:
+    if f.degree > n:
         raise CodeError("degree exceeds the code length")
     xn1 = SkewPolynomial(ctx, [-ctx.one] + [ctx.zero] * (n - 1) + [ctx.one])
     if not left_divmod(xn1, f)[1].is_zero:
         raise CodeError("polynomial does not right-divide x^n - 1")
-    if m == n:
-        return set(range(n))
-    unit_cols, others = shift_echelon(
-        f, n, lambda row: ctx.conjugate_sums(code.conj_table, row, n, 0))
-    if others:
-        return None
-    return set(range(n)).difference(unit_cols)
+    support = dual_support(code, f, 0)
+    return set(support) if len(support) == f.degree else None
 
 
 def codewords(code):

@@ -14,6 +14,7 @@ values through one small protocol, with the same names everywhere:
     add(u, v)  sub(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
     sigma_raw(u, k)  is_zero(u)  add_scaled(acc, c, src, shift)
     conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
+    conjugate_zeros(table, vec, count, offset)
 
 ``add_scaled`` does acc[shift + j] += c * src[j] in place, skipping zero
 src[j]: it is the one inner loop of polynomial products and divisions and
@@ -21,14 +22,16 @@ of matrix elimination.  The generic version runs on add and mul; a tabled
 field of characteristic 2 looks up log c once and XORs in
 exp[log c + log src[j]].
 
-The last two are the right evaluations at the beta-roots of a skew
-Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha) over
-a table of conjugates that the context prepares once per code.  The generic
-version runs on add and mul; a tabled finite field keeps the conjugates'
-discrete logs and sums in the log domain.  F_q(z) and Q(chi) read the
-generic table and reduce once per output: each output's terms are summed
-over a common denominator (by F_q[z] products, or as integer cyclic
-convolutions) and put in canonical form by one gcd.
+The conjugate methods are the right evaluations at the beta-roots of a
+skew Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha)
+over a table of conjugates that the context prepares once per code, or,
+from ``conjugate_zeros``, only whether each sum is zero.  The generic
+versions run on add and mul; a tabled finite field keeps the conjugates'
+discrete logs and sums in the log domain.  F_q(z) keeps the conjugates
+over one shared denominator and clears vec to one denominator per call,
+so an output is a sum of F_q[z] products and costs one gcd, or none for a
+zero test; Q(chi) sums each output's integer cyclic convolutions over a
+common denominator and reduces it once.
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -273,13 +276,13 @@ class FieldContext:
             out.append(mul(acc, conj_inv[k]))
         return out
 
+    def conjugate_zeros(self, table, vec, count, offset):
+        """For the same k, whether each ``conjugate_sums`` output is zero."""
+        return [self.is_zero(v) for v in self.conjugate_sums(table, vec, count, offset)]
+
     def sigma(self, x, k=1):
         """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
         return Element(self, self.sigma_raw(x.raw, k))
-
-    def fixed_field_check(self, x):
-        """True when sigma fixes x, i.e. x lies in the invariant subfield."""
-        return self.sigma_raw(x.raw, 1) == x.raw
 
     def random_nonzero(self, rng, *args):
         while True:
@@ -674,9 +677,10 @@ def poly_mul(ctx, f, g):
     zero = ctx.zero_raw
     add_scaled = ctx.add_scaled
     out = [zero] * (len(f) + len(g) - 1)
+    twisted = ctx.order > 1
     for i, a in enumerate(f):
         if a != zero:
-            add_scaled(out, a, _twist(ctx, g, i), i)
+            add_scaled(out, a, _twist(ctx, g, i) if twisted else g, i)
     return poly_trim(ctx, out)
 
 
@@ -694,10 +698,11 @@ def poly_divmod(ctx, f, g):
     low = g[:dg]
     rem = list(f)
     q = [zero] * (len(f) - dg)
+    twisted = ctx.order > 1
     for k in range(len(f) - 1 - dg, -1, -1):
         c = rem[k + dg]
         if c != zero:
-            lk = _twist(ctx, low, k)
+            lk = _twist(ctx, low, k) if twisted else low
             qk = q[k] = mul(c, inv_lead if lk is low else ctx.sigma_raw(inv_lead, k))
             add_scaled(rem, neg(qk), lk, k)
     return poly_trim(ctx, q), poly_trim(ctx, rem[:dg])
@@ -845,32 +850,59 @@ class RationalFunctions(FieldContext):
         return self._make(self._subst(num, lin_num, lin_den, m),
                           self._subst(den, lin_num, lin_den, m))
 
-    def conjugate_sums(self, table, vec, count, offset):
-        # each output's terms meet over one common denominator by F_q[z]
-        # products alone, and the output pays for one gcd, in _make
-        conj, conj_inv = table
-        n = len(conj_inv)
+    def _over_one_denominator(self, fracs):
+        # the numerators over the product of the distinct denominators, and
+        # that product: no gcd
         base = self.base
-        mul = functools.partial(poly_mul, base)
-        terms = [(i, None if v == _RF_ONE else v) for i, v in enumerate(vec) if v[0]]
+        dens = list(dict.fromkeys(d for _, d in fracs))
+        nums = []
+        for num, d in fracs:
+            for e in dens:
+                if e != d:
+                    num = poly_mul(base, num, e)
+            nums.append(num)
+        return nums, functools.reduce(functools.partial(poly_mul, base), dens, (1,))
+
+    def conjugate_table(self, conj, conj_inv):
+        # the conjugates' numerators over one shared denominator D, twice
+        # over, and each inverse conjugate divided by D
+        nums, den = self._over_one_denominator(conj)
+        return nums * 2, [(cn, poly_mul(self.base, cd, den)) for cn, cd in conj_inv]
+
+    def _numerator_sums(self, table, vec, count, offset):
+        # with vec over one denominator V, sum_i vec_i * c_(k+i) is a sum of
+        # F_q[z] products over V * D: returns V and, per output, that
+        # numerator (untrimmed) and the output's scale
+        nums, scales = table
+        n = len(scales)
+        add_scaled = self.base.add_scaled
+        terms = [i for i, v in enumerate(vec) if v[0]]
+        cleared, den = self._over_one_denominator([vec[i] for i in terms])
+        width = max(map(len, cleared), default=0) + max(map(len, nums)) - 1
         out = []
         for k in range(offset, offset + count):
             k %= n
-            num, den = (), (1,)
-            for i, v in terms:
-                tn, td = conj[k + i]
-                if v is not None:
-                    tn, td = mul(v[0], tn), mul(v[1], td)
-                if not num:
-                    num, den = tn, td
-                elif td == den:
-                    num = poly_add(base, num, tn)
-                else:
-                    num = poly_add(base, mul(num, td), mul(tn, den))
-                    den = mul(den, td)
-            cn, cd = conj_inv[k]
-            out.append(self._make(mul(num, cn), mul(den, cd)))
-        return out
+            acc = [0] * width
+            for i, u in zip(terms, cleared):
+                c = nums[k + i]
+                if len(c) < len(u):
+                    c, u = u, c
+                for j, a in enumerate(u):
+                    if a:
+                        add_scaled(acc, a, c, j)
+            out.append((acc, scales[k]))
+        return den, out
+
+    def conjugate_sums(self, table, vec, count, offset):
+        # each output pays for one gcd, in _make
+        base = self.base
+        den, sums = self._numerator_sums(table, vec, count, offset)
+        return [self._make(poly_mul(base, poly_trim(base, acc), sn), poly_mul(base, den, sd))
+                for acc, (sn, sd) in sums]
+
+    def conjugate_zeros(self, table, vec, count, offset):
+        # a sum is zero exactly when its numerator is: no gcd at all
+        return [not any(acc) for acc, _ in self._numerator_sums(table, vec, count, offset)[1]]
 
     def _subst(self, poly, lin_num, lin_den, m):
         # poly((az+b)/(cz+d)) * (cz+d)^m, for m >= deg(poly)
@@ -1061,11 +1093,6 @@ class CyclotomicField(FieldContext):
 
     def from_int(self, k):
         return Element(self, ((k,) + (0,) * (self.dim - 1), 1))
-
-    def from_fraction(self, fr):
-        fr = Fraction(fr)
-        return Element(self, self._make((fr.numerator,) + (0,) * (self.dim - 1),
-                                        fr.denominator))
 
     def random_element(self, rng, height=4):
         num = tuple(rng.randint(-height, height) for _ in range(self.dim))

@@ -38,17 +38,6 @@ class Matrix:
         m.ctx, m.raw = ctx, rows
         return m
 
-    @classmethod
-    def zeros(cls, ctx, nrows, ncols):
-        return cls.from_raw(ctx, [[ctx.zero_raw] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, ctx, n):
-        m = cls.zeros(ctx, n, n)
-        for i in range(n):
-            m.raw[i][i] = ctx.one_raw
-        return m
-
     @property
     def rows(self):
         ctx = self.ctx
@@ -147,19 +136,3 @@ def solve_row_system(a, b):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [Element(ctx, rows[i][n]) for i in range(n)]
-
-
-def left_kernel(a):
-    """Basis rows for { v : v * a = 0 }."""
-    ctx = a.ctx
-    rows, pivots = a.transpose()._eliminated()
-    m = a.nrows
-    free = [j for j in range(m) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [ctx.zero_raw] * m
-        v[j] = ctx.one_raw
-        for r, pc in enumerate(pivots):
-            v[pc] = ctx.neg(rows[r][j])
-        basis.append([Element(ctx, c) for c in v])
-    return basis

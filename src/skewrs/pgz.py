@@ -8,8 +8,10 @@ Pipeline for a received word y of length n:
 3. locator seed rho from the reduced column echelon form of S; its degree
    mu = rank S is a lower bound on the number of errors.
 4. error positions: the zero coordinates of rho's evaluation vector when
-   their count equals mu (direct branch); otherwise rho is completed to the
-   full locator through a row echelon computation (echelon branch).
+   their count equals mu (direct branch); otherwise the dual supports of
+   the kernel of rho's twisted shift matrix (echelon branch,
+   ``codes.dual_support``): the columns that no unit row of the paper's
+   row echelon form H_rho keeps, found with no shift rows and no rref.
 5. error values: the unique solution of a conjugate-matrix linear system.
 
 The decoder then verifies the correction by left-dividing the corrected
@@ -25,10 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .codes import evaluate
+from .codes import dual_support, evaluate
 from .fields import Element, require_context, same_context
 from .linalg import Matrix, solve_row_system
-from .skewpoly import SkewPolynomial, left_divmod, shift_echelon
+from .skewpoly import SkewPolynomial, left_divmod
 
 BRANCH_ALL_ZERO = "all-zero"
 BRANCH_DIRECT = "direct"
@@ -130,24 +132,18 @@ def locate_positions(code, mu, rho):
     """Error positions for a locator seed rho of degree mu.
 
     Direct branch: the beta-roots of rho when there are exactly mu of
-    them.  Echelon branch: complete rho to the full locator by reducing
-    the row space of its left multiples and keeping the canonical rows.
+    them.  Echelon branch: the beta-roots of the full locator that rho
+    completes to, read off the dual table.
     """
-    ctx = code.ctx
+    ctx, n = code.ctx, code.n
     require_context(ctx, (rho,))
-
-    def evaluate_row(raw):
-        return ctx.conjugate_sums(code.conj_table, raw, code.n, code.r)
-
-    zeros = [j for j, v in enumerate(evaluate_row(rho.raw)) if ctx.is_zero(v)]
+    zeros = [j for j, z in enumerate(ctx.conjugate_zeros(code.conj_table, rho.raw, n, code.r))
+             if z]
     if len(zeros) == mu:
         return zeros, BRANCH_DIRECT
-    kept, _ = shift_echelon(rho, code.n, evaluate_row)
-    if not kept:
+    positions = dual_support(code, rho, code.r)
+    if len(positions) == n:
         raise LocateFailure("no canonical rows survive the echelon reduction")
-    positions = [j for j in range(code.n) if j not in kept]
-    if not positions:
-        raise LocateFailure("echelon reduction leaves no zero columns")
     return positions, BRANCH_ECHELON
 
 

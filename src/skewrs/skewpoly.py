@@ -17,7 +17,6 @@ from __future__ import annotations
 from .fields import (Element, join_terms, poly_add, poly_divmod, poly_gcrd,
                      poly_mul, poly_neg, poly_scale, poly_trim, power,
                      same_context)
-from .linalg import Matrix
 
 
 class SkewPolynomial:
@@ -59,10 +58,6 @@ class SkewPolynomial:
     @classmethod
     def variable(cls, ctx):
         return cls(ctx, (ctx.zero, ctx.one))
-
-    @classmethod
-    def monomial(cls, ctx, c, k):
-        return cls(ctx, (ctx.zero,) * k + (c,))
 
     # -- structure -------------------------------------------------------------
 
@@ -153,27 +148,6 @@ def left_divmod(g, f):
     return SkewPolynomial._of_raw(g.ctx, q), SkewPolynomial._of_raw(g.ctx, rem)
 
 
-def norm_column(gamma, n):
-    """All twisted norms N_0(gamma) ... N_(n-1)(gamma) in one sweep, where
-    N_i(gamma) = gamma * sigma(gamma) * ... * sigma^(i-1)(gamma)."""
-    ctx = gamma.ctx
-    out = [ctx.one]
-    acc = ctx.one
-    for k in range(n - 1):
-        acc = acc * ctx.sigma(gamma, k)
-        out.append(acc)
-    return out
-
-
-def right_eval(f, gamma):
-    """Right evaluation of f at gamma: the left remainder of f by x - gamma.
-
-    Equals sum_i f_i N_i(gamma); zero exactly when x - gamma right-divides f.
-    """
-    norms = norm_column(gamma, len(f.raw))
-    return sum((fi * ni for fi, ni in zip(f.coeffs, norms) if fi), f.ctx.zero)
-
-
 def gcrd(f, g):
     """Greatest common right divisor, monic."""
     if f.is_zero and g.is_zero:
@@ -221,26 +195,3 @@ def twisted_shift_rows(f, n):
         shifted = [Element(ctx, c if c == zero_raw else sigma(c, i)) for c in f.raw]
         rows.append([zero] * i + shifted + [zero] * (n - m - 1 - i))
     return rows
-
-
-def shift_echelon(f, n, evaluate_row):
-    """Row-reduce the evaluations of the twisted shift rows of f (each
-    row of n raw coefficients mapped to its n raw values by evaluate_row)
-    and sort the reduced rows into unit rows (a single nonzero entry,
-    equal to one) and the rest.
-
-    Returns (the unit rows' columns, the indices of the other rows); the
-    second list is empty exactly when every row is a unit row.
-    """
-    ctx = f.ctx
-    zero, one = ctx.zero_raw, ctx.one_raw
-    shifted = Matrix.from_raw(ctx, [evaluate_row([c.raw for c in row])
-                                    for row in twisted_shift_rows(f, n)])
-    columns, others = [], []
-    for i, row in enumerate(shifted.rref().raw):
-        support = [j for j, v in enumerate(row) if v != zero]
-        if len(support) == 1 and row[support[0]] == one:
-            columns.append(support[0])
-        else:
-            others.append(i)
-    return columns, others

@@ -21,7 +21,7 @@ from .linalg import Matrix
 from .parsing import parse_element, parse_poly
 from .pgz import (BRANCH_DIRECT, BRANCH_ECHELON, build_syndrome_matrix, decode,
                   extract_rho, locate_positions, error_values, syndromes)
-from .skewpoly import SkewPolynomial, shift_echelon, twisted_shift_rows
+from .skewpoly import SkewPolynomial, twisted_shift_rows
 
 EXAMPLE_CONFIGS = {
     1: """\
@@ -110,6 +110,13 @@ def _matrix(ctx, cells, symbols=None):
     return Matrix(ctx, [_vector(ctx, row, symbols) for row in cells])
 
 
+def _rows_removed(h_rho):
+    # the rows of H_rho that are not unit rows (one nonzero entry, a one);
+    # the columns of the unit rows are the positions that hold no error
+    zero, one = h_rho.ctx.zero_raw, h_rho.ctx.one_raw
+    return [i for i, row in enumerate(h_rho.raw) if [v for v in row if v != zero] != [one]]
+
+
 # ---------------------------------------------------------------------------
 # reference transcript 1: GF(2^12), n = 6, delta = 5
 # ---------------------------------------------------------------------------
@@ -193,9 +200,7 @@ def _scenario_checks(t, ctx, code, cw, scenario):
         h_rho = n_rho.rref()
         expected_h = _matrix(ctx, scenario["row_echelon"])
         t.compare("row echelon form", h_rho, expected_h)
-        removed = shift_echelon(rho, code.n, lambda row: ctx.conjugate_sums(
-            code.conj_table, row, code.n, code.r))[1]
-        t.compare("rows removed", removed, scenario["removed_rows"])
+        t.compare("rows removed", _rows_removed(h_rho), scenario["removed_rows"])
     t.compare("error positions", positions, scenario["positions"])
     values = error_values(code, positions, s)
     t.compare("error values", values, _vector(ctx, scenario["values"]))
@@ -312,9 +317,7 @@ def _run_example_2():
     t.compare("shift matrix of the seed", m_rho, _matrix(ctx, _EX2["shift_matrix"]))
     h_rho = (m_rho * evaluation_matrix(code)).rref()
     t.compare("row echelon form", h_rho, _matrix(ctx, _EX2["row_echelon"]))
-    removed = shift_echelon(rho, code.n, lambda row: ctx.conjugate_sums(
-        code.conj_table, row, code.n, code.r))[1]
-    t.compare("rows removed", removed, _EX2["removed_rows"])
+    t.compare("rows removed", _rows_removed(h_rho), _EX2["removed_rows"])
     positions, branch = locate_positions(code, mu, rho)
     t.compare("branch", branch, BRANCH_ECHELON)
     t.compare("error positions", positions, _EX2["positions"])

@@ -3,12 +3,12 @@ import pytest
 from skewrs import (CodeError, ConfigError, FiniteField, SkewPolynomial,
                     build_code, code_from_config, encode, evaluate,
                     find_normal_element, full_beta_decomposition_test,
-                    is_normal, left_divmod, min_distance_oracle, norm_column,
-                    parse_poly, right_eval)
-from skewrs.codes import evaluation_matrix
+                    is_normal, left_divmod, min_distance_oracle, parse_poly)
+from skewrs.codes import conjugate_matrix, evaluation_matrix
 from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
+from oracles import contains, identity, monomial, norm_column, right_eval
 
 
 def test_zero_is_not_normal(gf4096):
@@ -75,7 +75,7 @@ def test_delta_two_code_is_single_factor(gf4096):
 def test_encode_zero_and_length_limit(code_gf, gf4096):
     zero = SkewPolynomial.zero(gf4096)
     assert encode(code_gf, zero).is_zero
-    too_long = SkewPolynomial.monomial(gf4096, gf4096.one, code_gf.n - code_gf.delta + 1)
+    too_long = monomial(gf4096, gf4096.one, code_gf.n - code_gf.delta + 1)
     with pytest.raises(CodeError):
         encode(code_gf, too_long)
 
@@ -86,6 +86,23 @@ def test_generator_divides_x_n_minus_1(all_codes):
         xn1 = SkewPolynomial(
             ctx, [-ctx.one] + [ctx.zero] * (code.n - 1) + [ctx.one])
         assert left_divmod(xn1, code.g)[1].is_zero
+
+
+@pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "rational", "cyclotomic"])
+def test_dual_conjugates_invert_the_conjugate_matrix(sum_codes, name):
+    # C(alpha) * C(alpha*) = I: Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij
+    code = sum_codes[name]
+    ctx, n = code.ctx, code.n
+    conj, dual = ([v.raw for v in vec] for vec in (code.conj, code.dual))
+    assert conjugate_matrix(ctx, conj, 0, n) * conjugate_matrix(ctx, dual, 0, n) == \
+        identity(ctx, n)
+    assert code.dual[1] == ctx.sigma(code.dual[0])
+
+
+def test_build_rejects_a_non_normal_alpha(gf16):
+    # the modulus root of this field has linearly dependent conjugates
+    with pytest.raises(CodeError, match="alpha is not a normal element"):
+        build_code(gf16, gf16.generator, 0, 3)
 
 
 def test_evaluation_matrix_is_nonsingular(all_codes):
@@ -159,7 +176,7 @@ def test_shift_property_of_codewords(all_codes):
             msg = random_poly(ctx, rng, code.n - code.delta)
             vec = encode(code, msg).vector(code.n)
             shifted = [ctx.sigma(vec[-1])] + [ctx.sigma(v) for v in vec[:-1]]
-            assert code.contains(SkewPolynomial(ctx, shifted))
+            assert contains(code, SkewPolynomial(ctx, shifted))
 
 
 def test_nonzero_offset_reduces_to_narrow_sense(gf4096):

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import skewrs
 from skewrs import (CyclotomicField, Element, FieldError, FiniteField,
-                    RationalFunctions, parse_element)
+                    RationalFunctions, build_code, find_normal_element,
+                    parse_element)
 from skewrs.fields import poly_gcrd
 
 from conftest import GF4096_MODULUS, rng_for
+from oracles import fixed_field_check, from_fraction
 
 N_PAIRS = 1000
 
@@ -90,8 +92,8 @@ def test_print_parse_round_trip(round_trip_contexts, name):
 
 
 def test_fixed_field_membership(gf4096):
-    assert gf4096.fixed_field_check(gf4096.one)
-    assert not gf4096.fixed_field_check(gf4096.generator)
+    assert fixed_field_check(gf4096, gf4096.one)
+    assert not fixed_field_check(gf4096, gf4096.generator)
 
 
 def test_fixed_field_sum_of_all_roots(cyclotomic):
@@ -102,8 +104,8 @@ def test_fixed_field_sum_of_all_roots(cyclotomic):
     exponents = [(3 * j) % 7 for j in range(1, 7)]
     oracle_image = sum((chi ** e for e in exponents[1:]), chi ** exponents[0])
     assert oracle_image == x
-    assert cyclotomic.fixed_field_check(x)
-    assert not cyclotomic.fixed_field_check(chi)
+    assert fixed_field_check(cyclotomic, x)
+    assert not fixed_field_check(cyclotomic, chi)
 
 
 def test_power_notation_reduces_large_exponents(gf4096):
@@ -190,21 +192,28 @@ def test_rational_sums_reduce_once_per_output(code_rf, monkeypatch):
                 assert 0 < len(calls) <= count
 
 
-@pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "gf4096-untabled",
-                                  "rational", "cyclotomic"])
-def test_add_scaled_equals_element_arithmetic(name, request, monkeypatch):
-    # the expected row is built with Element operators, not with add_scaled
+PROTOCOL_CONTEXTS = ["gf4096", "gf81", "gf125", "gf4096-untabled", "rational", "cyclotomic"]
+
+
+def _protocol_context(name, request, monkeypatch):
+    # tabled GF(2^12), odd characteristic, untabled GF(2^12), F_q(z), Q(chi)
     finite = {"gf4096": (2, 12, GF4096_MODULUS, 10), "gf81": (3, 4, "a^4 + 2a^3 + 2", 1),
               "gf125": (5, 3, "a^3 + 3a + 2", 1)}
     field, _, untabled = name.partition("-")
-    if field in finite:
-        if untabled:
-            monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 1 << 11)
-        p, degree, modulus, e = finite[field]
-        ctx = FiniteField(p, degree, modulus, frobenius_power=e)
-        assert (ctx._exp is None) == bool(untabled)
-    else:
-        ctx = request.getfixturevalue(name)
+    if field not in finite:
+        return request.getfixturevalue(name)
+    if untabled:
+        monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 1 << 11)
+    p, degree, modulus, e = finite[field]
+    ctx = FiniteField(p, degree, modulus, frobenius_power=e)
+    assert (ctx._exp is None) == bool(untabled)
+    return ctx
+
+
+@pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)
+def test_add_scaled_equals_element_arithmetic(name, request, monkeypatch):
+    # the expected row is built with Element operators, not with add_scaled
+    ctx = _protocol_context(name, request, monkeypatch)
     rng = rng_for(f"add-scaled-{name}")
     for _ in range(40):
         src = [rng.choice((ctx.zero, ctx.random_nonzero(rng)))
@@ -218,6 +227,35 @@ def test_add_scaled_equals_element_arithmetic(name, request, monkeypatch):
                 got = [a.raw for a in acc]
                 ctx.add_scaled(got, c.raw, [b.raw for b in src], shift)
                 assert got == [a.raw for a in expected]
+
+
+@pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)
+def test_conjugate_zeros_equal_zero_sums(name, request, monkeypatch):
+    ctx = _protocol_context(name, request, monkeypatch)
+    code = build_code(ctx, find_normal_element(ctx), 0, 2)
+    n = code.n
+    rng = rng_for(f"conjugate-zeros-{name}")
+    # the shifted conjugates of alpha* summed over alpha's table, and the
+    # other way round, vanish at every output but one; the rest are random
+    words = [(table, [other[(i + j) % n] for i in range(n)])
+             for table, other in ((code.conj_table, code.dual), (code.dual_table, code.conj))
+             for j in range(n)]
+    for _ in range(4):
+        vec = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng)))
+               for _ in range(rng.randrange(n + 1))]
+        words += [(code.conj_table, vec), (code.dual_table, vec)]
+    zeros_seen = 0
+    for table, vec in words:
+        c = ctx.random_nonzero(rng)
+        raw, scaled = [v.raw for v in vec], [(c * v).raw for v in vec]
+        for offset in range(2 * n):
+            for count in range(n + 1):
+                expected = [ctx.is_zero(v)
+                            for v in ctx.conjugate_sums(table, raw, count, offset)]
+                assert ctx.conjugate_zeros(table, raw, count, offset) == expected
+                assert ctx.conjugate_zeros(table, scaled, count, offset) == expected
+                zeros_seen += sum(expected)
+    assert zeros_seen
 
 
 def test_nonmonic_denominator_text_canonicalizes(rational):
@@ -361,7 +399,7 @@ def cyclotomic_cases(draw):
     den = draw(st.integers(1, 10 ** 6))
     x = ctx.zero
     for i, c in enumerate(coords):
-        x = x + ctx.from_fraction(Fraction(c, den)) * ctx.generator ** i
+        x = x + from_fraction(ctx, Fraction(c, den)) * ctx.generator ** i
     return ctx, x, coords[0], den
 
 
@@ -372,8 +410,8 @@ def test_cyclotomic_inverse_by_norm(case):
     with pytest.raises(ZeroDivisionError):
         ctx.zero.inverse()
     if c:
-        rational = ctx.from_fraction(Fraction(c, den))
-        assert rational.inverse() == ctx.from_fraction(Fraction(den, c))
+        rational = from_fraction(ctx, Fraction(c, den))
+        assert rational.inverse() == from_fraction(ctx, Fraction(den, c))
     if not x:
         return
     y = x.inverse()

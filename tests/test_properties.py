@@ -5,6 +5,10 @@ distances 2, 5 and n, and every error weight 0..n.  At weight <= t the
 error and the message come back exactly; above t the decoder either
 reports a failure or returns a codeword within distance t of the received
 word.  It never raises.
+
+On the same codes, the echelon branch's positions and failures equal the
+row echelon route it replaces, and the Hankel generator equals the lclm
+of its linear factors.
 """
 
 import random
@@ -14,9 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from skewrs import (CyclotomicField, FiniteField, RationalFunctions,
                     SkewPolynomial, build_code, decode, encode,
-                    find_normal_element)
+                    find_normal_element, lclm_many)
+from skewrs.pgz import (LocateFailure, build_syndrome_matrix, extract_rho,
+                        locate_positions, syndromes)
 
 from conftest import GF4096_MODULUS
+from oracles import contains, locate_by_rref
 
 # name: (field factory, order n of sigma, offsets r)
 FIELDS = {
@@ -63,8 +70,53 @@ def test_decode_contract(property_codes, case, data):
         assert report.ok, report.failure
         assert report.error == err and report.message == msg
     elif report.ok:
-        assert code.contains(SkewPolynomial(ctx, report.codeword))
+        assert contains(code, SkewPolynomial(ctx, report.codeword))
         assert encode(code, report.message).vector(n) == report.codeword
         assert sum(1 for a, b in zip(report.codeword, received) if a != b) <= code.t
     else:
         assert report.failure and "\n" not in report.failure
+
+
+def _located(code, mu, rho, locate):
+    try:
+        return locate(code, mu, rho)
+    except LocateFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{n}-r{r}-d{d}" for n, r, d in CASES])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_locate_equals_rref_oracle(property_codes, case, data):
+    # the seed of a word of weight t+1..n (for t >= 1), and a random monic
+    # seed of any degree, which reaches every code including delta = 2
+    code = property_codes[case]
+    ctx, n = code.ctx, code.n
+    weight = data.draw(st.integers(code.t + 1, n), label="weight")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    seeds = []
+    err = [ctx.zero] * n
+    for pos in rng.sample(range(n), weight):
+        err[pos] = ctx.random_nonzero(rng)
+    s = syndromes(code, err)
+    if any(s):
+        try:
+            seeds.append(extract_rho(build_syndrome_matrix(code, s)))
+        except ValueError:
+            pass
+    mu = rng.randint(1, n)
+    seeds.append((mu, SkewPolynomial(ctx, [ctx.random_element(rng) for _ in range(mu)]
+                                     + [ctx.one])))
+    for mu, rho in seeds:
+        assert _located(code, mu, rho, locate_positions) == \
+            _located(code, mu, rho, locate_by_rref)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{n}-r{r}-d{d}" for n, r, d in CASES])
+def test_generator_equals_lclm_fold(property_codes, case):
+    code = property_codes[case]
+    ctx, n = code.ctx, code.n
+    x = SkewPolynomial.variable(ctx)
+    factors = [x - SkewPolynomial.constant(ctx, ctx.sigma(code.beta, (code.r + i) % n))
+               for i in range(code.delta - 1)]
+    assert code.g == lclm_many(factors)

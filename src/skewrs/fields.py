@@ -20,7 +20,16 @@ values through one small protocol, with the same names everywhere:
 src[j]: it is the one inner loop of polynomial products and divisions and
 of matrix elimination.  The generic version runs on add and mul; a tabled
 field of characteristic 2 looks up log c once and XORs in
-exp[log c + log src[j]].
+exp[log c + log src[j]].  F_q(z) builds each acc_j + c * src_j as one
+unreduced fraction and Q(chi) as one integer vector over one denominator,
+and each reduces it once, so an updated entry costs one gcd where mul
+then add cost two.
+
+F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
+(cz+d) into num/den, both multiplied by D^m for m the larger degree, is
+already in lowest terms, because as binary forms of degree m num and den
+are coprime and an invertible linear change of variables keeps them so.
+Its Euclid keeps only the remainders and reduces them in place.
 
 The conjugate methods are the right evaluations at the beta-roots of a
 skew Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha)
@@ -684,11 +693,11 @@ def poly_mul(ctx, f, g):
     return poly_trim(ctx, out)
 
 
-def poly_divmod(ctx, f, g):
-    """Left division f = q*g + rem with deg rem < deg g: step k takes
-    q_k * x^k * g = q_k * sigma^k(g) * x^k off the remainder."""
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
+def _left_reduce(ctx, rem, g, q=None):
+    """Left division in place: step k takes q_k * x^k * g = q_k *
+    sigma^k(g) * x^k off the list rem, from the top down, and stores q_k in
+    q[k] when a quotient list is given.  Afterwards rem[:deg g] is the
+    remainder; the entries above it are stale."""
     dg = len(g) - 1
     zero = ctx.zero_raw
     mul, neg, add_scaled = ctx.mul, ctx.neg, ctx.add_scaled
@@ -696,23 +705,40 @@ def poly_divmod(ctx, f, g):
     # step k clears rem[k + dg] by construction, and nothing reads it again,
     # so only g's lower terms are taken off
     low = g[:dg]
-    rem = list(f)
-    q = [zero] * (len(f) - dg)
     twisted = ctx.order > 1
-    for k in range(len(f) - 1 - dg, -1, -1):
+    for k in range(len(rem) - 1 - dg, -1, -1):
         c = rem[k + dg]
         if c != zero:
             lk = _twist(ctx, low, k) if twisted else low
-            qk = q[k] = mul(c, inv_lead if lk is low else ctx.sigma_raw(inv_lead, k))
+            qk = mul(c, inv_lead if lk is low else ctx.sigma_raw(inv_lead, k))
+            if q is not None:
+                q[k] = qk
             add_scaled(rem, neg(qk), lk, k)
+
+
+def poly_divmod(ctx, f, g):
+    """Left division f = q*g + rem with deg rem < deg g."""
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    dg = len(g) - 1
+    rem = list(f)
+    q = [ctx.zero_raw] * (len(f) - dg)
+    _left_reduce(ctx, rem, g, q)
     return poly_trim(ctx, q), poly_trim(ctx, rem[:dg])
 
 
 def poly_gcrd(ctx, f, g):
-    """The monic greatest common right divisor; () when f = g = ()."""
+    """The monic greatest common right divisor; () when f = g = ().
+    Euclid keeps only its remainders, in two lists reduced in place."""
+    zero = ctx.zero_raw
+    f, g = list(f), list(g)
     while g:
-        f, g = g, poly_divmod(ctx, f, g)[1]
-    return poly_scale(ctx, f, ctx.inv(f[-1])) if f else f
+        _left_reduce(ctx, f, g)
+        del f[len(g) - 1:]
+        while f and f[-1] == zero:
+            f.pop()
+        f, g = g, f
+    return poly_scale(ctx, tuple(f), ctx.inv(f[-1])) if f else ()
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +756,10 @@ class RationalFunctions(FieldContext):
     sigma must be the identity; sigma's order is derived by iterating the
     2x2 coefficient matrix until it becomes a scalar.  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
-    expressions stay small; a conjugate sum reduces once per output.
+    expressions stay small, and each result pays at most one gcd: a sum, a
+    product, an ``add_scaled`` entry and a conjugate sum reduce once; an
+    inverse and sigma need none, as they map coprime pairs to coprime pairs
+    and only make the denominator monic.
     """
 
     kind = "rational-function"
@@ -836,19 +865,70 @@ class RationalFunctions(FieldContext):
             raise ZeroDivisionError("inverse of zero")
         if u == _RF_ONE:
             return u
-        return self._make(u[1], u[0])
+        # den/num is in lowest terms already: only make its denominator monic
+        num, den = u
+        c = self.base.inv(num[-1])
+        return poly_scale(self.base, den, c), poly_scale(self.base, num, c)
+
+    def add_scaled(self, acc, c, src, shift):
+        # acc_j + c * b_j is one unreduced fraction, reduced once; with
+        # c = 1 that is what add does already
+        if c == _RF_ONE:
+            return super().add_scaled(acc, c, src, shift)
+        if not c[0]:
+            return
+        base = self.base
+        cn, cd = c
+        for j, (bn, bd) in enumerate(src, shift):
+            if not bn:
+                continue
+            an, ad = acc[j]
+            pn = poly_mul(base, cn, bn)
+            pd = bd if cd == (1,) else poly_mul(base, cd, bd)
+            if not an:
+                acc[j] = self._make(pn, pd)
+            elif ad == pd:
+                acc[j] = self._make(poly_add(base, an, pn), ad)
+            else:
+                acc[j] = self._make(poly_add(base, poly_mul(base, an, pd), poly_mul(base, pn, ad)),
+                                    poly_mul(base, ad, pd))
 
     def sigma_raw(self, u, k=1):
+        """num(L/D) * D^m over den(L/D) * D^m, for sigma^k(z) = L/D with
+        L = az+b, D = cz+d and m = max(deg num, deg den), with no gcd: as
+        binary forms of degree m, num and den are coprime, and the
+        invertible linear substitution (X, Y) -> (L, D) keeps them so."""
         k %= self.order
         num, den = u
         if k == 0 or not num:
             return u
+        base = self.base
+        add_scaled = base.add_scaled
         a, b, c, d = self._mob_pows[k]
-        lin_num = poly_trim(self.base, [b, a])   # a*z + b
-        lin_den = poly_trim(self.base, [d, c])   # c*z + d
         m = max(len(num), len(den)) - 1
-        return self._make(self._subst(num, lin_num, lin_den, m),
-                          self._subst(den, lin_num, lin_den, m))
+
+        def times(p, lo, hi):
+            # p * (hi*z + lo) in m + 1 slots; p's top slot is zero here
+            out = [0] * (m + 1)
+            if lo:
+                add_scaled(out, lo, p, 0)
+            if hi:
+                add_scaled(out, hi, p[:m], 1)
+            return out
+
+        # Horner in L over the powers of D: acc = acc * L + p_i * D^(m-i)
+        polys = (num, den)
+        accs = [[p[m] if m < len(p) else 0] + [0] * m for p in polys]
+        dpow = [1] + [0] * m
+        for i in range(m - 1, -1, -1):
+            dpow = times(dpow, d, c)
+            for j, p in enumerate(polys):
+                acc = accs[j] = times(accs[j], b, a)
+                if i < len(p) and p[i]:
+                    add_scaled(acc, p[i], dpow, 0)
+        num, den = (poly_trim(base, acc) for acc in accs)
+        inv = base.inv(den[-1])
+        return poly_scale(base, num, inv), poly_scale(base, den, inv)
 
     def _over_one_denominator(self, fracs):
         # the numerators over the product of the distinct denominators, and
@@ -904,17 +984,6 @@ class RationalFunctions(FieldContext):
         # a sum is zero exactly when its numerator is: no gcd at all
         return [not any(acc) for acc, _ in self._numerator_sums(table, vec, count, offset)[1]]
 
-    def _subst(self, poly, lin_num, lin_den, m):
-        # poly((az+b)/(cz+d)) * (cz+d)^m, for m >= deg(poly)
-        base = self.base
-        mul = functools.partial(poly_mul, base)
-        acc = ()
-        for i, coeff in enumerate(poly):
-            if coeff:
-                term = mul(power(mul, (1,), lin_num, i), power(mul, (1,), lin_den, m - i))
-                acc = poly_add(base, acc, poly_scale(base, term, coeff))
-        return acc
-
     # -- context API ---------------------------------------------------------
 
     def from_int(self, k):
@@ -961,7 +1030,14 @@ class RationalFunctions(FieldContext):
 # ---------------------------------------------------------------------------
 
 class CyclotomicField(FieldContext):
-    """Q(chi) with chi^m = 1 primitive, m prime, and sigma(chi) = chi^k."""
+    """Q(chi) with chi^m = 1 primitive, m prime, and sigma(chi) = chi^k.
+
+    A sum, a product, an ``add_scaled`` entry and a conjugate sum each
+    gather their integer coordinates over one denominator and reduce the
+    content once.  A Galois image needs no reduction (an automorphism maps
+    Z[chi] onto itself, so it keeps the content), and neither does the
+    inverse of one.
+    """
 
     kind = "cyclotomic"
 
@@ -1034,12 +1110,37 @@ class CyclotomicField(FieldContext):
                         full[(i + j) % m] += a * b
         return self._make(self._reduce_cyclic(full), u[1] * v[1])
 
+    def add_scaled(self, acc, c, src, shift):
+        # acc_j + c * b_j is one integer vector over one denominator,
+        # reduced once
+        m = self.root_order
+        cn, cd = c
+        cterms = [(i, a) for i, a in enumerate(cn) if a]
+        if not cterms:
+            return
+        for j, (bn, bd) in enumerate(src, shift):
+            if not any(bn):
+                continue
+            an, ad = acc[j]
+            d = cd * bd
+            g = math.gcd(ad, d)
+            sa, sp = d // g, ad // g
+            full = [x * sa for x in an]
+            full.append(0)
+            for i, a in cterms:
+                a *= sp
+                for l, b in enumerate(bn, i):
+                    if b:
+                        full[l % m] += a * b
+            acc[j] = self._make(self._reduce_cyclic(full), ad * sa)
+
     def conjugate_sums(self, table, vec, count, offset):
         # each output's cyclic convolutions accumulate in one length-m
         # integer vector over a common denominator; the product by the
-        # inverse conjugate then reduces its content once, in _make
+        # inverse conjugate then reduces its content once, in _make, and a
+        # unit scale (the dual table's) is no product at all
         conj, conj_inv = table
-        n, m = len(conj_inv), self.root_order
+        n, m, one = len(conj_inv), self.root_order, self.one_raw
         terms = [(i, [(j, a) for j, a in enumerate(v[0]) if a], v[1])
                  for i, v in enumerate(vec) if any(v[0])]
         out = []
@@ -1060,12 +1161,16 @@ class CyclotomicField(FieldContext):
                     for l, b in enumerate(cn, j):
                         if b:
                             full[l % m] += a * b
-            out.append(self.mul((self._reduce_cyclic(full), den), conj_inv[k]))
+            s = conj_inv[k]
+            out.append(self._make(self._reduce_cyclic(full), den) if s == one
+                       else self.mul((self._reduce_cyclic(full), den), s))
         return out
 
     def inv(self, u):
         if self.is_zero(u):
             raise ZeroDivisionError("inverse of zero")
+        if u == self.one_raw:
+            return u
         # u times its other Galois conjugates is the rational norm N(u)
         rest = self._conjugate(u, 2)
         for e in range(3, self.root_order):
@@ -1081,13 +1186,14 @@ class CyclotomicField(FieldContext):
         return self._conjugate(u, self._sigma_exp[k])
 
     def _conjugate(self, u, e):
-        # the automorphism chi -> chi^e
+        # the automorphism chi -> chi^e maps Z[chi] onto itself, so it keeps
+        # the coordinates' content and the result is canonical as built
         m = self.root_order
         full = [0] * m
         for j, a in enumerate(u[0]):
             if a:
                 full[(j * e) % m] += a
-        return self._make(self._reduce_cyclic(full), u[1])
+        return self._reduce_cyclic(full), u[1]
 
     # -- context API ---------------------------------------------------------
 

@@ -8,11 +8,17 @@ positions through the trace-dual table without building either matrix.
 
 ``right_eval`` evaluates by the twisted norms directly, the definition
 that ``codes.evaluate`` shortcuts through the conjugate table.
+
+``sigma_by_ladder`` is sigma on F_q(z) as the definition reads: every
+coefficient's power of the Moebius substitution by its own ladder, then a
+gcd.  ``gcrd_by_divmod`` is Euclid on full left divisions.
 """
 
+import functools
 from fractions import Fraction
 
 from skewrs import Element, SkewPolynomial, left_divmod
+from skewrs.fields import poly_add, poly_divmod, poly_mul, poly_scale, poly_trim, power
 from skewrs.linalg import Matrix
 from skewrs.pgz import BRANCH_DIRECT, BRANCH_ECHELON, LocateFailure
 from skewrs.skewpoly import twisted_shift_rows
@@ -127,3 +133,37 @@ def locate_by_rref(code, mu, rho):
     if not kept:
         raise LocateFailure("no canonical rows survive the echelon reduction")
     return [j for j in range(n) if j not in kept], BRANCH_ECHELON
+
+
+def sigma_by_ladder(ctx, u, k):
+    """sigma^k of a raw F_q(z) value: num and den each become
+    sum_i p_i * (az+b)^i * (cz+d)^(m-i), m = max(deg num, deg den), with
+    both powers of every term by square-and-multiply, and the fraction is
+    then reduced by a gcd."""
+    k %= ctx.order
+    num, den = u
+    if k == 0 or not num:
+        return u
+    base = ctx.base
+    mul = functools.partial(poly_mul, base)
+    a, b, c, d = ctx._mob_pows[k]
+    lin_num, lin_den = poly_trim(base, [b, a]), poly_trim(base, [d, c])
+    m = max(len(num), len(den)) - 1
+
+    def subst(poly):
+        acc = ()
+        for i, coeff in enumerate(poly):
+            if coeff:
+                term = mul(power(mul, (1,), lin_num, i), power(mul, (1,), lin_den, m - i))
+                acc = poly_add(base, acc, poly_scale(base, term, coeff))
+        return acc
+
+    return ctx._make(subst(num), subst(den))
+
+
+def gcrd_by_divmod(ctx, f, g):
+    """The monic gcrd of two raw polynomials by Euclid, each step a full
+    left division that builds its quotient and remainder."""
+    while g:
+        f, g = g, poly_divmod(ctx, f, g)[1]
+    return poly_scale(ctx, f, ctx.inv(f[-1])) if f else f

@@ -208,19 +208,24 @@ def sum_codes(all_codes):
 
 @pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "rational", "cyclotomic"])
 def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
+    # over the conjugate table and over the dual table, whose scales are one
     code = sum_codes[name]
     ctx, n = code.ctx, code.n
-    generic = FieldContext.conjugate_table(ctx, [c.raw for c in code.conj],
-                                           [c.raw for c in code.conj_inv])
+    tables = [(code.conj_table, FieldContext.conjugate_table(
+                  ctx, [c.raw for c in code.conj], [c.raw for c in code.conj_inv])),
+              (code.dual_table, FieldContext.conjugate_table(
+                  ctx, [v.raw for v in code.dual], [ctx.one_raw] * n))]
     rng = rng_for(f"conjugate-sums-{name}")
-    for _ in range(4):
-        # zeros, ones and random values, in words of every length up to n
-        vec = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng))).raw
-               for _ in range(rng.randrange(n + 1))]
+    # zeros, ones and random values, in words of every length up to n; and
+    # 7, whose sums over the Q(chi_7) dual (denominator 7) must be reduced
+    words = [[rng.choice((ctx.zero, ctx.one, ctx.random_element(rng))).raw
+              for _ in range(rng.randrange(n + 1))] for _ in range(4)]
+    for vec in words + [[ctx.from_int(7).raw]]:
         for offset in range(2 * n + 1):
             for count in range(n + 1):
-                assert ctx.conjugate_sums(code.conj_table, vec, count, offset) == \
-                    FieldContext.conjugate_sums(ctx, generic, vec, count, offset)
+                for table, generic in tables:
+                    assert ctx.conjugate_sums(table, vec, count, offset) == \
+                        FieldContext.conjugate_sums(ctx, generic, vec, count, offset)
 
 
 @pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])

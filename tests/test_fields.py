@@ -10,10 +10,10 @@ import skewrs
 from skewrs import (CyclotomicField, Element, FieldError, FiniteField,
                     RationalFunctions, build_code, find_normal_element,
                     parse_element)
-from skewrs.fields import poly_gcrd
+from skewrs.fields import poly_divmod, poly_gcrd, poly_mul, poly_trim
 
 from conftest import GF4096_MODULUS, rng_for
-from oracles import fixed_field_check, from_fraction
+from oracles import fixed_field_check, from_fraction, gcrd_by_divmod, sigma_by_ladder
 
 N_PAIRS = 1000
 
@@ -135,9 +135,10 @@ def test_rational_canonical_form_is_reduced_and_monic(rational):
     for _ in range(100):
         u = rational.random_element(rng, 2, 2)
         v = rational.random_element(rng, 2, 2)
-        num, den = (u * v).raw
-        assert den[-1] == 1
-        assert poly_gcrd(rational.base, num, den) == (1,)
+        for w in (u * v, u.inverse() if u else u):
+            num, den = w.raw
+            assert den[-1] == 1
+            assert poly_gcrd(rational.base, num, den) == (1,)
 
 
 def test_rational_base_must_have_trivial_sigma():
@@ -156,9 +157,8 @@ def test_rational_product_by_one_is_the_operand(rational):
             assert rational.mul(one, x) is x and rational.mul(x, one) is x
 
 
-def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
-    rng = rng_for("rf-zero-add")
-    xs = [rational.random_element(rng, 3, 3).raw for _ in range(50)]
+def _counted_gcrd(monkeypatch):
+    """The list that records each poly_gcrd call from now on."""
     real, calls = skewrs.fields.poly_gcrd, []
 
     def counted(*args):
@@ -166,6 +166,13 @@ def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(skewrs.fields, "poly_gcrd", counted)
+    return calls
+
+
+def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
+    rng = rng_for("rf-zero-add")
+    xs = [rational.random_element(rng, 3, 3).raw for _ in range(50)]
+    calls = _counted_gcrd(monkeypatch)
     zero = rational.zero.raw
     for x in xs:
         assert rational.add(zero, x) is x and rational.add(x, zero) is x
@@ -177,13 +184,7 @@ def test_rational_sums_reduce_once_per_output(code_rf, monkeypatch):
     ctx, n = code_rf.ctx, code_rf.n
     rng = rng_for("rf-sums-gcd")
     words = [[ctx.random_nonzero(rng, 2, 2).raw for _ in range(n)] for _ in range(4)]
-    real, calls = skewrs.fields.poly_gcrd, []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(skewrs.fields, "poly_gcrd", counted)
+    calls = _counted_gcrd(monkeypatch)
     for vec in words:
         for offset in range(n):
             for count in range(1, n + 1):
@@ -192,16 +193,112 @@ def test_rational_sums_reduce_once_per_output(code_rf, monkeypatch):
                 assert 0 < len(calls) <= count
 
 
-PROTOCOL_CONTEXTS = ["gf4096", "gf81", "gf125", "gf4096-untabled", "rational", "cyclotomic"]
+RATIONAL_CONTEXTS = {
+    # odd characteristic, sigma(z) = (z + a)/z of order 5
+    "gf9z": lambda: RationalFunctions(FiniteField(3, 2, "a^2 + 1", frobenius_power=0),
+                                      ("1", "a", "1", "0")),
+    # an affine sigma (c = 0): sigma(z) = (z + 1)/a, of order 3
+    "affine": lambda: RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
+                                        ("1", "1", "0", "a")),
+}
+
+
+def _rational_context(name, request):
+    if name in RATIONAL_CONTEXTS:
+        return RATIONAL_CONTEXTS[name]()
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z", "affine"])
+def test_sigma_raw_equals_the_ladder_oracle(name, request):
+    ctx = _rational_context(name, request)
+    rng = rng_for(f"sigma-ladder-{name}")
+    elements = [ctx.zero_raw, ctx.one_raw, ctx.generator_raw]
+    for deg in range(13):
+        for _ in range(2):
+            other = rng.randrange(13)
+            elements.append(ctx.random_element(rng, deg, other).raw)
+            elements.append(ctx.random_element(rng, other, deg).raw)
+    for u in elements:
+        for k in range(-ctx.order, 2 * ctx.order + 1):
+            assert ctx.sigma_raw(u, k) == sigma_by_ladder(ctx, u, k)
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z", "affine"])
+def test_rational_sigma_makes_no_gcd(name, request, monkeypatch):
+    ctx = _rational_context(name, request)
+    rng = rng_for(f"sigma-no-gcd-{name}")
+    xs = [ctx.random_element(rng, rng.randrange(9), rng.randrange(9)).raw for _ in range(30)]
+    calls = _counted_gcrd(monkeypatch)
+    for x in xs:
+        for k in range(ctx.order):
+            ctx.sigma_raw(x, k)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z"])
+def test_rational_add_scaled_reduces_once_per_entry(name, request, monkeypatch):
+    ctx = _rational_context(name, request)
+    rng = rng_for(f"add-scaled-gcd-{name}")
+    cases = []
+    for _ in range(60):
+        src = [rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng, 2, 2))).raw
+               for _ in range(rng.randrange(6))]
+        acc = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng, 2, 2))).raw
+               for _ in range(len(src) + 2)]
+        c = rng.choice((ctx.one, ctx.random_nonzero(rng, 2, 2))).raw
+        cases.append((acc, c, src))
+    calls = _counted_gcrd(monkeypatch)
+    for acc, c, src in cases:
+        calls.clear()
+        ctx.add_scaled(acc, c, src, rng.randrange(3))
+        assert len(calls) <= sum(1 for b in src if not ctx.is_zero(b))
+
+
+POLY_CONTEXTS = ["gf9", "f4", "gf16", "gf4096", "rational", "cyclotomic"]
+
+
+@pytest.mark.parametrize("name", POLY_CONTEXTS)
+def test_poly_gcrd_equals_the_divmod_euclid(name, request):
+    # F_9[z] and F_4[z] (sigma = id), then skew rings over each backend
+    bases = {"gf9": (3, "a^2 + 1"), "f4": (2, "a^2 + a + 1")}
+    if name in bases:
+        p, modulus = bases[name]
+        ctx = FiniteField(p, 2, modulus, frobenius_power=0)
+    else:
+        ctx = request.getfixturevalue(name)
+    rng = rng_for(f"gcrd-oracle-{name}")
+
+    def poly(deg):
+        return poly_trim(ctx, [ctx.random_element(rng).raw for _ in range(deg + 1)])
+
+    const = (ctx.random_nonzero(rng).raw,)
+    cases = [((), ()), ((), poly(3)), (poly(3), ()), (const, poly(3)), (poly(4), const),
+             (const, ()), ((), const), ((ctx.one_raw,), const)]
+    for _ in range(25):
+        # a planted common right factor h
+        h = poly(rng.randrange(1, 4))
+        f, g = poly_mul(ctx, poly(rng.randrange(5)), h), poly_mul(ctx, poly(rng.randrange(5)), h)
+        cases.append((f, g))
+        got = poly_gcrd(ctx, f, g)
+        if got and h:
+            assert poly_divmod(ctx, got, h)[1] == ()
+    for f, g in cases:
+        assert poly_gcrd(ctx, f, g) == gcrd_by_divmod(ctx, f, g)
+
+
+PROTOCOL_CONTEXTS = ["gf4096", "gf81", "gf125", "gf4096-untabled", "rational", "gf9z",
+                     "cyclotomic"]
 
 
 def _protocol_context(name, request, monkeypatch):
-    # tabled GF(2^12), odd characteristic, untabled GF(2^12), F_q(z), Q(chi)
+    # tabled GF(2^12), odd characteristic, untabled GF(2^12), F_q(z) over
+    # GF(4) and GF(9), Q(chi)
     finite = {"gf4096": (2, 12, GF4096_MODULUS, 10), "gf81": (3, 4, "a^4 + 2a^3 + 2", 1),
               "gf125": (5, 3, "a^3 + 3a + 2", 1)}
     field, _, untabled = name.partition("-")
     if field not in finite:
-        return request.getfixturevalue(name)
+        return _rational_context(name, request)
     if untabled:
         monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 1 << 11)
     p, degree, modulus, e = finite[field]
@@ -389,6 +486,21 @@ def test_operands_must_share_a_field(gf4096, gf16):
 def test_public_names_resolve():
     for name in skewrs.__all__:
         assert getattr(skewrs, name) is not None, name
+
+
+def test_cyclotomic_galois_images_and_unit_inverse_are_canonical(cyclotomic):
+    # an automorphism keeps the coordinates' content, so no image needs
+    # reducing, and the inverse of one is one itself
+    one = cyclotomic.one_raw
+    assert cyclotomic.inv(one) is one
+    rng = rng_for("cyc-galois-canonical")
+    for _ in range(300):
+        coords = tuple(rng.choice((0, 2, 3, 5, 6, 10, 15, 30)) * rng.randint(-9, 9)
+                       for _ in range(cyclotomic.dim))
+        x = cyclotomic._make(coords, rng.choice((1, 2, 3, 6, 30, 60)))
+        for e in range(2, cyclotomic.root_order):
+            v = cyclotomic._conjugate(x, e)
+            assert cyclotomic._make(*v) == v
 
 
 @st.composite

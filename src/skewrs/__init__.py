@@ -16,8 +16,7 @@ from .parsing import ParseError, parse_element, parse_poly
 from .skewpoly import SkewPolynomial, gcrd, lclm, lclm_many, left_divmod
 from .codes import (CodeError, ConfigError, SkewRSCode, build_code,
                     code_from_config, codewords, encode, evaluate,
-                    find_normal_element, full_beta_decomposition_test,
-                    is_normal, min_distance_oracle)
+                    find_normal_element, is_normal, min_distance_oracle)
 from .pgz import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                   DecodeReport, build_syndrome_matrix, decode, error_values,
                   extract_rho, locate_positions, syndromes)
@@ -33,7 +32,7 @@ __all__ = [
     "parse_element", "parse_poly", "ParseError",
     "SkewRSCode", "build_code", "encode", "evaluate", "is_normal",
     "find_normal_element",
-    "full_beta_decomposition_test", "min_distance_oracle", "codewords",
+    "min_distance_oracle", "codewords",
     "code_from_config", "CodeError", "ConfigError",
     "DecodeReport", "decode", "syndromes", "build_syndrome_matrix",
     "extract_rho", "locate_positions", "error_values",

@@ -95,6 +95,8 @@ def simulate(code, trials, weights, seed):
     Each trial draws its own generator seeded from (seed, index), so the
     statistics are independent of execution order.
     """
+    if trials < 0:
+        raise ConfigError(f"trials must be nonnegative, got {trials}")
     stats = TrialStats()
     start = time.perf_counter()
     weights = list(weights)

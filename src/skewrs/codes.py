@@ -11,25 +11,28 @@ errors.
 The twisted norms of the beta-roots telescope:
 N_i(sigma^k(beta)) = sigma^k(alpha)^(-1) * sigma^(k+i)(alpha).  So every
 right evaluation at a beta-root is one sum over the conjugates
-sigma^k(alpha).  The code keeps the conjugates, k < n, with their
-inverses, and a table of them that the field context prepares once and
-sums over on raw values (``ctx.conjugate_table`` and
-``ctx.conjugate_sums``; a tabled finite field sums in the log domain).
-``evaluation_matrix`` reads the evaluation matrix N off it on demand.  A
-code with r > 0 reads the same table from index r, all indices taken
-mod n, so the decoder never branches on r.
+sigma^k(alpha).  The code keeps the raw conjugates, k < n, and two
+tables that the field context prepares once and sums over on raw values
+(``ctx.conjugate_table`` and ``ctx.conjugate_sums``; a tabled finite field
+sums in the log domain): the conjugates with their inverses, and the
+trace-dual conjugates below with unit scales.  ``evaluation_matrix``
+reads the evaluation matrix N off the first table on demand.  A code with
+r > 0 reads the same tables from index r, all indices taken mod n, so the
+decoder never branches on r.
 
-The conjugate matrix C(alpha) = (sigma^(i+j)(alpha)) is nonsingular
+Three linear systems of the decoder are conjugate systems, whose row s
+holds sigma^(s+j)(alpha), j < size, and ``conjugate_matrix`` builds all
+of them.  The conjugate matrix C(alpha) (rows s < n) is nonsingular
 exactly when alpha is normal, and its inverse is C(alpha*) for the
 trace-dual alpha*: Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij (Lidl &
 Niederreiter, Finite Fields, ch. 2).  ``build_code`` solves
-X * C(alpha) = e_0 once for X_i = sigma^i(alpha*) and keeps them as a
-second table, with unit scales, which ``dual_support`` sums over.  The
-generator g = x^d + sum_(k<d) g_k x^k, d = delta-1, vanishes at
-sigma^m(beta) exactly when sum_k g_k * sigma^(m+k)(alpha) =
--sigma^(m+d)(alpha), so it is one d x d Hankel solve, rows m = r..r+d-1,
-nonsingular because the lclm of d beta-roots has degree d (Lam & Leroy,
-J. Algebra 1988).
+X * C(alpha) = e_0 once for X_i = sigma^i(alpha*), the dual table that
+``dual_support`` sums over.  The generator g = x^d + sum_(k<d) g_k x^k,
+d = delta-1, vanishes at sigma^m(beta) exactly when
+sum_k g_k * sigma^(m+k)(alpha) = -sigma^(m+d)(alpha), so it is one d x d
+Hankel solve, rows m = r..r+d-1, nonsingular because the lclm of d
+beta-roots has degree d (Lam & Leroy, J. Algebra 1988).  The error values
+at positions k solve the system with rows r+k (``pgz.error_values``).
 """
 
 from __future__ import annotations
@@ -41,19 +44,18 @@ from .fields import (CyclotomicField, Element, FieldError, FiniteField,
                      RationalFunctions, require_context)
 from .linalg import Matrix, solve_row_system
 # lclm_many is bound here because perfbench/tracing.py times it by this name
-from .skewpoly import SkewPolynomial, left_divmod, lclm_many
+from .skewpoly import SkewPolynomial, lclm_many
 
 
 class CodeError(ValueError):
     pass
 
 
-def conjugate_matrix(ctx, conj, start, size):
-    """size x size matrix with entry (i, j) = conj[(start + i + j) % n] for
-    the n raw conjugates conj = sigma^k(alpha), k < n."""
+def conjugate_matrix(ctx, conj, starts, size):
+    """The matrix with one row per s in starts, holding conj[(s + j) % n]
+    for j < size, over the n raw conjugates conj = sigma^k(alpha), k < n."""
     n = len(conj)
-    return Matrix.from_raw(ctx, [[conj[(start + i + j) % n] for j in range(size)]
-                                 for i in range(size)])
+    return Matrix.from_raw(ctx, [[conj[(s + j) % n] for j in range(size)] for s in starts])
 
 
 def is_normal(ctx, alpha):
@@ -63,7 +65,7 @@ def is_normal(ctx, alpha):
         return False
     n = ctx.order
     conj = [ctx.sigma_raw(alpha.raw, k) for k in range(n)]
-    return conjugate_matrix(ctx, conj, 0, n).rank() == n
+    return conjugate_matrix(ctx, conj, range(n), n).rank() == n
 
 
 def find_normal_element(ctx, rng=None):
@@ -91,14 +93,11 @@ class SkewRSCode:
     g: SkewPolynomial
     t: int
     n: int
-    # the conjugates sigma^k(alpha) for k < n and their inverses
+    # the raw conjugates sigma^k(alpha), k < n
     conj: list
-    conj_inv: list
-    # the same, prepared by ctx.conjugate_table for ctx.conjugate_sums
+    # ctx.conjugate_table of the conjugates with their inverses, and of the
+    # trace-dual conjugates sigma^k(alpha*) with unit scales
     conj_table: object
-    # the trace-dual conjugates sigma^k(alpha*), k < n, and a table of them
-    # with unit scales, prepared the same way
-    dual: list
     dual_table: object
 
     @property
@@ -135,25 +134,24 @@ def build_code(ctx, alpha, r, delta):
         raise CodeError(f"designed distance must be within [2, {n}], got {delta}")
     if r < 0:
         raise CodeError("root offset must be nonnegative")
-    conj = [ctx.sigma(alpha, k) for k in range(n)]
-    raw = [c.raw for c in conj]
+    sigma = ctx.sigma_raw
+    conj = [sigma(alpha.raw, k) for k in range(n)]
     # X * C(alpha) = e_0 is solved by X_i = sigma^i(alpha*) when alpha is normal
     try:
-        dual = solve_row_system(conjugate_matrix(ctx, raw, 0, n),
+        dual = solve_row_system(conjugate_matrix(ctx, conj, range(n), n),
                                 [ctx.one] + [ctx.zero] * (n - 1))
     except ValueError:
         raise CodeError("alpha is not a normal element") from None
-    alpha_inv = alpha.inverse()
-    conj_inv = [ctx.sigma(alpha_inv, k) for k in range(n)]
+    inv = ctx.inv(alpha.raw)
     # the generator's lower coefficients solve the d x d Hankel system
     d = delta - 1
-    low = solve_row_system(conjugate_matrix(ctx, raw, r, d),
-                           [-conj[(r + m + d) % n] for m in range(d)])
+    low = solve_row_system(conjugate_matrix(ctx, conj, range(r, r + d), d),
+                           [Element(ctx, ctx.neg(conj[(m + d) % n])) for m in range(r, r + d)])
     return SkewRSCode(
-        ctx=ctx, alpha=alpha, beta=alpha_inv * conj[1], r=r, delta=delta,
+        ctx=ctx, alpha=alpha, beta=Element(ctx, ctx.mul(inv, conj[1])), r=r, delta=delta,
         g=SkewPolynomial(ctx, low + [ctx.one]), t=(delta - 1) // 2, n=n, conj=conj,
-        conj_inv=conj_inv, conj_table=ctx.conjugate_table(raw, [c.raw for c in conj_inv]),
-        dual=dual, dual_table=ctx.conjugate_table([v.raw for v in dual], [ctx.one_raw] * n))
+        conj_table=ctx.conjugate_table(conj, [sigma(inv, k) for k in range(n)]),
+        dual_table=ctx.conjugate_table([v.raw for v in dual], [ctx.one_raw] * n))
 
 
 def encode(code, message):
@@ -192,24 +190,6 @@ def dual_support(code, f, offset):
         if len(support) == n:
             break
     return sorted(support)
-
-
-def full_beta_decomposition_test(f, code):
-    """Indices k such that f is the lclm of x - sigma^k(beta) over them,
-    or None when f does not decompose into such linear factors.
-
-    f must be monic and right-divide x^n - 1.
-    """
-    ctx, n = code.ctx, code.n
-    if f.is_zero or f.leading != ctx.one:
-        raise CodeError("polynomial must be monic")
-    if f.degree > n:
-        raise CodeError("degree exceeds the code length")
-    xn1 = SkewPolynomial(ctx, [-ctx.one] + [ctx.zero] * (n - 1) + [ctx.one])
-    if not left_divmod(xn1, f)[1].is_zero:
-        raise CodeError("polynomial does not right-divide x^n - 1")
-    support = dual_support(code, f, 0)
-    return set(support) if len(support) == f.degree else None
 
 
 def codewords(code):

@@ -11,7 +11,7 @@ Each backend bundles a field L with a finite-order automorphism sigma:
 All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
-    add(u, v)  sub(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
+    add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
     sigma_raw(u, k)  is_zero(u)  add_scaled(acc, c, src, shift)
     conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
@@ -195,7 +195,7 @@ class Element:
         ctx = self.ctx
         if other.ctx is not ctx:
             _require_same(ctx, other.ctx)
-        return Element(ctx, ctx.sub(self.raw, other.raw))
+        return Element(ctx, ctx.add(self.raw, ctx.neg(other.raw)))
 
     def __neg__(self):
         return Element(self.ctx, self.ctx.neg(self.raw))
@@ -229,7 +229,7 @@ class FieldContext:
 
     A backend supplies ``key``, ``order``, ``zero_raw``, ``one_raw``,
     ``generator_raw``, the raw operations add, neg, mul, inv, sigma_raw and
-    is_zero (plus sub and pow where it has a faster route), and
+    is_zero (plus pow where it has a faster route), and
     ``from_int``, ``random_element`` and ``format``.
     """
 
@@ -241,9 +241,6 @@ class FieldContext:
 
     def element(self, raw):
         return Element(self, raw)
-
-    def sub(self, u, v):
-        return self.add(u, self.neg(v))
 
     def pow(self, u, k):
         if k < 0:
@@ -269,19 +266,14 @@ class FieldContext:
         n; vec holds at most n raw values, lowest degree first."""
         conj, conj_inv = table
         n = len(conj_inv)
-        add, mul, one = self.add, self.mul, self.one_raw
-        # a unit coefficient (a monic locator, its shifts, the x^i behind N)
-        # adds its conjugate as it is: over Q(chi) a product by one is still
-        # a full convolution
-        terms = [(i, None if v == one else v)
-                 for i, v in enumerate(vec) if not self.is_zero(v)]
+        add, mul = self.add, self.mul
+        terms = [(i, v) for i, v in enumerate(vec) if not self.is_zero(v)]
         out = []
         for k in range(offset, offset + count):
             k %= n
             acc = self.zero_raw
             for i, v in terms:
-                c = conj[k + i]
-                acc = add(acc, c if v is None else mul(v, c))
+                acc = add(acc, mul(v, conj[k + i]))
             out.append(mul(acc, conj_inv[k]))
         return out
 
@@ -438,11 +430,6 @@ class FiniteField(FieldContext):
             return u
         p = self.char
         return self._pack([(-x) % p for x in self._digits(u)])
-
-    def sub(self, u, v):
-        if self.char == 2:
-            return u ^ v
-        return self.add(u, self.neg(v))
 
     def _raw_mul(self, u, v):
         # schoolbook product with on-the-fly reduction by the modulus
@@ -781,7 +768,7 @@ class RationalFunctions(FieldContext):
             else:
                 mob.append(int(c))
         a, b, c, d = mob
-        det = base.sub(base.mul(a, d), base.mul(b, c))
+        det = base.add(base.mul(a, d), base.neg(base.mul(b, c)))
         if det == 0:
             raise FieldError("Moebius coefficient matrix is singular")
         self.mobius = (a, b, c, d)

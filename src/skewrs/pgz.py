@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .codes import dual_support, evaluate
+from .codes import conjugate_matrix, dual_support, evaluate
 from .fields import Element, require_context, same_context
 from .linalg import Matrix, solve_row_system
 from .skewpoly import SkewPolynomial, left_divmod
@@ -102,7 +102,7 @@ def build_syndrome_matrix(code, s):
     sigma, mul = ctx.sigma_raw, ctx.mul
     s = [v.raw for v in s]
     return Matrix.from_raw(ctx, [
-        [mul(sigma(s[i + j], -j), code.conj[(r + i) % n].raw) for j in range(t)]
+        [mul(sigma(s[i + j], -j), code.conj[(r + i) % n]) for j in range(t)]
         for i in range(t + 1)])
 
 
@@ -154,10 +154,8 @@ def error_values(code, positions, s):
     nu = len(positions)
     if nu == 0:
         raise ValueError("no positions")
-    m = Matrix.from_raw(ctx, [[conj[(r + k + i) % n].raw for i in range(nu)]
-                              for k in positions])
-    rhs = [conj[(r + i) % n] * s[i] for i in range(nu)]
-    return solve_row_system(m, rhs)
+    rhs = [Element(ctx, conj[(r + i) % n]) * s[i] for i in range(nu)]
+    return solve_row_system(conjugate_matrix(ctx, conj, [r + k for k in positions], nu), rhs)
 
 
 def decode(code, y):

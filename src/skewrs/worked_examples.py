@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .codes import code_from_config, encode, evaluate, evaluation_matrix
+from .codes import (code_from_config, conjugate_matrix, encode, evaluate,
+                    evaluation_matrix)
 from .linalg import Matrix
 from .parsing import parse_element, parse_poly
 from .pgz import (BRANCH_DIRECT, BRANCH_ECHELON, build_syndrome_matrix, decode,
@@ -321,9 +322,8 @@ def _run_example_2():
     positions, branch = locate_positions(code, mu, rho)
     t.compare("branch", branch, BRANCH_ECHELON)
     t.compare("error positions", positions, _EX2["positions"])
-    system = Matrix(ctx, [[code.conj[(k + i) % code.n] for i in range(2)]
-                          for k in positions])
-    t.compare("value system matrix", system, _matrix(ctx, _EX2["value_system"]))
+    t.compare("value system matrix", conjugate_matrix(ctx, code.conj, positions, len(positions)),
+              _matrix(ctx, _EX2["value_system"]))
     values = error_values(code, positions, s)
     t.compare("error values", values, _vector(ctx, _EX2["values"]))
     report = decode(code, y)
@@ -358,6 +358,7 @@ _EX3 = {
     "rho": "x - chi^4",
     "rho_eval": ["-chi^4 + chi^2", "-chi^5 - 2chi^4 - chi^3 - chi^2 - chi - 1",
                  "0", "chi^5 - chi^4", "-chi^4 + chi", "-chi^4 + chi^3"],
+    "branch": BRANCH_DIRECT,
     "positions": [2],
     "values": ["chi"],
 }
@@ -373,30 +374,11 @@ def _run_example_3():
     t.compare("generator up to a left scalar", two * code.g, g_scaled)
     b = parse_element(ctx, "-chi^5 - chi^4 - chi^3 - chi^2 - chi - 1")
     t.compare("evaluation matrix", evaluation_matrix(code), _matrix(ctx, _EX3_N, symbols={"b": b}))
-    err = parse_poly(ctx, _EX3["error"])
-    y_poly = g_scaled + err
-    t.compare("received word", y_poly, parse_poly(ctx, _EX3["received"]))
-    y = y_poly.vector(code.n)
-    s = syndromes(code, y)
-    st = build_syndrome_matrix(code, s)
-    t.compare("syndrome matrix", st, _matrix(ctx, _EX3["syndrome_matrix"]))
-    t.compare("column echelon form", st.rcef(), _matrix(ctx, _EX3["rcef"]))
-    mu, rho = extract_rho(st)
-    t.compare("rank of syndrome matrix", mu, _EX3["mu"])
-    t.compare("locator seed", rho, parse_poly(ctx, _EX3["rho"]))
-    rho_eval = evaluate(code, rho.vector(code.n), code.n, code.r)
-    t.compare("locator evaluation vector", rho_eval,
-              _vector(ctx, _EX3["rho_eval"], symbols={"b": b}))
-    positions, branch = locate_positions(code, mu, rho)
-    t.compare("branch", branch, BRANCH_DIRECT)
-    t.compare("error positions", positions, _EX3["positions"])
-    values = error_values(code, positions, s)
-    t.compare("error values", values, _vector(ctx, _EX3["values"]))
-    report = decode(code, y)
-    t.confirm("decode verification", report.ok, report.failure or "ok")
-    t.compare("recovered error", SkewPolynomial(ctx, report.error), err)
-    t.compare("recovered message", report.message,
-              SkewPolynomial.constant(ctx, ctx.from_int(2)))
+    t.compare("received word", g_scaled + parse_poly(ctx, _EX3["error"]),
+              parse_poly(ctx, _EX3["received"]))
+    # the received word is the codeword 2 * g plus the error
+    report = _scenario_checks(t, ctx, code, g_scaled, _EX3)
+    t.compare("recovered message", report.message, two)
     return t
 
 

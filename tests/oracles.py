@@ -12,12 +12,16 @@ that ``codes.evaluate`` shortcuts through the conjugate table.
 ``sigma_by_ladder`` is sigma on F_q(z) as the definition reads: every
 coefficient's power of the Moebius substitution by its own ladder, then a
 gcd.  ``gcrd_by_divmod`` is Euclid on full left divisions.
+
+``dual_conjugates`` reads the trace-dual conjugates off the inverse of the
+conjugate matrix, which ``codes.build_code`` reaches by one row solve.
 """
 
 import functools
 from fractions import Fraction
 
-from skewrs import Element, SkewPolynomial, left_divmod
+from skewrs import CodeError, Element, SkewPolynomial, left_divmod
+from skewrs.codes import conjugate_matrix, dual_support
 from skewrs.fields import poly_add, poly_divmod, poly_mul, poly_scale, poly_trim, power
 from skewrs.linalg import Matrix
 from skewrs.pgz import BRANCH_DIRECT, BRANCH_ECHELON, LocateFailure
@@ -65,6 +69,34 @@ def from_fraction(ctx, fr):
     with a positive denominator, so the raw value is canonical as built."""
     fr = Fraction(fr)
     return Element(ctx, ((fr.numerator,) + (0,) * (ctx.dim - 1), fr.denominator))
+
+
+def full_beta_decomposition_test(f, code):
+    """Indices k such that f is the lclm of x - sigma^k(beta) over them,
+    or None when f does not decompose into such linear factors.
+
+    f must be monic and right-divide x^n - 1.
+    """
+    ctx, n = code.ctx, code.n
+    if f.is_zero or f.leading != ctx.one:
+        raise CodeError("polynomial must be monic")
+    if f.degree > n:
+        raise CodeError("degree exceeds the code length")
+    xn1 = SkewPolynomial(ctx, [-ctx.one] + [ctx.zero] * (n - 1) + [ctx.one])
+    if not left_divmod(xn1, f)[1].is_zero:
+        raise CodeError("polynomial does not right-divide x^n - 1")
+    support = dual_support(code, f, 0)
+    return set(support) if len(support) == f.degree else None
+
+
+def dual_conjugates(code):
+    """The trace-dual conjugates sigma^k(alpha*), k < n, as Elements: the
+    solution of X * C(alpha) = e_0 is the first row of C(alpha)^(-1), read
+    off the reduced form of [C(alpha) | I]."""
+    ctx, n = code.ctx, code.n
+    c = conjugate_matrix(ctx, code.conj, range(n), n)
+    aug = Matrix.from_raw(ctx, [row + unit for row, unit in zip(c.raw, identity(ctx, n).raw)])
+    return [Element(ctx, v) for v in aug.rref().raw[0][n:]]
 
 
 def zeros(ctx, nrows, ncols):

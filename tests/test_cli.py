@@ -172,6 +172,25 @@ def test_oracle_declines_infinite_field(tmp_path, capsys):
     assert "failures = 0" in out
 
 
+def test_simulate_rejects_negative_trials(workspace, capsys):
+    tmp, bundle = workspace
+    capsys.readouterr()
+    assert main(["simulate", "--code", str(bundle), "--trials", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oracle_rejects_negative_trials_on_infinite_field(tmp_path, capsys):
+    cfg = tmp_path / "rf.cfg"
+    cfg.write_text(EXAMPLE_CONFIGS[2])
+    bundle = tmp_path / "rf.bundle"
+    assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--code", str(bundle), "--trials", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cyclotomic_decode_through_cli(tmp_path, capsys):
     cfg = tmp_path / "cyc.cfg"
     cfg.write_text(EXAMPLE_CONFIGS[3])

@@ -2,13 +2,14 @@ import pytest
 
 from skewrs import (CodeError, ConfigError, FiniteField, SkewPolynomial,
                     build_code, code_from_config, encode, evaluate,
-                    find_normal_element, full_beta_decomposition_test,
-                    is_normal, left_divmod, min_distance_oracle, parse_poly)
+                    find_normal_element, is_normal, left_divmod,
+                    min_distance_oracle, parse_poly)
 from skewrs.codes import conjugate_matrix, evaluation_matrix
 from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
-from oracles import contains, identity, monomial, norm_column, right_eval
+from oracles import (contains, dual_conjugates, full_beta_decomposition_test, identity,
+                     monomial, norm_column, right_eval)
 
 
 def test_zero_is_not_normal(gf4096):
@@ -93,10 +94,10 @@ def test_dual_conjugates_invert_the_conjugate_matrix(sum_codes, name):
     # C(alpha) * C(alpha*) = I: Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij
     code = sum_codes[name]
     ctx, n = code.ctx, code.n
-    conj, dual = ([v.raw for v in vec] for vec in (code.conj, code.dual))
-    assert conjugate_matrix(ctx, conj, 0, n) * conjugate_matrix(ctx, dual, 0, n) == \
-        identity(ctx, n)
-    assert code.dual[1] == ctx.sigma(code.dual[0])
+    dual = dual_conjugates(code)
+    assert conjugate_matrix(ctx, code.conj, range(n), n) * \
+        conjugate_matrix(ctx, [v.raw for v in dual], range(n), n) == identity(ctx, n)
+    assert dual[1] == ctx.sigma(dual[0])
 
 
 def test_build_rejects_a_non_normal_alpha(gf16):
@@ -183,8 +184,9 @@ def test_nonzero_offset_reduces_to_narrow_sense(gf4096):
     code = build_code(gf4096, gf4096.generator, 2, 4)
     assert code.g.degree == 3
     # the one table is the unshifted conjugates of alpha and their inverses
-    assert code.conj == [gf4096.sigma(code.alpha, k) for k in range(code.n)]
-    assert code.conj_inv == [c.inverse() for c in code.conj]
+    assert code.conj == [gf4096.sigma(code.alpha, k).raw for k in range(code.n)]
+    assert code.conj_table == gf4096.conjugate_table(code.conj,
+                                                     [gf4096.inv(c) for c in code.conj])
     assert full_beta_decomposition_test(code.g, code) == {2, 3, 4}
     # read from index r, the table evaluates at the shifted beta-roots:
     # x^i at sigma^(r+j)(beta) is the norm N_i(sigma^(r+j)(beta))
@@ -212,9 +214,9 @@ def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
     code = sum_codes[name]
     ctx, n = code.ctx, code.n
     tables = [(code.conj_table, FieldContext.conjugate_table(
-                  ctx, [c.raw for c in code.conj], [c.raw for c in code.conj_inv])),
+                  ctx, code.conj, [ctx.inv(c) for c in code.conj])),
               (code.dual_table, FieldContext.conjugate_table(
-                  ctx, [v.raw for v in code.dual], [ctx.one_raw] * n))]
+                  ctx, [v.raw for v in dual_conjugates(code)], [ctx.one_raw] * n))]
     rng = rng_for(f"conjugate-sums-{name}")
     # zeros, ones and random values, in words of every length up to n; and
     # 7, whose sums over the Q(chi_7) dual (denominator 7) must be reduced

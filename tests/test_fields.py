@@ -13,7 +13,8 @@ from skewrs import (CyclotomicField, Element, FieldError, FiniteField,
 from skewrs.fields import poly_divmod, poly_gcrd, poly_mul, poly_trim
 
 from conftest import GF4096_MODULUS, rng_for
-from oracles import fixed_field_check, from_fraction, gcrd_by_divmod, sigma_by_ladder
+from oracles import (dual_conjugates, fixed_field_check, from_fraction, gcrd_by_divmod,
+                     sigma_by_ladder)
 
 N_PAIRS = 1000
 
@@ -334,8 +335,10 @@ def test_conjugate_zeros_equal_zero_sums(name, request, monkeypatch):
     rng = rng_for(f"conjugate-zeros-{name}")
     # the shifted conjugates of alpha* summed over alpha's table, and the
     # other way round, vanish at every output but one; the rest are random
+    conj = [ctx.element(c) for c in code.conj]
     words = [(table, [other[(i + j) % n] for i in range(n)])
-             for table, other in ((code.conj_table, code.dual), (code.dual_table, code.conj))
+             for table, other in ((code.conj_table, dual_conjugates(code)),
+                                  (code.dual_table, conj))
              for j in range(n)]
     for _ in range(4):
         vec = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng)))

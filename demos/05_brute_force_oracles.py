@@ -21,7 +21,7 @@ for p, d, modulus, delta in [(2, 4, "a^4 + a + 1", 3),
     dist = min_distance_oracle(code)
     print(f"  exhaustive minimum distance: {dist} "
           f"({'MDS confirmed' if dist == delta else 'NOT MDS'})")
-    mismatches = nearest_codeword_equivalence(code, radius=code.t)
+    mismatches = nearest_codeword_equivalence(code)
     print(f"  decode vs nearest-codeword search: {mismatches} disagreements")
     assert dist == delta and mismatches == 0
 print("all brute-force oracles agree with the algebraic decoder.")

@@ -13,7 +13,7 @@ from .fields import (CyclotomicField, Element, FieldError, FiniteField,
                      RationalFunctions)
 from .linalg import Matrix, solve_row_system
 from .parsing import ParseError, parse_element, parse_poly
-from .skewpoly import SkewPolynomial, gcrd, lclm, lclm_many, left_divmod
+from .skewpoly import SkewPolynomial, lclm, lclm_many, left_divmod
 from .codes import (CodeError, ConfigError, SkewRSCode, build_code,
                     code_from_config, codewords, encode, evaluate,
                     find_normal_element, is_normal, min_distance_oracle)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FiniteField", "RationalFunctions", "CyclotomicField",
     "Element", "FieldError",
-    "SkewPolynomial", "left_divmod", "gcrd", "lclm", "lclm_many",
+    "SkewPolynomial", "left_divmod", "lclm", "lclm_many",
     "Matrix", "solve_row_system",
     "parse_element", "parse_poly", "ParseError",
     "SkewRSCode", "build_code", "encode", "evaluate", "is_normal",

@@ -24,12 +24,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .codes import (CodeError, ConfigError, SkewRSCode, code_from_config,
-                    codewords, encode, min_distance_oracle)
+from .codes import (CodeError, ConfigError, code_from_config, codewords,
+                    encode, min_distance_oracle)
 from .parsing import ParseError, parse_poly
 from .pgz import BRANCH_ECHELON, decode
 from .skewpoly import SkewPolynomial
-from .worked_examples import EXAMPLE_CONFIGS, run_example
+from .worked_examples import run_example
 
 
 @dataclass
@@ -229,6 +229,10 @@ def cmd_paper_example(args):
 
 
 def cmd_oracle(args):
+    for name in ("budget", "trials"):
+        value = getattr(args, name)
+        if value < 0:
+            raise ConfigError(f"{name} must be nonnegative, got {value}")
     ctx, code = load_bundle(args.code)
     if ctx.size is None:
         print("field is infinite: distance enumeration declined,"
@@ -236,11 +240,7 @@ def cmd_oracle(args):
         stats = simulate(code, args.trials, list(range(code.t + 1)), args.seed)
         print(stats.render())
         return 0 if stats.failures == 0 else 1
-    try:
-        dist = min_distance_oracle(code, budget=args.budget)
-    except CodeError as exc:
-        print(f"distance oracle declined: {exc}")
-        return 2
+    dist = min_distance_oracle(code, budget=args.budget)
     print(f"exhaustive minimum distance = {dist} (designed {code.delta})")
     ok = dist == code.delta
     print("MDS check:", "pass" if ok else "FAIL")
@@ -251,16 +251,12 @@ def cmd_oracle(args):
     return 0 if ok else 1
 
 
-def nearest_codeword_equivalence(code, radius=None):
-    """Decode every word within the given radius of a codeword and compare
-    against the ball center; balls are disjoint up to the packing radius so
-    the center is the unique nearest codeword.  Returns the disagreement
-    count."""
+def nearest_codeword_equivalence(code):
+    """Decode every word within the packing radius t of a codeword and
+    compare against the ball center; the balls are disjoint, so the center
+    is the unique nearest codeword.  Returns the disagreement count."""
     import itertools
     ctx = code.ctx
-    radius = code.t if radius is None else radius
-    if radius > code.t:
-        raise CodeError("balls overlap beyond the packing radius")
     ball = {}
     nonzero = [e for e in ctx.elements() if e]
     for cw in codewords(code):
@@ -268,7 +264,7 @@ def nearest_codeword_equivalence(code, radius=None):
         if key in ball:
             raise CodeError("codeword enumeration repeated a word")
         ball[key] = cw
-        for w in range(1, radius + 1):
+        for w in range(1, code.t + 1):
             for positions in itertools.combinations(range(code.n), w):
                 for values in itertools.product(nonzero, repeat=w):
                     noisy = list(cw)

@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import (CyclotomicField, Element, FieldError, FiniteField,
-                     RationalFunctions, require_context)
+                     RationalFunctions, poly_twist, require_context)
 from .linalg import Matrix, solve_row_system
 # lclm_many is bound here because perfbench/tracing.py times it by this name
 from .skewpoly import SkewPolynomial, lclm_many
@@ -174,7 +174,7 @@ def dual_support(code, f, offset):
     ctx, n = code.ctx, code.n
     zero, one, add, mul = ctx.zero_raw, ctx.one_raw, ctx.add, ctx.mul
     mu = len(f.raw) - 1
-    twisted = [[ctx.sigma_raw(c, i) for c in f.raw[:mu]] for i in range(n - mu)]
+    twisted = [poly_twist(ctx, f.raw[:mu], i) for i in range(n - mu)]
     support = set()
     for s in range(mu):
         w = [zero] * n

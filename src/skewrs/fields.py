@@ -12,9 +12,14 @@ All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
     add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
-    sigma_raw(u, k)  is_zero(u)  add_scaled(acc, c, src, shift)
+    sigma_raw(u, k)  add_scaled(acc, c, src, shift)
     conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
+
+with the constants ``zero_raw``, ``one_raw`` and ``generator_raw``, and
+``symbols``, the map from each name the parser knows to its raw value.
+Raw values are canonical (below), so u is zero exactly when
+``u == ctx.zero_raw``.
 
 ``add_scaled`` does acc[shift + j] += c * src[j] in place, skipping zero
 src[j]: it is the one inner loop of polynomial products and divisions and
@@ -98,11 +103,6 @@ def same_context(a, b):
     return a is b or a.key == b.key
 
 
-def _require_same(a, b):
-    if a.key != b.key:
-        raise FieldError("elements belong to different field contexts")
-
-
 def require_context(ctx, items):
     """Raise FieldError unless every item (an Element or a polynomial)
     lives over ctx: code that computes on raw values meets no operator
@@ -183,18 +183,18 @@ class Element:
         return hash(self.raw)
 
     def __bool__(self):
-        return not self.ctx.is_zero(self.raw)
+        return self.raw != self.ctx.zero_raw
 
     def __add__(self, other):
         ctx = self.ctx
         if other.ctx is not ctx:
-            _require_same(ctx, other.ctx)
+            require_context(ctx, (other,))
         return Element(ctx, ctx.add(self.raw, other.raw))
 
     def __sub__(self, other):
         ctx = self.ctx
         if other.ctx is not ctx:
-            _require_same(ctx, other.ctx)
+            require_context(ctx, (other,))
         return Element(ctx, ctx.add(self.raw, ctx.neg(other.raw)))
 
     def __neg__(self):
@@ -203,13 +203,13 @@ class Element:
     def __mul__(self, other):
         ctx = self.ctx
         if other.ctx is not ctx:
-            _require_same(ctx, other.ctx)
+            require_context(ctx, (other,))
         return Element(ctx, ctx.mul(self.raw, other.raw))
 
     def __truediv__(self, other):
         ctx = self.ctx
         if other.ctx is not ctx:
-            _require_same(ctx, other.ctx)
+            require_context(ctx, (other,))
         return Element(ctx, ctx.mul(self.raw, ctx.inv(other.raw)))
 
     def __pow__(self, k):
@@ -228,8 +228,8 @@ class FieldContext:
     """What the backends share on top of the raw protocol.
 
     A backend supplies ``key``, ``order``, ``zero_raw``, ``one_raw``,
-    ``generator_raw``, the raw operations add, neg, mul, inv, sigma_raw and
-    is_zero (plus pow where it has a faster route), and
+    ``generator_raw``, ``symbols``, the raw operations add, neg, mul, inv
+    and sigma_raw (plus pow where it has a faster route), and
     ``from_int``, ``random_element`` and ``format``.
     """
 
@@ -266,12 +266,12 @@ class FieldContext:
         n; vec holds at most n raw values, lowest degree first."""
         conj, conj_inv = table
         n = len(conj_inv)
-        add, mul = self.add, self.mul
-        terms = [(i, v) for i, v in enumerate(vec) if not self.is_zero(v)]
+        zero, add, mul = self.zero_raw, self.add, self.mul
+        terms = [(i, v) for i, v in enumerate(vec) if v != zero]
         out = []
         for k in range(offset, offset + count):
             k %= n
-            acc = self.zero_raw
+            acc = zero
             for i, v in terms:
                 acc = add(acc, mul(v, conj[k + i]))
             out.append(mul(acc, conj_inv[k]))
@@ -279,7 +279,8 @@ class FieldContext:
 
     def conjugate_zeros(self, table, vec, count, offset):
         """For the same k, whether each ``conjugate_sums`` output is zero."""
-        return [self.is_zero(v) for v in self.conjugate_sums(table, vec, count, offset)]
+        zero = self.zero_raw
+        return [v == zero for v in self.conjugate_sums(table, vec, count, offset)]
 
     def sigma(self, x, k=1):
         """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
@@ -364,8 +365,6 @@ class FiniteField(FieldContext):
     symbol itself has value p.
     """
 
-    kind = "finite-field"
-
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
         if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
             raise FieldError(f"characteristic {p} is not prime")
@@ -402,6 +401,7 @@ class FiniteField(FieldContext):
         self.zero_raw = 0
         self.one_raw = 1
         self.generator_raw = p if degree > 1 else 1 % p
+        self.symbols = {generator: self.generator_raw}
 
     # -- packed-int helpers ------------------------------------------------
 
@@ -467,19 +467,9 @@ class FiniteField(FieldContext):
         if d == 1:
             return True
         # the symbol a packs to p
-        if self._raw_pow_frob(p, d) != p:
+        if power(self._raw_mul, 1, p, p ** d) != p:
             return False
-        for ell in _factorize(d):
-            xe = self._raw_pow_frob(p, d // ell)
-            if xe == p:
-                return False
-        return True
-
-    def _raw_pow_frob(self, u, k):
-        # u^(p^k) by repeated p-th powering
-        for _ in range(k):
-            u = power(self._raw_mul, 1, u, self.char)
-        return u
+        return all(power(self._raw_mul, 1, p, p ** (d // ell)) != p for ell in _factorize(d))
 
     def _element_order(self, u):
         n = self.size - 1
@@ -528,9 +518,6 @@ class FiniteField(FieldContext):
 
     # -- raw protocol (the rational-function backend calls it on its base) --
 
-    def is_zero(self, u):
-        return u == 0
-
     def mul(self, u, v):
         if u == 0 or v == 0:
             return 0
@@ -556,7 +543,7 @@ class FiniteField(FieldContext):
             return u
         if self._exp is not None:
             return self._exp[(self._log[u] * self._sigma_mult[k]) % (self.size - 1)]
-        return self._raw_pow_frob(u, (self.frobenius_power * k) % self.degree)
+        return power(self._raw_mul, 1, u, self.char ** ((self.frobenius_power * k) % self.degree))
 
     def add_scaled(self, acc, c, src, shift):
         if self._exp is None or c == 0 or self.char != 2:
@@ -634,8 +621,9 @@ def poly_trim(ctx, c):
     return tuple(c[:n])
 
 
-def _twist(ctx, f, k):
-    # x^k * c = sigma^k(c) * x^k; sigma^k is the identity when order | k
+def poly_twist(ctx, f, k):
+    """sigma^k applied to every coefficient of f, as x^k * c = sigma^k(c) *
+    x^k needs; f itself when sigma^k is the identity."""
     if k % ctx.order == 0:
         return f
     sigma, zero = ctx.sigma_raw, ctx.zero_raw
@@ -676,7 +664,7 @@ def poly_mul(ctx, f, g):
     twisted = ctx.order > 1
     for i, a in enumerate(f):
         if a != zero:
-            add_scaled(out, a, _twist(ctx, g, i) if twisted else g, i)
+            add_scaled(out, a, poly_twist(ctx, g, i) if twisted else g, i)
     return poly_trim(ctx, out)
 
 
@@ -696,7 +684,7 @@ def _left_reduce(ctx, rem, g, q=None):
     for k in range(len(rem) - 1 - dg, -1, -1):
         c = rem[k + dg]
         if c != zero:
-            lk = _twist(ctx, low, k) if twisted else low
+            lk = poly_twist(ctx, low, k) if twisted else low
             qk = mul(c, inv_lead if lk is low else ctx.sigma_raw(inv_lead, k))
             if q is not None:
                 q[k] = qk
@@ -749,8 +737,6 @@ class RationalFunctions(FieldContext):
     and only make the denominator monic.
     """
 
-    kind = "rational-function"
-
     def __init__(self, base: FiniteField, mobius, variable="z"):
         if base.order != 1:
             raise FieldError("the base of F_q(z) needs sigma = id (frobenius_power=0)")
@@ -787,6 +773,8 @@ class RationalFunctions(FieldContext):
         self.zero_raw = ((), (1,))
         self.one_raw = _RF_ONE
         self.generator_raw = ((0, 1), (1,))
+        self.symbols = {variable: self.generator_raw,
+                        **{name: self.from_base(v).raw for name, v in base.symbols.items()}}
 
     def _mat_mul(self, m1, m2):
         a, b, c, d = m1
@@ -817,9 +805,6 @@ class RationalFunctions(FieldContext):
         return poly_scale(base, num, inv), poly_scale(base, den, inv)
 
     # -- raw protocol ----------------------------------------------------------
-
-    def is_zero(self, u):
-        return not u[0]
 
     def add(self, u, v):
         # the other operand of a zero is canonical already: no gcd needed
@@ -918,17 +903,15 @@ class RationalFunctions(FieldContext):
         return poly_scale(base, num, inv), poly_scale(base, den, inv)
 
     def _over_one_denominator(self, fracs):
-        # the numerators over the product of the distinct denominators, and
-        # that product: no gcd
+        # the numerators over the product D of the distinct denominators,
+        # each times D/d by one exact division per denominator, and D: no gcd
         base = self.base
-        dens = list(dict.fromkeys(d for _, d in fracs))
-        nums = []
-        for num, d in fracs:
-            for e in dens:
-                if e != d:
-                    num = poly_mul(base, num, e)
-            nums.append(num)
-        return nums, functools.reduce(functools.partial(poly_mul, base), dens, (1,))
+        mul = functools.partial(poly_mul, base)
+        cofactors = dict.fromkeys(d for _, d in fracs)
+        den = functools.reduce(mul, cofactors, (1,))
+        for d in cofactors:
+            cofactors[d] = poly_divmod(base, den, d)[0]
+        return [mul(num, cofactors[d]) for num, d in fracs], den
 
     def conjugate_table(self, conj, conj_inv):
         # the conjugates' numerators over one shared denominator D, twice
@@ -1026,8 +1009,6 @@ class CyclotomicField(FieldContext):
     inverse of one.
     """
 
-    kind = "cyclotomic"
-
     def __init__(self, order, exponent, symbol="chi"):
         m = order
         if m < 3 or any(m % d == 0 for d in range(2, int(m ** 0.5) + 1)):
@@ -1051,6 +1032,7 @@ class CyclotomicField(FieldContext):
         self.zero_raw = ((0,) * self.dim, 1)
         self.one_raw = ((1,) + (0,) * (self.dim - 1), 1)
         self.generator_raw = ((0, 1) + (0,) * (self.dim - 2), 1)
+        self.symbols = {symbol: self.generator_raw}
 
     def _make(self, num, den):
         if den == 0:
@@ -1074,9 +1056,6 @@ class CyclotomicField(FieldContext):
         return tuple(full[i] - top for i in range(self.dim))
 
     # -- raw protocol ----------------------------------------------------------
-
-    def is_zero(self, u):
-        return not any(u[0])
 
     def add(self, u, v):
         (xn, d1), (yn, d2) = u, v
@@ -1154,7 +1133,7 @@ class CyclotomicField(FieldContext):
         return out
 
     def inv(self, u):
-        if self.is_zero(u):
+        if u == self.zero_raw:
             raise ZeroDivisionError("inverse of zero")
         if u == self.one_raw:
             return u

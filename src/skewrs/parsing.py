@@ -1,8 +1,8 @@
 """Recursive-descent parser for field elements and skew polynomials.
 
 One grammar covers every backend.  Expressions are evaluated over the skew
-polynomial ring, with the named field generators plus the polynomial
-variable ``x`` as the available symbols:
+polynomial ring, with the names in the context's ``symbols`` plus the
+polynomial variable ``x`` as the available symbols:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary | unary)*      adjacency multiplies
@@ -204,17 +204,9 @@ class _Parser:
 
 
 def _symbol_table(ctx):
-    table = {"x": SkewPolynomial.variable(ctx)}
-    kind = getattr(ctx, "kind", None)
-    const = lambda e: SkewPolynomial.constant(ctx, e)
-    if kind == "finite-field":
-        table[ctx.generator_symbol] = const(ctx.generator)
-    elif kind == "rational-function":
-        table[ctx.variable] = const(ctx.generator)
-        table[ctx.base.generator_symbol] = const(ctx.from_base(ctx.base.generator))
-    elif kind == "cyclotomic":
-        table[ctx.symbol] = const(ctx.generator)
-    return table
+    # the context's own symbols take precedence over x
+    const = lambda v: SkewPolynomial.constant(ctx, ctx.element(v))
+    return {"x": SkewPolynomial.variable(ctx), **{k: const(v) for k, v in ctx.symbols.items()}}
 
 
 def parse_poly(ctx, text):

@@ -7,16 +7,16 @@ g = q*f + rem with deg rem < deg f, so f right-divides g exactly when the
 remainder vanishes.
 
 A polynomial stores the raw values of its coefficients in ``raw``;
-``coeffs`` wraps them as Elements.  Sums, products, scaling, left division
-and gcrd are the sigma-twisted kernels of ``fields`` on ``raw``, the same
+``coeffs`` wraps them as Elements.  Sums, products, scaling and left
+division are the sigma-twisted kernels of ``fields`` on ``raw``, the same
 ones that compute F_q[z] inside F_q(z).
 """
 
 from __future__ import annotations
 
-from .fields import (Element, join_terms, poly_add, poly_divmod, poly_gcrd,
-                     poly_mul, poly_neg, poly_scale, poly_trim, power,
-                     same_context)
+from .fields import (Element, join_terms, poly_add, poly_divmod, poly_mul,
+                     poly_neg, poly_scale, poly_trim, poly_twist, power,
+                     require_context, same_context)
 
 
 class SkewPolynomial:
@@ -25,8 +25,7 @@ class SkewPolynomial:
 
     def __init__(self, ctx, coeffs=()):
         coeffs = tuple(coeffs)
-        if not all(same_context(c.ctx, ctx) for c in coeffs):
-            raise ValueError("coefficients live over a different field context")
+        require_context(ctx, coeffs)
         self.ctx = ctx
         self.raw = poly_trim(ctx, [c.raw for c in coeffs])
 
@@ -75,11 +74,6 @@ class SkewPolynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return Element(self.ctx, self.raw[-1])
 
-    def coeff(self, i):
-        if 0 <= i < len(self.raw):
-            return Element(self.ctx, self.raw[i])
-        return self.ctx.zero
-
     def vector(self, n):
         """Coefficient vector of length n (degree must be < n)."""
         if self.degree >= n:
@@ -100,7 +94,8 @@ class SkewPolynomial:
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
+        if other.ctx is not self.ctx:
+            require_context(self.ctx, (other,))
         return self._of_raw(self.ctx, poly_add(self.ctx, self.raw, other.raw))
 
     def __sub__(self, other):
@@ -110,7 +105,8 @@ class SkewPolynomial:
         return self._of_raw(self.ctx, poly_neg(self.ctx, self.raw))
 
     def __mul__(self, other):
-        self._check(other)
+        if other.ctx is not self.ctx:
+            require_context(self.ctx, (other,))
         return self._of_raw(self.ctx, poly_mul(self.ctx, self.raw, other.raw))
 
     def __pow__(self, k):
@@ -122,17 +118,14 @@ class SkewPolynomial:
 
     def scale_left(self, c):
         """c * f for a field constant c."""
-        self._check(c)
+        if c.ctx is not self.ctx:
+            require_context(self.ctx, (c,))
         return self._of_raw(self.ctx, poly_scale(self.ctx, self.raw, c.raw))
 
     def monic(self):
         if self.is_zero:
             return self
         return self.scale_left(self.leading.inverse())
-
-    def _check(self, other):
-        if not same_context(self.ctx, other.ctx):
-            raise ValueError("operands live over different field contexts")
 
     def __repr__(self):
         fmt = self.ctx.format
@@ -143,17 +136,10 @@ class SkewPolynomial:
 
 def left_divmod(g, f):
     """Quotient and remainder of the left division g = q*f + rem."""
-    g._check(f)
+    if f.ctx is not g.ctx:
+        require_context(g.ctx, (f,))
     q, rem = poly_divmod(g.ctx, g.raw, f.raw)
     return SkewPolynomial._of_raw(g.ctx, q), SkewPolynomial._of_raw(g.ctx, rem)
-
-
-def gcrd(f, g):
-    """Greatest common right divisor, monic."""
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcrd(0, 0) is undefined")
-    f._check(g)
-    return SkewPolynomial._of_raw(f.ctx, poly_gcrd(f.ctx, f.raw, g.raw))
 
 
 def lclm(f, g):
@@ -189,9 +175,9 @@ def twisted_shift_rows(f, n):
     m = f.degree
     if m < 0 or m > n:
         raise ValueError("polynomial does not fit")
-    zero, zero_raw, sigma = ctx.zero, ctx.zero_raw, ctx.sigma_raw
+    zero = ctx.zero
     rows = []
     for i in range(n - m):
-        shifted = [Element(ctx, c if c == zero_raw else sigma(c, i)) for c in f.raw]
+        shifted = [Element(ctx, c) for c in poly_twist(ctx, f.raw, i)]
         rows.append([zero] * i + shifted + [zero] * (n - m - 1 - i))
     return rows

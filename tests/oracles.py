@@ -11,7 +11,8 @@ that ``codes.evaluate`` shortcuts through the conjugate table.
 
 ``sigma_by_ladder`` is sigma on F_q(z) as the definition reads: every
 coefficient's power of the Moebius substitution by its own ladder, then a
-gcd.  ``gcrd_by_divmod`` is Euclid on full left divisions.
+gcd.  ``gcrd_by_divmod`` is Euclid on full left divisions; ``gcrd`` is
+the kernel's Euclid on polynomials.
 
 ``dual_conjugates`` reads the trace-dual conjugates off the inverse of the
 conjugate matrix, which ``codes.build_code`` reaches by one row solve.
@@ -22,7 +23,8 @@ from fractions import Fraction
 
 from skewrs import CodeError, Element, SkewPolynomial, left_divmod
 from skewrs.codes import conjugate_matrix, dual_support
-from skewrs.fields import poly_add, poly_divmod, poly_mul, poly_scale, poly_trim, power
+from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
+                           power, require_context)
 from skewrs.linalg import Matrix
 from skewrs.pgz import BRANCH_DIRECT, BRANCH_ECHELON, LocateFailure
 from skewrs.skewpoly import twisted_shift_rows
@@ -47,6 +49,19 @@ def right_eval(f, gamma):
     """
     norms = norm_column(gamma, len(f.raw))
     return sum((fi * ni for fi, ni in zip(f.coeffs, norms) if fi), f.ctx.zero)
+
+
+def coeff(f, i):
+    """The coefficient of x^i in f; zero above its degree."""
+    return Element(f.ctx, f.raw[i]) if 0 <= i < len(f.raw) else f.ctx.zero
+
+
+def gcrd(f, g):
+    """Greatest common right divisor, monic."""
+    if f.is_zero and g.is_zero:
+        raise ValueError("gcrd(0, 0) is undefined")
+    require_context(f.ctx, (g,))
+    return SkewPolynomial(f.ctx, [Element(f.ctx, v) for v in poly_gcrd(f.ctx, f.raw, g.raw)])
 
 
 def contains(code, f):
@@ -158,7 +173,7 @@ def locate_by_rref(code, mu, rho):
     def evaluate_row(raw):
         return ctx.conjugate_sums(code.conj_table, raw, n, code.r)
 
-    zeros = [j for j, v in enumerate(evaluate_row(rho.raw)) if ctx.is_zero(v)]
+    zeros = [j for j, v in enumerate(evaluate_row(rho.raw)) if v == ctx.zero_raw]
     if len(zeros) == mu:
         return zeros, BRANCH_DIRECT
     kept, _ = shift_echelon(rho, n, evaluate_row)

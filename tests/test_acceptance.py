@@ -2,20 +2,16 @@
 pass/fail line.  Every comparison is exact; the only tolerances anywhere
 are wall-clock budgets."""
 
-import itertools
 import time
 
-import pytest
-
-from skewrs import (FiniteField, Matrix, SkewPolynomial, build_code,
-                    build_syndrome_matrix, decode, encode, extract_rho,
-                    find_normal_element, gcrd, lclm, lclm_many, left_divmod,
-                    min_distance_oracle, parse_element, parse_poly,
-                    run_example, syndromes)
+from skewrs import (FiniteField, SkewPolynomial, build_code,
+                    find_normal_element, lclm, lclm_many,
+                    min_distance_oracle, run_example)
 from skewrs.cli import nearest_codeword_equivalence, simulate
 from skewrs.codes import evaluation_matrix
 
 from conftest import rng_for, random_nonzero_poly
+from oracles import gcrd
 
 
 def report(criterion, ok, detail):
@@ -102,7 +98,7 @@ def test_criterion_6_exhaustive_minimum_distance():
 def test_criterion_7_nearest_codeword_equivalence():
     gf16 = FiniteField(2, 4, "a^4 + a + 1")
     code = build_code(gf16, find_normal_element(gf16), 0, 3)
-    mismatches = nearest_codeword_equivalence(code, radius=1)
+    mismatches = nearest_codeword_equivalence(code)
     n_words = gf16.size ** code.dimension * (1 + code.n * (gf16.size - 1))
     report("criterion 7 (decode == nearest codeword on radius-1 balls)",
            mismatches == 0, f"{n_words} words checked, {mismatches} disagreements")

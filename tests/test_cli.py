@@ -191,6 +191,28 @@ def test_oracle_rejects_negative_trials_on_infinite_field(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["--budget", "-1"], ["--budget", "10"], ["--trials", "-5"]],
+                         ids=["negative-budget", "budget-below-count", "negative-trials"])
+def test_oracle_refusals_on_a_finite_field_are_one_error_line(tmp_path, capsys, argv):
+    # GF(16), n = 4, delta = 3: 256 codewords, more than a budget of 10
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("""
+field.kind = finite-field
+field.p = 2
+field.degree = 4
+field.modulus = a^4 + a + 1
+sigma.frobenius_power = 1
+alpha = a^3
+delta = 3
+""")
+    bundle = tmp_path / "small.bundle"
+    assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--code", str(bundle)] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_cyclotomic_decode_through_cli(tmp_path, capsys):
     cfg = tmp_path / "cyc.cfg"
     cfg.write_text(EXAMPLE_CONFIGS[3])

@@ -253,7 +253,7 @@ def test_rational_add_scaled_reduces_once_per_entry(name, request, monkeypatch):
     for acc, c, src in cases:
         calls.clear()
         ctx.add_scaled(acc, c, src, rng.randrange(3))
-        assert len(calls) <= sum(1 for b in src if not ctx.is_zero(b))
+        assert len(calls) <= sum(1 for b in src if b != ctx.zero_raw)
 
 
 POLY_CONTEXTS = ["gf9", "f4", "gf16", "gf4096", "rational", "cyclotomic"]
@@ -350,12 +350,39 @@ def test_conjugate_zeros_equal_zero_sums(name, request, monkeypatch):
         raw, scaled = [v.raw for v in vec], [(c * v).raw for v in vec]
         for offset in range(2 * n):
             for count in range(n + 1):
-                expected = [ctx.is_zero(v)
+                expected = [v == ctx.zero_raw
                             for v in ctx.conjugate_sums(table, raw, count, offset)]
                 assert ctx.conjugate_zeros(table, raw, count, offset) == expected
                 assert ctx.conjugate_zeros(table, scaled, count, offset) == expected
                 zeros_seen += sum(expected)
     assert zeros_seen
+
+
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic", "gf9z", "gf2^20"])
+def test_every_route_to_zero_gives_the_canonical_zero(name, request):
+    # zero tests compare raw values with zero_raw, which is sound only if
+    # every way of producing zero produces exactly that value
+    if name == "gf2^20":
+        ctx = FiniteField(2, 20, "a^20 + a^3 + 1", frobenius_power=1)
+        assert ctx._exp is None
+    else:
+        ctx = _rational_context(name, request)
+    zero = ctx.zero_raw
+    conj = [ctx.sigma_raw(ctx.generator_raw, k) for k in range(ctx.order)]
+    table = ctx.conjugate_table(conj, [ctx.inv(c) for c in conj])
+    assert ctx.neg(zero) == zero and (-ctx.zero).raw == zero
+    assert all(ctx.sigma_raw(zero, k) == zero for k in range(-1, ctx.order + 1))
+    rng = rng_for(f"canonical-zero-{name}")
+    for _ in range(10):
+        x, c = ctx.random_nonzero(rng), ctx.random_nonzero(rng).raw
+        assert (x - x).raw == zero
+        assert (ctx.zero * x).raw == zero and (x * ctx.zero).raw == zero
+        acc = [ctx.neg(ctx.mul(c, x.raw))]
+        ctx.add_scaled(acc, c, [x.raw], 0)
+        assert acc == [zero]
+        # x*c_1 * c_0 - x*c_0 * c_1 at output k = 0
+        vec = [ctx.mul(x.raw, conj[1]), ctx.neg(ctx.mul(x.raw, conj[0]))]
+        assert ctx.conjugate_sums(table, vec, 1, 0) == [zero]
 
 
 def test_nonmonic_denominator_text_canonicalizes(rational):
@@ -458,7 +485,7 @@ def test_one_element_class_over_raw_values(all_contexts):
         assert type(x) is Element and type(ctx.zero) is Element
         assert ctx.element(x.raw) == x
         assert (x * x).raw == ctx.mul(x.raw, x.raw)
-        assert ctx.is_zero(ctx.zero.raw) and not ctx.is_zero(x.raw)
+        assert ctx.zero.raw == ctx.zero_raw and x.raw != ctx.zero_raw
 
 
 @pytest.mark.parametrize("make", [

@@ -4,9 +4,9 @@ from skewrs import fields
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     FieldError, FiniteField, Matrix, SkewPolynomial,
                     build_code, build_syndrome_matrix, decode, encode,
-                    evaluate, extract_rho, find_normal_element, left_divmod,
+                    evaluate, find_normal_element, left_divmod,
                     locate_positions, parse_poly, solve_row_system, syndromes)
-from skewrs.cli import nearest_codeword_equivalence, run_trial, simulate
+from skewrs.cli import nearest_codeword_equivalence, simulate
 
 from conftest import GF4096_MODULUS, rng_for, random_poly
 from oracles import contains, identity, norm_column, right_eval

@@ -2,10 +2,10 @@ import itertools
 
 import pytest
 
-from skewrs import SkewPolynomial, gcrd, lclm, lclm_many, left_divmod, parse_poly
+from skewrs import SkewPolynomial, lclm, lclm_many, left_divmod, parse_poly
 
 from conftest import rng_for, random_poly, random_nonzero_poly
-from oracles import monomial, norm_column, right_eval
+from oracles import gcrd, monomial, norm_column, right_eval
 
 
 def linear_factor(ctx, gamma):

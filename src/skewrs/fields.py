@@ -93,6 +93,13 @@ from fractions import Fraction
 
 _TABLE_LIMIT = 1 << 16
 
+# exp/log tables and the modulus root's primitivity by (p, d, modulus),
+# least recently used first: they depend on the modulus alone, so every
+# field on a modulus, whatever its sigma, takes them from here and only the
+# first one walks.  The few most recent stay, outliving their fields.
+_shared_tables = {}
+_SHARED_TABLE_COUNT = 4
+
 
 class FieldError(ValueError):
     pass
@@ -363,6 +370,11 @@ class FiniteField(FieldContext):
     coefficient list or as text in the generator symbol.  Raw values pack
     the coefficient vector in base p, so the residue class of the
     symbol itself has value p.
+
+    A field of size up to 2^16 takes its exp/log tables from those of the
+    few most recently built moduli, shared process-wide whatever sigma is,
+    and walks them only on a miss; the shared tables outlive the field.
+    Its sigma multipliers are its own.
     """
 
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
@@ -396,7 +408,15 @@ class FiniteField(FieldContext):
         self._sigma_mult = None
         self.generator_primitive = False
         if self.size <= _TABLE_LIMIT:
-            self._build_tables()
+            key = (p, degree, self.modulus)
+            tables = _shared_tables.pop(key, None) or self._walk_tables()
+            _shared_tables[key] = tables
+            for stale in list(_shared_tables)[:-_SHARED_TABLE_COUNT]:
+                _shared_tables.pop(stale, None)
+            self._exp, self._log, self.generator_primitive = tables
+            # sigma^k multiplies discrete logs by p^(e*k mod d)
+            self._sigma_mult = [pow(p, (self.frobenius_power * k) % degree, self.size - 1)
+                                for k in range(self.order)]
         self.key = ("ff", p, degree, self.modulus, self.frobenius_power)
         self.zero_raw = 0
         self.one_raw = 1
@@ -479,7 +499,8 @@ class FiniteField(FieldContext):
                 order //= q
         return order
 
-    def _build_tables(self):
+    def _walk_tables(self):
+        # (exp, log, generator_primitive), shared by every field on the modulus
         q, p, d = self.size, self.char, self.degree
         exp = [0] * (2 * (q - 1))
         log = [0] * q
@@ -498,11 +519,11 @@ class FiniteField(FieldContext):
                     v ^= fold
             # a of order m < q - 1 comes back to 1 at step m, so the walk
             # leaves log[1] > 0 exactly when a is not primitive
-            self.generator_primitive = log[1] == 0
+            primitive = log[1] == 0
         else:
-            self.generator_primitive = self._element_order(gen_val) == q - 1
-        if not (walked and self.generator_primitive):
-            prim = gen_val if self.generator_primitive else next(
+            primitive = self._element_order(gen_val) == q - 1
+        if not (walked and primitive):
+            prim = gen_val if primitive else next(
                 c for c in range(2, q) if self._element_order(c) == q - 1)
             acc = 1
             for i in range(q - 1):
@@ -510,11 +531,7 @@ class FiniteField(FieldContext):
                 log[acc] = i
                 acc = self._raw_mul(acc, prim)
         exp[q - 1:] = exp[:q - 1]
-        self._exp = exp
-        self._log = log
-        # sigma^k multiplies discrete logs by p^(e*k mod d)
-        self._sigma_mult = [pow(self.char, (self.frobenius_power * k) % self.degree, q - 1)
-                            for k in range(self.order)]
+        return exp, log, primitive
 
     # -- raw protocol (the rational-function backend calls it on its base) --
 

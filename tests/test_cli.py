@@ -1,4 +1,5 @@
 import pathlib
+import time
 
 import pytest
 
@@ -158,6 +159,30 @@ delta = 3
     out = capsys.readouterr().out
     assert "minimum distance = 3" in out
     assert "0 disagreements" in out
+
+
+def test_oracle_budget_bounds_the_radius_t_balls(tmp_path, capsys):
+    # GF(32), n = 5, delta = 5: 32 codewords, within the budget, but their
+    # radius-2 balls hold 32 * (1 + 5*31 + 10*31^2) words, far beyond it
+    cfg = tmp_path / "g32.cfg"
+    cfg.write_text("""
+field.kind = finite-field
+field.p = 2
+field.degree = 5
+field.modulus = a^5 + a^2 + 1
+sigma.frobenius_power = 1
+alpha = a^13
+delta = 5
+""")
+    bundle = tmp_path / "g32.bundle"
+    assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["oracle", "--code", str(bundle), "--budget", "5000"]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "minimum distance = 5" in out
+    assert "nearest-codeword equivalence skipped: 312512 words exceed budget 5000" in out
 
 
 def test_oracle_declines_infinite_field(tmp_path, capsys):

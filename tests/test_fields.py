@@ -468,6 +468,58 @@ def test_gf65536_tables_follow_the_modulus_root():
         assert F._log[exp[i]] == i
 
 
+def test_fields_on_one_modulus_share_tables_but_not_sigma():
+    F1 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=1)
+    F10 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    assert F1._exp is F10._exp and F1._log is F10._log
+    assert F1._sigma_mult != F10._sigma_mult
+    for F in (F1, F10):
+        assert (F._exp, F._log, F.generator_primitive, F._sigma_mult) == _reference_tables(F)
+
+
+@pytest.mark.parametrize("tabled_first", [True, False], ids=["tabled-first", "untabled-first"])
+def test_the_table_limit_is_checked_before_the_shared_tables(monkeypatch, tabled_first):
+    def build(tabled):
+        with monkeypatch.context() as m:
+            if not tabled:
+                m.setattr(skewrs.fields, "_TABLE_LIMIT", 1 << 11)
+            return FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+
+    first = build(tabled_first)
+    second = build(not tabled_first)
+    tabled, untabled = (first, second) if tabled_first else (second, first)
+    assert tabled._exp is not None and tabled._sigma_mult is not None
+    assert untabled._exp is None and untabled._log is None and untabled._sigma_mult is None
+    assert not untabled.generator_primitive
+
+
+@pytest.mark.parametrize("p, d, modulus", [
+    (2, 12, GF4096_MODULUS),             # shift-and-reduce walk
+    (2, 8, "a^8 + a^4 + a^3 + a + 1"),   # non-primitive root: general walk
+    (5, 3, "a^3 + a + 1"),               # odd p, non-primitive root
+])
+def test_a_cold_walk_equals_the_shared_tables(monkeypatch, p, d, modulus):
+    shared = FiniteField(p, d, modulus)
+    monkeypatch.setattr(skewrs.fields, "_shared_tables", {})
+    cold = FiniteField(p, d, modulus)
+    assert cold._exp is not shared._exp
+    assert (cold._exp, cold._log, cold.generator_primitive) == \
+           (shared._exp, shared._log, shared.generator_primitive)
+
+
+def test_shared_tables_keep_the_four_most_recently_built_moduli(monkeypatch):
+    monkeypatch.setattr(skewrs.fields, "_shared_tables", {})
+    moduli = [(2, 4, "a^4 + a + 1"), (2, 4, "a^4 + a^3 + 1"), (2, 4, "a^4 + a^3 + a^2 + a + 1"),
+              (2, 3, "a^3 + a + 1"), (2, 3, "a^3 + a^2 + 1")]
+    fields = [FiniteField(*m) for m in moduli]
+    keys = [(F.char, F.degree, F.modulus) for F in fields]
+    assert list(skewrs.fields._shared_tables) == keys[1:]
+    # building one again makes it the most recent, so the least recent goes
+    assert FiniteField(*moduli[2])._exp is fields[2]._exp
+    assert FiniteField(*moduli[0])._exp is not fields[0]._exp
+    assert list(skewrs.fields._shared_tables) == [keys[3], keys[4], keys[2], keys[0]]
+
+
 def test_singular_mobius_rejected(rational):
     with pytest.raises(FieldError):
         RationalFunctions(rational.base, ("1", "a", "a^2", "a^3"))

@@ -93,10 +93,9 @@ from fractions import Fraction
 
 _TABLE_LIMIT = 1 << 16
 
-# exp/log tables and the modulus root's primitivity by (p, d, modulus),
-# least recently used first: they depend on the modulus alone, so every
-# field on a modulus, whatever its sigma, takes them from here and only the
-# first one walks.  The few most recent stay, outliving their fields.
+# exp/log tables and the modulus root's primitivity by (p, d, modulus), least
+# recently used first (see FiniteField).  No field writes to them, and two
+# builds racing on a miss at worst walk twice.
 _shared_tables = {}
 _SHARED_TABLE_COUNT = 4
 
@@ -372,7 +371,7 @@ class FiniteField(FieldContext):
     symbol itself has value p.
 
     A field of size up to 2^16 takes its exp/log tables from those of the
-    few most recently built moduli, shared process-wide whatever sigma is,
+    few most recently used moduli, shared process-wide whatever sigma is,
     and walks them only on a miss; the shared tables outlive the field.
     Its sigma multipliers are its own.
     """

@@ -507,7 +507,7 @@ def test_a_cold_walk_equals_the_shared_tables(monkeypatch, p, d, modulus):
            (shared._exp, shared._log, shared.generator_primitive)
 
 
-def test_shared_tables_keep_the_four_most_recently_built_moduli(monkeypatch):
+def test_shared_tables_keep_the_four_most_recently_used_moduli(monkeypatch):
     monkeypatch.setattr(skewrs.fields, "_shared_tables", {})
     moduli = [(2, 4, "a^4 + a + 1"), (2, 4, "a^4 + a^3 + 1"), (2, 4, "a^4 + a^3 + a^2 + a + 1"),
               (2, 3, "a^3 + a + 1"), (2, 3, "a^3 + a^2 + 1")]

@@ -40,8 +40,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .fields import (CyclotomicField, Element, FieldError, FiniteField,
-                     RationalFunctions, poly_twist, require_context)
+from .fields import (CyclotomicField, Element, FiniteField, RationalFunctions,
+                     poly_twist, require_context)
 from .linalg import Matrix, solve_row_system
 # lclm_many is bound here because perfbench/tracing.py times it by this name
 from .skewpoly import SkewPolynomial, lclm_many
@@ -249,41 +249,36 @@ def _need(kv, key):
 def context_from_config(text):
     kv = _parse_kv(text)
     kind = _need(kv, "field.kind")
-    try:
-        if kind in ("finite-field", "rational-function"):
-            # F_q(z) takes its constants from a base field with trivial sigma
-            ctx = FiniteField(
-                int(_need(kv, "field.p")), int(_need(kv, "field.degree")),
-                _need(kv, "field.modulus"), generator=kv.get("field.generator", "a"),
-                frobenius_power=0 if kind == "rational-function"
-                else int(_need(kv, "sigma.frobenius_power")))
-            if kind == "rational-function":
-                mob = [s.strip() for s in _need(kv, "sigma.mobius").split(",")]
-                if len(mob) != 4:
-                    raise ConfigError("sigma.mobius needs four comma-separated values")
-                ctx = RationalFunctions(ctx, mob, variable=kv.get("field.variable", "z"))
-        elif kind == "cyclotomic":
-            ctx = CyclotomicField(int(_need(kv, "cyclotomic.order")),
-                                  int(_need(kv, "sigma.exponent")),
-                                  symbol=kv.get("cyclotomic.symbol", "chi"))
-        else:
-            raise ConfigError(f"unknown field.kind {kind!r}")
-    except (FieldError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    if kind in ("finite-field", "rational-function"):
+        # F_q(z) takes its constants from a base field with trivial sigma
+        ctx = FiniteField(
+            int(_need(kv, "field.p")), int(_need(kv, "field.degree")),
+            _need(kv, "field.modulus"), generator=kv.get("field.generator", "a"),
+            frobenius_power=0 if kind == "rational-function"
+            else int(_need(kv, "sigma.frobenius_power")))
+        if kind == "rational-function":
+            mob = [s.strip() for s in _need(kv, "sigma.mobius").split(",")]
+            if len(mob) != 4:
+                raise ConfigError("sigma.mobius needs four comma-separated values")
+            ctx = RationalFunctions(ctx, mob, variable=kv.get("field.variable", "z"))
+    elif kind == "cyclotomic":
+        ctx = CyclotomicField(int(_need(kv, "cyclotomic.order")),
+                              int(_need(kv, "sigma.exponent")),
+                              symbol=kv.get("cyclotomic.symbol", "chi"))
+    else:
+        raise ConfigError(f"unknown field.kind {kind!r}")
     return ctx, kv
 
 
 def code_from_config(text):
-    """Build (ctx, code) from a configuration document."""
-    ctx, kv = context_from_config(text)
+    """Build (ctx, code) from a configuration document; any error is a ConfigError."""
     from .parsing import parse_element, ParseError
     try:
-        alpha = parse_element(ctx, _need(kv, "alpha"))
-    except ParseError as exc:
-        raise ConfigError(f"alpha: {exc}") from exc
-    try:
+        ctx, kv = context_from_config(text)
+        try:
+            alpha = parse_element(ctx, _need(kv, "alpha"))
+        except ParseError as exc:
+            raise ConfigError(f"alpha: {exc}") from exc
         code = build_code(ctx, alpha, int(kv.get("r", "0")), int(_need(kv, "delta")))
     except ValueError as exc:
         if isinstance(exc, ConfigError):

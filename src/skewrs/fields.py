@@ -8,6 +8,10 @@ Each backend bundles a field L with a finite-order automorphism sigma:
 * ``CyclotomicField``   -- Q(chi) for chi a primitive m-th root of unity
                            (m prime) with sigma(chi) = chi^k.
 
+This module reads no text: a modulus string goes to
+``parsing.parse_int_poly`` and a Moebius coefficient string to
+``parsing.parse_element`` over the base field.
+
 All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
@@ -181,8 +185,6 @@ class Element:
     def __eq__(self, other):
         if isinstance(other, Element):
             return self.raw == other.raw and same_context(self.ctx, other.ctx)
-        if isinstance(other, int):
-            return self == self.ctx.from_int(other)
         return NotImplemented
 
     def __hash__(self):
@@ -300,52 +302,6 @@ class FieldContext:
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient polynomial text, used for moduli ("a^12+a^7+...+1")
-# ---------------------------------------------------------------------------
-
-def parse_int_poly(text, symbol):
-    """Parse a sum of integer-coefficient powers of ``symbol`` into a
-    low-first coefficient list.  Only what a modulus line needs."""
-    s = text.replace(" ", "").replace("*", "")
-    if not s:
-        raise FieldError("empty polynomial")
-    # normalize leading sign, then split into signed terms
-    terms = []
-    cur = ""
-    for ch in s:
-        if ch in "+-" and cur:
-            terms.append(cur)
-            cur = ch if ch == "-" else ""
-        else:
-            cur += ch
-    terms.append(cur)
-    coeffs = {}
-    for term in terms:
-        t = term
-        sign = 1
-        if t.startswith("-"):
-            sign, t = -1, t[1:]
-        if t.startswith("+"):
-            t = t[1:]
-        if not t:
-            raise FieldError(f"malformed term in {text!r}")
-        if symbol in t:
-            head, _, tail = t.partition(symbol)
-            c = int(head) if head else 1
-            if tail.startswith("^"):
-                k = int(tail[1:])
-            elif tail == "":
-                k = 1
-            else:
-                raise FieldError(f"malformed term {term!r}")
-        else:
-            c, k = int(t), 0
-        coeffs[k] = coeffs.get(k, 0) + sign * c
-    deg = max(coeffs)
-    return [coeffs.get(i, 0) for i in range(deg + 1)]
-
-
-# ---------------------------------------------------------------------------
 # GF(p^d)
 # ---------------------------------------------------------------------------
 
@@ -366,7 +322,8 @@ class FiniteField(FieldContext):
     """GF(p^d) presented as F_p[a]/(modulus), sigma = Frobenius^e.
 
     ``modulus`` is monic irreducible of degree d, given as a low-first
-    coefficient list or as text in the generator symbol.  Raw values pack
+    coefficient list or as text in the generator symbol, which
+    ``parsing.parse_int_poly`` reads.  Raw values pack
     the coefficient vector in base p, so the residue class of the
     symbol itself has value p.
 
@@ -377,11 +334,12 @@ class FiniteField(FieldContext):
     """
 
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if _factorize(p) != {p: 1}:
             raise FieldError(f"characteristic {p} is not prime")
         if degree < 1:
             raise FieldError(f"degree must be at least 1, got {degree}")
         if isinstance(modulus, str):
+            from .parsing import parse_int_poly
             modulus = parse_int_poly(modulus, generator)
         modulus = [c % p for c in modulus]
         while modulus and modulus[-1] == 0:
@@ -743,8 +701,9 @@ _MAX_MOBIUS_ORDER = 512
 class RationalFunctions(FieldContext):
     """F_q(z) with sigma(z) = (az+b)/(cz+d) fixing F_q pointwise.
 
-    The Moebius coefficients are elements of the base field, whose own
-    sigma must be the identity; sigma's order is derived by iterating the
+    The Moebius coefficients are constants of the base field, whose own
+    sigma must be the identity: text (read by ``parsing.parse_element``),
+    elements of the base, or its raw values; sigma's order is derived by iterating the
     2x2 coefficient matrix until it becomes a scalar.  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum, a
@@ -760,16 +719,7 @@ class RationalFunctions(FieldContext):
         self.char = base.char
         self.variable = variable
         self.size = None
-        mob = []
-        for c in mobius:
-            if isinstance(c, str):
-                from .parsing import parse_element
-                mob.append(parse_element(base, c).raw)
-            elif isinstance(c, Element):
-                mob.append(c.raw)
-            else:
-                mob.append(int(c))
-        a, b, c, d = mob
+        a, b, c, d = (self._base_raw(c) for c in mobius)
         det = base.add(base.mul(a, d), base.neg(base.mul(b, c)))
         if det == 0:
             raise FieldError("Moebius coefficient matrix is singular")
@@ -791,6 +741,18 @@ class RationalFunctions(FieldContext):
         self.generator_raw = ((0, 1), (1,))
         self.symbols = {variable: self.generator_raw,
                         **{name: self.from_base(v).raw for name, v in base.symbols.items()}}
+
+    def _base_raw(self, c):
+        base = self.base
+        if isinstance(c, str):
+            from .parsing import parse_element
+            return parse_element(base, c).raw
+        if isinstance(c, Element):
+            require_context(base, (c,))
+            return c.raw
+        if not (isinstance(c, int) and 0 <= c < base.size):
+            raise FieldError(f"{c!r} is not a raw value of {base!r}")
+        return c
 
     def _mat_mul(self, m1, m2):
         a, b, c, d = m1
@@ -976,7 +938,7 @@ class RationalFunctions(FieldContext):
         return self.from_base(k % self.char)
 
     def from_base(self, c):
-        v = c.raw if isinstance(c, Element) else int(c)
+        v = self._base_raw(c)
         return Element(self, ((v,) if v else (), (1,)))
 
     def random_element(self, rng, num_degree=1, den_degree=1):
@@ -1027,7 +989,7 @@ class CyclotomicField(FieldContext):
 
     def __init__(self, order, exponent, symbol="chi"):
         m = order
-        if m < 3 or any(m % d == 0 for d in range(2, int(m ** 0.5) + 1)):
+        if m < 3 or _factorize(m) != {m: 1}:
             raise FieldError(f"root order {m} must be an odd prime")
         if math.gcd(exponent, m) != 1:
             raise FieldError("sigma exponent must be coprime to the root order")

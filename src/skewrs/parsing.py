@@ -17,6 +17,14 @@ single-character symbols (``az`` means a*z).  Whitespace is ignored.
 
 ``parse_element`` additionally demands the result be a constant.
 
+An integer literal is a run of decimal digits, converted to an int once, by
+the tokenizer; one longer than the interpreter's ``int_max_str_digits``
+allows is a ``ParseError`` at its position.
+
+``parse_int_poly`` reads a GF(p^d) modulus from the same tokens, before its
+field exists: a sum of terms c, c*a^k, ca^k, a and a^k in the generator
+symbol a, integer c and k, first sign optional, a repeated power added up.
+
 Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep, so
 deeper input is a ``ParseError``, not a ``RecursionError``.
 
@@ -30,6 +38,8 @@ table lookup or O(log k) products.
 """
 
 from __future__ import annotations
+
+import re
 
 from .skewpoly import SkewPolynomial
 
@@ -59,11 +69,14 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", text[i:j], i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:   # past the interpreter's int_max_str_digits
+                raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -78,11 +91,33 @@ def _tokenize(text):
     return tokens
 
 
+# modulus tokens spelt one character each: 0 an int, a the symbol, $ the end
+_SPELLING = {"int": "0", "name": "?", "end": "$"}
+_MODULUS_TERM = re.compile(r"(0\*?)?a(\^0)?|0")
+
+
+def parse_int_poly(text, symbol):
+    """The low-first integer coefficients of a modulus in ``symbol``."""
+    tokens = _tokenize(text)
+    if tokens[0][0] not in ("+", "-"):
+        tokens.insert(0, ("+", "+", 0))
+    shape = "".join("a" if value == symbol else _SPELLING.get(kind, kind)
+                    for kind, value, _ in tokens)
+    ends = [j for j, ch in enumerate(shape) if ch in "+-$"]
+    coeffs = {}
+    for s, e in zip(ends, ends[1:]):
+        if not _MODULUS_TERM.fullmatch(shape, s + 1, e):
+            raise ParseError(f"expected a term c*{symbol}^k", tokens[s + 1][2])
+        c = tokens[s + 1][1] if shape[s + 1] == "0" else 1
+        k = tokens[e - 1][1] if shape[e - 2:e] == "^0" else int(shape[e - 1] == "a")
+        coeffs[k] = coeffs.get(k, 0) + (-c if shape[s] == "-" else c)
+    return [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
+
+
 class _Parser:
 
     def __init__(self, ctx, text, symbols):
         self.ctx = ctx
-        self.text = text
         self.symbols = symbols
         # split unknown names into known one-character symbols so that in
         # "az^5" the exponent binds to z alone, as adjacency notation reads
@@ -163,7 +198,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            k = int(tok[1])
+            k = tok[1]
             self.exponent *= k
             n = self.ctx.order
             if value.degree > 0 and value.degree * k > n:
@@ -176,24 +211,20 @@ class _Parser:
         return value
 
     def atom(self):
-        tok = self.advance()
-        kind, text, pos = tok
+        kind, value, pos = self.advance()
         if kind == "(":
-            value = self.nested(self.expr, pos)
+            inner = self.nested(self.expr, pos)
             closing = self.advance()
             if closing[0] != ")":
                 raise ParseError("missing closing parenthesis", closing[2])
-            return value
+            return inner
         if kind == "int":
-            return SkewPolynomial.constant(self.ctx, self.ctx.from_int(int(text)))
+            return SkewPolynomial.constant(self.ctx, self.ctx.from_int(value))
         if kind == "name":
-            return self.resolve(text, pos)
-        raise ParseError(f"unexpected {text!r}", pos)
-
-    def resolve(self, name, pos):
-        if name in self.symbols:
-            return self.symbols[name]
-        raise ParseError(f"unknown symbol {name!r}", pos)
+            if value in self.symbols:
+                return self.symbols[value]
+            raise ParseError(f"unknown symbol {value!r}", pos)
+        raise ParseError(f"unexpected {value!r}", pos)
 
     def _divide(self, lhs, rhs, pos):
         if rhs.is_zero:
@@ -204,21 +235,18 @@ class _Parser:
 
 
 def _symbol_table(ctx):
-    # the context's own symbols take precedence over x
-    const = lambda v: SkewPolynomial.constant(ctx, ctx.element(v))
-    return {"x": SkewPolynomial.variable(ctx), **{k: const(v) for k, v in ctx.symbols.items()}}
+    return {k: SkewPolynomial.constant(ctx, ctx.element(v)) for k, v in ctx.symbols.items()}
 
 
 def parse_poly(ctx, text):
     """Parse a skew polynomial in x with coefficients in ctx."""
-    return _Parser(ctx, text, _symbol_table(ctx)).parse()
+    # the context's own symbols take precedence over x
+    return _Parser(ctx, text, {"x": SkewPolynomial.variable(ctx), **_symbol_table(ctx)}).parse()
 
 
 def parse_element(ctx, text):
     """Parse a single field element (a constant expression)."""
-    table = _symbol_table(ctx)
-    del table["x"]
-    value = _Parser(ctx, text, table).parse()
+    value = _Parser(ctx, text, _symbol_table(ctx)).parse()
     if value.degree > 0:
         raise ParseError("expected a field element, found a polynomial", 0)
     return value.coeffs[0] if value.coeffs else ctx.zero

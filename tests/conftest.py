@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -68,6 +69,24 @@ def gf16():
 @pytest.fixture(scope="session")
 def gf8():
     return FiniteField(2, 3, "a^3 + a + 1", frobenius_power=1)
+
+
+# an integer literal longer than the interpreter's default limit on
+# converting text to int (4300 digits)
+LONG_LITERAL = "1" * 5000
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Pin the interpreter's int_max_str_digits limit at its default for
+    one test, so that ``LONG_LITERAL`` exceeds it whatever the interpreter
+    was started with."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int_max_str_digits limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def rng_for(name):

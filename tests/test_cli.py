@@ -6,6 +6,8 @@ import pytest
 from skewrs import EXAMPLE_CONFIGS, cli
 from skewrs.cli import main, parse_weights
 
+from conftest import LONG_LITERAL
+
 
 @pytest.fixture
 def workspace(tmp_path):
@@ -333,3 +335,40 @@ def test_main_answers_each_call_as_a_first_call(workspace, capsys):
     assert [code for code, _, _ in first] == [0, 0, 2, 0, 0, 2, 2]
     assert all(first[i][2].startswith("usage:") for i in (2, 5, 6))
     assert [run(argv) for argv in calls] == first
+
+
+@pytest.mark.parametrize("verb", ["encode", "decode"])
+@pytest.mark.parametrize("text", [LONG_LITERAL, "a^" + LONG_LITERAL], ids=["integer", "exponent"])
+def test_an_overlong_literal_in_a_word_is_one_error_line(workspace, capsys, int_digit_limit,
+                                                          verb, text):
+    tmp, bundle = workspace
+    word = tmp / "long.txt"
+    word.write_text(text + "\n")
+    capsys.readouterr()
+    assert main([verb, "--code", str(bundle), "--in", str(word)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def _build_exits_2_with_one_error_line(tmp_path, capsys, old, new):
+    text = EXAMPLE_CONFIGS[1]
+    assert old in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new))
+    assert main(["build", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+def test_build_with_an_overlong_alpha_exponent_is_one_error_line(tmp_path, capsys,
+                                                                 int_digit_limit):
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys, "alpha = a",
+                                             "alpha = a^" + LONG_LITERAL)
+    assert err.startswith("error: alpha:")
+
+
+@pytest.mark.parametrize("modulus", ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1"])
+def test_build_with_a_malformed_modulus_is_one_error_line(tmp_path, capsys, modulus):
+    _build_exits_2_with_one_error_line(tmp_path, capsys,
+                                       "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", modulus)

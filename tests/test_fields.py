@@ -525,6 +525,22 @@ def test_singular_mobius_rejected(rational):
         RationalFunctions(rational.base, ("1", "a", "a^2", "a^3"))
 
 
+@pytest.mark.parametrize("mobius", [(1, 5, 1, 3), (1, -1, 1, 3)], ids=["past-q", "negative"])
+def test_mobius_ints_must_be_raw_values_of_the_base(rational, mobius):
+    with pytest.raises(FieldError, match="not a raw value"):
+        RationalFunctions(rational.base, mobius)
+
+
+def test_mobius_elements_must_live_in_the_base(rational, gf16):
+    with pytest.raises(FieldError, match="different field contexts"):
+        RationalFunctions(rational.base, (1, gf16.generator, 1, 3))
+
+
+def test_from_base_refuses_an_element_of_another_field(rational, gf4096):
+    with pytest.raises(FieldError, match="different field contexts"):
+        rational.from_base(gf4096.element(3000))
+
+
 def test_division_by_zero_raises(all_contexts):
     for ctx in all_contexts.values():
         with pytest.raises(ZeroDivisionError):

@@ -2,9 +2,10 @@ import time
 
 import pytest
 
-from skewrs import ParseError, SkewPolynomial, parse_element, parse_poly
+from skewrs import FiniteField, ParseError, SkewPolynomial, parse_element, parse_poly
+from skewrs.parsing import parse_int_poly
 
-from conftest import rng_for, random_poly
+from conftest import LONG_LITERAL, rng_for, random_poly
 from oracles import coeff, from_fraction, monomial
 
 
@@ -143,3 +144,72 @@ def test_infinite_field_exponents_are_capped_before_expansion(request, fixture, 
     with pytest.raises(ParseError):
         parse_element(ctx, text)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("text", [LONG_LITERAL, "a^" + LONG_LITERAL], ids=["integer", "exponent"])
+def test_an_integer_literal_past_the_interpreter_limit_is_a_parse_error(gf4096, int_digit_limit,
+                                                                         text):
+    for parse in (parse_poly, parse_element):
+        with pytest.raises(ParseError, match="5000 digits") as err:
+            parse(gf4096, text)
+        assert err.value.pos == text.index("1")
+
+
+def test_digits_that_are_not_decimal_are_a_parse_error(gf4096):
+    # str.isdigit accepts a superscript two, which int() refuses
+    with pytest.raises(ParseError) as err:
+        parse_element(gf4096, "a^²")
+    assert err.value.pos == 2
+
+
+# every modulus written in the tests, the demos and the benchmark's
+# workloads, with the coefficients the reader gives it, lowest first
+MODULI = {
+    "1": [1],
+    "a + 1": [1, 1],
+    "a^2 + 1": [1, 0, 1],
+    "a^2 + a + 1": [1, 1, 1],
+    "a^3 + a + 1": [1, 1, 0, 1],
+    "a^3 + a^2 + 1": [1, 0, 1, 1],
+    "a^3 + 2a + 1": [1, 2, 0, 1],
+    "a^3 + 3a + 2": [2, 3, 0, 1],
+    "a^4 + a + 1": [1, 1, 0, 0, 1],
+    "a^4 + a^2 + 1": [1, 0, 1, 0, 1],
+    "a^4 + a^3 + 1": [1, 0, 0, 1, 1],
+    "a^4 + a^3 + a^2 + a + 1": [1, 1, 1, 1, 1],
+    "a^4 + 2a^3 + 2": [2, 0, 0, 2, 1],
+    "a^5 + a^2 + 1": [1, 0, 1, 0, 0, 1],
+    "a^6 + a + 1": [1, 1, 0, 0, 0, 0, 1],
+    "a^6 + a^5 + 2": [2, 0, 0, 0, 0, 1, 1],
+    "a^8 + a^4 + a^3 + a + 1": [1, 1, 0, 1, 1, 0, 0, 0, 1],
+    "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1": [1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1],
+    "a^16 + a^12 + a^3 + a + 1": [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1],
+    "a^20 + a^3 + 1": [1, 0, 0, 1] + [0] * 16 + [1],
+}
+
+# signs, stars, spacing and repeated powers, as the reader has always taken them
+MODULUS_SPELLINGS = {
+    "-a + 2*a^3": [0, -1, 0, 2],
+    "+a^2 - 1": [-1, 0, 1],
+    "2 * a^3+a^3 + a^0": [1, 0, 0, 3],
+    "a^2 - a^2 + 7": [7, 0, 0],
+}
+
+MALFORMED_MODULI = ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1"]
+
+
+@pytest.mark.parametrize("text", list(MODULI) + list(MODULUS_SPELLINGS))
+def test_modulus_coefficients(text):
+    assert parse_int_poly(text, "a") == {**MODULI, **MODULUS_SPELLINGS}[text]
+
+
+def test_modulus_in_another_symbol():
+    assert parse_int_poly("w^3 + w + 1", "w") == [1, 1, 0, 1]
+    with pytest.raises(ParseError):
+        parse_int_poly("a^3 + a + 1", "w")
+
+
+@pytest.mark.parametrize("text", MALFORMED_MODULI)
+def test_malformed_moduli_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        FiniteField(2, 12, text)

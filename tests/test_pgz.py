@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from skewrs import fields
@@ -289,6 +291,41 @@ def test_decoder_matches_nearest_codeword_search(gf16, gf8):
     assert nearest_codeword_equivalence(code) == 0
     small = build_code(gf8, find_normal_element(gf8), 0, 3)
     assert nearest_codeword_equivalence(small) == 0
+
+
+# GF(q) modulus, sigma's order n = d, designed distance, offset r, and the
+# number of error patterns of weight <= t
+ERROR_BALL_CODES = [
+    (3, 3, "a^3 + 2a + 1", 3, 0, 79),
+    (3, 4, "a^4 + 2a^3 + 2", 3, 1, 321),
+    (3, 4, "a^4 + 2a^3 + 2", 4, 0, 321),
+    (2, 6, "a^6 + a + 1", 3, 0, 379),
+    (2, 5, "a^5 + a^2 + 1", 5, 0, 9766),
+    (3, 2, "a^2 + 1", 2, 0, 1),
+]
+
+
+@pytest.mark.parametrize("p, d, modulus, delta, r, patterns", ERROR_BALL_CODES,
+                         ids=["gf27-delta3", "gf81-delta3-r1", "gf81-delta4", "gf64-delta3",
+                              "gf32-delta5", "gf9-delta2"])
+def test_every_error_of_weight_at_most_t_is_corrected(p, d, modulus, delta, r, patterns):
+    # odd p, r > 0, delta = 2 and delta = n between them; the received word
+    # is the error itself, on the zero codeword
+    ctx = FiniteField(p, d, modulus, frobenius_power=1)
+    code = build_code(ctx, find_normal_element(ctx), r, delta)
+    nonzero = [e for e in ctx.elements() if e]
+    count = 0
+    for w in range(code.t + 1):
+        for positions in itertools.combinations(range(code.n), w):
+            for values in itertools.product(nonzero, repeat=w):
+                e = [ctx.zero] * code.n
+                for k, v in zip(positions, values):
+                    e[k] = v
+                report = decode(code, e)
+                assert report.ok and report.error == e, (positions, values)
+                assert not any(report.codeword) and report.message.is_zero
+                count += 1
+    assert count == patterns
 
 
 # -- harness ----------------------------------------------------------------------

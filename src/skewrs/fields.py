@@ -701,10 +701,10 @@ _MAX_MOBIUS_ORDER = 512
 class RationalFunctions(FieldContext):
     """F_q(z) with sigma(z) = (az+b)/(cz+d) fixing F_q pointwise.
 
-    The Moebius coefficients are constants of the base field, whose own
-    sigma must be the identity: text (read by ``parsing.parse_element``),
-    elements of the base, or its raw values; sigma's order is derived by iterating the
-    2x2 coefficient matrix until it becomes a scalar.  Fractions are kept
+    The Moebius coefficients are constants of the base field: text, read by
+    ``parsing.parse_element``, elements of the base or its raw values.  The
+    base's own sigma must be the identity.  Sigma's order is derived by
+    iterating the 2x2 matrix until it becomes a scalar.  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum, a
     product, an ``add_scaled`` entry and a conjugate sum reduce once; an

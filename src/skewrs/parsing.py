@@ -91,7 +91,7 @@ def _tokenize(text):
     return tokens
 
 
-# modulus tokens spelt one character each: 0 an int, a the symbol, $ the end
+# modulus tokens spelt one character each: 0 an int, a the symbol, ? another name, $ the end
 _SPELLING = {"int": "0", "name": "?", "end": "$"}
 _MODULUS_TERM = re.compile(r"(0\*?)?a(\^0)?|0")
 

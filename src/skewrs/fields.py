@@ -30,9 +30,10 @@ src[j]: it is the one inner loop of polynomial products and divisions and
 of matrix elimination.  The generic version runs on add and mul; a tabled
 field of characteristic 2 looks up log c once and XORs in
 exp[log c + log src[j]].  F_q(z) builds each acc_j + c * src_j as one
-unreduced fraction and Q(chi) as one integer vector over one denominator,
-and each reduces it once, so an updated entry costs one gcd where mul
-then add cost two.
+unreduced fraction, summed by ``_sum``, the same kernel as its add; Q(chi)
+builds it as one integer vector over one denominator, convolved by
+``_accumulate``, the same kernel as its mul.  Each reduces it once, so an
+updated entry costs one gcd where mul then add cost two.
 
 F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
@@ -48,8 +49,8 @@ versions run on add and mul; a tabled finite field keeps the conjugates'
 discrete logs and sums in the log domain.  F_q(z) keeps the conjugates
 over one shared denominator and clears vec to one denominator per call,
 so an output is a sum of F_q[z] products and costs one gcd, or none for a
-zero test; Q(chi) sums each output's integer cyclic convolutions over a
-common denominator and reduces it once.
+zero test; Q(chi) accumulates each output's integer cyclic convolutions
+over a common denominator with ``_accumulate`` and reduces it once.
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -96,6 +97,9 @@ import operator
 from fractions import Fraction
 
 _TABLE_LIMIT = 1 << 16
+# GF(p^d) needs p < 2^31 and p^d <= 2^64 (see FiniteField)
+_CHAR_BOUND = 1 << 31
+_SIZE_LIMIT = 1 << 64
 
 # exp/log tables and the modulus root's primitivity by (p, d, modulus), least
 # recently used first (see FiniteField).  No field writes to them, and two
@@ -323,7 +327,9 @@ class FiniteField(FieldContext):
 
     ``modulus`` is monic irreducible of degree d, given as a low-first
     coefficient list or as text in the generator symbol, which
-    ``parsing.parse_int_poly`` reads.  Raw values pack
+    ``parsing.parse_int_poly`` reads.  p must be below 2^31 and p^d at most
+    2^64; both are checked first, as the primality and irreducibility tests
+    would otherwise run for as long as the numbers ask.  Raw values pack
     the coefficient vector in base p, so the residue class of the
     symbol itself has value p.
 
@@ -334,10 +340,15 @@ class FiniteField(FieldContext):
     """
 
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
+        if p >= _CHAR_BOUND:
+            raise FieldError(f"characteristic {p} is not below 2^31")
         if _factorize(p) != {p: 1}:
             raise FieldError(f"characteristic {p} is not prime")
         if degree < 1:
             raise FieldError(f"degree must be at least 1, got {degree}")
+        # p >= 2, so a degree past 64 is too large without taking the power
+        if degree > 64 or p ** degree > _SIZE_LIMIT:
+            raise FieldError(f"field size {p}^{degree} exceeds 2^64")
         if isinstance(modulus, str):
             from .parsing import parse_int_poly
             modulus = parse_int_poly(modulus, generator)
@@ -360,6 +371,7 @@ class FiniteField(FieldContext):
         self._adeg = self._pack(self._adeg_digits)
         if not self._is_irreducible():
             raise FieldError("modulus is not irreducible")
+        self.generator_raw = p if degree > 1 else 1 % p
         self._exp = None
         self._log = None
         self._sigma_mult = None
@@ -377,7 +389,6 @@ class FiniteField(FieldContext):
         self.key = ("ff", p, degree, self.modulus, self.frobenius_power)
         self.zero_raw = 0
         self.one_raw = 1
-        self.generator_raw = p if degree > 1 else 1 % p
         self.symbols = {generator: self.generator_raw}
 
     # -- packed-int helpers ------------------------------------------------
@@ -461,7 +472,6 @@ class FiniteField(FieldContext):
         q, p, d = self.size, self.char, self.degree
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        gen_val = p if d > 1 else 1 % p
         walked = p == 2 and d > 1
         if walked:
             # walk 1, a, a^2, ...: times a is a shift, folding a^d back in
@@ -478,9 +488,9 @@ class FiniteField(FieldContext):
             # leaves log[1] > 0 exactly when a is not primitive
             primitive = log[1] == 0
         else:
-            primitive = self._element_order(gen_val) == q - 1
+            primitive = self._element_order(self.generator_raw) == q - 1
         if not (walked and primitive):
-            prim = gen_val if primitive else next(
+            prim = self.generator_raw if primitive else next(
                 c for c in range(2, q) if self._element_order(c) == q - 1)
             acc = 1
             for i in range(q - 1):
@@ -706,10 +716,11 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar.  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
-    expressions stay small, and each result pays at most one gcd: a sum, a
-    product, an ``add_scaled`` entry and a conjugate sum reduce once; an
-    inverse and sigma need none, as they map coprime pairs to coprime pairs
-    and only make the denominator monic.
+    expressions stay small, and each result pays at most one gcd: a sum (of
+    ``add`` or ``add_scaled``, both by ``_sum``), a product and a conjugate
+    sum reduce once, in ``_make``; an inverse and sigma need none, as they
+    map coprime pairs to coprime pairs and only make the denominator monic,
+    in ``_monic``, as ``_make`` does last.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -728,7 +739,7 @@ class RationalFunctions(FieldContext):
         self._mob_pows = [(1, 0, 0, 1)]
         m = self.mobius
         for k in range(1, _MAX_MOBIUS_ORDER + 1):
-            if self._is_scalar(m):
+            if m[1] == m[2] == 0 and m[0] == m[3]:
                 break
             self._mob_pows.append(m)
             m = self._mat_mul(m, self.mobius)
@@ -763,10 +774,6 @@ class RationalFunctions(FieldContext):
                 B.add(B.mul(c, e), B.mul(d, g)),
                 B.add(B.mul(c, f), B.mul(d, h)))
 
-    def _is_scalar(self, m):
-        a, b, c, d = m
-        return b == 0 and c == 0 and a == d and a != 0
-
     # -- canonical fractions -------------------------------------------------
 
     def _make(self, num, den):
@@ -779,8 +786,21 @@ class RationalFunctions(FieldContext):
         if len(g) > 1:
             num = poly_divmod(base, num, g)[0]
             den = poly_divmod(base, den, g)[0]
+        return self._monic(num, den)
+
+    def _monic(self, num, den):
+        # num/den with both scaled by the inverse of den's leading coefficient
+        base = self.base
         inv = base.inv(den[-1])
         return poly_scale(base, num, inv), poly_scale(base, den, inv)
+
+    def _sum(self, xn, xd, yn, yd):
+        # xn/xd + yn/yd as one unreduced fraction, reduced once
+        base = self.base
+        if xd == yd:
+            return self._make(poly_add(base, xn, yn), xd)
+        return self._make(poly_add(base, poly_mul(base, xn, yd), poly_mul(base, yn, xd)),
+                          poly_mul(base, xd, yd))
 
     # -- raw protocol ----------------------------------------------------------
 
@@ -790,12 +810,7 @@ class RationalFunctions(FieldContext):
             return v
         if not v[0]:
             return u
-        base = self.base
-        (xn, xd), (yn, yd) = u, v
-        if xd == yd:
-            return self._make(poly_add(base, xn, yn), xd)
-        num = poly_add(base, poly_mul(base, xn, yd), poly_mul(base, yn, xd))
-        return self._make(num, poly_mul(base, xd, yd))
+        return self._sum(*u, *v)
 
     def neg(self, u):
         return poly_neg(self.base, u[0]), u[1]
@@ -817,8 +832,7 @@ class RationalFunctions(FieldContext):
             return u
         # den/num is in lowest terms already: only make its denominator monic
         num, den = u
-        c = self.base.inv(num[-1])
-        return poly_scale(self.base, den, c), poly_scale(self.base, num, c)
+        return self._monic(den, num)
 
     def add_scaled(self, acc, c, src, shift):
         # acc_j + c * b_j is one unreduced fraction, reduced once; with
@@ -830,18 +844,11 @@ class RationalFunctions(FieldContext):
         base = self.base
         cn, cd = c
         for j, (bn, bd) in enumerate(src, shift):
-            if not bn:
-                continue
-            an, ad = acc[j]
-            pn = poly_mul(base, cn, bn)
-            pd = bd if cd == (1,) else poly_mul(base, cd, bd)
-            if not an:
-                acc[j] = self._make(pn, pd)
-            elif ad == pd:
-                acc[j] = self._make(poly_add(base, an, pn), ad)
-            else:
-                acc[j] = self._make(poly_add(base, poly_mul(base, an, pd), poly_mul(base, pn, ad)),
-                                    poly_mul(base, ad, pd))
+            if bn:
+                an, ad = acc[j]
+                pn = poly_mul(base, cn, bn)
+                pd = bd if cd == (1,) else poly_mul(base, cd, bd)
+                acc[j] = self._sum(an, ad, pn, pd) if an else self._make(pn, pd)
 
     def sigma_raw(self, u, k=1):
         """num(L/D) * D^m over den(L/D) * D^m, for sigma^k(z) = L/D with
@@ -876,9 +883,7 @@ class RationalFunctions(FieldContext):
                 acc = accs[j] = times(accs[j], b, a)
                 if i < len(p) and p[i]:
                     add_scaled(acc, p[i], dpow, 0)
-        num, den = (poly_trim(base, acc) for acc in accs)
-        inv = base.inv(den[-1])
-        return poly_scale(base, num, inv), poly_scale(base, den, inv)
+        return self._monic(*(poly_trim(base, acc) for acc in accs))
 
     def _over_one_denominator(self, fracs):
         # the numerators over the product D of the distinct denominators,
@@ -982,9 +987,9 @@ class CyclotomicField(FieldContext):
 
     A sum, a product, an ``add_scaled`` entry and a conjugate sum each
     gather their integer coordinates over one denominator and reduce the
-    content once.  A Galois image needs no reduction (an automorphism maps
-    Z[chi] onto itself, so it keeps the content), and neither does the
-    inverse of one.
+    content once, in ``_make``; the last three convolve with ``_accumulate``.
+    A Galois image needs no reduction (an automorphism maps Z[chi] onto
+    itself, so it keeps the content), and neither does the inverse of one.
     """
 
     def __init__(self, order, exponent, symbol="chi"):
@@ -996,11 +1001,10 @@ class CyclotomicField(FieldContext):
         self.char = 0
         self.size = None
         self.root_order = m
-        self.exponent = exponent % m
+        self.exponent = e = exponent % m
         self.symbol = symbol
         self.dim = m - 1
         n = 1
-        e = self.exponent % m
         while e != 1:
             e = (e * exponent) % m
             n += 1
@@ -1044,70 +1048,59 @@ class CyclotomicField(FieldContext):
     def neg(self, u):
         return tuple(-a for a in u[0]), u[1]
 
-    def mul(self, u, v):
+    def _accumulate(self, full, den, u, v):
+        # full/den += u * v in place, full a length-m integer vector over
+        # the powers of chi; returns the common denominator
         m = self.root_order
-        full = [0] * m
+        d = u[1] * v[1]
+        g = math.gcd(den, d)
+        if d != g:
+            scale = d // g
+            full[:] = [x * scale for x in full]
+            den *= scale
+        w = den // d
         for i, a in enumerate(u[0]):
             if a:
-                for j, b in enumerate(v[0]):
+                a *= w
+                for l, b in enumerate(v[0], i):
                     if b:
-                        full[(i + j) % m] += a * b
-        return self._make(self._reduce_cyclic(full), u[1] * v[1])
+                        full[l % m] += a * b
+        return den
+
+    def mul(self, u, v):
+        # the accumulator starts over u's and v's denominators: no scaling
+        full = [0] * self.root_order
+        den = self._accumulate(full, u[1] * v[1], u, v)
+        return self._make(self._reduce_cyclic(full), den)
 
     def add_scaled(self, acc, c, src, shift):
         # acc_j + c * b_j is one integer vector over one denominator,
         # reduced once
-        m = self.root_order
-        cn, cd = c
-        cterms = [(i, a) for i, a in enumerate(cn) if a]
-        if not cterms:
+        if not any(c[0]):
             return
-        for j, (bn, bd) in enumerate(src, shift):
-            if not any(bn):
-                continue
-            an, ad = acc[j]
-            d = cd * bd
-            g = math.gcd(ad, d)
-            sa, sp = d // g, ad // g
-            full = [x * sa for x in an]
-            full.append(0)
-            for i, a in cterms:
-                a *= sp
-                for l, b in enumerate(bn, i):
-                    if b:
-                        full[l % m] += a * b
-            acc[j] = self._make(self._reduce_cyclic(full), ad * sa)
+        for j, b in enumerate(src, shift):
+            if any(b[0]):
+                an, ad = acc[j]
+                full = [*an, 0]
+                den = self._accumulate(full, ad, c, b)
+                acc[j] = self._make(self._reduce_cyclic(full), den)
 
     def conjugate_sums(self, table, vec, count, offset):
-        # each output's cyclic convolutions accumulate in one length-m
-        # integer vector over a common denominator; the product by the
-        # inverse conjugate then reduces its content once, in _make, and a
-        # unit scale (the dual table's) is no product at all
+        # each output accumulates over a common denominator, then the
+        # product by the inverse conjugate reduces it once, in _make; a unit
+        # scale (the dual table's) is no product at all
         conj, conj_inv = table
         n, m, one = len(conj_inv), self.root_order, self.one_raw
-        terms = [(i, [(j, a) for j, a in enumerate(v[0]) if a], v[1])
-                 for i, v in enumerate(vec) if any(v[0])]
+        accumulate = self._accumulate
+        terms = [(i, v) for i, v in enumerate(vec) if any(v[0])]
         out = []
         for k in range(offset, offset + count):
             k %= n
             full, den = [0] * m, 1
-            for i, coords, vd in terms:
-                cn, cd = conj[k + i]
-                d = vd * cd
-                g = math.gcd(den, d)
-                if d != g:
-                    scale = d // g
-                    full = [x * scale for x in full]
-                    den *= scale
-                w = den // d
-                for j, a in coords:
-                    a *= w
-                    for l, b in enumerate(cn, j):
-                        if b:
-                            full[l % m] += a * b
-            s = conj_inv[k]
-            out.append(self._make(self._reduce_cyclic(full), den) if s == one
-                       else self.mul((self._reduce_cyclic(full), den), s))
+            for i, v in terms:
+                den = accumulate(full, den, v, conj[k + i])
+            u, s = (self._reduce_cyclic(full), den), conj_inv[k]
+            out.append(self._make(*u) if s == one else self.mul(u, s))
         return out
 
     def inv(self, u):

@@ -368,6 +368,21 @@ def test_build_with_an_overlong_alpha_exponent_is_one_error_line(tmp_path, capsy
     assert err.startswith("error: alpha:")
 
 
+@pytest.mark.parametrize("p, degree, modulus, bound", [
+    (1000000000000000003, 1, "a + 1", "2^31"),
+    (2, 200000, "a^200000 + a + 1", "2^64"),
+], ids=["huge-p", "huge-degree"])
+def test_build_past_the_field_bounds_is_one_error_line(tmp_path, capsys, p, degree, modulus,
+                                                       bound):
+    # the bounds are checked before p is tested for primality or the
+    # modulus is read
+    old = "field.p = 2\nfield.degree = 12\nfield.modulus = a^12 + a^7 + a^6 + a^5 + a^3 + a + 1"
+    new = f"field.p = {p}\nfield.degree = {degree}\nfield.modulus = {modulus}"
+    start = time.perf_counter()
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys, old, new)
+    assert bound in err and time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("modulus", ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1"])
 def test_build_with_a_malformed_modulus_is_one_error_line(tmp_path, capsys, modulus):
     _build_exits_2_with_one_error_line(tmp_path, capsys,

@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 import weakref
 from fractions import Fraction
 
@@ -256,6 +257,68 @@ def test_rational_add_scaled_reduces_once_per_entry(name, request, monkeypatch):
         assert len(calls) <= sum(1 for b in src if b != ctx.zero_raw)
 
 
+def _counted_cyclotomic_make(monkeypatch):
+    """The list that records each CyclotomicField._make call from now on."""
+    real, calls = CyclotomicField._make, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(CyclotomicField, "_make", counted)
+    return calls
+
+
+def test_cyclotomic_product_reduces_once(cyclotomic, monkeypatch):
+    ctx = cyclotomic
+    rng = rng_for("cy-mul-make")
+    xs = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng))).raw for _ in range(60)]
+    calls = _counted_cyclotomic_make(monkeypatch)
+    for x, y in zip(xs, xs[1:]):
+        calls.clear()
+        ctx.mul(x, y)
+        assert len(calls) == 1
+
+
+def test_cyclotomic_add_scaled_reduces_once_per_entry(cyclotomic, monkeypatch):
+    ctx = cyclotomic
+    rng = rng_for("cy-add-scaled-make")
+    cases = []
+    for _ in range(60):
+        src = [rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng))).raw
+               for _ in range(rng.randrange(6))]
+        acc = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng))).raw
+               for _ in range(len(src) + 2)]
+        c = rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng))).raw
+        cases.append((acc, c, src))
+    calls = _counted_cyclotomic_make(monkeypatch)
+    for acc, c, src in cases:
+        calls.clear()
+        ctx.add_scaled(acc, c, src, rng.randrange(3))
+        assert len(calls) <= sum(1 for b in src if b != ctx.zero_raw)
+
+
+@pytest.mark.parametrize("table", ["conj_table", "dual_table"])
+def test_cyclotomic_sums_reduce_once_per_output(code_cy, monkeypatch, table):
+    # the conjugate table scales each output by an inverse conjugate, the
+    # dual table by one: either way an output is reduced once, in _make
+    ctx, n = code_cy.ctx, code_cy.n
+    table = getattr(code_cy, table)
+    unit = [s == ctx.one_raw for s in table[1]]
+    assert all(unit) or not any(unit)
+    rng = rng_for("cy-sums-make")
+    words = [[rng.choice((ctx.zero, ctx.random_nonzero(rng))).raw for _ in range(n)]
+             for _ in range(6)]
+    words.append([ctx.zero_raw] * n)
+    calls = _counted_cyclotomic_make(monkeypatch)
+    for vec in words:
+        for offset in range(n):
+            for count in range(1, n + 1):
+                calls.clear()
+                ctx.conjugate_sums(table, vec, count, offset)
+                assert len(calls) == count
+
+
 POLY_CONTEXTS = ["gf9", "f4", "gf16", "gf4096", "rational", "cyclotomic"]
 
 
@@ -417,6 +480,30 @@ def test_bad_moduli_are_rejected():
         FiniteField(2, 3, "a^2 + a + 1")  # degree mismatch
     with pytest.raises(FieldError):
         FiniteField(2, 0, "1")  # no extension at all
+
+
+@pytest.mark.parametrize("p, degree, modulus, message", [
+    (1000000000000000003, 1, "a + 1", "below 2\\^31"),
+    (1 << 31, 1, "a + 1", "below 2\\^31"),
+    (2, 200000, "a^200000 + a + 1", "exceeds 2\\^64"),
+    (3, 41, [1] * 42, "exceeds 2\\^64"),
+], ids=["p-1e18", "p-2^31", "2^200000", "3^41"])
+def test_a_field_past_the_size_bounds_is_refused_at_once(p, degree, modulus, message):
+    # without the bounds, trial division of p or Rabin's test would not end
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match=message):
+        FiniteField(p, degree, modulus)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("p, degree, modulus", [
+    ((1 << 31) - 1, 1, "a + 1"),
+    (2, 64, "a^64 + a^4 + a^3 + a + 1"),
+], ids=["p-2^31-1", "2^64"])
+def test_fields_at_the_size_bounds_are_built(p, degree, modulus):
+    F = FiniteField(p, degree, modulus)
+    x = F.generator + F.one
+    assert F.size == p ** degree and x * x.inverse() == F.one
 
 
 def _reference_tables(F):

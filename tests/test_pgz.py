@@ -328,6 +328,36 @@ def test_every_error_of_weight_at_most_t_is_corrected(p, d, modulus, delta, r, p
     assert count == patterns
 
 
+SHIFT_FIELDS = ("syndromes", "ok", "failure", "branch", "mu", "rho", "positions", "values",
+                "error")
+
+
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic", "gf81"])
+def test_adding_a_codeword_shifts_only_the_codeword_and_message(all_codes, name):
+    # the syndromes are linear and vanish on codewords, so decode(c + e)
+    # reaches decode(e)'s verdict and adds c to its codeword, c's message
+    # to its message; every error weight from 0 to t + 1
+    if name == "gf81":
+        ctx = FiniteField(3, 4, "a^4 + 2a^3 + 2", frobenius_power=1)
+        code = build_code(ctx, find_normal_element(ctx), 1, 3)
+    else:
+        code = all_codes[name]
+    ctx, n = code.ctx, code.n
+    rng = rng_for(f"shift-{name}")
+    for weight in range(code.t + 2):
+        for _ in range(12):
+            msg = random_poly(ctx, rng, n - code.delta)
+            c = encode(code, msg).vector(n)
+            e = random_error(code, rng, weight)
+            plain = decode(code, e)
+            shifted = decode(code, [a + b for a, b in zip(c, e)])
+            for key in SHIFT_FIELDS:
+                assert getattr(shifted, key) == getattr(plain, key), (weight, key)
+            if plain.ok:
+                assert shifted.codeword == [a + b for a, b in zip(c, plain.codeword)]
+                assert shifted.message == msg + plain.message
+
+
 # -- harness ----------------------------------------------------------------------
 
 def test_simulation_is_deterministic(code_gf):

@@ -157,6 +157,15 @@ def summarize(code):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _write_output(path, text):
+    """text to the file at path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_build(args):
     text = read_text(args.config)
     ctx, code = code_from_config(text)
@@ -170,13 +179,7 @@ def cmd_build(args):
 def cmd_encode(args):
     ctx, code = load_bundle(args.code)
     msg = parse_poly(ctx, read_text(args.infile))
-    cw = encode(code, msg)
-    out = str(cw) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_output(args.out, f"{encode(code, msg)}\n")
     return 0
 
 
@@ -187,12 +190,7 @@ def cmd_decode(args):
         raise CodeError(f"received word has degree {received.degree};"
                         f" words of length {code.n} have degree below {code.n}")
     report = decode(code, received.vector(code.n))
-    out = report.to_text(ctx)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write_output(args.out, report.to_text(ctx))
     return 0 if report.ok else 1
 
 

@@ -172,7 +172,7 @@ def dual_support(code, f, offset):
     w_s = 1 for one s < mu and w_(i+mu) = -sum_(k<mu) sigma^i(f_k) * w_(i+k).
     """
     ctx, n = code.ctx, code.n
-    zero, one, add, mul = ctx.zero_raw, ctx.one_raw, ctx.add, ctx.mul
+    zero, one, add_product = ctx.zero_raw, ctx.one_raw, ctx.add_product
     mu = len(f.raw) - 1
     twisted = [poly_twist(ctx, f.raw[:mu], i) for i in range(n - mu)]
     support = set()
@@ -183,7 +183,7 @@ def dual_support(code, f, offset):
             acc = zero
             for c, v in zip(row, w[i:]):
                 if v != zero:
-                    acc = add(acc, mul(c, v))
+                    acc = add_product(acc, c, v)
             w[i + mu] = ctx.neg(acc)
         zeros = ctx.conjugate_zeros(code.dual_table, w, n, offset)
         support.update(j for j, z in enumerate(zeros) if not z)

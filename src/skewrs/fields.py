@@ -15,7 +15,7 @@ This module reads no text: a modulus string goes to
 All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
-    add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)
+    add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  add_product(a, c, b)
     sigma_raw(u, k)  add_scaled(acc, c, src, shift)
     conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
@@ -25,15 +25,16 @@ with the constants ``zero_raw``, ``one_raw`` and ``generator_raw``, and
 Raw values are canonical (below), so u is zero exactly when
 ``u == ctx.zero_raw``.
 
-``add_scaled`` does acc[shift + j] += c * src[j] in place, skipping zero
-src[j]: it is the one inner loop of polynomial products and divisions and
-of matrix elimination.  The generic version runs on add and mul; a tabled
-field of characteristic 2 looks up log c once and XORs in
-exp[log c + log src[j]].  F_q(z) builds each acc_j + c * src_j as one
-unreduced fraction, summed by ``_sum``, the same kernel as its add; Q(chi)
-builds it as one integer vector over one denominator, convolved by
-``_accumulate``, the same kernel as its mul.  Each reduces it once, so an
-updated entry costs one gcd where mul then add cost two.
+``add_product(a, c, b)`` is a + c * b, the one multiply-accumulate of every
+sum of products; ``add_scaled`` does acc[shift + j] += c * src[j] with it
+in place, skipping zero src[j] and at once done on a zero c: the inner loop
+of polynomial products, divisions and elimination.  The generic version is
+add(a, mul(c, b)).  F_q(z) builds a + c * b as one unreduced fraction,
+summed by ``_sum`` as its add is, and Q(chi) as one integer vector over one
+denominator, convolved by ``_accumulate``; each reduces it once, where mul
+then add reduce twice, and its mul is the step onto zero.  A tabled field
+of characteristic 2 keeps its own add_scaled: it looks up log c once and
+XORs in exp[log c + log src[j]].
 
 F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
@@ -45,12 +46,13 @@ The conjugate methods are the right evaluations at the beta-roots of a
 skew Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha)
 over a table of conjugates that the context prepares once per code, or,
 from ``conjugate_zeros``, only whether each sum is zero.  The generic
-versions run on add and mul; a tabled finite field keeps the conjugates'
-discrete logs and sums in the log domain.  F_q(z) keeps the conjugates
-over one shared denominator and clears vec to one denominator per call,
-so an output is a sum of F_q[z] products and costs one gcd, or none for a
-zero test; Q(chi) accumulates each output's integer cyclic convolutions
-over a common denominator with ``_accumulate`` and reduces it once.
+versions run on add_product; a tabled field of characteristic 2 keeps the
+conjugates' discrete logs and XORs its terms in the log domain.  F_q(z)
+keeps the conjugates over one shared denominator and clears vec to one
+denominator per call, so an output is a sum of F_q[z] products and costs
+one gcd, or none for a zero test; Q(chi) accumulates each output's integer
+cyclic convolutions over a common denominator with ``_accumulate`` and
+reduces it once.
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -93,13 +95,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 
 _TABLE_LIMIT = 1 << 16
 # GF(p^d) needs p < 2^31 and p^d <= 2^64 (see FiniteField)
 _CHAR_BOUND = 1 << 31
 _SIZE_LIMIT = 1 << 64
+# Q(chi_m) with sigma of order n needs m^3 + m^2 * n^3 <= this (see CyclotomicField)
+_CYCLOTOMIC_BUDGET = 10 ** 7
 
 # exp/log tables and the modulus root's primitivity by (p, d, modulus), least
 # recently used first (see FiniteField).  No field writes to them, and two
@@ -259,13 +262,19 @@ class FieldContext:
             u, k = self.inv(u), -k
         return power(self.mul, self.one_raw, u, k)
 
+    def add_product(self, a, c, b):
+        """a + c * b, the one multiply-accumulate of every sum of products."""
+        return self.add(a, self.mul(c, b))
+
     def add_scaled(self, acc, c, src, shift):
         """acc[shift + j] += c * src[j] in place, skipping zero src[j]: the
         one inner loop of polynomial products, divisions and elimination."""
-        zero, add, mul = self.zero_raw, self.add, self.mul
+        zero, add_product = self.zero_raw, self.add_product
+        if c == zero:
+            return
         for j, b in enumerate(src, shift):
             if b != zero:
-                acc[j] = add(acc[j], mul(c, b))
+                acc[j] = add_product(acc[j], c, b)
 
     def conjugate_table(self, conj, conj_inv):
         """What ``conjugate_sums`` reads: the raw conjugates sigma^k(alpha),
@@ -278,15 +287,15 @@ class FieldContext:
         n; vec holds at most n raw values, lowest degree first."""
         conj, conj_inv = table
         n = len(conj_inv)
-        zero, add, mul = self.zero_raw, self.add, self.mul
+        zero, add_product = self.zero_raw, self.add_product
         terms = [(i, v) for i, v in enumerate(vec) if v != zero]
         out = []
         for k in range(offset, offset + count):
             k %= n
             acc = zero
             for i, v in terms:
-                acc = add(acc, mul(v, conj[k + i]))
-            out.append(mul(acc, conj_inv[k]))
+                acc = add_product(acc, v, conj[k + i])
+            out.append(self.mul(acc, conj_inv[k]))
         return out
 
     def conjugate_zeros(self, table, vec, count, offset):
@@ -541,28 +550,27 @@ class FiniteField(FieldContext):
                 acc[j] ^= exp[lc + log[b]]
 
     def conjugate_table(self, conj, conj_inv):
-        if self._exp is None:
+        if self._exp is None or self.char != 2:
             return super().conjugate_table(conj, conj_inv)
         # the conjugates of a normal element are nonzero, so all have logs
         log = self._log
         return [log[c] for c in conj] * 2, [log[c] for c in conj_inv]
 
     def conjugate_sums(self, table, vec, count, offset):
-        if self._exp is None:
+        if self._exp is None or self.char != 2:
             return super().conjugate_sums(table, vec, count, offset)
         # every term is exp[log v_i + log c]; the sum is scaled once, by
         # exp[log acc + log c_inv]
         exp, log = self._exp, self._log
         logs, inv_logs = table
         n = len(inv_logs)
-        add = operator.xor if self.char == 2 else self.add
         terms = [(i, log[v]) for i, v in enumerate(vec) if v]
         out = []
         for k in range(offset, offset + count):
             k %= n
             acc = 0
             for i, lv in terms:
-                acc = add(acc, exp[lv + logs[k + i]])
+                acc ^= exp[lv + logs[k + i]]
             out.append(exp[log[acc] + inv_logs[k]] if acc else 0)
         return out
 
@@ -716,11 +724,12 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar.  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
-    expressions stay small, and each result pays at most one gcd: a sum (of
-    ``add`` or ``add_scaled``, both by ``_sum``), a product and a conjugate
-    sum reduce once, in ``_make``; an inverse and sigma need none, as they
-    map coprime pairs to coprime pairs and only make the denominator monic,
-    in ``_monic``, as ``_make`` does last.
+    expressions stay small, and each result pays at most one gcd: a sum,
+    a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul`` as
+    the step onto zero) and a conjugate sum reduce once, in ``_make``; an
+    inverse and sigma need none, as they map coprime pairs to coprime pairs
+    and only make the denominator monic, in ``_monic``, as ``_make`` does
+    last.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -731,7 +740,7 @@ class RationalFunctions(FieldContext):
         self.variable = variable
         self.size = None
         a, b, c, d = (self._base_raw(c) for c in mobius)
-        det = base.add(base.mul(a, d), base.neg(base.mul(b, c)))
+        det = base.add_product(base.mul(a, d), base.neg(b), c)
         if det == 0:
             raise FieldError("Moebius coefficient matrix is singular")
         self.mobius = (a, b, c, d)
@@ -769,10 +778,10 @@ class RationalFunctions(FieldContext):
         a, b, c, d = m1
         e, f, g, h = m2
         B = self.base
-        return (B.add(B.mul(a, e), B.mul(b, g)),
-                B.add(B.mul(a, f), B.mul(b, h)),
-                B.add(B.mul(c, e), B.mul(d, g)),
-                B.add(B.mul(c, f), B.mul(d, h)))
+        return (B.add_product(B.mul(a, e), b, g),
+                B.add_product(B.mul(a, f), b, h),
+                B.add_product(B.mul(c, e), d, g),
+                B.add_product(B.mul(c, f), d, h))
 
     # -- canonical fractions -------------------------------------------------
 
@@ -816,14 +825,22 @@ class RationalFunctions(FieldContext):
         return poly_neg(self.base, u[0]), u[1]
 
     def mul(self, u, v):
-        # a product by one would still pay for a gcd
-        if u == _RF_ONE:
-            return v
-        if v == _RF_ONE:
-            return u
-        (xn, xd), (yn, yd) = u, v
+        return self.add_product(self.zero_raw, u, v)
+
+    def add_product(self, a, c, b):
+        # a + c * b is one unreduced fraction, reduced once; a product by one
+        # would still pay for a gcd, and a + b is what add does already
+        if b == _RF_ONE:
+            c, b = b, c
+        if c == _RF_ONE:
+            return self.add(a, b)
+        (an, ad), (cn, cd), (bn, bd) = a, c, b
+        if not cn or not bn:
+            return a
         base = self.base
-        return self._make(poly_mul(base, xn, yn), poly_mul(base, xd, yd))
+        pn = poly_mul(base, cn, bn)
+        pd = bd if cd == (1,) else poly_mul(base, cd, bd)
+        return self._sum(an, ad, pn, pd) if an else self._make(pn, pd)
 
     def inv(self, u):
         if not u[0]:
@@ -833,22 +850,6 @@ class RationalFunctions(FieldContext):
         # den/num is in lowest terms already: only make its denominator monic
         num, den = u
         return self._monic(den, num)
-
-    def add_scaled(self, acc, c, src, shift):
-        # acc_j + c * b_j is one unreduced fraction, reduced once; with
-        # c = 1 that is what add does already
-        if c == _RF_ONE:
-            return super().add_scaled(acc, c, src, shift)
-        if not c[0]:
-            return
-        base = self.base
-        cn, cd = c
-        for j, (bn, bd) in enumerate(src, shift):
-            if bn:
-                an, ad = acc[j]
-                pn = poly_mul(base, cn, bn)
-                pd = bd if cd == (1,) else poly_mul(base, cd, bd)
-                acc[j] = self._sum(an, ad, pn, pd) if an else self._make(pn, pd)
 
     def sigma_raw(self, u, k=1):
         """num(L/D) * D^m over den(L/D) * D^m, for sigma^k(z) = L/D with
@@ -867,10 +868,8 @@ class RationalFunctions(FieldContext):
         def times(p, lo, hi):
             # p * (hi*z + lo) in m + 1 slots; p's top slot is zero here
             out = [0] * (m + 1)
-            if lo:
-                add_scaled(out, lo, p, 0)
-            if hi:
-                add_scaled(out, hi, p[:m], 1)
+            add_scaled(out, lo, p, 0)
+            add_scaled(out, hi, p[:m], 1)
             return out
 
         # Horner in L over the powers of D: acc = acc * L + p_i * D^(m-i)
@@ -985,15 +984,23 @@ class RationalFunctions(FieldContext):
 class CyclotomicField(FieldContext):
     """Q(chi) with chi^m = 1 primitive, m prime, and sigma(chi) = chi^k.
 
-    A sum, a product, an ``add_scaled`` entry and a conjugate sum each
-    gather their integer coordinates over one denominator and reduce the
-    content once, in ``_make``; the last three convolve with ``_accumulate``.
-    A Galois image needs no reduction (an automorphism maps Z[chi] onto
-    itself, so it keeps the content), and neither does the inverse of one.
+    A sum, an a + c * b (``add_product``, and ``mul`` as the step onto zero)
+    and a conjugate sum gather their integer coordinates over one
+    denominator and reduce the content once, in ``_make``; the last two
+    convolve with ``_accumulate``.  A Galois image needs no reduction (an
+    automorphism keeps Z[chi] and so the content), nor does the inverse of one.
+
+    A code build costs about m^3 integer products (the norm inverse) plus
+    m^2 * n^3 (the dual solve), n sigma's order; past 10^7 (a second on a
+    2-vCPU host) it is refused, on m^3 before m is factorised and sigma's
+    powers walked.
     """
 
     def __init__(self, order, exponent, symbol="chi"):
         m = order
+        bound = "the bound m^3 + m^2*n^3 <= 10^7"
+        if m ** 3 > _CYCLOTOMIC_BUDGET:
+            raise FieldError(f"root order {m} is past {bound}")
         if m < 3 or _factorize(m) != {m: 1}:
             raise FieldError(f"root order {m} must be an odd prime")
         if math.gcd(exponent, m) != 1:
@@ -1001,15 +1008,15 @@ class CyclotomicField(FieldContext):
         self.char = 0
         self.size = None
         self.root_order = m
-        self.exponent = e = exponent % m
+        self.exponent = exponent % m
         self.symbol = symbol
         self.dim = m - 1
-        n = 1
-        while e != 1:
-            e = (e * exponent) % m
-            n += 1
-        self.order = n
-        self._sigma_exp = [pow(exponent, t, m) for t in range(n)]
+        self._sigma_exp = exps = [1]
+        while (e := exps[-1] * exponent % m) != 1:
+            exps.append(e)
+        self.order = n = len(exps)
+        if m ** 3 + m ** 2 * n ** 3 > _CYCLOTOMIC_BUDGET:
+            raise FieldError(f"root order {m} with sigma of order {n} is past {bound}")
         self.key = ("cyc", m, self.exponent)
         self.zero_raw = ((0,) * self.dim, 1)
         self.one_raw = ((1,) + (0,) * (self.dim - 1), 1)
@@ -1068,22 +1075,15 @@ class CyclotomicField(FieldContext):
         return den
 
     def mul(self, u, v):
-        # the accumulator starts over u's and v's denominators: no scaling
-        full = [0] * self.root_order
-        den = self._accumulate(full, u[1] * v[1], u, v)
-        return self._make(self._reduce_cyclic(full), den)
+        return self.add_product(self.zero_raw, u, v)
 
-    def add_scaled(self, acc, c, src, shift):
-        # acc_j + c * b_j is one integer vector over one denominator,
-        # reduced once
-        if not any(c[0]):
-            return
-        for j, b in enumerate(src, shift):
-            if any(b[0]):
-                an, ad = acc[j]
-                full = [*an, 0]
-                den = self._accumulate(full, ad, c, b)
-                acc[j] = self._make(self._reduce_cyclic(full), den)
+    def add_product(self, a, c, b):
+        # a + c * b is one integer vector over one denominator, reduced
+        # once; a zero a takes c * b's denominator, so nothing is scaled
+        an, ad = a
+        full = [*an, 0]
+        den = self._accumulate(full, ad if any(an) else c[1] * b[1], c, b)
+        return self._make(self._reduce_cyclic(full), den)
 
     def conjugate_sums(self, table, vec, count, offset):
         # each output accumulates over a common denominator, then the

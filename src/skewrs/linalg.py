@@ -11,8 +11,6 @@ them through the context's raw protocol; ``rows`` wraps them as Elements.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from .fields import Element, require_context, same_context
 
 
@@ -65,12 +63,13 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
         ctx = self.ctx
-        zero, add, mul = ctx.zero_raw, ctx.add, ctx.mul
-        bt = list(zip(*other.raw))
-        return Matrix.from_raw(ctx, [
-            [reduce(add, (mul(a, b) for a, b in zip(r, col) if a != zero and b != zero), zero)
-             for col in bt]
-            for r in self.raw])
+        add_scaled = ctx.add_scaled
+        out = [[ctx.zero_raw] * other.ncols for _ in self.raw]
+        for row, r in zip(out, self.raw):
+            # r times other: other's rows scaled by r's entries, summed
+            for a, b in zip(r, other.raw):
+                add_scaled(row, a, b, 0)
+        return Matrix.from_raw(ctx, out)
 
     def _eliminated(self):
         """Row reduction on raw values; returns (rows, pivot column indices)."""

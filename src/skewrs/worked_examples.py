@@ -179,16 +179,28 @@ _EX1_SCENARIOS = [
 ]
 
 
+def _seed_checks(t, ctx, code, y, expected):
+    s = syndromes(code, y)
+    st = build_syndrome_matrix(code, s)
+    t.compare("syndrome matrix", st, _matrix(ctx, expected["syndrome_matrix"]))
+    t.compare("column echelon form", st.rcef(), _matrix(ctx, expected["rcef"]))
+    mu, rho = extract_rho(st)
+    t.compare("rank of syndrome matrix", mu, expected["mu"])
+    t.compare("locator seed", rho, parse_poly(ctx, expected["rho"]))
+    return s, mu, rho
+
+
+def _report_checks(t, ctx, code, y, err):
+    report = decode(code, y)
+    t.confirm("decode verification", report.ok, report.failure or "ok")
+    t.compare("recovered error", SkewPolynomial(ctx, report.error), err)
+    return report
+
+
 def _scenario_checks(t, ctx, code, cw, scenario):
     err = parse_poly(ctx, scenario["error"])
     y = (cw + err).vector(code.n)
-    s = syndromes(code, y)
-    st = build_syndrome_matrix(code, s)
-    t.compare("syndrome matrix", st, _matrix(ctx, scenario["syndrome_matrix"]))
-    t.compare("column echelon form", st.rcef(), _matrix(ctx, scenario["rcef"]))
-    mu, rho = extract_rho(st)
-    t.compare("rank of syndrome matrix", mu, scenario["mu"])
-    t.compare("locator seed", rho, parse_poly(ctx, scenario["rho"]))
+    s, mu, rho = _seed_checks(t, ctx, code, y, scenario)
     rho_eval = evaluate(code, rho.vector(code.n), code.n, code.r)
     t.compare("locator evaluation vector", rho_eval, _vector(ctx, scenario["rho_eval"]))
     positions, branch = locate_positions(code, mu, rho)
@@ -205,10 +217,7 @@ def _scenario_checks(t, ctx, code, cw, scenario):
     t.compare("error positions", positions, scenario["positions"])
     values = error_values(code, positions, s)
     t.compare("error values", values, _vector(ctx, scenario["values"]))
-    report = decode(code, y)
-    t.confirm("decode verification", report.ok, report.failure or "ok")
-    t.compare("recovered error", SkewPolynomial(ctx, report.error), err)
-    return report
+    return _report_checks(t, ctx, code, y, err)
 
 
 def _run_example_1():
@@ -305,13 +314,7 @@ def _run_example_2():
     y_poly = code.g + err
     t.compare("received word", y_poly, parse_poly(ctx, _EX2["received"]))
     y = y_poly.vector(code.n)
-    s = syndromes(code, y)
-    st = build_syndrome_matrix(code, s)
-    t.compare("syndrome matrix", st, _matrix(ctx, _EX2["syndrome_matrix"]))
-    t.compare("column echelon form", st.rcef(), _matrix(ctx, _EX2["rcef"]))
-    mu, rho = extract_rho(st)
-    t.compare("rank of syndrome matrix", mu, _EX2["mu"])
-    t.compare("locator seed", rho, parse_poly(ctx, _EX2["rho"]))
+    s, mu, rho = _seed_checks(t, ctx, code, y, _EX2)
     t.confirm("locator evaluation vector has no zero",
               all(bool(v) for v in evaluate(code, rho.vector(code.n), code.n, code.r)))
     m_rho = Matrix(ctx, twisted_shift_rows(rho, code.n))
@@ -326,9 +329,7 @@ def _run_example_2():
               _matrix(ctx, _EX2["value_system"]))
     values = error_values(code, positions, s)
     t.compare("error values", values, _vector(ctx, _EX2["values"]))
-    report = decode(code, y)
-    t.confirm("decode verification", report.ok, report.failure or "ok")
-    t.compare("recovered error", SkewPolynomial(ctx, report.error), err)
+    report = _report_checks(t, ctx, code, y, err)
     t.compare("recovered message", report.message, SkewPolynomial.one(ctx))
     return t
 

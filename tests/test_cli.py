@@ -350,8 +350,8 @@ def test_an_overlong_literal_in_a_word_is_one_error_line(workspace, capsys, int_
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
-def _build_exits_2_with_one_error_line(tmp_path, capsys, old, new):
-    text = EXAMPLE_CONFIGS[1]
+def _build_exits_2_with_one_error_line(tmp_path, capsys, old, new, which=1):
+    text = EXAMPLE_CONFIGS[which]
     assert old in text
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text.replace(old, new))
@@ -381,6 +381,16 @@ def test_build_past_the_field_bounds_is_one_error_line(tmp_path, capsys, p, degr
     start = time.perf_counter()
     err = _build_exits_2_with_one_error_line(tmp_path, capsys, old, new)
     assert bound in err and time.perf_counter() - start < 1.0
+
+
+def test_build_past_the_cyclotomic_bound_is_one_error_line(tmp_path, capsys):
+    # refused before m is factorised, sigma's powers are walked or a code
+    # over Q(chi_100003) is built
+    start = time.perf_counter()
+    err = _build_exits_2_with_one_error_line(
+        tmp_path, capsys, "cyclotomic.order = 7\ncyclotomic.symbol = chi\nsigma.exponent = 3",
+        "cyclotomic.order = 100003\nsigma.exponent = 2", which=3)
+    assert "m^3 + m^2*n^3 <= 10^7" in err and time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("modulus", ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1"])

@@ -1,10 +1,11 @@
 import pytest
 
-from skewrs import (CodeError, ConfigError, FiniteField, SkewPolynomial,
-                    build_code, code_from_config, encode, evaluate,
-                    find_normal_element, is_normal, left_divmod,
-                    min_distance_oracle, parse_poly)
-from skewrs.codes import conjugate_matrix, evaluation_matrix
+from skewrs import (CodeError, ConfigError, CyclotomicField, FiniteField,
+                    RationalFunctions, SkewPolynomial, build_code,
+                    code_from_config, encode, evaluate, find_normal_element,
+                    is_normal, left_divmod, min_distance_oracle, parse_poly)
+from skewrs import fields
+from skewrs.codes import conjugate_matrix, dual_support, evaluation_matrix
 from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
@@ -228,6 +229,52 @@ def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
                 for table, generic in tables:
                     assert ctx.conjugate_sums(table, vec, count, offset) == \
                         FieldContext.conjugate_sums(ctx, generic, vec, count, offset)
+
+
+@pytest.mark.parametrize("name", ["f8z", "cyclotomic"])
+def test_dual_support_reduces_once_per_nonzero_term(all_codes, name, monkeypatch):
+    # w_(i+mu) = -sum_k sigma^i(f_k) * w_(i+k) is a chain of a + c * b
+    # steps, each reduced once: one gcd over F_8(z) (sigma(z) = 1/(z + a),
+    # n = 9), one _make over Q(chi).  The zero tests over the dual table
+    # are not counted.
+    if name == "f8z":
+        ctx = RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
+                                ("0", "1", "1", "a"))
+        code = build_code(ctx, ctx.generator, 0, 5)
+    else:
+        code = all_codes[name]
+    ctx, n = code.ctx, code.n
+    calls, words = [], []
+    if name == "f8z":
+        gcrd = fields.poly_gcrd
+        monkeypatch.setattr(fields, "poly_gcrd", lambda *a: calls.append(a) or gcrd(*a))
+    else:
+        make = CyclotomicField._make
+        monkeypatch.setattr(CyclotomicField, "_make",
+                            lambda self, *a: calls.append(a) or make(self, *a))
+    zeros = ctx.conjugate_zeros
+
+    def uncounted_zeros(table, w, count, offset):
+        words.append(list(w))
+        before = len(calls)
+        out = zeros(table, w, count, offset)
+        del calls[before:]
+        return out
+
+    monkeypatch.setattr(ctx, "conjugate_zeros", uncounted_zeros)
+    rng = rng_for(f"dual-support-reductions-{name}")
+    total = 0
+    for mu in (2, 3):
+        for _ in range(5):
+            f = SkewPolynomial(ctx, [ctx.random_nonzero(rng) for _ in range(mu)] + [ctx.one])
+            calls.clear()
+            words.clear()
+            dual_support(code, f, rng.randrange(n))
+            terms = sum(v != ctx.zero_raw for w in words for i in range(n - mu)
+                        for v in w[i:i + mu])
+            assert len(calls) <= terms
+            total += len(calls)
+    assert total
 
 
 @pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])

@@ -391,6 +391,18 @@ def test_add_scaled_equals_element_arithmetic(name, request, monkeypatch):
 
 
 @pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)
+def test_add_product_equals_element_arithmetic(name, request, monkeypatch):
+    # every triple over zero, one and random values: a = 0, c = 1, b = 1
+    ctx = _protocol_context(name, request, monkeypatch)
+    rng = rng_for(f"add-product-{name}")
+    values = [ctx.zero, ctx.one] + [ctx.random_nonzero(rng) for _ in range(4)]
+    for a in values:
+        for c in values:
+            for b in values:
+                assert ctx.add_product(a.raw, c.raw, b.raw) == (a + c * b).raw
+
+
+@pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)
 def test_conjugate_zeros_equal_zero_sums(name, request, monkeypatch):
     ctx = _protocol_context(name, request, monkeypatch)
     code = build_code(ctx, find_normal_element(ctx), 0, 2)
@@ -504,6 +516,32 @@ def test_fields_at_the_size_bounds_are_built(p, degree, modulus):
     F = FiniteField(p, degree, modulus)
     x = F.generator + F.one
     assert F.size == p ** degree and x * x.inverse() == F.one
+
+
+@pytest.mark.parametrize("m, exponent, message", [
+    (100003, 2, "root order 100003 is past"),
+    (1000000000000000003, 2, "root order 1000000000000000003 is past"),
+    (223, 222, "root order 223 is past"),
+    (29, 2, "root order 29 with sigma of order 28 is past"),
+], ids=["m-100003", "m-1e18", "m-223", "m-29-full-order"])
+def test_a_cyclotomic_field_past_the_cost_bound_is_refused_at_once(m, exponent, message):
+    # without the bound, trial division of m, the walk over sigma's powers
+    # or the first code build would run for as long as m asks
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match=message + " the bound m\\^3 \\+ m\\^2\\*n\\^3 <= 10\\^7"):
+        CyclotomicField(m, exponent)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("m, exponent, n", [(211, 210, 2), (23, 5, 22), (17, 3, 16)])
+def test_cyclotomic_fields_within_the_cost_bound_are_built(m, exponent, n):
+    assert CyclotomicField(m, exponent).order == n
+
+
+def test_the_largest_cyclotomic_code_in_use_still_builds():
+    # Q(chi_17) with sigma of full order, n = 16, delta = 9
+    ctx = CyclotomicField(17, 3)
+    assert build_code(ctx, ctx.generator, 0, 9).g.degree == 8
 
 
 def _reference_tables(F):

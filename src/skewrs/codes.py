@@ -61,6 +61,7 @@ def conjugate_matrix(ctx, conj, starts, size):
 def is_normal(ctx, alpha):
     """True when the sigma-conjugates of alpha form a basis over the
     invariant subfield (the conjugate matrix is nonsingular)."""
+    require_context(ctx, (alpha,))
     if not alpha:
         return False
     n = ctx.order
@@ -134,6 +135,7 @@ def build_code(ctx, alpha, r, delta):
         raise CodeError(f"designed distance must be within [2, {n}], got {delta}")
     if r < 0:
         raise CodeError("root offset must be nonnegative")
+    require_context(ctx, (alpha,))
     sigma = ctx.sigma_raw
     conj = [sigma(alpha.raw, k) for k in range(n)]
     # X * C(alpha) = e_0 is solved by X_i = sigma^i(alpha*) when alpha is normal

@@ -64,10 +64,11 @@ the same element:
               1, chi, ..., chi^(m-2) and a positive denominator with no
               common factor.
 
-``Element(ctx, raw)`` is the one element class for all backends: an
-immutable value object whose operators check that both operands share a
-context and then delegate to it.  Contexts are immutable after
-construction and safe to share.
+``Value``, a context and a canonical raw value, is the base of
+``Element(ctx, raw)``, the one element class, of ``SkewPolynomial`` and of
+``Matrix``: it owns equality, hashing, ``from_raw`` and the one check that
+a second operand shares the context, else FieldError.  Element operators
+then delegate to the context.  Contexts are immutable and safe to share.
 
 Finite fields of size up to 2^16 get exp/log tables with respect to a
 primitive element, so multiplication, inversion and Frobenius application
@@ -180,8 +181,9 @@ def join_terms(terms, var):
     return out or "0"
 
 
-class Element:
-    """A field element: a canonical raw value and the context it lives in."""
+class Value:
+    """A canonical raw value and its context; two of one type are equal
+    exactly when their raw values are and their contexts denote one field."""
 
     __slots__ = ("ctx", "raw")
 
@@ -189,43 +191,54 @@ class Element:
         self.ctx = ctx
         self.raw = raw
 
+    @classmethod
+    def from_raw(cls, ctx, raw):
+        """The value of a canonical raw value, taken as it is."""
+        v = cls.__new__(cls)
+        v.ctx, v.raw = ctx, raw
+        return v
+
     def __eq__(self, other):
-        if isinstance(other, Element):
+        if type(other) is type(self):
             return self.raw == other.raw and same_context(self.ctx, other.ctx)
         return NotImplemented
 
     def __hash__(self):
         return hash(self.raw)
 
+    def _operand(self, other):
+        """other's raw value, once other is known to live over self's context."""
+        if other.ctx is not self.ctx:
+            require_context(self.ctx, (other,))
+        return other.raw
+
+
+class Element(Value):
+    """A field element: ``Element(ctx, raw)`` for a canonical raw value."""
+
+    __slots__ = ()
+
     def __bool__(self):
         return self.raw != self.ctx.zero_raw
 
     def __add__(self, other):
         ctx = self.ctx
-        if other.ctx is not ctx:
-            require_context(ctx, (other,))
-        return Element(ctx, ctx.add(self.raw, other.raw))
+        return Element(ctx, ctx.add(self.raw, self._operand(other)))
 
     def __sub__(self, other):
         ctx = self.ctx
-        if other.ctx is not ctx:
-            require_context(ctx, (other,))
-        return Element(ctx, ctx.add(self.raw, ctx.neg(other.raw)))
+        return Element(ctx, ctx.add(self.raw, ctx.neg(self._operand(other))))
 
     def __neg__(self):
         return Element(self.ctx, self.ctx.neg(self.raw))
 
     def __mul__(self, other):
         ctx = self.ctx
-        if other.ctx is not ctx:
-            require_context(ctx, (other,))
-        return Element(ctx, ctx.mul(self.raw, other.raw))
+        return Element(ctx, ctx.mul(self.raw, self._operand(other)))
 
     def __truediv__(self, other):
         ctx = self.ctx
-        if other.ctx is not ctx:
-            require_context(ctx, (other,))
-        return Element(ctx, ctx.mul(self.raw, ctx.inv(other.raw)))
+        return Element(ctx, ctx.mul(self.raw, ctx.inv(self._operand(other))))
 
     def __pow__(self, k):
         return Element(self.ctx, self.ctx.pow(self.raw, k))
@@ -305,6 +318,7 @@ class FieldContext:
 
     def sigma(self, x, k=1):
         """sigma^k(x) for any integer k (k reduced mod the automorphism order)."""
+        require_context(self, (x,))
         return Element(self, self.sigma_raw(x.raw, k))
 
     def random_nonzero(self, rng, *args):
@@ -713,7 +727,8 @@ def poly_gcrd(ctx, f, g):
 # ---------------------------------------------------------------------------
 
 _RF_ONE = ((1,), (1,))
-_MAX_MOBIUS_ORDER = 512
+# F_q(z) with sigma of order n needs n <= this (see RationalFunctions)
+_MAX_MOBIUS_ORDER = 17
 
 
 class RationalFunctions(FieldContext):
@@ -722,7 +737,10 @@ class RationalFunctions(FieldContext):
     The Moebius coefficients are constants of the base field: text, read by
     ``parsing.parse_element``, elements of the base or its raw values.  The
     base's own sigma must be the identity.  Sigma's order is derived by
-    iterating the 2x2 matrix until it becomes a scalar.  Fractions are kept
+    iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
+    a code build costs about n^4 for sigma of order n, and F_16(z) with
+    n = 17 takes about a second on a 2-vCPU host (F_64(z) with n = 21 two to
+    three, odd characteristic several times more).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum,
     a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul`` as
@@ -753,7 +771,7 @@ class RationalFunctions(FieldContext):
             self._mob_pows.append(m)
             m = self._mat_mul(m, self.mobius)
         else:
-            raise FieldError("automorphism order exceeds bound")
+            raise FieldError(f"sigma's order is past the bound n <= {_MAX_MOBIUS_ORDER}")
         self.order = k
         self.key = ("rf", base.key, self.mobius)
         self.zero_raw = ((), (1,))

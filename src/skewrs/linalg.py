@@ -5,18 +5,21 @@ entry in scan order); arithmetic is exact so no pivoting heuristics are
 needed and echelon forms are canonical.  The reduced column echelon form
 is the transpose of the reduced row echelon form of the transpose.
 
-A matrix stores the raw values of its entries in ``raw`` and eliminates on
-them through the context's raw protocol; ``rows`` wraps them as Elements.
+A matrix is a ``fields.Value``, with no hash, holding its entries' raw
+values in lists of rows; it eliminates on them through the context's raw
+protocol, and ``rows`` wraps them as Elements.
 """
 
 from __future__ import annotations
 
-from .fields import Element, require_context, same_context
+from .fields import Element, Value, require_context
 
 
-class Matrix:
+class Matrix(Value):
 
-    __slots__ = ("ctx", "raw")
+    __slots__ = ()
+    # its raw rows are lists, so a matrix has no hash
+    __hash__ = None
 
     def __init__(self, ctx, rows):
         rows = [list(r) for r in rows]
@@ -25,16 +28,7 @@ class Matrix:
             if any(len(r) != w for r in rows):
                 raise ValueError("ragged rows")
         require_context(ctx, (v for r in rows for v in r))
-        self.ctx = ctx
-        self.raw = [[v.raw for v in r] for r in rows]
-
-    @classmethod
-    def from_raw(cls, ctx, rows):
-        """A matrix of equal-length rows of canonical raw values, taken as
-        they are."""
-        m = cls.__new__(cls)
-        m.ctx, m.raw = ctx, rows
-        return m
+        super().__init__(ctx, [[v.raw for v in r] for r in rows])
 
     @property
     def rows(self):
@@ -49,11 +43,6 @@ class Matrix:
     def ncols(self):
         return len(self.raw[0]) if self.raw else 0
 
-    def __eq__(self, other):
-        if isinstance(other, Matrix):
-            return self.raw == other.raw and same_context(self.ctx, other.ctx)
-        return NotImplemented
-
     def transpose(self):
         return Matrix.from_raw(self.ctx, [list(col) for col in zip(*self.raw)])
 
@@ -64,10 +53,11 @@ class Matrix:
             raise ValueError("dimension mismatch")
         ctx = self.ctx
         add_scaled = ctx.add_scaled
+        rows = self._operand(other)
         out = [[ctx.zero_raw] * other.ncols for _ in self.raw]
         for row, r in zip(out, self.raw):
             # r times other: other's rows scaled by r's entries, summed
-            for a, b in zip(r, other.raw):
+            for a, b in zip(r, rows):
                 add_scaled(row, a, b, 0)
         return Matrix.from_raw(ctx, out)
 

@@ -6,7 +6,7 @@ empty coefficient tuple.  "Left division of g by f" always means writing
 g = q*f + rem with deg rem < deg f, so f right-divides g exactly when the
 remainder vanishes.
 
-A polynomial stores the raw values of its coefficients in ``raw``;
+A polynomial is a ``fields.Value`` holding its coefficients' raw values;
 ``coeffs`` wraps them as Elements.  Sums, products, scaling and left
 division are the sigma-twisted kernels of ``fields`` on ``raw``, the same
 ones that compute F_q[z] inside F_q(z).
@@ -14,27 +14,19 @@ ones that compute F_q[z] inside F_q(z).
 
 from __future__ import annotations
 
-from .fields import (Element, join_terms, poly_add, poly_divmod, poly_mul,
+from .fields import (Element, Value, join_terms, poly_add, poly_divmod, poly_mul,
                      poly_neg, poly_scale, poly_trim, poly_twist, power,
-                     require_context, same_context)
+                     require_context)
 
 
-class SkewPolynomial:
+class SkewPolynomial(Value):
 
-    __slots__ = ("ctx", "raw")
+    __slots__ = ()
 
     def __init__(self, ctx, coeffs=()):
         coeffs = tuple(coeffs)
         require_context(ctx, coeffs)
-        self.ctx = ctx
-        self.raw = poly_trim(ctx, [c.raw for c in coeffs])
-
-    @classmethod
-    def _of_raw(cls, ctx, raw):
-        # raw comes from a kernel, so it has no trailing zero
-        f = cls.__new__(cls)
-        f.ctx, f.raw = ctx, raw
-        return f
+        super().__init__(ctx, poly_trim(ctx, [c.raw for c in coeffs]))
 
     @property
     def coeffs(self):
@@ -80,34 +72,22 @@ class SkewPolynomial:
             raise ValueError(f"degree {self.degree} does not fit in length {n}")
         return list(self.coeffs) + [self.ctx.zero] * (n - len(self.raw))
 
-    def __eq__(self, other):
-        if isinstance(other, SkewPolynomial):
-            return self.raw == other.raw and same_context(self.ctx, other.ctx)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.raw)
-
     def __bool__(self):
         return bool(self.raw)
 
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
-        if other.ctx is not self.ctx:
-            require_context(self.ctx, (other,))
-        return self._of_raw(self.ctx, poly_add(self.ctx, self.raw, other.raw))
+        return self.from_raw(self.ctx, poly_add(self.ctx, self.raw, self._operand(other)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._of_raw(self.ctx, poly_neg(self.ctx, self.raw))
+        return self.from_raw(self.ctx, poly_neg(self.ctx, self.raw))
 
     def __mul__(self, other):
-        if other.ctx is not self.ctx:
-            require_context(self.ctx, (other,))
-        return self._of_raw(self.ctx, poly_mul(self.ctx, self.raw, other.raw))
+        return self.from_raw(self.ctx, poly_mul(self.ctx, self.raw, self._operand(other)))
 
     def __pow__(self, k):
         if k < 0:
@@ -118,9 +98,7 @@ class SkewPolynomial:
 
     def scale_left(self, c):
         """c * f for a field constant c."""
-        if c.ctx is not self.ctx:
-            require_context(self.ctx, (c,))
-        return self._of_raw(self.ctx, poly_scale(self.ctx, self.raw, c.raw))
+        return self.from_raw(self.ctx, poly_scale(self.ctx, self.raw, self._operand(c)))
 
     def monic(self):
         if self.is_zero:
@@ -136,10 +114,8 @@ class SkewPolynomial:
 
 def left_divmod(g, f):
     """Quotient and remainder of the left division g = q*f + rem."""
-    if f.ctx is not g.ctx:
-        require_context(g.ctx, (f,))
-    q, rem = poly_divmod(g.ctx, g.raw, f.raw)
-    return SkewPolynomial._of_raw(g.ctx, q), SkewPolynomial._of_raw(g.ctx, rem)
+    q, rem = poly_divmod(g.ctx, g.raw, g._operand(f))
+    return SkewPolynomial.from_raw(g.ctx, q), SkewPolynomial.from_raw(g.ctx, rem)
 
 
 def lclm(f, g):

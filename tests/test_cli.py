@@ -295,7 +295,7 @@ def test_parse_weights_forms():
     assert parse_weights("0,2", 2) == [0, 2]
 
 
-@pytest.mark.parametrize("spec", ["3:1", "x", "1,y"])
+@pytest.mark.parametrize("spec", ["3:1", "x", "1,y", "0:99"])
 def test_simulate_rejects_bad_weights(workspace, capsys, spec):
     tmp, bundle = workspace
     assert main(["simulate", "--code", str(bundle), "--trials", "5",
@@ -391,6 +391,49 @@ def test_build_past_the_cyclotomic_bound_is_one_error_line(tmp_path, capsys):
         tmp_path, capsys, "cyclotomic.order = 7\ncyclotomic.symbol = chi\nsigma.exponent = 3",
         "cyclotomic.order = 100003\nsigma.exponent = 2", which=3)
     assert "m^3 + m^2*n^3 <= 10^7" in err and time.perf_counter() - start < 1.0
+
+
+def test_build_past_the_mobius_order_bound_is_one_error_line(tmp_path, capsys):
+    # sigma(z) = a*z over F_256(z) has order 255: refused as its order is
+    # walked, before a code is built
+    old = ("field.degree = 2\nfield.modulus = a^2 + a + 1\nfield.generator = a\n"
+           "field.variable = z\nsigma.mobius = 1, a, 1, a^2\nalpha = z\nr = 0\ndelta = 5")
+    new = ("field.degree = 8\nfield.modulus = a^8 + a^4 + a^3 + a^2 + 1\n"
+           "sigma.mobius = a, 0, 0, 1\nalpha = (z+1)/(z+a)\ndelta = 2")
+    start = time.perf_counter()
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys, old, new, which=2)
+    assert "n <= 17" in err and time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("which, old, new, message", [
+    (1, "field.kind = finite-field", "field.kind = galois", "unknown field.kind"),
+    (2, "sigma.mobius = 1, a, 1, a^2", "sigma.mobius = 1, a, 1",
+     "sigma.mobius needs four comma-separated values"),
+    (1, "field.p = 2\nfield.degree = 12\nfield.modulus = a^12 + a^7 + a^6 + a^5 + a^3 + a + 1",
+     "field.p = 3\nfield.degree = 2\nfield.modulus = 2a^2 + 1", "modulus must be monic"),
+    (3, "cyclotomic.order = 7", "cyclotomic.order = 9", "root order 9 must be an odd prime"),
+    (3, "sigma.exponent = 3", "sigma.exponent = 7",
+     "sigma exponent must be coprime to the root order"),
+], ids=["unknown-kind", "mobius-arity", "not-monic", "composite-root-order", "exponent"])
+def test_build_refusals_are_one_error_line(tmp_path, capsys, which, old, new, message):
+    assert message in _build_exits_2_with_one_error_line(tmp_path, capsys, old, new, which)
+
+
+@pytest.mark.parametrize("verb", ["encode", "decode"])
+@pytest.mark.parametrize("text, message", [
+    ("x^a", "expected 'int', found 'a'"),
+    ("a)", "unexpected ')'"),
+    ("*a", "unexpected '*'"),
+], ids=["exponent", "trailing-token", "bad-atom"])
+def test_a_malformed_word_is_one_error_line(workspace, capsys, verb, text, message):
+    tmp, bundle = workspace
+    word = tmp / "bad.txt"
+    word.write_text(text + "\n")
+    capsys.readouterr()
+    assert main([verb, "--code", str(bundle), "--in", str(word)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert message in err
 
 
 @pytest.mark.parametrize("modulus", ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1"])

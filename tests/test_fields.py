@@ -544,6 +544,33 @@ def test_the_largest_cyclotomic_code_in_use_still_builds():
     assert build_code(ctx, ctx.generator, 0, 9).g.degree == 8
 
 
+@pytest.mark.parametrize("degree, modulus, mobius", [
+    (8, "a^8 + a^4 + a^3 + a^2 + 1", ("a", "0", "0", "1")),
+    (6, "a^6 + a + 1", ("a^3", "0", "0", "1")),
+], ids=["order-255", "order-21"])
+def test_a_mobius_map_past_the_order_bound_is_refused_at_once(degree, modulus, mobius):
+    # without the bound, a code over F_256(z) with sigma(z) = a*z would
+    # take minutes to build
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="sigma's order is past the bound n <= 17"):
+        RationalFunctions(FiniteField(2, degree, modulus, frobenius_power=0), mobius)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("degree, modulus, n", [(3, "a^3 + a + 1", 9), (4, "a^4 + a + 1", 17)])
+def test_mobius_maps_within_the_order_bound_are_built(degree, modulus, n):
+    # sigma(z) = 1/(z + a)
+    base = FiniteField(2, degree, modulus, frobenius_power=0)
+    assert RationalFunctions(base, ("0", "1", "1", "a")).order == n
+
+
+def test_the_largest_rational_function_code_in_use_still_builds():
+    # F_16(z) with sigma(z) = 1/(z + a), n = 17, delta = 2
+    ctx = RationalFunctions(FiniteField(2, 4, "a^4 + a + 1", frobenius_power=0),
+                            ("0", "1", "1", "a"))
+    assert build_code(ctx, ctx.generator, 0, 2).g.degree == 1
+
+
 def _reference_tables(F):
     """exp/log by general multiplication: the modulus root when it is
     primitive (the symbol reads as 1 when d = 1), else the least

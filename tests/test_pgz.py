@@ -6,7 +6,7 @@ from skewrs import fields
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     FieldError, FiniteField, Matrix, SkewPolynomial,
                     build_code, build_syndrome_matrix, decode, encode,
-                    evaluate, find_normal_element, left_divmod,
+                    evaluate, find_normal_element, is_normal, left_divmod,
                     locate_positions, parse_poly, solve_row_system, syndromes)
 from skewrs.cli import nearest_codeword_equivalence, simulate
 
@@ -79,6 +79,22 @@ def test_raw_stages_reject_a_foreign_field(code_gf, gf4096, gf16):
         Matrix(gf4096, [[gf4096.one, gf16.one]])
     with pytest.raises(FieldError):
         solve_row_system(identity(gf4096, 1), [gf16.one])
+
+
+@pytest.mark.parametrize("case", ["matrix-product", "matrix-product-reversed", "sigma",
+                                  "build-code", "is-normal"])
+def test_values_reject_a_foreign_operand(gf4096, gf16, case):
+    # a GF(2^12) element whose raw value is past GF(16)'s tables
+    x = gf4096.generator ** 100
+    act = {
+        "matrix-product": lambda: Matrix(gf16, [[gf16.one]]) * Matrix(gf4096, [[x]]),
+        "matrix-product-reversed": lambda: Matrix(gf4096, [[x]]) * Matrix(gf16, [[gf16.one]]),
+        "sigma": lambda: gf16.sigma(x),
+        "build-code": lambda: build_code(gf16, x, 0, 2),
+        "is-normal": lambda: is_normal(gf16, x),
+    }[case]
+    with pytest.raises(FieldError):
+        act()
 
 
 def test_syndromes_reject_wrong_length(code_gf):

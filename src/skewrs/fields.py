@@ -739,8 +739,8 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build costs about n^4 for sigma of order n, and F_16(z) with
-    n = 17 takes about a second on a 2-vCPU host (F_64(z) with n = 21 two to
-    three, odd characteristic several times more).  Fractions are kept
+    n = 17 takes about a second on a 2-vCPU host (F_64(z) with n = 21 1.6 to
+    3 s, odd characteristic several times more).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum,
     a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul`` as

@@ -359,7 +359,9 @@ class FiniteField(FieldContext):
     A field of size up to 2^16 takes its exp/log tables from those of the
     few most recently used moduli, shared process-wide whatever sigma is,
     and walks them only on a miss; the shared tables outlive the field.
-    Its sigma multipliers are its own.
+    Tables are stored only for a modulus that passed Rabin's irreducibility
+    test, so a hit also certifies the modulus and the test runs only on a
+    miss.  Its sigma multipliers are its own.
     """
 
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
@@ -392,7 +394,9 @@ class FiniteField(FieldContext):
         # residue of a^d used during reduction: a^d = -(f - a^d)
         self._adeg_digits = [(-c) % p for c in modulus[:degree]]
         self._adeg = self._pack(self._adeg_digits)
-        if not self._is_irreducible():
+        # only a modulus that passed Rabin's test has shared tables
+        key = (p, degree, self.modulus)
+        if key not in _shared_tables and not self._is_irreducible():
             raise FieldError("modulus is not irreducible")
         self.generator_raw = p if degree > 1 else 1 % p
         self._exp = None
@@ -400,7 +404,6 @@ class FiniteField(FieldContext):
         self._sigma_mult = None
         self.generator_primitive = False
         if self.size <= _TABLE_LIMIT:
-            key = (p, degree, self.modulus)
             tables = _shared_tables.pop(key, None) or self._walk_tables()
             _shared_tables[key] = tables
             for stale in list(_shared_tables)[:-_SHARED_TABLE_COUNT]:
@@ -1161,8 +1164,11 @@ class CyclotomicField(FieldContext):
 
     def format(self, x):
         num, den = x.raw
-        return join_terms([(str(Fraction(a, den)), i) for i, a in enumerate(num) if a],
-                          self.symbol)
+        try:
+            terms = [(str(Fraction(a, den)), i) for i, a in enumerate(num) if a]
+        except ValueError:   # past the interpreter's int_max_str_digits
+            raise FieldError("a coordinate is too long to print in decimal") from None
+        return join_terms(terms, self.symbol)
 
     def __repr__(self):
         return f"Q(chi), chi^{self.root_order}=1, sigma(chi)=chi^{self.exponent}"

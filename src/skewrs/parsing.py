@@ -1,8 +1,10 @@
 """Recursive-descent parser for field elements and skew polynomials.
 
-One grammar covers every backend.  Expressions are evaluated over the skew
-polynomial ring, with the names in the context's ``symbols`` plus the
-polynomial variable ``x`` as the available symbols:
+One grammar covers every backend.  Every value is the raw coefficient
+tuple of a skew polynomial (``SkewPolynomial.raw``), combined by the
+``fields.poly_*`` kernels, so text is wrapped once, when it is parsed.  The
+symbols are the names in the context's ``symbols`` plus the polynomial
+variable ``x``:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary | unary)*      adjacency multiplies
@@ -15,7 +17,9 @@ so ``a^3953x^4`` is the coefficient a^3953 times x^4, and
 constant divisor.  An unknown name is split greedily into known
 single-character symbols (``az`` means a*z).  Whitespace is ignored.
 
-``parse_element`` additionally demands the result be a constant.
+``x^k`` is the degree-k monomial itself, a constant's power is ``ctx.pow``,
+and only a compound base such as ``(x + a)^3`` is raised by repeated skew
+products.  ``parse_element`` additionally demands the result be a constant.
 
 An integer literal is a run of decimal digits, converted to an int once, by
 the tokenizer; one longer than the interpreter's ``int_max_str_digits``
@@ -24,6 +28,8 @@ allows is a ``ParseError`` at its position.
 ``parse_int_poly`` reads a GF(p^d) modulus from the same tokens, before its
 field exists: a sum of terms c, c*a^k, ca^k, a and a^k in the generator
 symbol a, integer c and k, first sign optional, a repeated power added up.
+An exponent k past ``MAX_EXPONENT`` is a ``ParseError``, as no field of
+degree above 64 exists to take it and its coefficient list would be k long.
 
 Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep, so
 deeper input is a ``ParseError``, not a ``RecursionError``.
@@ -39,8 +45,10 @@ table lookup or O(log k) products.
 
 from __future__ import annotations
 
+import functools
 import re
 
+from .fields import Element, poly_add, poly_mul, poly_neg, poly_scale, poly_trim, power
 from .skewpoly import SkewPolynomial
 
 
@@ -110,6 +118,8 @@ def parse_int_poly(text, symbol):
             raise ParseError(f"expected a term c*{symbol}^k", tokens[s + 1][2])
         c = tokens[s + 1][1] if shape[s + 1] == "0" else 1
         k = tokens[e - 1][1] if shape[e - 2:e] == "^0" else int(shape[e - 1] == "a")
+        if k > MAX_EXPONENT:   # before the dense list below is built
+            raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", tokens[e - 1][2])
         coeffs[k] = coeffs.get(k, 0) + (-c if shape[s] == "-" else c)
     return [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
 
@@ -162,7 +172,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = poly_add(self.ctx, value, rhs if op == "+" else poly_neg(self.ctx, rhs))
         return value
 
     def term(self):
@@ -172,9 +182,10 @@ class _Parser:
             if kind in ("*", "/"):
                 tok = self.advance()
                 rhs = self.unary()
-                value = value * rhs if tok[0] == "*" else self._divide(value, rhs, tok[2])
+                value = poly_mul(self.ctx, value, rhs) if tok[0] == "*" else \
+                    self._divide(value, rhs, tok[2])
             elif kind in ("name", "int", "("):
-                value = value * self.unary()
+                value = poly_mul(self.ctx, value, self.unary())
             else:
                 return value
 
@@ -189,7 +200,7 @@ class _Parser:
     def unary(self):
         if self.peek()[0] == "-":
             tok = self.advance()
-            return -self.nested(self.unary, tok[2])
+            return poly_neg(self.ctx, self.nested(self.unary, tok[2]))
         return self.power()
 
     def power(self):
@@ -200,13 +211,13 @@ class _Parser:
             tok = self.expect("int")
             k = tok[1]
             self.exponent *= k
-            n = self.ctx.order
-            if value.degree > 0 and value.degree * k > n:
-                raise ParseError(f"power of degree {value.degree * k} exceeds n = {n}", tok[2])
-            if self.ctx.size is None and self.exponent > MAX_EXPONENT:
+            ctx, degree = self.ctx, len(value) - 1
+            if degree > 0 and degree * k > ctx.order:
+                raise ParseError(f"power of degree {degree * k} exceeds n = {ctx.order}", tok[2])
+            if ctx.size is None and self.exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {self.exponent} exceeds {MAX_EXPONENT}"
                                  " over an infinite field", tok[2])
-            value = value ** k
+            value = self._power(value, k)
         self.exponent = max(outer, self.exponent)
         return value
 
@@ -219,34 +230,46 @@ class _Parser:
                 raise ParseError("missing closing parenthesis", closing[2])
             return inner
         if kind == "int":
-            return SkewPolynomial.constant(self.ctx, self.ctx.from_int(value))
+            return poly_trim(self.ctx, (self.ctx.from_int(value).raw,))
         if kind == "name":
             if value in self.symbols:
                 return self.symbols[value]
             raise ParseError(f"unknown symbol {value!r}", pos)
         raise ParseError(f"unexpected {value!r}", pos)
 
+    def _power(self, value, k):
+        ctx = self.ctx
+        zero, one = ctx.zero_raw, ctx.one_raw
+        if len(value) == 1:
+            return (ctx.pow(value[0], k),)
+        # a power of x, (x^m)^k included, is a monomial with no product
+        if value and value[-1] == one and all(c == zero for c in value[:-1]):
+            return (zero,) * ((len(value) - 1) * k) + (one,)
+        return power(functools.partial(poly_mul, ctx), (one,), value, k)
+
     def _divide(self, lhs, rhs, pos):
-        if rhs.is_zero:
+        if not rhs:
             raise ParseError("division by zero", pos)
-        if rhs.degree > 0:
+        if len(rhs) > 1:
             raise ParseError("division by a non-constant polynomial", pos)
-        return lhs.scale_left(rhs.coeffs[0].inverse())
+        return poly_scale(self.ctx, lhs, self.ctx.inv(rhs[0]))
 
 
 def _symbol_table(ctx):
-    return {k: SkewPolynomial.constant(ctx, ctx.element(v)) for k, v in ctx.symbols.items()}
+    # a symbol names a generator, never zero
+    return {k: (v,) for k, v in ctx.symbols.items()}
 
 
 def parse_poly(ctx, text):
     """Parse a skew polynomial in x with coefficients in ctx."""
     # the context's own symbols take precedence over x
-    return _Parser(ctx, text, {"x": SkewPolynomial.variable(ctx), **_symbol_table(ctx)}).parse()
+    x = (ctx.zero_raw, ctx.one_raw)
+    return SkewPolynomial.from_raw(ctx, _Parser(ctx, text, {"x": x, **_symbol_table(ctx)}).parse())
 
 
 def parse_element(ctx, text):
     """Parse a single field element (a constant expression)."""
     value = _Parser(ctx, text, _symbol_table(ctx)).parse()
-    if value.degree > 0:
+    if len(value) > 1:
         raise ParseError("expected a field element, found a polynomial", 0)
-    return value.coeffs[0] if value.coeffs else ctx.zero
+    return Element(ctx, value[0] if value else ctx.zero_raw)

@@ -255,6 +255,19 @@ def test_cyclotomic_decode_through_cli(tmp_path, capsys):
     assert "values = chi" in out
 
 
+
+@pytest.mark.parametrize("verb", ["encode", "decode"])
+def test_a_coordinate_too_long_to_print_is_one_error_line(tmp_path, capsys, int_digit_limit,
+                                                          verb):
+    # 99999^1024 parses, but has 5120 digits, past the interpreter's limit
+    # on printing an int
+    cfg = tmp_path / "cyc.cfg"
+    cfg.write_text(EXAMPLE_CONFIGS[3])
+    word = tmp_path / "word.txt"
+    word.write_text("99999^1024\n")
+    assert main([verb, "--code", str(cfg), "--in", str(word)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: a coordinate is too long to print in decimal\n"
 @pytest.mark.parametrize("text", ["(" * 300 + "a" + ")" * 300, "-" * 2000 + "a"],
                          ids=["parentheses", "minus-signs"])
 def test_decode_rejects_deep_nesting_with_one_line(workspace, capsys, text):
@@ -436,7 +449,9 @@ def test_a_malformed_word_is_one_error_line(workspace, capsys, verb, text, messa
     assert message in err
 
 
-@pytest.mark.parametrize("modulus", ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1"])
+@pytest.mark.parametrize("modulus", ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1",
+                                     "a^999999999999 + 1"])
 def test_build_with_a_malformed_modulus_is_one_error_line(tmp_path, capsys, modulus):
     _build_exits_2_with_one_error_line(tmp_path, capsys,
                                        "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", modulus)
+

@@ -672,6 +672,56 @@ def test_shared_tables_keep_the_four_most_recently_used_moduli(monkeypatch):
     assert list(skewrs.fields._shared_tables) == [keys[3], keys[4], keys[2], keys[0]]
 
 
+@pytest.fixture
+def irreducibility_tests(monkeypatch):
+    """Empty shared tables, and the moduli that Rabin's test ran on since."""
+    monkeypatch.setattr(skewrs.fields, "_shared_tables", {})
+    tested = []
+    rabin = FiniteField._is_irreducible
+
+    def counted(self):
+        tested.append(self.modulus)
+        return rabin(self)
+
+    monkeypatch.setattr(FiniteField, "_is_irreducible", counted)
+    return tested
+
+
+def test_a_shared_table_hit_skips_the_irreducibility_test(irreducibility_tests):
+    F1 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=1)
+    assert irreducibility_tests == [F1.modulus]
+    F10 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    assert irreducibility_tests == [F1.modulus]
+    assert F10._exp is F1._exp
+
+
+def test_an_evicted_modulus_is_tested_again(irreducibility_tests):
+    first = (2, 4, "a^4 + a + 1")
+    others = [(2, 4, "a^4 + a^3 + 1"), (2, 4, "a^4 + a^3 + a^2 + a + 1"),
+              (2, 3, "a^3 + a + 1"), (2, 3, "a^3 + a^2 + 1")]
+    modulus = FiniteField(*first).modulus
+    for m in others:
+        FiniteField(*m)
+    assert irreducibility_tests.count(modulus) == 1
+    FiniteField(*first)
+    assert irreducibility_tests.count(modulus) == 2
+    assert len(irreducibility_tests) == 6
+
+
+def test_an_untabled_field_is_always_tested(irreducibility_tests, monkeypatch):
+    monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 1 << 11)
+    for _ in range(2):
+        FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    assert len(irreducibility_tests) == 2
+
+
+def test_a_reducible_modulus_beside_a_shared_one_is_refused(irreducibility_tests):
+    FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    with pytest.raises(FieldError, match="not irreducible"):
+        FiniteField(2, 12, "a^12 + 1", frobenius_power=10)
+    assert len(irreducibility_tests) == 2
+
+
 def test_singular_mobius_rejected(rational):
     with pytest.raises(FieldError):
         RationalFunctions(rational.base, ("1", "a", "a^2", "a^3"))

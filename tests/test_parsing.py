@@ -1,9 +1,10 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewrs import FiniteField, ParseError, SkewPolynomial, parse_element, parse_poly
-from skewrs.parsing import parse_int_poly
+from skewrs.parsing import MAX_EXPONENT, parse_int_poly
 
 from conftest import LONG_LITERAL, rng_for, random_poly
 from oracles import coeff, from_fraction, monomial
@@ -195,7 +196,9 @@ MODULUS_SPELLINGS = {
     "a^2 - a^2 + 7": [7, 0, 0],
 }
 
-MALFORMED_MODULI = ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1"]
+# the last once built a coefficient list as long as its exponent
+MALFORMED_MODULI = ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1",
+                    "a^12 + a^99999999999999999999 + 1"]
 
 
 @pytest.mark.parametrize("text", list(MODULI) + list(MODULUS_SPELLINGS))
@@ -213,3 +216,165 @@ def test_modulus_in_another_symbol():
 def test_malformed_moduli_are_parse_errors(text):
     with pytest.raises(ParseError):
         FiniteField(2, 12, text)
+
+
+def test_a_modulus_exponent_past_the_bound_is_a_parse_error():
+    assert len(parse_int_poly(f"a^{MAX_EXPONENT} + 1", "a")) == MAX_EXPONENT + 1
+    text = f"a^12 + a^{MAX_EXPONENT + 1} - a^{MAX_EXPONENT + 1} + 1"
+    with pytest.raises(ParseError) as err:
+        parse_int_poly(text, "a")
+    assert str(err.value) == f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT} (at position 9)"
+
+
+# -- the parser against SkewPolynomial and Element operators -------------------
+#
+# An expression tree is a tuple: ("int", k), ("sym", name, k or None) and
+# ("x", k) are leaves; ("add" | "sub" | "mul" | "adj", l, r), ("neg", e),
+# ("div", e, constant tree) and ("pow", e, k) are nodes.  ``_render`` prints
+# a tree and evaluates it with the operators, term by term, choosing each
+# exponent within the parser's bounds.
+
+def _leaves(with_x):
+    leaves = [st.tuples(st.just("int"), st.integers(0, 12)),
+              st.tuples(st.just("sym"), st.integers(0, 1), st.none() | st.integers(0, 5000))]
+    if with_x:
+        leaves.append(st.tuples(st.just("x"), st.integers(0, 9)))
+    return st.one_of(leaves)
+
+
+def _nodes(children, constants):
+    return st.one_of(
+        st.tuples(st.sampled_from(["add", "sub", "mul", "adj"]), children, children),
+        st.tuples(st.just("neg"), children),
+        st.tuples(st.just("div"), children, constants),
+        st.tuples(st.just("pow"), children, st.integers(0, 4)))
+
+
+_CONSTANTS = st.recursive(_leaves(False), lambda c: _nodes(c, _leaves(False)), max_leaves=4)
+_TREES = st.recursive(_leaves(True), lambda c: _nodes(c, _CONSTANTS), max_leaves=8)
+
+
+def _repeated(one, f, k):
+    out = one
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def _render(ctx, tree):
+    """(text, value, exponent): the tree's text, its value as a
+    SkewPolynomial and the largest exponent product the parser sees in it."""
+    kind = tree[0]
+    one = SkewPolynomial.one(ctx)
+    names = sorted(ctx.symbols)
+    infinite = ctx.size is None
+    if kind == "int":
+        return str(tree[1]), SkewPolynomial.constant(ctx, ctx.from_int(tree[1])), 1
+    if kind == "sym":
+        name = names[tree[1] % len(names)]
+        c = SkewPolynomial.constant(ctx, ctx.element(ctx.symbols[name]))
+        if tree[2] is None:
+            return name, c, 1
+        k = tree[2] % 4 if infinite else tree[2]
+        return f"{name}^{k}", SkewPolynomial.constant(ctx, c.coeffs[0] ** k), max(k, 1)
+    if kind == "x":
+        k = min(tree[1], ctx.order)
+        return f"x^{k}", _repeated(one, SkewPolynomial.variable(ctx), k), max(k, 1)
+    if kind == "neg":
+        text, f, e = _render(ctx, tree[1])
+        return f"-({text})", -f, e
+    if kind == "pow":
+        text, f, e = _render(ctx, tree[1])
+        k = tree[2]
+        if f.degree > 0:
+            k = min(k, ctx.order // f.degree)
+        if infinite:
+            k = min(k, MAX_EXPONENT // e)
+        return f"({text})^{k}", _repeated(one, f, k), max(e * k, 1)
+    ltext, f, le = _render(ctx, tree[1])
+    rtext, g, re_ = _render(ctx, tree[2])
+    e = max(le, re_)
+    if kind == "div":
+        c = g.coeffs[0] if g else ctx.zero
+        # parse_element reads the constant the same way
+        assert parse_element(ctx, rtext) == c
+        if not c:
+            rtext, c = names[0], ctx.element(ctx.symbols[names[0]])
+        return f"({ltext})/({rtext})", SkewPolynomial.constant(ctx, c.inverse()) * f, e
+    if kind == "add":
+        return f"{ltext} + {rtext}", f + g, e
+    if kind == "sub":
+        return f"{ltext} - ({rtext})", f - g, e
+    if kind == "mul":
+        return f"({ltext})*({rtext})", f * g, e
+    if tree[1][0] in ("int", "sym", "x") and tree[2][0] in ("int", "sym", "x"):
+        return f"{ltext} {rtext}", f * g, e
+    return f"({ltext})({rtext})", f * g, e
+
+
+@pytest.mark.parametrize("fixture", ["gf4096", "rational", "cyclotomic"])
+@settings(max_examples=150, deadline=None)
+@given(tree=_TREES)
+def test_parse_poly_equals_the_operators_bit_for_bit(request, fixture, tree):
+    ctx = request.getfixturevalue(fixture)
+    text, expected, _ = _render(ctx, tree)
+    parsed = parse_poly(ctx, text)
+    assert parsed.raw == expected.raw
+    assert parsed == expected
+
+
+# malformed input and the ParseError it has always raised, position included
+MALFORMED = [
+    ('gf4096', 'poly', '', "unexpected '' (at position 0)"),
+    ('gf4096', 'poly', 'a +', "unexpected '' (at position 3)"),
+    ('gf4096', 'poly', 'a^', "expected 'int', found '' (at position 2)"),
+    ('gf4096', 'poly', 'a^x', "expected 'int', found 'x' (at position 2)"),
+    ('gf4096', 'poly', '(a + 1', 'missing closing parenthesis (at position 6)'),
+    ('gf4096', 'poly', 'a + q', "unknown symbol 'q' (at position 4)"),
+    ('gf4096', 'poly', 'a + $', "unexpected character '$' (at position 4)"),
+    ('gf4096', 'poly', 'a/x', 'division by a non-constant polynomial (at position 1)'),
+    ('gf4096', 'poly', 'x/(a + a)', 'division by zero (at position 1)'),
+    ('gf4096', 'poly', 'x^7', 'power of degree 7 exceeds n = 6 (at position 2)'),
+    ('gf4096', 'poly', '(x^2)^4', 'power of degree 8 exceeds n = 6 (at position 6)'),
+    ('gf4096', 'poly', '(x + a)^99999999999', 'power of degree 99999999999 exceeds n = 6 (at position 8)'),
+    ('gf4096', 'poly', 'a)', "unexpected ')' (at position 1)"),
+    ('gf4096', 'poly', '*a', "unexpected '*' (at position 0)"),
+    ('gf4096', 'element', 'x + a', "unknown symbol 'x' (at position 0)"),
+    ('gf4096', 'element', 'a*x^0*x', "unknown symbol 'x' (at position 2)"),
+    ('gf4096', 'poly', '(((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((a)))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))', 'nesting deeper than 100 levels (at position 100)'),
+    ('gf4096', 'poly', '-----------------------------------------------------------------------------------------------------a', 'nesting deeper than 100 levels (at position 100)'),
+    ('gf4096', 'poly', 'a^²', "unexpected character '²' (at position 2)"),
+    ('gf4096', 'poly', 'a ^ -1', "expected 'int', found '-' (at position 4)"),
+    ('gf4096', 'poly', '(x + 1)^7', 'power of degree 7 exceeds n = 6 (at position 8)'),
+    ('gf4096', 'poly', '(a + a)^3 / (x - x)', 'division by zero (at position 10)'),
+    ('gf4096', 'poly', 'a^3953x^4 + b', "unknown symbol 'b' (at position 12)"),
+    ('gf4096', 'poly', '2x^', "expected 'int', found '' (at position 3)"),
+    ('gf4096', 'poly', '()', "unexpected ')' (at position 1)"),
+    ('gf4096', 'poly', 'x^2^3', "unexpected '^' (at position 3)"),
+    ('rational', 'element', 'z^99999999999', 'exponent 99999999999 exceeds 1024 over an infinite field (at position 2)'),
+    ('rational', 'element', '((z^99)^99)^99', 'exponent 9801 exceeds 1024 over an infinite field (at position 8)'),
+    ('rational', 'element', '1/(z - z)', 'division by zero (at position 1)'),
+    ('rational', 'element', 'z +', "unexpected '' (at position 3)"),
+    ('rational', 'element', '(z + a^2)^1000', 'exponent 2000 exceeds 1024 over an infinite field (at position 10)'),
+    ('rational', 'element', 'w', "unknown symbol 'w' (at position 0)"),
+    ('rational', 'poly', 'x^6', 'power of degree 6 exceeds n = 5 (at position 2)'),
+    ('rational', 'poly', '(z + 1)/x', 'division by a non-constant polynomial (at position 7)'),
+    ('rational', 'element', 'z/(z^2 + z + z^2 + z)', 'division by zero (at position 1)'),
+    ('cyclotomic', 'element', '(chi + 1)^99999999999', 'exponent 99999999999 exceeds 1024 over an infinite field (at position 10)'),
+    ('cyclotomic', 'element', '2^99999999999', 'exponent 99999999999 exceeds 1024 over an infinite field (at position 2)'),
+    ('cyclotomic', 'poly', 'chi/0', 'division by zero (at position 3)'),
+    ('cyclotomic', 'poly', 'chi^', "expected 'int', found '' (at position 4)"),
+    ('cyclotomic', 'poly', 'chi^2 +* 3', "unexpected '*' (at position 7)"),
+    ('rational', 'poly', '(z x)^3 (z + x)^6', 'power of degree 6 exceeds n = 5 (at position 16)'),
+    ('cyclotomic', 'poly', 'x^7 - 1', 'power of degree 7 exceeds n = 6 (at position 2)'),
+    ('cyclotomic', 'poly', '3/(7 - 7)x', 'division by zero (at position 1)'),
+    ('cyclotomic', 'element', 'chi x', "unknown symbol 'x' (at position 4)"),
+]
+
+
+@pytest.mark.parametrize("fixture, kind, text, message", MALFORMED)
+def test_malformed_input_keeps_its_parse_error(request, fixture, kind, text, message):
+    parse = parse_poly if kind == "poly" else parse_element
+    with pytest.raises(ParseError) as err:
+        parse(request.getfixturevalue(fixture), text)
+    assert str(err.value) == message

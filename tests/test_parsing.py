@@ -291,9 +291,9 @@ def _render(ctx, tree):
         if infinite:
             k = min(k, MAX_EXPONENT // e)
         return f"({text})^{k}", _repeated(one, f, k), max(e * k, 1)
-    ltext, f, le = _render(ctx, tree[1])
-    rtext, g, re_ = _render(ctx, tree[2])
-    e = max(le, re_)
+    ltext, f, e1 = _render(ctx, tree[1])
+    rtext, g, e2 = _render(ctx, tree[2])
+    e = max(e1, e2)
     if kind == "div":
         c = g.coeffs[0] if g else ctx.zero
         # parse_element reads the constant the same way
@@ -336,13 +336,15 @@ MALFORMED = [
     ('gf4096', 'poly', 'x/(a + a)', 'division by zero (at position 1)'),
     ('gf4096', 'poly', 'x^7', 'power of degree 7 exceeds n = 6 (at position 2)'),
     ('gf4096', 'poly', '(x^2)^4', 'power of degree 8 exceeds n = 6 (at position 6)'),
-    ('gf4096', 'poly', '(x + a)^99999999999', 'power of degree 99999999999 exceeds n = 6 (at position 8)'),
+    ('gf4096', 'poly', '(x + a)^99999999999',
+     'power of degree 99999999999 exceeds n = 6 (at position 8)'),
     ('gf4096', 'poly', 'a)', "unexpected ')' (at position 1)"),
     ('gf4096', 'poly', '*a', "unexpected '*' (at position 0)"),
     ('gf4096', 'element', 'x + a', "unknown symbol 'x' (at position 0)"),
     ('gf4096', 'element', 'a*x^0*x', "unknown symbol 'x' (at position 2)"),
-    ('gf4096', 'poly', '(((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((((a)))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))))', 'nesting deeper than 100 levels (at position 100)'),
-    ('gf4096', 'poly', '-----------------------------------------------------------------------------------------------------a', 'nesting deeper than 100 levels (at position 100)'),
+    ('gf4096', 'poly', '(' * 101 + 'a' + ')' * 101,
+     'nesting deeper than 100 levels (at position 100)'),
+    ('gf4096', 'poly', '-' * 101 + 'a', 'nesting deeper than 100 levels (at position 100)'),
     ('gf4096', 'poly', 'a^²', "unexpected character '²' (at position 2)"),
     ('gf4096', 'poly', 'a ^ -1', "expected 'int', found '-' (at position 4)"),
     ('gf4096', 'poly', '(x + 1)^7', 'power of degree 7 exceeds n = 6 (at position 8)'),
@@ -351,17 +353,22 @@ MALFORMED = [
     ('gf4096', 'poly', '2x^', "expected 'int', found '' (at position 3)"),
     ('gf4096', 'poly', '()', "unexpected ')' (at position 1)"),
     ('gf4096', 'poly', 'x^2^3', "unexpected '^' (at position 3)"),
-    ('rational', 'element', 'z^99999999999', 'exponent 99999999999 exceeds 1024 over an infinite field (at position 2)'),
-    ('rational', 'element', '((z^99)^99)^99', 'exponent 9801 exceeds 1024 over an infinite field (at position 8)'),
+    ('rational', 'element', 'z^99999999999',
+     'exponent 99999999999 exceeds 1024 over an infinite field (at position 2)'),
+    ('rational', 'element', '((z^99)^99)^99',
+     'exponent 9801 exceeds 1024 over an infinite field (at position 8)'),
     ('rational', 'element', '1/(z - z)', 'division by zero (at position 1)'),
     ('rational', 'element', 'z +', "unexpected '' (at position 3)"),
-    ('rational', 'element', '(z + a^2)^1000', 'exponent 2000 exceeds 1024 over an infinite field (at position 10)'),
+    ('rational', 'element', '(z + a^2)^1000',
+     'exponent 2000 exceeds 1024 over an infinite field (at position 10)'),
     ('rational', 'element', 'w', "unknown symbol 'w' (at position 0)"),
     ('rational', 'poly', 'x^6', 'power of degree 6 exceeds n = 5 (at position 2)'),
     ('rational', 'poly', '(z + 1)/x', 'division by a non-constant polynomial (at position 7)'),
     ('rational', 'element', 'z/(z^2 + z + z^2 + z)', 'division by zero (at position 1)'),
-    ('cyclotomic', 'element', '(chi + 1)^99999999999', 'exponent 99999999999 exceeds 1024 over an infinite field (at position 10)'),
-    ('cyclotomic', 'element', '2^99999999999', 'exponent 99999999999 exceeds 1024 over an infinite field (at position 2)'),
+    ('cyclotomic', 'element', '(chi + 1)^99999999999',
+     'exponent 99999999999 exceeds 1024 over an infinite field (at position 10)'),
+    ('cyclotomic', 'element', '2^99999999999',
+     'exponent 99999999999 exceeds 1024 over an infinite field (at position 2)'),
     ('cyclotomic', 'poly', 'chi/0', 'division by zero (at position 3)'),
     ('cyclotomic', 'poly', 'chi^', "expected 'int', found '' (at position 4)"),
     ('cyclotomic', 'poly', 'chi^2 +* 3', "unexpected '*' (at position 7)"),

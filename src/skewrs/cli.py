@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .codes import (CodeError, ConfigError, code_from_config, codewords,
                     encode, min_distance_oracle)
-from .fields import FieldError
+from .fields import FormatError
 from .parsing import ParseError, parse_poly
 from .pgz import BRANCH_ECHELON, decode
 from .skewpoly import SkewPolynomial
@@ -340,7 +340,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, CodeError, FieldError, OSError) as exc:
+    except (ConfigError, ParseError, CodeError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -116,6 +116,10 @@ class FieldError(ValueError):
     pass
 
 
+class FormatError(FieldError):
+    """A value too large to print, a fault of the input rather than the code."""
+
+
 def same_context(a, b):
     """True when two contexts denote the same field with the same sigma."""
     return a is b or a.key == b.key
@@ -677,6 +681,17 @@ def poly_mul(ctx, f, g):
     return poly_trim(ctx, out)
 
 
+def poly_pow(ctx, f, k):
+    """f^k for k >= 0: a constant's power in the field, a power of x, (x^m)^k
+    included, as a monomial, and any other f by square-and-multiply."""
+    zero, one = ctx.zero_raw, ctx.one_raw
+    if len(f) == 1:
+        return (ctx.pow(f[0], k),)
+    if f and f[-1] == one and all(c == zero for c in f[:-1]):
+        return (zero,) * ((len(f) - 1) * k) + (one,)
+    return power(functools.partial(poly_mul, ctx), (one,), f, k)
+
+
 def _left_reduce(ctx, rem, g, q=None):
     """Left division in place: step k takes q_k * x^k * g = q_k *
     sigma^k(g) * x^k off the list rem, from the top down, and stores q_k in
@@ -1167,7 +1182,7 @@ class CyclotomicField(FieldContext):
         try:
             terms = [(str(Fraction(a, den)), i) for i, a in enumerate(num) if a]
         except ValueError:   # past the interpreter's int_max_str_digits
-            raise FieldError("a coordinate is too long to print in decimal") from None
+            raise FormatError("a coordinate is too long to print in decimal") from None
         return join_terms(terms, self.symbol)
 
     def __repr__(self):

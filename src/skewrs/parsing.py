@@ -17,6 +17,7 @@ so ``a^3953x^4`` is the coefficient a^3953 times x^4, and
 constant divisor.  An unknown name is split greedily into known
 single-character symbols (``az`` means a*z).  Whitespace is ignored.
 
+A power is ``fields.poly_pow``, the kernel behind ``SkewPolynomial.__pow__``:
 ``x^k`` is the degree-k monomial itself, a constant's power is ``ctx.pow``,
 and only a compound base such as ``(x + a)^3`` is raised by repeated skew
 products.  ``parse_element`` additionally demands the result be a constant.
@@ -45,10 +46,9 @@ table lookup or O(log k) products.
 
 from __future__ import annotations
 
-import functools
 import re
 
-from .fields import Element, poly_add, poly_mul, poly_neg, poly_scale, poly_trim, power
+from .fields import Element, poly_add, poly_mul, poly_neg, poly_pow, poly_scale, poly_trim
 from .skewpoly import SkewPolynomial
 
 
@@ -217,7 +217,7 @@ class _Parser:
             if ctx.size is None and self.exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {self.exponent} exceeds {MAX_EXPONENT}"
                                  " over an infinite field", tok[2])
-            value = self._power(value, k)
+            value = poly_pow(ctx, value, k)
         self.exponent = max(outer, self.exponent)
         return value
 
@@ -236,16 +236,6 @@ class _Parser:
                 return self.symbols[value]
             raise ParseError(f"unknown symbol {value!r}", pos)
         raise ParseError(f"unexpected {value!r}", pos)
-
-    def _power(self, value, k):
-        ctx = self.ctx
-        zero, one = ctx.zero_raw, ctx.one_raw
-        if len(value) == 1:
-            return (ctx.pow(value[0], k),)
-        # a power of x, (x^m)^k included, is a monomial with no product
-        if value and value[-1] == one and all(c == zero for c in value[:-1]):
-            return (zero,) * ((len(value) - 1) * k) + (one,)
-        return power(functools.partial(poly_mul, ctx), (one,), value, k)
 
     def _divide(self, lhs, rhs, pos):
         if not rhs:

@@ -15,7 +15,7 @@ ones that compute F_q[z] inside F_q(z).
 from __future__ import annotations
 
 from .fields import (Element, Value, join_terms, poly_add, poly_divmod, poly_mul,
-                     poly_neg, poly_scale, poly_trim, poly_twist, power,
+                     poly_neg, poly_pow, poly_scale, poly_trim, poly_twist,
                      require_context)
 
 
@@ -92,9 +92,7 @@ class SkewPolynomial(Value):
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative powers are not defined for skew polynomials")
-        if self.degree == 0:
-            return SkewPolynomial(self.ctx, (self.leading ** k,))
-        return power(SkewPolynomial.__mul__, SkewPolynomial.one(self.ctx), self, k)
+        return self.from_raw(self.ctx, poly_pow(self.ctx, self.raw, k))
 
     def scale_left(self, c):
         """c * f for a field constant c."""

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from skewrs import EXAMPLE_CONFIGS, cli
+from skewrs import EXAMPLE_CONFIGS, FieldError, cli
 from skewrs.cli import main, parse_weights
 
 from conftest import LONG_LITERAL
@@ -255,7 +255,6 @@ def test_cyclotomic_decode_through_cli(tmp_path, capsys):
     assert "values = chi" in out
 
 
-
 @pytest.mark.parametrize("verb", ["encode", "decode"])
 def test_a_coordinate_too_long_to_print_is_one_error_line(tmp_path, capsys, int_digit_limit,
                                                           verb):
@@ -268,6 +267,23 @@ def test_a_coordinate_too_long_to_print_is_one_error_line(tmp_path, capsys, int_
     assert main([verb, "--code", str(cfg), "--in", str(word)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: a coordinate is too long to print in decimal\n"
+
+
+def test_another_field_error_is_not_a_usage_error(workspace, monkeypatch):
+    # past load_bundle, a FieldError other than a formatting one is a fault
+    # of the code, so it keeps its traceback
+    tmp_path, bundle = workspace
+    word = tmp_path / "word.txt"
+    word.write_text("x + a\n")
+
+    def foreign(*args):
+        raise FieldError("elements belong to different field contexts")
+
+    monkeypatch.setattr(cli, "decode", foreign)
+    with pytest.raises(FieldError, match="different field contexts"):
+        main(["decode", "--code", str(bundle), "--in", str(word)])
+
+
 @pytest.mark.parametrize("text", ["(" * 300 + "a" + ")" * 300, "-" * 2000 + "a"],
                          ids=["parentheses", "minus-signs"])
 def test_decode_rejects_deep_nesting_with_one_line(workspace, capsys, text):
@@ -454,4 +470,3 @@ def test_a_malformed_word_is_one_error_line(workspace, capsys, verb, text, messa
 def test_build_with_a_malformed_modulus_is_one_error_line(tmp_path, capsys, modulus):
     _build_exits_2_with_one_error_line(tmp_path, capsys,
                                        "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", modulus)
-

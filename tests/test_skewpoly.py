@@ -31,6 +31,24 @@ def test_mul_by_one_is_identity(gf4096):
     assert SkewPolynomial.one(gf4096) * f == f
 
 
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])
+def test_power_equals_repeated_products(all_contexts, name):
+    # a constant, the zero polynomial, x^m and a compound base take
+    # different paths through poly_pow
+    ctx = all_contexts[name]
+    rng = rng_for(f"pow-{name}")
+    x = SkewPolynomial.variable(ctx)
+    bases = [SkewPolynomial.constant(ctx, ctx.random_element(rng)), SkewPolynomial.zero(ctx),
+             x, x * x, x + SkewPolynomial.one(ctx), random_nonzero_poly(ctx, rng, 1)]
+    for f in bases:
+        expected = SkewPolynomial.one(ctx)
+        for k in range(4):
+            assert (f ** k).raw == expected.raw
+            expected = expected * f
+    with pytest.raises(ValueError):
+        x ** -1
+
+
 def test_commutation_rule_against_sigma(all_contexts):
     for name, ctx in all_contexts.items():
         rng = rng_for(f"commute-{name}")

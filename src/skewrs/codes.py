@@ -248,24 +248,35 @@ def _need(kv, key):
     return kv[key]
 
 
+def _need_int(kv, key, default=None):
+    """key's value as an integer; a value that int() refuses is a
+    ConfigError naming the key and the value, cut short past 40 characters."""
+    value = _need(kv, key) if default is None else kv.get(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        shown = value if len(value) <= 40 else value[:37] + "..."
+        raise ConfigError(f"{key}: expected an integer, got {shown!r}") from None
+
+
 def context_from_config(text):
     kv = _parse_kv(text)
     kind = _need(kv, "field.kind")
     if kind in ("finite-field", "rational-function"):
         # F_q(z) takes its constants from a base field with trivial sigma
         ctx = FiniteField(
-            int(_need(kv, "field.p")), int(_need(kv, "field.degree")),
+            _need_int(kv, "field.p"), _need_int(kv, "field.degree"),
             _need(kv, "field.modulus"), generator=kv.get("field.generator", "a"),
             frobenius_power=0 if kind == "rational-function"
-            else int(_need(kv, "sigma.frobenius_power")))
+            else _need_int(kv, "sigma.frobenius_power"))
         if kind == "rational-function":
             mob = [s.strip() for s in _need(kv, "sigma.mobius").split(",")]
             if len(mob) != 4:
                 raise ConfigError("sigma.mobius needs four comma-separated values")
             ctx = RationalFunctions(ctx, mob, variable=kv.get("field.variable", "z"))
     elif kind == "cyclotomic":
-        ctx = CyclotomicField(int(_need(kv, "cyclotomic.order")),
-                              int(_need(kv, "sigma.exponent")),
+        ctx = CyclotomicField(_need_int(kv, "cyclotomic.order"),
+                              _need_int(kv, "sigma.exponent"),
                               symbol=kv.get("cyclotomic.symbol", "chi"))
     else:
         raise ConfigError(f"unknown field.kind {kind!r}")
@@ -281,7 +292,7 @@ def code_from_config(text):
             alpha = parse_element(ctx, _need(kv, "alpha"))
         except ParseError as exc:
             raise ConfigError(f"alpha: {exc}") from exc
-        code = build_code(ctx, alpha, int(kv.get("r", "0")), int(_need(kv, "delta")))
+        code = build_code(ctx, alpha, _need_int(kv, "r", "0"), _need_int(kv, "delta"))
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -349,6 +349,23 @@ def _factorize(n):
     return fs
 
 
+def _coprime(f, g, p):
+    """True when f and g, low-first coefficient lists over F_p with f's top
+    coefficient nonzero, have no common factor: Euclid, in place."""
+    while g and g[-1] == 0:
+        g.pop()
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c, shift = f[-1] * inv % p, len(f) - len(g)
+            for i, y in enumerate(g):
+                f[shift + i] = (f[shift + i] - c * y) % p
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
 class FiniteField(FieldContext):
     """GF(p^d) presented as F_p[a]/(modulus), sigma = Frobenius^e.
 
@@ -480,14 +497,20 @@ class FiniteField(FieldContext):
         return self._pack(acc[:d])
 
     def _is_irreducible(self):
-        # Rabin: x^(p^d) == x mod f, and x^(p^(d/l)) != x for prime l | d
+        # Rabin: x^(p^d) == x mod f, and gcd(x^(p^(d/l)) - x, f) = 1 for
+        # each prime l | d
         p, d = self.char, self.degree
         if d == 1:
             return True
         # the symbol a packs to p
         if power(self._raw_mul, 1, p, p ** d) != p:
             return False
-        return all(power(self._raw_mul, 1, p, p ** (d // ell)) != p for ell in _factorize(d))
+        for ell in _factorize(d):
+            h = self._digits(power(self._raw_mul, 1, p, p ** (d // ell)))
+            h[1] = (h[1] - 1) % p
+            if not _coprime(list(self.modulus), h, p):
+                return False
+        return True
 
     def _element_order(self, u):
         n = self.size - 1

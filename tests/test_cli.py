@@ -1,4 +1,7 @@
+import os
 import pathlib
+import stat
+import threading
 import time
 
 import pytest
@@ -470,3 +473,124 @@ def test_a_malformed_word_is_one_error_line(workspace, capsys, verb, text, messa
 def test_build_with_a_malformed_modulus_is_one_error_line(tmp_path, capsys, modulus):
     _build_exits_2_with_one_error_line(tmp_path, capsys,
                                        "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", modulus)
+
+
+@pytest.mark.parametrize("which, key", [
+    (1, "field.p"), (1, "field.degree"), (1, "sigma.frobenius_power"),
+    (3, "cyclotomic.order"), (3, "sigma.exponent"), (1, "r"), (1, "delta"),
+])
+def test_a_config_value_that_is_not_an_integer_names_its_key(tmp_path, capsys, which, key):
+    line = next(l for l in EXAMPLE_CONFIGS[which].splitlines() if l.startswith(f"{key} = "))
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys, line, f"{key} = five", which)
+    assert err == f"error: {key}: expected an integer, got 'five'\n"
+
+
+def test_an_overlong_config_value_is_cut_short_in_the_error(tmp_path, capsys):
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys, "delta = 5", "delta = " + "x" * 5000)
+    assert err == f"error: delta: expected an integer, got '{'x' * 37}...'\n"
+
+
+@pytest.mark.parametrize("p, degree, modulus", [
+    # a(a+1)(a^3+a+1)(a^3+a^2+1)(a^4+a+1): no factor of degree 12/2 or 12/3
+    (2, 12, "a^12 + a^9 + a^8 + a^5 + a^2 + a"),
+    # factor degrees 1, 2, 2 and 5: none of 10/2 or 10/5 is a multiple of all
+    (3, 10, "a^10 + 2a^9 + a^5 + 2a^3 + 2a + 1"),
+], ids=["gf2^12", "gf3^10"])
+def test_build_with_a_reducible_modulus_is_one_error_line(tmp_path, capsys, p, degree, modulus):
+    old = "field.p = 2\nfield.degree = 12\nfield.modulus = a^12 + a^7 + a^6 + a^5 + a^3 + a + 1"
+    new = f"field.p = {p}\nfield.degree = {degree}\nfield.modulus = {modulus}"
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys, old, new)
+    assert err == "error: modulus is not irreducible\n"
+
+
+# -- output files -------------------------------------------------------------
+
+VERBS = ("build", "encode", "decode")
+
+
+def _write_each_verb(tmp, outputs):
+    """build, encode and decode the paper code with --out outputs[verb];
+    returns the bytes each output path holds afterwards."""
+    cfg = tmp / "code.cfg"
+    cfg.write_text(EXAMPLE_CONFIGS[1])
+    msg = tmp / "msg.txt"
+    msg.write_text("x + a\n")
+    rx = tmp / "rx.txt"
+    rx.write_text("x^5 + a^3953*x^4 + a^1333*x^3 + a^2604*x^2 + a^1596*x + a^760"
+                  " + a^2 + a^1367x^3\n")
+    bundle = str(outputs["build"])
+    assert main(["build", "--config", str(cfg), "--out", bundle]) == 0
+    for verb, infile in (("encode", msg), ("decode", rx)):
+        assert main([verb, "--code", bundle, "--in", str(infile),
+                     "--out", str(outputs[verb])]) == 0
+    return {verb: pathlib.Path(outputs[verb]).read_bytes() for verb in VERBS}
+
+
+@pytest.fixture
+def fresh_outputs(tmp_path, capsys):
+    """What each verb writes to a path that did not exist."""
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    return _write_each_verb(fresh, {verb: fresh / verb for verb in VERBS})
+
+
+def test_writing_over_a_longer_file_leaves_exactly_the_new_output(tmp_path, fresh_outputs):
+    paths = {verb: tmp_path / f"old.{verb}" for verb in VERBS}
+    for path in paths.values():
+        path.write_bytes(b"junk\n" * 1000)
+    assert all(len(out) < 5000 for out in fresh_outputs.values())
+    assert _write_each_verb(tmp_path, paths) == fresh_outputs
+
+
+def test_an_existing_output_keeps_its_inode_and_mode(tmp_path, fresh_outputs):
+    paths = {verb: tmp_path / f"old.{verb}" for verb in VERBS}
+    before = {}
+    for verb, path in paths.items():
+        path.write_bytes(b"junk\n" * 1000)
+        path.chmod(0o600)
+        before[verb] = path.stat().st_ino
+    assert _write_each_verb(tmp_path, paths) == fresh_outputs
+    for verb, path in paths.items():
+        after = path.stat()
+        assert after.st_ino == before[verb] and stat.S_IMODE(after.st_mode) == 0o600
+
+
+def test_an_output_symlink_stays_a_link_to_the_updated_file(tmp_path, fresh_outputs):
+    links, targets = {}, {}
+    for verb in VERBS:
+        targets[verb] = tmp_path / f"target.{verb}"
+        targets[verb].write_bytes(b"junk\n" * 1000)
+        links[verb] = tmp_path / f"link.{verb}"
+        links[verb].symlink_to(targets[verb])
+    assert _write_each_verb(tmp_path, links) == fresh_outputs
+    for verb in VERBS:
+        assert links[verb].is_symlink() and links[verb].resolve() == targets[verb]
+        assert targets[verb].read_bytes() == fresh_outputs[verb]
+
+
+def test_a_device_or_fifo_output_is_written_as_a_stream(workspace, capsys):
+    tmp, bundle = workspace
+    msg = tmp / "msg.txt"
+    msg.write_text("x + a\n")
+    encode = ["encode", "--code", str(bundle), "--in", str(msg), "--out"]
+    assert main(encode + [os.devnull]) == 0
+    fifo = tmp / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(encode + [str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert read == ["x^5 + a^3953*x^4 + a^1333*x^3 + a^2604*x^2 + a^1596*x + a^760\n"]
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_directory_output_is_one_error_line(workspace, capsys):
+    tmp, bundle = workspace
+    msg = tmp / "msg.txt"
+    msg.write_text("x + a\n")
+    capsys.readouterr()
+    assert main(["encode", "--code", str(bundle), "--in", str(msg), "--out", str(tmp)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "Is a directory" in err

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import time
 import weakref
@@ -492,6 +493,34 @@ def test_bad_moduli_are_rejected():
         FiniteField(2, 3, "a^2 + a + 1")  # degree mismatch
     with pytest.raises(FieldError):
         FiniteField(2, 0, "1")  # no extension at all
+
+
+@pytest.mark.parametrize("p, degree, irreducible", [(2, 6, 9), (2, 12, 335), (3, 6, 116)])
+def test_rabin_accepts_exactly_the_irreducible_moduli(monkeypatch, p, degree, irreducible):
+    # irreducible is (1/d) * sum over k | d of mu(d/k) * p^k; with no tables
+    # and none shared, only the irreducibility test runs on each modulus
+    monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 0)
+    monkeypatch.setattr(skewrs.fields, "_shared_tables", {})
+    accepted = 0
+    for low in itertools.product(range(p), repeat=degree):
+        try:
+            FiniteField(p, degree, list(low) + [1])
+        except FieldError:
+            continue
+        accepted += 1
+    assert accepted == irreducible
+
+
+@pytest.mark.parametrize("p, degree, modulus", [
+    # a(a+1)(a^3+a+1)(a^3+a^2+1)(a^4+a+1): each factor degree divides 12,
+    # so a^(2^12) = a, but no factor has degree 12/2 or 12/3
+    (2, 12, "a^12 + a^9 + a^8 + a^5 + a^2 + a"),
+    # factor degrees 1, 2, 2 and 5
+    (3, 10, [1, 2, 0, 2, 0, 1, 0, 0, 0, 2, 1]),
+], ids=["gf2^12", "gf3^10"])
+def test_a_reducible_modulus_whose_factor_degrees_divide_d_is_refused(p, degree, modulus):
+    with pytest.raises(FieldError, match="not irreducible"):
+        FiniteField(p, degree, modulus)
 
 
 @pytest.mark.parametrize("p, degree, modulus, message", [

@@ -20,19 +20,23 @@ reads the evaluation matrix N off the first table on demand.  A code with
 r > 0 reads the same tables from index r, all indices taken mod n, so the
 decoder never branches on r.
 
-Three linear systems of the decoder are conjugate systems, whose row s
-holds sigma^(s+j)(alpha), j < size, and ``conjugate_matrix`` builds all
-of them.  The conjugate matrix C(alpha) (rows s < n) is nonsingular
-exactly when alpha is normal, and its inverse is C(alpha*) for the
-trace-dual alpha*: Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij (Lidl &
-Niederreiter, Finite Fields, ch. 2).  ``build_code`` solves
-X * C(alpha) = e_0 once for X_i = sigma^i(alpha*), the dual table that
-``dual_support`` sums over.  The generator g = x^d + sum_(k<d) g_k x^k,
-d = delta-1, vanishes at sigma^m(beta) exactly when
-sum_k g_k * sigma^(m+k)(alpha) = -sigma^(m+d)(alpha), so it is one d x d
-Hankel solve, rows m = r..r+d-1, nonsingular because the lclm of d
-beta-roots has degree d (Lam & Leroy, J. Algebra 1988).  The error values
-at positions k solve the system with rows r+k (``pgz.error_values``).
+``root_lclm`` builds an lclm of beta-roots one root at a time, with no
+linear solve (Lam & Leroy, J. Algebra 1988).  For the monic g so far and
+a = sigma^m(beta), S = sum_k g_k * sigma^(m+k)(alpha) is sigma^m(alpha)
+times g's right value at a.  S = 0 means that a is already a root of g;
+otherwise lclm(g, x - a) = (x - sigma(S) * S^(-1)) * g.  The generator is
+the lclm of the delta - 1 roots from m = r, in O(delta^2) operations.
+
+The conjugate matrix C(alpha) holds sigma^(s+j)(alpha) at row s, column
+j, and the trace-dual conjugates X_i = sigma^i(alpha*),
+Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij (Lidl & Niederreiter,
+Finite Fields, ch. 2), solve X * C(alpha) = e_0.  The lclm h of every
+beta-root but m = 0 sums to zero against every row m != 0, so
+X = h / lambda, lambda = sum_k h_k * sigma^k(alpha).  alpha is normal
+exactly when its n beta-roots are independent: no step of h meets S = 0
+and lambda != 0 (``trace_dual``).  The decoder's one conjugate system is
+for the error values at positions k, rows r+k (``conjugate_matrix``,
+``pgz.error_values``).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 from .fields import (CyclotomicField, Element, FiniteField, RationalFunctions,
                      poly_twist, require_context)
-from .linalg import Matrix, solve_row_system
+from .linalg import Matrix
 # lclm_many is bound here because perfbench/tracing.py times it by this name
 from .skewpoly import SkewPolynomial, lclm_many
 
@@ -58,15 +62,46 @@ def conjugate_matrix(ctx, conj, starts, size):
     return Matrix.from_raw(ctx, [[conj[(s + j) % n] for j in range(size)] for s in starts])
 
 
+def root_lclm(ctx, conj, start, count):
+    """The monic lclm of x - sigma^m(beta), m = start .. start+count-1 (mod
+    n), as a raw coefficient list lowest degree first, built one root at a
+    time over the n raw conjugates conj = sigma^k(alpha); None when some
+    root is already a root of the product so far."""
+    n = len(conj)
+    zero, add_product = ctx.zero_raw, ctx.add_product
+    g = [ctx.one_raw]
+    for m in range(start, start + count):
+        s = zero
+        for k, c in enumerate(g):
+            s = add_product(s, c, conj[(m + k) % n])
+        if s == zero:
+            return None
+        b = ctx.neg(ctx.mul(ctx.sigma_raw(s, 1), ctx.inv(s)))
+        # (x + b) * g: coefficient j is sigma(g_(j-1)) + b * g_j
+        twisted = [zero] + poly_twist(ctx, g, 1)
+        g = [add_product(t, b, c) for t, c in zip(twisted, g)] + [twisted[-1]]
+    return g
+
+
+def trace_dual(ctx, conj):
+    """The raw trace-dual conjugates sigma^k(alpha*), k < n, as h / lambda
+    for h the lclm of every beta-root but sigma^0(beta); None when alpha
+    is not normal."""
+    h = root_lclm(ctx, conj, 1, len(conj) - 1)
+    lam = ctx.zero_raw
+    for c, v in zip(h or (), conj):
+        lam = ctx.add_product(lam, c, v)
+    if lam == ctx.zero_raw:
+        return None
+    inv = ctx.inv(lam)
+    return [ctx.mul(c, inv) for c in h]
+
+
 def is_normal(ctx, alpha):
     """True when the sigma-conjugates of alpha form a basis over the
-    invariant subfield (the conjugate matrix is nonsingular)."""
+    invariant subfield (its n beta-roots are independent)."""
     require_context(ctx, (alpha,))
-    if not alpha:
-        return False
-    n = ctx.order
-    conj = [ctx.sigma_raw(alpha.raw, k) for k in range(n)]
-    return conjugate_matrix(ctx, conj, range(n), n).rank() == n
+    return trace_dual(ctx, [ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)]) is not None
 
 
 def find_normal_element(ctx, rng=None):
@@ -138,22 +173,16 @@ def build_code(ctx, alpha, r, delta):
     require_context(ctx, (alpha,))
     sigma = ctx.sigma_raw
     conj = [sigma(alpha.raw, k) for k in range(n)]
-    # X * C(alpha) = e_0 is solved by X_i = sigma^i(alpha*) when alpha is normal
-    try:
-        dual = solve_row_system(conjugate_matrix(ctx, conj, range(n), n),
-                                [ctx.one] + [ctx.zero] * (n - 1))
-    except ValueError:
-        raise CodeError("alpha is not a normal element") from None
+    dual = trace_dual(ctx, conj)
+    if dual is None:
+        raise CodeError("alpha is not a normal element")
     inv = ctx.inv(alpha.raw)
-    # the generator's lower coefficients solve the d x d Hankel system
-    d = delta - 1
-    low = solve_row_system(conjugate_matrix(ctx, conj, range(r, r + d), d),
-                           [Element(ctx, ctx.neg(conj[(m + d) % n])) for m in range(r, r + d)])
     return SkewRSCode(
         ctx=ctx, alpha=alpha, beta=Element(ctx, ctx.mul(inv, conj[1])), r=r, delta=delta,
-        g=SkewPolynomial(ctx, low + [ctx.one]), t=(delta - 1) // 2, n=n, conj=conj,
+        g=SkewPolynomial.from_raw(ctx, tuple(root_lclm(ctx, conj, r, delta - 1))),
+        t=(delta - 1) // 2, n=n, conj=conj,
         conj_table=ctx.conjugate_table(conj, [sigma(inv, k) for k in range(n)]),
-        dual_table=ctx.conjugate_table([v.raw for v in dual], [ctx.one_raw] * n))
+        dual_table=ctx.conjugate_table(dual, [ctx.one_raw] * n))
 
 
 def encode(code, message):

@@ -15,7 +15,10 @@ gcd.  ``gcrd_by_divmod`` is Euclid on full left divisions; ``gcrd`` is
 the kernel's Euclid on polynomials.
 
 ``dual_conjugates`` reads the trace-dual conjugates off the inverse of the
-conjugate matrix, which ``codes.build_code`` reaches by one row solve.
+conjugate matrix, ``generator_by_hankel`` solves the generator's lower
+coefficients from its Hankel system, and ``is_normal_by_rank`` is the rank
+of the conjugate matrix; ``codes.build_code`` reaches all three by the
+root-by-root lclm of ``codes.root_lclm``.
 """
 
 import functools
@@ -25,7 +28,7 @@ from skewrs import CodeError, Element, SkewPolynomial, left_divmod
 from skewrs.codes import conjugate_matrix, dual_support
 from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
                            power, require_context)
-from skewrs.linalg import Matrix
+from skewrs.linalg import Matrix, solve_row_system
 from skewrs.pgz import BRANCH_DIRECT, BRANCH_ECHELON, LocateFailure
 from skewrs.skewpoly import twisted_shift_rows
 
@@ -112,6 +115,23 @@ def dual_conjugates(code):
     c = conjugate_matrix(ctx, code.conj, range(n), n)
     aug = Matrix.from_raw(ctx, [row + unit for row, unit in zip(c.raw, identity(ctx, n).raw)])
     return [Element(ctx, v) for v in aug.rref().raw[0][n:]]
+
+
+def generator_by_hankel(ctx, conj, r, d):
+    """The raw monic generator x^d + sum_(k<d) g_k x^k that vanishes at
+    sigma^m(beta), m = r .. r+d-1: sum_k g_k * sigma^(m+k)(alpha) =
+    -sigma^(m+d)(alpha) is one d x d Hankel system in the conjugates."""
+    n = len(conj)
+    low = solve_row_system(conjugate_matrix(ctx, conj, range(r, r + d), d),
+                           [Element(ctx, ctx.neg(conj[(m + d) % n])) for m in range(r, r + d)])
+    return tuple(v.raw for v in low) + (ctx.one_raw,)
+
+
+def is_normal_by_rank(ctx, alpha):
+    """True when the conjugate matrix C(alpha) has full rank n."""
+    n = ctx.order
+    conj = [ctx.sigma_raw(alpha.raw, k) for k in range(n)]
+    return conjugate_matrix(ctx, conj, range(n), n).rank() == n
 
 
 def zeros(ctx, nrows, ncols):

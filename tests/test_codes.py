@@ -9,8 +9,9 @@ from skewrs.codes import conjugate_matrix, dual_support, evaluation_matrix
 from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
-from oracles import (contains, dual_conjugates, full_beta_decomposition_test, identity,
-                     monomial, norm_column, right_eval)
+from oracles import (contains, dual_conjugates, full_beta_decomposition_test,
+                     generator_by_hankel, identity, is_normal_by_rank, monomial, norm_column,
+                     right_eval)
 
 
 def test_zero_is_not_normal(gf4096):
@@ -229,6 +230,46 @@ def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
                 for table, generic in tables:
                     assert ctx.conjugate_sums(table, vec, count, offset) == \
                         FieldContext.conjugate_sums(ctx, generic, vec, count, offset)
+
+
+@pytest.fixture(scope="module")
+def generator_codes(sum_codes):
+    """The sum codes plus one over GF(9)(z), sigma(z) = (z + a)/z of order 5."""
+    base = FiniteField(3, 2, "a^2 + 1", frobenius_power=0)
+    ctx = RationalFunctions(base, ("1", "a", "1", "0"))
+    return dict(sum_codes, gf9z=build_code(ctx, find_normal_element(ctx), 0, 2))
+
+
+@pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "rational", "cyclotomic", "gf9z"])
+def test_generator_equals_the_hankel_solution(generator_codes, name):
+    # the root-by-root lclm against the d x d Hankel solve, for every delta
+    # and offsets below, at and past n
+    code = generator_codes[name]
+    ctx, n = code.ctx, code.n
+    for r in (0, 1, n - 1, n, 2 * n + 1):
+        for delta in range(2, n + 1):
+            g = build_code(ctx, code.alpha, r, delta).g
+            assert g.raw == generator_by_hankel(ctx, code.conj, r, delta - 1)
+
+
+@pytest.mark.parametrize("p, degree, modulus, power, count", [
+    (2, 4, "a^4 + a + 1", 3, 8),
+    (2, 6, "a^6 + a + 1", 1, 24),
+    (2, 6, "a^6 + a + 1", 2, 27),
+    (3, 4, "a^4 + 2a^3 + 2", 1, 32),
+], ids=["gf16-frob3", "gf64-frob", "gf64-frob2", "gf81-frob"])
+def test_is_normal_agrees_with_the_rank_of_the_conjugate_matrix(p, degree, modulus, power,
+                                                                 count):
+    # every element; the normal ones number Phi_q(x^n - 1), q the fixed
+    # field's size, and each one's dual table is the inverse's first row
+    ctx = FiniteField(p, degree, modulus, frobenius_power=power)
+    normal = [x for x in ctx.elements() if is_normal(ctx, x)]
+    assert normal == [x for x in ctx.elements() if is_normal_by_rank(ctx, x)]
+    assert len(normal) == count
+    for alpha in normal:
+        code = build_code(ctx, alpha, 0, 2)
+        assert code.dual_table == ctx.conjugate_table(
+            [v.raw for v in dual_conjugates(code)], [ctx.one_raw] * code.n)
 
 
 @pytest.mark.parametrize("name", ["f8z", "cyclotomic"])

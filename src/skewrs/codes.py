@@ -64,7 +64,7 @@ def conjugate_matrix(ctx, conj, starts, size):
 
 def root_lclm(ctx, conj, start, count):
     """The monic lclm of x - sigma^m(beta), m = start .. start+count-1 (mod
-    n), as a raw coefficient list lowest degree first, built one root at a
+    n), as a raw coefficient tuple lowest degree first, built one root at a
     time over the n raw conjugates conj = sigma^k(alpha); None when some
     root is already a root of the product so far."""
     n = len(conj)
@@ -80,7 +80,7 @@ def root_lclm(ctx, conj, start, count):
         # (x + b) * g: coefficient j is sigma(g_(j-1)) + b * g_j
         twisted = [zero] + poly_twist(ctx, g, 1)
         g = [add_product(t, b, c) for t, c in zip(twisted, g)] + [twisted[-1]]
-    return g
+    return tuple(g)
 
 
 def trace_dual(ctx, conj):
@@ -88,8 +88,10 @@ def trace_dual(ctx, conj):
     for h the lclm of every beta-root but sigma^0(beta); None when alpha
     is not normal."""
     h = root_lclm(ctx, conj, 1, len(conj) - 1)
+    if h is None:
+        return None
     lam = ctx.zero_raw
-    for c, v in zip(h or (), conj):
+    for c, v in zip(h, conj):
         lam = ctx.add_product(lam, c, v)
     if lam == ctx.zero_raw:
         return None
@@ -179,7 +181,7 @@ def build_code(ctx, alpha, r, delta):
     inv = ctx.inv(alpha.raw)
     return SkewRSCode(
         ctx=ctx, alpha=alpha, beta=Element(ctx, ctx.mul(inv, conj[1])), r=r, delta=delta,
-        g=SkewPolynomial.from_raw(ctx, tuple(root_lclm(ctx, conj, r, delta - 1))),
+        g=SkewPolynomial.from_raw(ctx, root_lclm(ctx, conj, r, delta - 1)),
         t=(delta - 1) // 2, n=n, conj=conj,
         conj_table=ctx.conjugate_table(conj, [sigma(inv, k) for k in range(n)]),
         dual_table=ctx.conjugate_table(dual, [ctx.one_raw] * n))

@@ -1,18 +1,56 @@
 """Dense exact linear algebra over a field context.
 
-Everything is elimination-based with deterministic pivoting (first nonzero
-entry in scan order); arithmetic is exact so no pivoting heuristics are
-needed and echelon forms are canonical.  The reduced column echelon form
-is the transpose of the reduced row echelon form of the transpose.
+One kernel does every elimination: ``eliminate(ctx, rows)`` reduces a
+list of raw rows in place to reduced row echelon form, with deterministic
+pivoting (first nonzero entry in scan order), and returns the pivot
+columns.  Arithmetic is exact, so no pivoting heuristics are needed and
+echelon forms are canonical.  ``Matrix.rref`` and ``rank``,
+``solve_row_system`` and the PGZ decoder's locator and value solves all
+call it; the reduced column echelon form is the transpose of the reduced
+row echelon form of the transpose.
 
 A matrix is a ``fields.Value``, with no hash, holding its entries' raw
-values in lists of rows; it eliminates on them through the context's raw
-protocol, and ``rows`` wraps them as Elements.
+values in lists of rows; ``rows`` wraps them as Elements.
 """
 
 from __future__ import annotations
 
 from .fields import Element, Value, require_context
+
+
+def eliminate(ctx, rows):
+    """Reduce rows, a list of lists of raw values, in place to reduced row
+    echelon form; returns the pivot column of each nonzero row, in order."""
+    zero, mul, neg, add_scaled = ctx.zero_raw, ctx.mul, ctx.neg, ctx.add_scaled
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    pivots = []
+    pr = 0
+    for pc in range(nc):
+        pivot_row = None
+        for r in range(pr, nr):
+            if rows[r][pc] != zero:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        # left of pc the pivot row is zero and at pc it is one, so an
+        # update clears row[pc] and takes factor * prow off the rest
+        prow = rows[pr]
+        inv = ctx.inv(prow[pc])
+        prow[pc:] = [mul(inv, v) for v in prow[pc:]]
+        tail = prow[pc + 1:]
+        for r, row in enumerate(rows):
+            factor = row[pc]
+            if r != pr and factor != zero:
+                row[pc] = zero
+                add_scaled(row, neg(factor), tail, pc + 1)
+        pivots.append(pc)
+        pr += 1
+        if pr == nr:
+            break
+    return pivots
 
 
 class Matrix(Value):
@@ -61,49 +99,16 @@ class Matrix(Value):
                 add_scaled(row, a, b, 0)
         return Matrix.from_raw(ctx, out)
 
-    def _eliminated(self):
-        """Row reduction on raw values; returns (rows, pivot column indices)."""
-        ctx = self.ctx
-        zero, mul, neg, add_scaled = ctx.zero_raw, ctx.mul, ctx.neg, ctx.add_scaled
-        rows = [list(r) for r in self.raw]
-        nr = len(rows)
-        nc = len(rows[0]) if rows else 0
-        pivots = []
-        pr = 0
-        for pc in range(nc):
-            pivot_row = None
-            for r in range(pr, nr):
-                if rows[r][pc] != zero:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            # left of pc the pivot row is zero and at pc it is one, so an
-            # update clears row[pc] and takes factor * prow off the rest
-            prow = rows[pr]
-            inv = ctx.inv(prow[pc])
-            prow[pc:] = [mul(inv, v) for v in prow[pc:]]
-            tail = prow[pc + 1:]
-            for r, row in enumerate(rows):
-                factor = row[pc]
-                if r != pr and factor != zero:
-                    row[pc] = zero
-                    add_scaled(row, neg(factor), tail, pc + 1)
-            pivots.append(pc)
-            pr += 1
-            if pr == nr:
-                break
-        return rows, pivots
-
     def rref(self):
-        return Matrix.from_raw(self.ctx, self._eliminated()[0])
+        rows = [list(r) for r in self.raw]
+        eliminate(self.ctx, rows)
+        return Matrix.from_raw(self.ctx, rows)
 
     def rcef(self):
         return self.transpose().rref().transpose()
 
     def rank(self):
-        return len(self._eliminated()[1])
+        return len(eliminate(self.ctx, [list(r) for r in self.raw]))
 
     def __repr__(self):
         body = ",\n ".join("[" + ", ".join(self.ctx.format(v) for v in r) + "]"
@@ -120,8 +125,7 @@ def solve_row_system(a, b):
         raise ValueError("right-hand side has the wrong length")
     ctx = a.ctx
     require_context(ctx, b)
-    aug = Matrix.from_raw(ctx, [[row[i] for row in a.raw] + [b[i].raw] for i in range(n)])
-    rows, pivots = aug._eliminated()
-    if pivots != list(range(n)):
+    rows = [[row[i] for row in a.raw] + [b[i].raw] for i in range(n)]
+    if eliminate(ctx, rows) != list(range(n)):
         raise ValueError("matrix is singular")
-    return [Element(ctx, rows[i][n]) for i in range(n)]
+    return [Element(ctx, row[n]) for row in rows]

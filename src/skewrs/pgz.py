@@ -1,18 +1,19 @@
 """Peterson-Gorenstein-Zierler decoding for skew Reed-Solomon codes.
 
-Pipeline for a received word y of length n:
+Pipeline for a received word y of length n, on raw values throughout:
 
 1. syndromes: s_i = left remainder of y by x - sigma^(r+i)(beta), 0 <= i < 2t.
 2. syndrome matrix S of shape (t+1) x t with entry (i, j) =
    sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha).
-3. locator seed rho from the reduced column echelon form of S; its degree
-   mu = rank S is a lower bound on the number of errors.
+3. locator seed rho from the reduced column echelon form of S, rref(S^T)^T:
+   one elimination of the rows of S^T gives mu = rank S, a lower bound on
+   the number of errors, as its pivot count.
 4. error positions: the zero coordinates of rho's evaluation vector when
    their count equals mu (direct branch); otherwise the dual supports of
    the kernel of rho's twisted shift matrix (echelon branch,
    ``codes.dual_support``): the columns that no unit row of the paper's
    row echelon form H_rho keeps, found with no shift rows and no rref.
-5. error values: the unique solution of a conjugate-matrix linear system.
+5. error values: one elimination of the augmented conjugate system.
 
 The decoder then verifies the correction by left-dividing the corrected
 word by the generator g, which also yields the message as the quotient; a
@@ -20,6 +21,9 @@ nonzero remainder produces an explicit failure report instead of a silent
 wrong answer.  No second syndrome pass is needed: g is the lclm of
 x - sigma^(r+i)(beta) for 0 <= i <= delta-2 and 2t <= delta-1, so g
 right-dividing the word already makes every syndrome vanish.
+
+Elements, rho and the message are built once, for the ``DecodeReport``;
+the public stage functions run the same raw kernels on Elements.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .codes import conjugate_matrix, dual_support, evaluate
-from .fields import Element, require_context, same_context
-from .linalg import Matrix, solve_row_system
+from .codes import dual_support, evaluate
+from .fields import Element, poly_trim, require_context, same_context
+from .linalg import Matrix, eliminate
 from .skewpoly import SkewPolynomial, left_divmod
 
 BRANCH_ALL_ZERO = "all-zero"
@@ -83,7 +87,8 @@ def _as_vector(code, y):
     y = list(y)
     if len(y) != code.n:
         raise ValueError(f"received word must have length {code.n}")
-    if not all(isinstance(v, Element) and same_context(v.ctx, code.ctx) for v in y):
+    ctx = code.ctx
+    if not all(isinstance(v, Element) and (v.ctx is ctx or same_context(v.ctx, ctx)) for v in y):
         raise ValueError("received word has entries outside the code's field")
     return y
 
@@ -93,17 +98,36 @@ def syndromes(code, y):
     return evaluate(code, _as_vector(code, y), 2 * code.t, code.r)
 
 
+def _syndrome_columns(code, s):
+    """The rows of S^T for the raw syndromes s: row j holds
+    sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha) for i <= t."""
+    t, n, r, conj = code.t, code.n, code.r, code.conj
+    sigma, mul = code.ctx.sigma_raw, code.ctx.mul
+    return [[mul(sigma(s[i + j], -j), conj[(r + i) % n]) for i in range(t + 1)]
+            for j in range(t)]
+
+
 def build_syndrome_matrix(code, s):
     """(t+1) x t matrix with entry (i, j) = sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha)."""
-    ctx, t, n, r = code.ctx, code.t, code.n, code.r
+    ctx, t = code.ctx, code.t
     if len(s) != 2 * t:
         raise ValueError(f"expected {2 * t} syndromes")
     require_context(ctx, s)
-    sigma, mul = ctx.sigma_raw, ctx.mul
-    s = [v.raw for v in s]
-    return Matrix.from_raw(ctx, [
-        [mul(sigma(s[i + j], -j), code.conj[(r + i) % n]) for j in range(t)]
-        for i in range(t + 1)])
+    cols = _syndrome_columns(code, [v.raw for v in s])
+    return Matrix.from_raw(ctx, [[col[i] for col in cols] for i in range(t + 1)])
+
+
+def _locator_seed(ctx, cols):
+    """(mu, rho's raw coefficients) off the rows of S^T, reduced in place:
+    rcef(S) is their transpose, so its identity block means pivots 0 .. mu-1
+    and rho_i is minus reduced row i's entry in column mu."""
+    pivots = eliminate(ctx, cols)
+    mu = len(pivots)
+    if mu == 0:
+        raise ValueError("zero syndrome matrix has no locator")
+    if pivots != list(range(mu)):
+        raise ValueError("echelon form lacks the identity block")
+    return mu, tuple(ctx.neg(cols[i][mu]) for i in range(mu)) + (ctx.one_raw,)
 
 
 def extract_rho(st):
@@ -111,17 +135,8 @@ def extract_rho(st):
     matrix: mu is the rank and the first mu entries of row mu carry the
     lower coefficients of the monic degree-mu locator seed."""
     ctx = st.ctx
-    reduced = st.rcef()
-    rows, zero, one = reduced.raw, ctx.zero_raw, ctx.one_raw
-    mu = sum(1 for j in range(reduced.ncols) if any(row[j] != zero for row in rows))
-    if mu == 0:
-        raise ValueError("zero syndrome matrix has no locator")
-    for i in range(mu):
-        for j in range(mu):
-            if rows[i][j] != (one if i == j else zero):
-                raise ValueError("echelon form lacks the identity block")
-    coeffs = [Element(ctx, ctx.neg(rows[mu][i])) for i in range(mu)] + [ctx.one]
-    return mu, SkewPolynomial(ctx, coeffs)
+    mu, rho = _locator_seed(ctx, st.transpose().raw)
+    return mu, SkewPolynomial.from_raw(ctx, rho)
 
 
 class LocateFailure(Exception):
@@ -147,15 +162,28 @@ def locate_positions(code, mu, rho):
     return positions, BRANCH_ECHELON
 
 
-def error_values(code, positions, s):
-    """Solve for the error values at the given positions from the leading
-    syndromes; the conjugate matrix is nonsingular for distinct positions."""
+def _error_values(code, positions, s):
+    """The raw error values at the positions from the raw syndromes s: one
+    elimination of the transposed conjugate system, augmented by its
+    right-hand side sigma^(r+i)(alpha) * s_i."""
     ctx, n, r, conj = code.ctx, code.n, code.r, code.conj
     nu = len(positions)
     if nu == 0:
         raise ValueError("no positions")
-    rhs = [Element(ctx, conj[(r + i) % n]) * s[i] for i in range(nu)]
-    return solve_row_system(conjugate_matrix(ctx, conj, [r + k for k in positions], nu), rhs)
+    rows = [[conj[(r + k + i) % n] for k in positions] + [ctx.mul(conj[(r + i) % n], s[i])]
+            for i in range(nu)]
+    if eliminate(ctx, rows) != list(range(nu)):
+        raise ValueError("matrix is singular")
+    return [row[nu] for row in rows]
+
+
+def error_values(code, positions, s):
+    """Solve for the error values at the given positions from the leading
+    syndromes; the conjugate matrix is nonsingular for distinct positions."""
+    ctx = code.ctx
+    s = s[:len(positions)]
+    require_context(ctx, s)
+    return [Element(ctx, v) for v in _error_values(code, positions, [v.raw for v in s])]
 
 
 def decode(code, y):
@@ -166,42 +194,49 @@ def decode(code, y):
     except (TypeError, ValueError) as exc:
         return DecodeReport(syndromes=[], branch=None,
                             failure=f"invalid received word: {exc}")
-    ctx = code.ctx
-    s = evaluate(code, vec, 2 * code.t, code.r)
+    ctx, t = code.ctx, code.t
+    raw = [v.raw for v in vec]
+    s_raw = ctx.conjugate_sums(code.conj_table, raw, 2 * t, code.r)
+    s = [Element(ctx, v) for v in s_raw]
 
     def fail(reason, branch, **kw):
         return DecodeReport(syndromes=s, branch=branch, failure=reason, **kw)
 
     mu, rho, positions, values, branch = 0, None, [], [], BRANCH_ALL_ZERO
-    if any(s):
-        st = build_syndrome_matrix(code, s)
+    corrected = raw
+    if any(v != ctx.zero_raw for v in s_raw):
         try:
-            mu, rho = extract_rho(st)
+            mu, rho = _locator_seed(ctx, _syndrome_columns(code, s_raw))
         except ValueError as exc:
             return fail(f"locator extraction failed: {exc}", None)
+        rho = SkewPolynomial.from_raw(ctx, rho)
         try:
             positions, branch = locate_positions(code, mu, rho)
         except LocateFailure as exc:
             return fail(f"position search failed: {exc}", BRANCH_ECHELON,
                         mu=mu, rho=rho)
         nu = len(positions)
-        if nu > code.t:
-            return fail(f"{nu} candidate error positions exceed capability t={code.t}",
+        if nu > t:
+            return fail(f"{nu} candidate error positions exceed capability t={t}",
                         branch, mu=mu, rho=rho, positions=positions)
         try:
-            values = error_values(code, positions, s)
+            raw_values = _error_values(code, positions, s_raw)
         except ValueError as exc:
             return fail(f"value solve failed: {exc}", branch, mu=mu, rho=rho,
                         positions=positions)
-    err = [ctx.zero] * code.n
-    corrected = list(vec)
-    for k, v in zip(positions, values):
-        err[k] = v
-        corrected[k] = vec[k] - v
-    q, rem = left_divmod(SkewPolynomial(ctx, corrected), code.g)
+        values = [Element(ctx, v) for v in raw_values]
+        corrected = list(raw)
+        for k, v in zip(positions, raw_values):
+            corrected[k] = ctx.add(raw[k], ctx.neg(v))
+    q, rem = left_divmod(SkewPolynomial.from_raw(ctx, poly_trim(ctx, corrected)), code.g)
     if not rem.is_zero:
         return fail("generator does not divide the corrected word", branch,
                     mu=mu, rho=rho, positions=positions, values=values)
+    err = [ctx.zero] * code.n
+    codeword = list(vec)
+    for k, v in zip(positions, values):
+        err[k] = v
+        codeword[k] = Element(ctx, corrected[k])
     return DecodeReport(syndromes=s, mu=mu, rho=rho, branch=branch,
                         positions=positions, values=values, error=err,
-                        codeword=corrected, message=q)
+                        codeword=codeword, message=q)

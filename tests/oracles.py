@@ -14,6 +14,13 @@ coefficient's power of the Moebius substitution by its own ladder, then a
 gcd.  ``gcrd_by_divmod`` is Euclid on full left divisions; ``gcrd`` is
 the kernel's Euclid on polynomials.
 
+``decode_by_stages`` is ``pgz.decode`` stage by stage on Elements: the
+syndrome matrix as a ``Matrix``, rho off its ``rcef``, the error values
+by ``solve_row_system`` on the conjugate matrix, and the corrected word by
+Element subtraction, verified by ``left_divmod``.  ``pgz.decode`` reaches
+the same report on raw values, with one elimination for rho and one for
+the values.
+
 ``dual_conjugates`` reads the trace-dual conjugates off the inverse of the
 conjugate matrix, ``generator_by_hankel`` solves the generator's lower
 coefficients from its Hankel system, and ``is_normal_by_rank`` is the rank
@@ -25,11 +32,12 @@ import functools
 from fractions import Fraction
 
 from skewrs import CodeError, Element, SkewPolynomial, left_divmod
-from skewrs.codes import conjugate_matrix, dual_support
+from skewrs.codes import conjugate_matrix, dual_support, evaluate
 from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
                            power, require_context)
-from skewrs.linalg import Matrix, solve_row_system
-from skewrs.pgz import BRANCH_DIRECT, BRANCH_ECHELON, LocateFailure
+from skewrs.linalg import Matrix, eliminate, solve_row_system
+from skewrs.pgz import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON, DecodeReport,
+                        LocateFailure, _as_vector, locate_positions)
 from skewrs.skewpoly import twisted_shift_rows
 
 
@@ -148,7 +156,8 @@ def identity(ctx, n):
 def left_kernel(a):
     """Basis rows for { v : v * a = 0 }."""
     ctx = a.ctx
-    rows, pivots = a.transpose()._eliminated()
+    rows = a.transpose().raw
+    pivots = eliminate(ctx, rows)
     m = a.nrows
     free = [j for j in range(m) if j not in pivots]
     basis = []
@@ -234,3 +243,59 @@ def gcrd_by_divmod(ctx, f, g):
     while g:
         f, g = g, poly_divmod(ctx, f, g)[1]
     return poly_scale(ctx, f, ctx.inv(f[-1])) if f else f
+
+
+def decode_by_stages(code, y):
+    """The ``DecodeReport`` of ``pgz.decode`` for y, computed stage by
+    stage on Elements, matrices and polynomials."""
+    try:
+        vec = _as_vector(code, y)
+    except (TypeError, ValueError) as exc:
+        return DecodeReport(syndromes=[], branch=None,
+                            failure=f"invalid received word: {exc}")
+    ctx, n, t, r, conj = code.ctx, code.n, code.t, code.r, code.conj
+    s = evaluate(code, vec, 2 * t, r)
+
+    def fail(reason, branch, **kw):
+        return DecodeReport(syndromes=s, branch=branch, failure=reason, **kw)
+
+    mu, rho, positions, values, branch = 0, None, [], [], BRANCH_ALL_ZERO
+    if any(s):
+        st = Matrix(ctx, [[ctx.sigma(s[i + j], -j) * Element(ctx, conj[(r + i) % n])
+                           for j in range(t)] for i in range(t + 1)])
+        rows = st.rcef().rows
+        mu = sum(1 for j in range(t) if any(row[j] for row in rows))
+        if mu == 0:
+            return fail("locator extraction failed: zero syndrome matrix has no locator", None)
+        if any(rows[i][j] != (ctx.one if i == j else ctx.zero)
+               for i in range(mu) for j in range(mu)):
+            return fail("locator extraction failed: echelon form lacks the identity block",
+                        None)
+        rho = SkewPolynomial(ctx, [-rows[mu][i] for i in range(mu)] + [ctx.one])
+        try:
+            positions, branch = locate_positions(code, mu, rho)
+        except LocateFailure as exc:
+            return fail(f"position search failed: {exc}", BRANCH_ECHELON, mu=mu, rho=rho)
+        nu = len(positions)
+        if nu > t:
+            return fail(f"{nu} candidate error positions exceed capability t={t}",
+                        branch, mu=mu, rho=rho, positions=positions)
+        rhs = [Element(ctx, conj[(r + i) % n]) * s[i] for i in range(nu)]
+        try:
+            values = solve_row_system(
+                conjugate_matrix(ctx, conj, [r + k for k in positions], nu), rhs)
+        except ValueError as exc:
+            return fail(f"value solve failed: {exc}", branch, mu=mu, rho=rho,
+                        positions=positions)
+    err = [ctx.zero] * n
+    corrected = list(vec)
+    for k, v in zip(positions, values):
+        err[k] = v
+        corrected[k] = vec[k] - v
+    q, rem = left_divmod(SkewPolynomial(ctx, corrected), code.g)
+    if not rem.is_zero:
+        return fail("generator does not divide the corrected word", branch,
+                    mu=mu, rho=rho, positions=positions, values=values)
+    return DecodeReport(syndromes=s, mu=mu, rho=rho, branch=branch,
+                        positions=positions, values=values, error=err,
+                        codeword=corrected, message=q)

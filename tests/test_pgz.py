@@ -4,14 +4,14 @@ import pytest
 
 from skewrs import fields
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
-                    FieldError, FiniteField, Matrix, SkewPolynomial,
+                    FieldError, FiniteField, Matrix, RationalFunctions, SkewPolynomial,
                     build_code, build_syndrome_matrix, decode, encode,
                     evaluate, find_normal_element, is_normal, left_divmod,
                     locate_positions, parse_poly, solve_row_system, syndromes)
 from skewrs.cli import nearest_codeword_equivalence, simulate
 
 from conftest import GF4096_MODULUS, rng_for, random_poly
-from oracles import contains, identity, norm_column, right_eval
+from oracles import contains, decode_by_stages, identity, norm_column, right_eval
 
 
 def make_received(code, msg, error_vec):
@@ -372,6 +372,93 @@ def test_adding_a_codeword_shifts_only_the_codeword_and_message(all_codes, name)
             if plain.ok:
                 assert shifted.codeword == [a + b for a, b in zip(c, plain.codeword)]
                 assert shifted.message == msg + plain.message
+
+
+# -- the raw pipeline against the stage-by-stage oracle ---------------------------
+
+@pytest.fixture(scope="module")
+def oracle_contexts(all_contexts, gf16):
+    """The three backends, GF(3^4), GF(9)(z) with sigma(z) = (z + a)/z, and
+    GF(2^4), whose t = 1 codes often meet a first syndrome of zero."""
+    gf9 = FiniteField(3, 2, "a^2 + 1", frobenius_power=0)
+    return dict(all_contexts, gf16=gf16,
+                gf81=FiniteField(3, 4, "a^4 + 2a^3 + 2", frobenius_power=1),
+                gf9z=RationalFunctions(gf9, ("1", "a", "1", "0")))
+
+
+# random words per (r, delta, weight), fewer where a decode is slow
+ORACLE_WORDS = {"gf4096": 6, "rational": 2, "cyclotomic": 2, "gf81": 8, "gf9z": 1,
+                "gf16": 8}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WORDS))
+def test_decode_equals_the_stage_by_stage_oracle(oracle_contexts, name):
+    # every report field and the report text, for every delta in [2, n],
+    # r in {0, 1, n-1, n+2} and error weight 0..n on a random codeword
+    ctx = oracle_contexts[name]
+    n, alpha = ctx.order, find_normal_element(ctx)
+    rng = rng_for(f"stage-oracle-{name}")
+    reasons = set()   # the failure reasons reached, None for success
+    for r in (0, 1, n - 1, n + 2):
+        for delta in range(2, n + 1):
+            code = build_code(ctx, alpha, r, delta)
+            for weight in range(n + 1):
+                for _ in range(ORACLE_WORDS[name]):
+                    msg = random_poly(ctx, rng, n - delta)
+                    y = make_received(code, msg, random_error(code, rng, weight))
+                    report, expected = decode(code, y), decode_by_stages(code, y)
+                    assert report == expected, (r, delta, y)
+                    assert report.to_text(ctx) == expected.to_text(ctx)
+                    reasons.add(report.failure.split(":")[0] if report.failure else None)
+    assert None in reasons and len(reasons) > 2
+
+
+# GF(2^4) with sigma = Frobenius, alpha = a^11 and r = 0: a raw word for
+# each failure reason that decode can reach, and its exact report
+FAILURE_WORDS = [
+    (3, [3, 9, 4, 9], """status = failed
+failure = locator extraction failed: echelon form lacks the identity block
+syndromes = 0; a
+mu = 0
+positions = 
+values = 
+"""),
+    (3, [15, 3, 6, 12], """status = failed
+failure = 3 candidate error positions exceed capability t=1
+syndromes = a^11; a^3
+mu = 1
+rho = x + a^3
+branch = echelon
+positions = 0, 1, 3
+values = 
+"""),
+    (3, [14, 2, 12, 15], """status = failed
+failure = position search failed: no canonical rows survive the echelon reduction
+syndromes = a; a^5
+mu = 1
+rho = x + 1
+branch = echelon
+positions = 
+values = 
+"""),
+    (2, [6, 12, 11, 13], """status = failed
+failure = generator does not divide the corrected word
+syndromes = 
+mu = 0
+branch = all-zero
+positions = 
+values = 
+"""),
+]
+
+
+@pytest.mark.parametrize("delta, word, text", FAILURE_WORDS,
+                         ids=["identity-block", "capability", "position-search", "verify"])
+def test_each_reachable_failure_reason_keeps_its_report(gf16, delta, word, text):
+    code = build_code(gf16, gf16.generator ** 11, 0, delta)
+    y = [gf16.element(v) for v in word]
+    assert decode(code, y).to_text(gf16) == text
+    assert decode_by_stages(code, y).to_text(gf16) == text
 
 
 # -- harness ----------------------------------------------------------------------

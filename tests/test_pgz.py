@@ -416,47 +416,31 @@ def test_decode_equals_the_stage_by_stage_oracle(oracle_contexts, name):
 # GF(2^4) with sigma = Frobenius, alpha = a^11 and r = 0: a raw word for
 # each failure reason that decode can reach, and its exact report
 FAILURE_WORDS = [
-    (3, [3, 9, 4, 9], """status = failed
-failure = locator extraction failed: echelon form lacks the identity block
-syndromes = 0; a
-mu = 0
-positions = 
-values = 
-"""),
-    (3, [15, 3, 6, 12], """status = failed
-failure = 3 candidate error positions exceed capability t=1
-syndromes = a^11; a^3
-mu = 1
-rho = x + a^3
-branch = echelon
-positions = 0, 1, 3
-values = 
-"""),
-    (3, [14, 2, 12, 15], """status = failed
-failure = position search failed: no canonical rows survive the echelon reduction
-syndromes = a; a^5
-mu = 1
-rho = x + 1
-branch = echelon
-positions = 
-values = 
-"""),
-    (2, [6, 12, 11, 13], """status = failed
-failure = generator does not divide the corrected word
-syndromes = 
-mu = 0
-branch = all-zero
-positions = 
-values = 
-"""),
+    (3, [3, 9, 4, 9], [
+        "status = failed",
+        "failure = locator extraction failed: echelon form lacks the identity block",
+        "syndromes = 0; a", "mu = 0", "positions = ", "values = "]),
+    (3, [15, 3, 6, 12], [
+        "status = failed", "failure = 3 candidate error positions exceed capability t=1",
+        "syndromes = a^11; a^3", "mu = 1", "rho = x + a^3", "branch = echelon",
+        "positions = 0, 1, 3", "values = "]),
+    (3, [14, 2, 12, 15], [
+        "status = failed",
+        "failure = position search failed: no canonical rows survive the echelon reduction",
+        "syndromes = a; a^5", "mu = 1", "rho = x + 1", "branch = echelon", "positions = ",
+        "values = "]),
+    (2, [6, 12, 11, 13], [
+        "status = failed", "failure = generator does not divide the corrected word",
+        "syndromes = ", "mu = 0", "branch = all-zero", "positions = ", "values = "]),
 ]
 
 
-@pytest.mark.parametrize("delta, word, text", FAILURE_WORDS,
+@pytest.mark.parametrize("delta, word, lines", FAILURE_WORDS,
                          ids=["identity-block", "capability", "position-search", "verify"])
-def test_each_reachable_failure_reason_keeps_its_report(gf16, delta, word, text):
+def test_each_reachable_failure_reason_keeps_its_report(gf16, delta, word, lines):
     code = build_code(gf16, gf16.generator ** 11, 0, delta)
     y = [gf16.element(v) for v in word]
+    text = "\n".join(lines) + "\n"
     assert decode(code, y).to_text(gf16) == text
     assert decode_by_stages(code, y).to_text(gf16) == text
 

@@ -9,7 +9,7 @@ Verbs:
   simulate       seeded random-error trials with per-weight statistics
   paper-example  replay a bundled worked example and check every
                  intermediate value
-  oracle         brute-force distance and nearest-codeword cross-checks
+  oracle         exhaustive distance, every error of weight <= t, seeded trials
 
 Exit codes: 0 on success, 1 on a verification or assertion failure, 2 on
 usage or configuration errors.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import random
@@ -27,8 +28,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .codes import (CodeError, ConfigError, code_from_config, codewords,
-                    encode, min_distance_oracle)
+from .codes import (CodeError, ConfigError, code_from_config, encode,
+                    min_distance_oracle)
 from .fields import FormatError
 from .parsing import ParseError, parse_poly
 from .pgz import BRANCH_ECHELON, decode
@@ -228,7 +229,7 @@ def cmd_simulate(args):
         raise ConfigError(f"weights must lie in [0, {code.n}]")
     stats = simulate(code, args.trials, weights, args.seed)
     print(stats.render())
-    return 0 if stats.failures == 0 or max(weights) > code.t else 1
+    return 1 if any(s < n for w, (n, s) in stats.per_weight.items() if w <= code.t) else 0
 
 
 def cmd_paper_example(args):
@@ -243,58 +244,49 @@ def cmd_oracle(args):
         if value < 0:
             raise ConfigError(f"{name} must be nonnegative, got {value}")
     ctx, code = load_bundle(args.code)
+    ok = True
     if ctx.size is None:
         print("field is infinite: distance enumeration declined,"
               " running the random property suite instead")
-        stats = simulate(code, args.trials, list(range(code.t + 1)), args.seed)
-        print(stats.render())
-        return 0 if stats.failures == 0 else 1
-    dist = min_distance_oracle(code, budget=args.budget)
-    print(f"exhaustive minimum distance = {dist} (designed {code.delta})")
-    ok = dist == code.delta
-    print("MDS check:", "pass" if ok else "FAIL")
-    # the equivalence decodes every word of every radius-t ball
-    q = ctx.size
-    words = q ** code.dimension * sum(math.comb(code.n, w) * (q - 1) ** w
-                                      for w in range(code.t + 1))
-    if words > args.budget:
-        print(f"nearest-codeword equivalence skipped: {words} words exceed budget {args.budget}")
     else:
-        mismatches = nearest_codeword_equivalence(code)
-        print(f"nearest-codeword equivalence: {mismatches} disagreements")
-        ok = ok and mismatches == 0
-    return 0 if ok else 1
+        dist = min_distance_oracle(code, budget=args.budget)
+        print(f"exhaustive minimum distance = {dist} (designed {code.delta})")
+        ok = dist == code.delta
+        print("MDS check:", "pass" if ok else "FAIL")
+        patterns = sum(math.comb(code.n, w) * (ctx.size - 1) ** w for w in range(code.t + 1))
+        if patterns > args.budget:
+            print(f"nearest-codeword equivalence skipped: {patterns} error patterns"
+                  f" exceed budget {args.budget}")
+        else:
+            mismatches = error_pattern_equivalence(code)
+            print(f"nearest-codeword equivalence: {mismatches} disagreements")
+            ok = ok and mismatches == 0
+    # on a finite field, the sampled check that decode(c + e) is decode(e) shifted by c
+    stats = simulate(code, args.trials, range(code.t + 1), args.seed)
+    print(stats.render())
+    return 0 if ok and stats.failures == 0 else 1
 
 
-def nearest_codeword_equivalence(code):
-    """Decode every word within the packing radius t of a codeword and
-    compare against the ball center; the balls are disjoint, so the center
-    is the unique nearest codeword.  Returns the disagreement count."""
-    import itertools
-    ctx = code.ctx
-    ball = {}
+def error_pattern_equivalence(code):
+    """Decode each error e of weight <= t on the zero codeword; count the
+    reports that are not ok, or whose error is not e, or whose codeword or
+    message is not zero.  The code is L-linear and its syndromes vanish on
+    codewords, so decode(c + e) is decode(e) shifted by c: these decodes
+    stand for every word of every radius-t ball, and each ball's center is
+    its unique nearest codeword when the distance is at least 2t + 1."""
+    ctx, n = code.ctx, code.n
     nonzero = [e for e in ctx.elements() if e]
-    for cw in codewords(code):
-        key = tuple(v.raw for v in cw)
-        if key in ball:
-            raise CodeError("codeword enumeration repeated a word")
-        ball[key] = cw
-        for w in range(1, code.t + 1):
-            for positions in itertools.combinations(range(code.n), w):
-                for values in itertools.product(nonzero, repeat=w):
-                    noisy = list(cw)
-                    for pos, e in zip(positions, values):
-                        noisy[pos] = noisy[pos] + e
-                    nkey = tuple(v.raw for v in noisy)
-                    if nkey in ball:
-                        raise CodeError("balls are not disjoint")
-                    ball[nkey] = cw
     mismatches = 0
-    for key, center in ball.items():
-        word = [ctx.element(v) for v in key]
-        report = decode(code, word)
-        if not report.ok or report.codeword != center:
-            mismatches += 1
+    for w in range(code.t + 1):
+        for positions in itertools.combinations(range(n), w):
+            for values in itertools.product(nonzero, repeat=w):
+                e = [ctx.zero] * n
+                for k, v in zip(positions, values):
+                    e[k] = v
+                report = decode(code, e)
+                if not (report.ok and report.error == e and not any(report.codeword)
+                        and report.message.is_zero):
+                    mismatches += 1
     return mismatches
 
 
@@ -337,9 +329,11 @@ def _parser():
 
     p = sub.add_parser("oracle", help="brute-force verification suite")
     p.add_argument("--code", required=True)
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", type=int, default=1 << 20,
+                   help="most codewords, and most error patterns of weight <= t")
     p.add_argument("--trials", type=int, default=200,
-                   help="property-suite trials for infinite fields")
+                   help="seeded trials of weight <= t: the shift check, or the"
+                        " property suite on an infinite field")
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_oracle)
     return parser

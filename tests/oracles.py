@@ -26,18 +26,24 @@ conjugate matrix, ``generator_by_hankel`` solves the generator's lower
 coefficients from its Hankel system, and ``is_normal_by_rank`` is the rank
 of the conjugate matrix; ``codes.build_code`` reaches all three by the
 root-by-root lclm of ``codes.root_lclm``.
+
+``nearest_codeword_equivalence`` decodes every word of every radius-t
+ball around every codeword and compares each report with the ball's
+center.  ``cli.error_pattern_equivalence`` reaches the same count by
+linearity, one decode per error pattern on the zero codeword, so the
+walk does q^k times its work.
 """
 
 import functools
 from fractions import Fraction
 
 from skewrs import CodeError, Element, SkewPolynomial, left_divmod
-from skewrs.codes import conjugate_matrix, dual_support, evaluate
+from skewrs.codes import codewords, conjugate_matrix, dual_support, evaluate
 from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
                            power, require_context)
 from skewrs.linalg import Matrix, eliminate, solve_row_system
 from skewrs.pgz import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON, DecodeReport,
-                        LocateFailure, _as_vector, locate_positions)
+                        LocateFailure, _as_vector, decode, locate_positions)
 from skewrs.skewpoly import twisted_shift_rows
 
 
@@ -299,3 +305,35 @@ def decode_by_stages(code, y):
     return DecodeReport(syndromes=s, mu=mu, rho=rho, branch=branch,
                         positions=positions, values=values, error=err,
                         codeword=corrected, message=q)
+
+
+def nearest_codeword_equivalence(code):
+    """Decode every word within the packing radius t of a codeword and
+    compare against the ball center; the balls are disjoint, so the center
+    is the unique nearest codeword.  Returns the disagreement count."""
+    import itertools
+    ctx = code.ctx
+    ball = {}
+    nonzero = [e for e in ctx.elements() if e]
+    for cw in codewords(code):
+        key = tuple(v.raw for v in cw)
+        if key in ball:
+            raise CodeError("codeword enumeration repeated a word")
+        ball[key] = cw
+        for w in range(1, code.t + 1):
+            for positions in itertools.combinations(range(code.n), w):
+                for values in itertools.product(nonzero, repeat=w):
+                    noisy = list(cw)
+                    for pos, e in zip(positions, values):
+                        noisy[pos] = noisy[pos] + e
+                    nkey = tuple(v.raw for v in noisy)
+                    if nkey in ball:
+                        raise CodeError("balls are not disjoint")
+                    ball[nkey] = cw
+    mismatches = 0
+    for key, center in ball.items():
+        word = [ctx.element(v) for v in key]
+        report = decode(code, word)
+        if not report.ok or report.codeword != center:
+            mismatches += 1
+    return mismatches

@@ -6,10 +6,11 @@ import time
 
 import pytest
 
-from skewrs import EXAMPLE_CONFIGS, FieldError, cli
+from skewrs import EXAMPLE_CONFIGS, FieldError, cli, pgz
 from skewrs.cli import main, parse_weights
 
 from conftest import LONG_LITERAL
+from oracles import nearest_codeword_equivalence
 
 
 @pytest.fixture
@@ -166,11 +167,7 @@ delta = 3
     assert "0 disagreements" in out
 
 
-def test_oracle_budget_bounds_the_radius_t_balls(tmp_path, capsys):
-    # GF(32), n = 5, delta = 5: 32 codewords, within the budget, but their
-    # radius-2 balls hold 32 * (1 + 5*31 + 10*31^2) words, far beyond it
-    cfg = tmp_path / "g32.cfg"
-    cfg.write_text("""
+GF32_DELTA5 = """
 field.kind = finite-field
 field.p = 2
 field.degree = 5
@@ -178,7 +175,14 @@ field.modulus = a^5 + a^2 + 1
 sigma.frobenius_power = 1
 alpha = a^13
 delta = 5
-""")
+"""
+
+
+def test_oracle_budget_bounds_the_radius_t_balls(tmp_path, capsys):
+    # GF(32), n = 5, delta = 5: 32 codewords, within the budget, but the
+    # errors of weight <= 2 number 1 + 5*31 + 10*31^2, beyond it
+    cfg = tmp_path / "g32.cfg"
+    cfg.write_text(GF32_DELTA5)
     bundle = tmp_path / "g32.bundle"
     assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
     capsys.readouterr()
@@ -187,7 +191,81 @@ delta = 5
     assert time.perf_counter() - start < 1.0
     out = capsys.readouterr().out
     assert "minimum distance = 5" in out
-    assert "nearest-codeword equivalence skipped: 312512 words exceed budget 5000" in out
+    assert "nearest-codeword equivalence skipped: 9766 error patterns exceed budget 5000" in out
+
+
+def test_oracle_decodes_every_error_pattern_of_the_gf32_code(tmp_path, capsys):
+    # the 9766 error patterns fit the default budget; the ball walk in
+    # oracles would decode 32 times as many words
+    cfg = tmp_path / "g32.cfg"
+    cfg.write_text(GF32_DELTA5)
+    bundle = tmp_path / "g32.bundle"
+    assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+    capsys.readouterr()
+    assert main(["oracle", "--code", str(bundle)]) == 0
+    out = capsys.readouterr().out
+    assert "exhaustive minimum distance = 5" in out
+    assert "nearest-codeword equivalence: 0 disagreements" in out
+    assert "failures = 0" in out
+
+
+@pytest.fixture
+def gf16_bundle(tmp_path):
+    # GF(16), n = 4, delta = 3, t = 1, alpha = a^11 (find_normal_element's)
+    cfg = tmp_path / "gf16.cfg"
+    cfg.write_text("""
+field.kind = finite-field
+field.p = 2
+field.degree = 4
+field.modulus = a^4 + a + 1
+sigma.frobenius_power = 1
+alpha = a^11
+delta = 3
+""")
+    bundle = tmp_path / "gf16.bundle"
+    assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+    return bundle
+
+
+def plant_value_fault(monkeypatch):
+    # the first error value comes out times the field's generator whenever
+    # the first error position is 2
+    real = pgz._error_values
+
+    def faulty(code, positions, s):
+        values = real(code, positions, s)
+        if positions[0] == 2:
+            values[0] = code.ctx.mul(values[0], code.ctx.generator_raw)
+        return values
+
+    monkeypatch.setattr(pgz, "_error_values", faulty)
+
+
+def test_simulate_exits_1_when_a_weight_within_t_fails(gf16_bundle, monkeypatch, capsys):
+    argv = ["simulate", "--code", str(gf16_bundle), "--trials", "200", "--weights", "0:2"]
+    capsys.readouterr()
+    # weight 2 is past t, so its failures alone leave the exit status 0
+    assert main(argv) == 0
+    assert "weight 1: 66/66 recovered\nweight 2: 0/71 recovered" in capsys.readouterr().out
+    plant_value_fault(monkeypatch)
+    assert main(argv) == 1
+    assert "weight 1: 51/66 recovered\nweight 2: 0/71 recovered" in capsys.readouterr().out
+
+
+def test_a_planted_value_fault_is_caught_by_both_oracles(gf16_bundle, monkeypatch, capsys):
+    ctx, code = cli.load_bundle(str(gf16_bundle))
+    plant_value_fault(monkeypatch)
+    patterns = cli.error_pattern_equivalence(code)
+    assert patterns > 0
+    # decode(c + e) is decode(e) shifted by c, so each faulty pattern fails
+    # once in the ball of every codeword
+    assert nearest_codeword_equivalence(code) == ctx.size ** code.dimension * patterns
+    capsys.readouterr()
+    assert main(["oracle", "--code", str(gf16_bundle)]) == 1
+    out = capsys.readouterr().out
+    assert "MDS check: pass" in out
+    assert f"nearest-codeword equivalence: {patterns} disagreements" in out
+    assert "failures = 25" in out
 
 
 def test_oracle_declines_infinite_field(tmp_path, capsys):

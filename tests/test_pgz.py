@@ -8,10 +8,11 @@ from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     build_code, build_syndrome_matrix, decode, encode,
                     evaluate, find_normal_element, is_normal, left_divmod,
                     locate_positions, parse_poly, solve_row_system, syndromes)
-from skewrs.cli import nearest_codeword_equivalence, simulate
+from skewrs.cli import error_pattern_equivalence, simulate
 
 from conftest import GF4096_MODULUS, rng_for, random_poly
-from oracles import contains, decode_by_stages, identity, norm_column, right_eval
+from oracles import (contains, decode_by_stages, identity, nearest_codeword_equivalence,
+                     norm_column, right_eval)
 
 
 def make_received(code, msg, error_vec):
@@ -342,6 +343,7 @@ def test_every_error_of_weight_at_most_t_is_corrected(p, d, modulus, delta, r, p
                 assert not any(report.codeword) and report.message.is_zero
                 count += 1
     assert count == patterns
+    assert error_pattern_equivalence(code) == 0
 
 
 SHIFT_FIELDS = ("syndromes", "ok", "failure", "branch", "mu", "rho", "positions", "values",

@@ -16,7 +16,7 @@ print("beta = alpha^(-1) sigma(alpha) =", chi.inverse() * field.sigma(chi))
 code = build_code(field, chi, r=0, delta=5)
 print("\ncode:", code)
 print("monic generator g =", code.g)
-print("2*g (integral form) =", SkewPolynomial.constant(field, field.from_int(2)) * code.g)
+print("2*g (integral form) =", SkewPolynomial(field, (field.from_int(2),)) * code.g)
 
 message = parse_poly(field, "chi^2 + 3x")
 codeword = encode(code, message)

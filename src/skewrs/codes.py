@@ -34,14 +34,15 @@ Finite Fields, ch. 2), solve X * C(alpha) = e_0.  The lclm h of every
 beta-root but m = 0 sums to zero against every row m != 0, so
 X = h / lambda, lambda = sum_k h_k * sigma^k(alpha).  alpha is normal
 exactly when its n beta-roots are independent: no step of h meets S = 0
-and lambda != 0 (``trace_dual``).  The decoder's one conjugate system is
-for the error values at positions k, rows r+k (``conjugate_matrix``,
-``pgz.error_values``).
+and lambda != 0 (``trace_dual``).  The decoder's one conjugate system, for
+the error values at positions k, takes rows r+k straight from ``conj``
+(``pgz._error_values``); ``conjugate_matrix`` only prints it as a Matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .fields import (CyclotomicField, Element, FiniteField, RationalFunctions,
@@ -106,14 +107,12 @@ def is_normal(ctx, alpha):
     return trace_dual(ctx, [ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)]) is not None
 
 
-def find_normal_element(ctx, rng=None):
+def find_normal_element(ctx):
     """A normal element: the backend generator when it qualifies, else a
-    random search."""
+    random search seeded with 0, so the same context finds the same one."""
     if is_normal(ctx, ctx.generator):
         return ctx.generator
-    if rng is None:
-        import random
-        rng = random.Random(0)
+    rng = random.Random(0)
     for _ in range(64):   # random candidates to try before giving up
         cand = ctx.random_nonzero(rng)
         if is_normal(ctx, cand):
@@ -261,7 +260,7 @@ class ConfigError(ValueError):
 
 
 def _parse_kv(text):
-    out = {}
+    out, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -269,7 +268,11 @@ def _parse_kv(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first[key]}")
+        first[key] = lineno
+        out[key] = value.strip()
     return out
 
 

@@ -662,8 +662,8 @@ def poly_twist(ctx, f, k):
     x^k needs; f itself when sigma^k is the identity."""
     if k % ctx.order == 0:
         return f
-    sigma, zero = ctx.sigma_raw, ctx.zero_raw
-    return [c if c == zero else sigma(c, k) for c in f]
+    sigma = ctx.sigma_raw
+    return [sigma(c, k) for c in f]
 
 
 def poly_add(ctx, f, g):
@@ -1043,10 +1043,10 @@ class RationalFunctions(FieldContext):
 class CyclotomicField(FieldContext):
     """Q(chi) with chi^m = 1 primitive, m prime, and sigma(chi) = chi^k.
 
-    A sum, an a + c * b (``add_product``, and ``mul`` as the step onto zero)
-    and a conjugate sum gather their integer coordinates over one
-    denominator and reduce the content once, in ``_make``; the last two
-    convolve with ``_accumulate``.  A Galois image needs no reduction (an
+    A sum (``add``, as a + 1 * b), an a + c * b (``add_product``, and ``mul``
+    as the step onto zero) and a conjugate sum gather their integer
+    coordinates over one denominator with ``_accumulate`` and reduce the
+    content once, in ``_make``.  A Galois image needs no reduction (an
     automorphism keeps Z[chi] and so the content), nor does the inverse of one.
 
     A code build costs about m^3 integer products (the norm inverse) plus
@@ -1109,10 +1109,7 @@ class CyclotomicField(FieldContext):
     # -- raw protocol ----------------------------------------------------------
 
     def add(self, u, v):
-        (xn, d1), (yn, d2) = u, v
-        g = math.gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        return self._make(tuple(a * m1 + b * m2 for a, b in zip(xn, yn)), d1 * m1)
+        return self.add_product(u, self.one_raw, v)
 
     def neg(self, u):
         return tuple(-a for a in u[0]), u[1]

@@ -48,8 +48,6 @@ def eliminate(ctx, rows):
                 add_scaled(row, neg(factor), tail, pc + 1)
         pivots.append(pc)
         pr += 1
-        if pr == nr:
-            break
     return pivots
 
 

@@ -20,7 +20,9 @@ single-character symbols (``az`` means a*z).  Whitespace is ignored.
 A power is ``fields.poly_pow``, the kernel behind ``SkewPolynomial.__pow__``:
 ``x^k`` is the degree-k monomial itself, a constant's power is ``ctx.pow``,
 and only a compound base such as ``(x + a)^3`` is raised by repeated skew
-products.  ``parse_element`` additionally demands the result be a constant.
+products.  A ``parse_element`` result is a constant by construction: its
+symbols are the context's constants, with no ``x``, and sums, products,
+powers and constant quotients of constants are constants.
 
 An integer literal is a run of decimal digits, converted to an int once, by
 the tokenizer; one longer than the interpreter's ``int_max_str_digits``
@@ -260,6 +262,4 @@ def parse_poly(ctx, text):
 def parse_element(ctx, text):
     """Parse a single field element (a constant expression)."""
     value = _Parser(ctx, text, _symbol_table(ctx)).parse()
-    if len(value) > 1:
-        raise ParseError("expected a field element, found a polynomial", 0)
     return Element(ctx, value[0] if value else ctx.zero_raw)

@@ -35,18 +35,6 @@ class SkewPolynomial(Value):
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, ())
-
-    @classmethod
-    def one(cls, ctx):
-        return cls(ctx, (ctx.one,))
-
-    @classmethod
-    def constant(cls, ctx, c):
-        return cls(ctx, (c,))
-
-    @classmethod
     def variable(cls, ctx):
         return cls(ctx, (ctx.zero, ctx.one))
 
@@ -122,7 +110,7 @@ def lclm(f, g):
         raise ValueError("lclm requires nonzero polynomials")
     ctx = f.ctx
     r0, r1 = f, g
-    u0, u1 = SkewPolynomial.one(ctx), SkewPolynomial.zero(ctx)
+    u0, u1 = SkewPolynomial(ctx, (ctx.one,)), SkewPolynomial(ctx)
     while not r1.is_zero:
         q, r = left_divmod(r0, r1)
         r0, r1 = r1, r

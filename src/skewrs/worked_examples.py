@@ -330,7 +330,7 @@ def _run_example_2():
     values = error_values(code, positions, s)
     t.compare("error values", values, _vector(ctx, _EX2["values"]))
     report = _report_checks(t, ctx, code, y, err)
-    t.compare("recovered message", report.message, SkewPolynomial.one(ctx))
+    t.compare("recovered message", report.message, SkewPolynomial(ctx, (ctx.one,)))
     return t
 
 
@@ -371,7 +371,7 @@ def _run_example_3():
     chi = ctx.generator
     t.compare("beta", code.beta, chi ** 2)
     g_scaled = parse_poly(ctx, _EX3["generator_scaled"])
-    two = SkewPolynomial.constant(ctx, ctx.from_int(2))
+    two = SkewPolynomial(ctx, (ctx.from_int(2),))
     t.compare("generator up to a left scalar", two * code.g, g_scaled)
     b = parse_element(ctx, "-chi^5 - chi^4 - chi^3 - chi^2 - chi - 1")
     t.compare("evaluation matrix", evaluation_matrix(code), _matrix(ctx, _EX3_N, symbols={"b": b}))

@@ -110,7 +110,7 @@ def test_criterion_8_algebraic_identity_suite(all_contexts, all_codes):
     for name, code in all_codes.items():
         ctx = code.ctx
         x = SkewPolynomial.variable(ctx)
-        factors = [x - SkewPolynomial.constant(ctx, ctx.sigma(code.beta, k))
+        factors = [x - SkewPolynomial(ctx, (ctx.sigma(code.beta, k),))
                    for k in range(code.n)]
         xn1 = SkewPolynomial(
             ctx, [-ctx.one] + [ctx.zero] * (code.n - 1) + [ctx.one])

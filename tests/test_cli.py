@@ -1,12 +1,14 @@
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from skewrs import EXAMPLE_CONFIGS, FieldError, cli, pgz
+from skewrs import EXAMPLE_CONFIGS, ConfigError, FieldError, cli, code_from_config, pgz
 from skewrs.cli import main, parse_weights
 
 from conftest import LONG_LITERAL
@@ -54,6 +56,40 @@ def test_build_rejects_malformed_config(capsys, tmp_path, bad):
     assert main(["build", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_repeated_config_key_is_refused(capsys, tmp_path):
+    # the last value used to win silently: this built a delta = 3 code
+    text = EXAMPLE_CONFIGS[1] + "delta = 3\n"
+    message = "line 11: key 'delta' repeats line 10"
+    with pytest.raises(ConfigError) as info:
+        code_from_config(text)
+    assert str(info.value) == message
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert main(["build", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_a_config_without_a_final_newline_bundles_the_same_code(tmp_path):
+    cfg, bundle = tmp_path / "code.cfg", tmp_path / "code.bundle"
+    cfg.write_text(EXAMPLE_CONFIGS[1].rstrip("\n"))
+    assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+    _, loaded = cli.load_bundle(str(bundle))
+    _, code = code_from_config(EXAMPLE_CONFIGS[1])
+    assert (loaded.alpha, loaded.beta, loaded.g, loaded.r, loaded.delta) == \
+        (code.alpha, code.beta, code.g, code.r, code.delta)
+    assert bundle.read_text().startswith(EXAMPLE_CONFIGS[1] + "# derived: n = 6, t = 2\n")
+
+
+def test_python_dash_m_skewrs_prints_the_paper_example():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run([sys.executable, "-m", "skewrs", "paper-example", "--which", "1"],
+                         capture_output=True, env=env, cwd=root, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (root / "tests" / "data" / "paper_example_1.txt").read_bytes()
 
 
 def test_encode_decode_round_trip(workspace, capsys):

@@ -860,3 +860,28 @@ def test_cyclotomic_inverse_by_norm(case):
     assert y.inverse() == x
     coords, d = y.raw
     assert d > 0 and math.gcd(*coords, d) == 1
+
+
+def test_untabled_powers_equal_the_tabled_ones(gf4096, monkeypatch):
+    # the generic square-and-multiply, negative exponents through the inverse
+    monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 1 << 11)
+    monkeypatch.setattr(skewrs.fields, "_shared_tables", {})
+    untabled = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    assert untabled._exp is None and gf4096._exp is not None
+    rng = rng_for("untabled-pow")
+    for u in [1, 2, gf4096.generator_raw] + [rng.randrange(1, 4096) for _ in range(20)]:
+        for k in (-3, 0, 1, 4095, 10 ** 6):
+            assert untabled.pow(u, k) == gf4096.pow(u, k)
+    for k in (0, 1, 4095, 10 ** 6):
+        assert untabled.pow(0, k) == gf4096.pow(0, k)
+    assert parse_element(untabled, "a^3953") == parse_element(gf4096, "a^3953")
+
+
+def test_equal_elements_of_two_equal_contexts_hash_equal(gf4096):
+    other = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
+    assert other is not gf4096
+    rng = rng_for("hash-across-contexts")
+    for raw in [0, 1] + [rng.randrange(4096) for _ in range(20)]:
+        u, v = gf4096.element(raw), other.element(raw)
+        assert u == v and hash(u) == hash(v)
+    assert len({gf4096.generator, other.generator, gf4096.one, other.one}) == 2

@@ -249,7 +249,7 @@ def test_detect_only_code(gf4096):
     msg = random_poly(gf4096, rng, code.n - code.delta)
     report = decode(code, encode(code, msg).vector(code.n))
     assert report.ok and report.message == msg
-    bad = encode(code, msg) + SkewPolynomial.one(gf4096)
+    bad = encode(code, msg) + SkewPolynomial(gf4096, (gf4096.one,))
     report = decode(code, bad.vector(code.n))
     assert not report.ok
 

@@ -117,6 +117,6 @@ def test_generator_equals_lclm_fold(property_codes, case):
     code = property_codes[case]
     ctx, n = code.ctx, code.n
     x = SkewPolynomial.variable(ctx)
-    factors = [x - SkewPolynomial.constant(ctx, ctx.sigma(code.beta, (code.r + i) % n))
+    factors = [x - SkewPolynomial(ctx, (ctx.sigma(code.beta, (code.r + i) % n),))
                for i in range(code.delta - 1)]
     assert code.g == lclm_many(factors)

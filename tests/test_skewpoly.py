@@ -27,8 +27,8 @@ def test_coefficients_must_share_the_field(gf4096, gf16):
 def test_mul_by_one_is_identity(gf4096):
     rng = rng_for("mulone")
     f = random_poly(gf4096, rng, 5)
-    assert f * SkewPolynomial.one(gf4096) == f
-    assert SkewPolynomial.one(gf4096) * f == f
+    assert f * SkewPolynomial(gf4096, (gf4096.one,)) == f
+    assert SkewPolynomial(gf4096, (gf4096.one,)) * f == f
 
 
 @pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])
@@ -38,10 +38,10 @@ def test_power_equals_repeated_products(all_contexts, name):
     ctx = all_contexts[name]
     rng = rng_for(f"pow-{name}")
     x = SkewPolynomial.variable(ctx)
-    bases = [SkewPolynomial.constant(ctx, ctx.random_element(rng)), SkewPolynomial.zero(ctx),
-             x, x * x, x + SkewPolynomial.one(ctx), random_nonzero_poly(ctx, rng, 1)]
+    bases = [SkewPolynomial(ctx, (ctx.random_element(rng),)), SkewPolynomial(ctx),
+             x, x * x, x + SkewPolynomial(ctx, (ctx.one,)), random_nonzero_poly(ctx, rng, 1)]
     for f in bases:
-        expected = SkewPolynomial.one(ctx)
+        expected = SkewPolynomial(ctx, (ctx.one,))
         for k in range(4):
             assert (f ** k).raw == expected.raw
             expected = expected * f
@@ -55,7 +55,7 @@ def test_commutation_rule_against_sigma(all_contexts):
         x = SkewPolynomial.variable(ctx)
         for _ in range(50):
             c = ctx.random_element(rng)
-            lhs = x * SkewPolynomial.constant(ctx, c)
+            lhs = x * SkewPolynomial(ctx, (c,))
             rhs = monomial(ctx, ctx.sigma(c), 1)
             assert lhs == rhs
 
@@ -95,7 +95,7 @@ def test_degree_law(all_contexts, name):
 
 def test_divmod_self(gf4096, code_gf):
     q, r = left_divmod(code_gf.g, code_gf.g)
-    assert q == SkewPolynomial.one(gf4096)
+    assert q == SkewPolynomial(gf4096, (gf4096.one,))
     assert r.is_zero
 
 
@@ -132,9 +132,9 @@ def test_euclidean_law(all_contexts, name):
 
 
 def test_division_by_zero_rejected(gf4096):
-    f = SkewPolynomial.one(gf4096)
+    f = SkewPolynomial(gf4096, (gf4096.one,))
     with pytest.raises(ZeroDivisionError):
-        left_divmod(f, SkewPolynomial.zero(gf4096))
+        left_divmod(f, SkewPolynomial(gf4096))
 
 
 # -- norms and right evaluation ------------------------------------------------
@@ -170,7 +170,7 @@ def test_right_eval_constant(all_contexts):
         rng = rng_for("reconst")
         c = ctx.random_element(rng)
         gamma = ctx.random_element(rng)
-        assert right_eval(SkewPolynomial.constant(ctx, c), gamma) == c
+        assert right_eval(SkewPolynomial(ctx, (c,)), gamma) == c
 
 
 def test_generator_right_evaluates_to_zero_on_roots(code_gf, gf4096):
@@ -276,8 +276,8 @@ def test_lclm_fold_order_is_irrelevant(gf4096, code_gf):
 
 
 def test_lclm_gcrd_zero_inputs_rejected(gf4096):
-    zero = SkewPolynomial.zero(gf4096)
-    one = SkewPolynomial.one(gf4096)
+    zero = SkewPolynomial(gf4096)
+    one = SkewPolynomial(gf4096, (gf4096.one,))
     with pytest.raises(ValueError):
         gcrd(zero, zero)
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
     add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  add_product(a, c, b)
-    sigma_raw(u, k)  add_scaled(acc, c, src, shift)
+    sigma_raw(u, k)  add_scaled(acc, c, src, shift)  cleared(rows)
     conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
 
@@ -34,7 +34,9 @@ summed by ``_sum`` as its add is, and Q(chi) as one integer vector over one
 denominator, convolved by ``_accumulate``; each reduces it once, where mul
 then add reduce twice, and its mul is the step onto zero.  A tabled field
 of characteristic 2 keeps its own add_scaled: it looks up log c once and
-XORs in exp[log c + log src[j]].
+XORs in exp[log c + log src[j]].  ``cleared(rows)`` scales row i by a
+nonzero d_i, one but over F_q(z), where d_i is the lcm of the row's
+denominators and a fraction over one takes no gcd.
 
 F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
@@ -48,11 +50,13 @@ over a table of conjugates that the context prepares once per code, or,
 from ``conjugate_zeros``, only whether each sum is zero.  The generic
 versions run on add_product; a tabled field of characteristic 2 keeps the
 conjugates' discrete logs and XORs its terms in the log domain.  F_q(z)
-keeps the conjugates over one shared denominator and clears vec to one
-denominator per call, so an output is a sum of F_q[z] products and costs
-one gcd, or none for a zero test; Q(chi) accumulates each output's integer
-cyclic convolutions over a common denominator with ``_accumulate`` and
-reduces it once.
+keeps the conjugates over the lcm of their denominators and clears vec to
+the lcm of its own once per call, one gcd per distinct denominator after
+the first; an output is then a sum of F_q[z] products and costs one more
+gcd, a zero test none.  Q(chi) accumulates each output's integer cyclic
+convolutions over a common denominator with ``_accumulate`` and reduces it
+once; its zero test reduces nothing, as a sum is zero exactly when the
+accumulated length-m vector has equal entries.
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -292,6 +296,12 @@ class FieldContext:
         for j, b in enumerate(src, shift):
             if b != zero:
                 acc[j] = add_product(acc[j], c, b)
+
+    def cleared(self, rows):
+        """(row i times d_i for each row, [d_i]) for nonzero d_i that make
+        sums of products of the scaled values cheap; here every d_i is one,
+        so the rows come back as they are, with None for the scales."""
+        return rows, None
 
     def conjugate_table(self, conj, conj_inv):
         """What ``conjugate_sums`` reads: the raw conjugates sigma^k(alpha),
@@ -783,12 +793,14 @@ class RationalFunctions(FieldContext):
     whose degrees grow with n, and in-process on a 2-vCPU host F_16(z) and
     F_17(z) with n = 17 build in 0.2 to 0.5 s.  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
-    expressions stay small, and each result pays at most one gcd: a sum,
-    a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul`` as
-    the step onto zero) and a conjugate sum reduce once, in ``_make``; an
-    inverse and sigma need none, as they map coprime pairs to coprime pairs
-    and only make the denominator monic, in ``_monic``, as ``_make`` does
-    last.
+    expressions stay small, and each result pays at most one gcd: a sum
+    and a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul``
+    as the step onto zero) reduce once, in ``_make``, and not at all over
+    a denominator of one; an inverse and sigma need none, as they map
+    coprime pairs to coprime pairs and only make the denominator monic, in
+    ``_monic``, as ``_make`` does last.  Clearing a conjugate sum's word
+    or a row of ``cleared`` to the lcm of its denominators costs one gcd
+    per distinct denominator after the first.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -850,6 +862,9 @@ class RationalFunctions(FieldContext):
             raise ZeroDivisionError("zero denominator")
         if not num:
             return (), (1,)
+        # a polynomial is in lowest terms as it stands
+        if den == (1,):
+            return num, den
         g = poly_gcrd(base, num, den)
         if len(g) > 1:
             num = poly_divmod(base, num, g)[0]
@@ -944,19 +959,35 @@ class RationalFunctions(FieldContext):
         return self._monic(*(poly_trim(base, acc) for acc in accs))
 
     def _over_one_denominator(self, fracs):
-        # the numerators over the product D of the distinct denominators,
-        # each times D/d by one exact division per denominator, and D: no gcd
+        # the numerators over the lcm L of the nonzero fractions' distinct
+        # denominators, and L: L grows by d / gcd(L, d), one gcd per
+        # denominator after the first, and each numerator is multiplied by
+        # L/d, one exact division per denominator
         base = self.base
-        mul = functools.partial(poly_mul, base)
-        cofactors = dict.fromkeys(d for _, d in fracs)
-        den = functools.reduce(mul, cofactors, (1,))
+        cofactors = dict.fromkeys(d for num, d in fracs if num)
+        dens = iter(cofactors)
+        den = next(dens, (1,))
+        for d in dens:
+            g = poly_gcrd(base, den, d)
+            den = poly_mul(base, den, poly_divmod(base, d, g)[0] if len(g) > 1 else d)
+        if len(cofactors) < 2:
+            return [num for num, _ in fracs], den
         for d in cofactors:
             cofactors[d] = poly_divmod(base, den, d)[0]
-        return [mul(num, cofactors[d]) for num, d in fracs], den
+        return [poly_mul(base, num, cofactors[d]) if num else () for num, d in fracs], den
+
+    def cleared(self, rows):
+        # each row's numerators over the lcm of its denominators, and that lcm
+        out, scales = [], []
+        for row in rows:
+            nums, den = self._over_one_denominator(row)
+            out.append([(num, (1,)) for num in nums])
+            scales.append((den, (1,)))
+        return out, scales
 
     def conjugate_table(self, conj, conj_inv):
-        # the conjugates' numerators over one shared denominator D, twice
-        # over, and each inverse conjugate divided by D
+        # the conjugates' numerators over the lcm D of their denominators,
+        # twice over, and each inverse conjugate divided by D
         nums, den = self._over_one_denominator(conj)
         return nums * 2, [(cn, poly_mul(self.base, cd, den)) for cn, cd in conj_inv]
 
@@ -992,7 +1023,7 @@ class RationalFunctions(FieldContext):
                 for acc, (sn, sd) in sums]
 
     def conjugate_zeros(self, table, vec, count, offset):
-        # a sum is zero exactly when its numerator is: no gcd at all
+        # a sum is zero exactly when its numerator is: no gcd past clearing vec
         return [not any(acc) for acc, _ in self._numerator_sums(table, vec, count, offset)[1]]
 
     # -- context API ---------------------------------------------------------
@@ -1043,11 +1074,14 @@ class RationalFunctions(FieldContext):
 class CyclotomicField(FieldContext):
     """Q(chi) with chi^m = 1 primitive, m prime, and sigma(chi) = chi^k.
 
-    A sum (``add``, as a + 1 * b), an a + c * b (``add_product``, and ``mul``
+    A sum (``add``, as a + b * 1), an a + c * b (``add_product``, and ``mul``
     as the step onto zero) and a conjugate sum gather their integer
-    coordinates over one denominator with ``_accumulate`` and reduce the
-    content once, in ``_make``.  A Galois image needs no reduction (an
-    automorphism keeps Z[chi] and so the content), nor does the inverse of one.
+    coordinates over one denominator with ``_accumulate``, whose outer loop
+    runs over the second operand's nonzero coordinates, and reduce the
+    content once, in ``_make``.  A zero test of conjugate sums reduces
+    nothing: it asks only whether the accumulated vector's entries are
+    equal.  A Galois image needs no reduction (an automorphism keeps Z[chi]
+    and so the content), nor does the inverse of one.
 
     A code build costs about m^3 integer products (the norm inverse) plus
     m^2 * n^2 (the lclm of the beta-roots), n sigma's order.  The bound
@@ -1109,14 +1143,17 @@ class CyclotomicField(FieldContext):
     # -- raw protocol ----------------------------------------------------------
 
     def add(self, u, v):
-        return self.add_product(u, self.one_raw, v)
+        # one, a monomial, goes second: _accumulate loops over its one term
+        return self.add_product(u, v, self.one_raw)
 
     def neg(self, u):
         return tuple(-a for a in u[0]), u[1]
 
     def _accumulate(self, full, den, u, v):
         # full/den += u * v in place, full a length-m integer vector over
-        # the powers of chi; returns the common denominator
+        # the powers of chi; returns the common denominator.  The outer loop
+        # runs over v's nonzero coordinates: every conjugate chi^e but
+        # chi^(m-1) is a monomial, and so is one
         m = self.root_order
         d = u[1] * v[1]
         g = math.gcd(den, d)
@@ -1125,11 +1162,11 @@ class CyclotomicField(FieldContext):
             full[:] = [x * scale for x in full]
             den *= scale
         w = den // d
-        for i, a in enumerate(u[0]):
-            if a:
-                a *= w
-                for l, b in enumerate(v[0], i):
-                    if b:
+        for i, b in enumerate(v[0]):
+            if b:
+                b *= w
+                for l, a in enumerate(u[0], i):
+                    if a:
                         full[l % m] += a * b
         return den
 
@@ -1144,23 +1181,34 @@ class CyclotomicField(FieldContext):
         den = self._accumulate(full, ad if any(an) else c[1] * b[1], c, b)
         return self._make(self._reduce_cyclic(full), den)
 
-    def conjugate_sums(self, table, vec, count, offset):
-        # each output accumulates over a common denominator, then the
-        # product by the inverse conjugate reduces it once, in _make; a unit
-        # scale (the dual table's) is no product at all
+    def _full_sums(self, table, vec, count, offset):
+        # per output k, sum_i vec_i * sigma^(k+i)(alpha) as a length-m
+        # integer vector over a common denominator, and the output's scale
         conj, conj_inv = table
-        n, m, one = len(conj_inv), self.root_order, self.one_raw
+        n, m = len(conj_inv), self.root_order
         accumulate = self._accumulate
         terms = [(i, v) for i, v in enumerate(vec) if any(v[0])]
-        out = []
         for k in range(offset, offset + count):
             k %= n
             full, den = [0] * m, 1
             for i, v in terms:
                 den = accumulate(full, den, v, conj[k + i])
-            u, s = (self._reduce_cyclic(full), den), conj_inv[k]
-            out.append(self._make(*u) if s == one else self.mul(u, s))
-        return out
+            yield full, den, conj_inv[k]
+
+    def conjugate_sums(self, table, vec, count, offset):
+        # the product by the inverse conjugate reduces each output once, in
+        # _make; a unit scale (the dual table's) is no product at all
+        one, reduce_cyclic = self.one_raw, self._reduce_cyclic
+        return [self._make(reduce_cyclic(full), den) if s == one
+                else self.mul((reduce_cyclic(full), den), s)
+                for full, den, s in self._full_sums(table, vec, count, offset)]
+
+    def conjugate_zeros(self, table, vec, count, offset):
+        # the scale is nonzero and the reduced coordinates are full[i] -
+        # full[m-1], so a sum is zero exactly when full's entries are equal
+        m = self.root_order
+        return [full.count(full[0]) == m
+                for full, _, _ in self._full_sums(table, vec, count, offset)]
 
     def inv(self, u):
         if u == self.zero_raw:

@@ -12,7 +12,9 @@ that ``codes.evaluate`` shortcuts through the conjugate table.
 ``sigma_by_ladder`` is sigma on F_q(z) as the definition reads: every
 coefficient's power of the Moebius substitution by its own ladder, then a
 gcd.  ``gcrd_by_divmod`` is Euclid on full left divisions; ``gcrd`` is
-the kernel's Euclid on polynomials.
+the kernel's Euclid on polynomials.  ``over_product_denominator`` clears
+F_q(z) fractions to the product of their distinct denominators, with no
+gcd; ``RationalFunctions._over_one_denominator`` clears them to the lcm.
 
 ``decode_by_stages`` is ``pgz.decode`` stage by stage on Elements: the
 syndrome matrix as a ``Matrix``, rho off its ``rcef``, the error values
@@ -241,6 +243,20 @@ def sigma_by_ladder(ctx, u, k):
         return acc
 
     return ctx._make(subst(num), subst(den))
+
+
+def over_product_denominator(ctx, fracs):
+    """Raw F_q(z) fractions as (numerators, D) over the product D of their
+    distinct denominators: each numerator times D/d, d its denominator, by
+    one exact division per denominator.  It takes the place of
+    ``RationalFunctions._over_one_denominator``, which clears to the lcm."""
+    base = ctx.base
+    mul = functools.partial(poly_mul, base)
+    cofactors = dict.fromkeys(d for _, d in fracs)
+    den = functools.reduce(mul, cofactors, (1,))
+    for d in cofactors:
+        cofactors[d] = poly_divmod(base, den, d)[0]
+    return [mul(num, cofactors[d]) for num, d in fracs], den
 
 
 def gcrd_by_divmod(ctx, f, g):

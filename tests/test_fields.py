@@ -16,7 +16,7 @@ from skewrs.fields import poly_divmod, poly_gcrd, poly_mul, poly_trim
 
 from conftest import GF4096_MODULUS, rng_for
 from oracles import (dual_conjugates, fixed_field_check, from_fraction, gcrd_by_divmod,
-                     sigma_by_ladder)
+                     over_product_denominator, sigma_by_ladder)
 
 N_PAIRS = 1000
 
@@ -183,17 +183,20 @@ def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
 
 
 def test_rational_sums_reduce_once_per_output(code_rf, monkeypatch):
-    # a sum output pays for one gcd, in _make, not one per term
+    # clearing vec to the lcm of its distinct denominators pays one gcd per
+    # denominator after the first; then each nonzero output pays one, in
+    # _make, not one per term, and a zero output none
     ctx, n = code_rf.ctx, code_rf.n
     rng = rng_for("rf-sums-gcd")
     words = [[ctx.random_nonzero(rng, 2, 2).raw for _ in range(n)] for _ in range(4)]
     calls = _counted_gcrd(monkeypatch)
     for vec in words:
+        clearing = len({den for _, den in vec}) - 1
         for offset in range(n):
             for count in range(1, n + 1):
                 calls.clear()
-                ctx.conjugate_sums(code_rf.conj_table, vec, count, offset)
-                assert 0 < len(calls) <= count
+                sums = ctx.conjugate_sums(code_rf.conj_table, vec, count, offset)
+                assert len(calls) == clearing + sum(v != ctx.zero_raw for v in sums)
 
 
 RATIONAL_CONTEXTS = {
@@ -203,6 +206,9 @@ RATIONAL_CONTEXTS = {
     # an affine sigma (c = 0): sigma(z) = (z + 1)/a, of order 3
     "affine": lambda: RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
                                         ("1", "1", "0", "a")),
+    # sigma(z) = 1/(z + a) of order 9
+    "f8z": lambda: RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
+                                     ("0", "1", "1", "a")),
 }
 
 
@@ -256,6 +262,68 @@ def test_rational_add_scaled_reduces_once_per_entry(name, request, monkeypatch):
         calls.clear()
         ctx.add_scaled(acc, c, src, rng.randrange(3))
         assert len(calls) <= sum(1 for b in src if b != ctx.zero_raw)
+
+
+def _clearing_words(ctx, rng):
+    """Words over F_q(z) whose nonzero entries have repeated denominators,
+    denominators that share a factor, coprime ones and one alone, with zero
+    entries among them."""
+    base = ctx.base
+
+    def poly(deg):
+        return poly_trim(base, [rng.randrange(base.size) for _ in range(deg)] + [1])
+
+    def frac(den):
+        return ctx._make(poly_trim(base, [rng.randrange(base.size) for _ in range(4)]), den)
+
+    p, q, s = poly(1), poly(2), poly(2)
+    zero = ctx.zero_raw
+    return [[frac(p), frac(p), frac(poly_mul(base, p, q)), frac(s), zero],
+            [frac(poly_mul(base, p, q)), zero, frac(poly_mul(base, q, s)), frac(q)],
+            [zero, frac(s), zero],
+            [frac(poly_mul(base, p, p)), frac(p), frac(poly_mul(base, s, p))],
+            [zero, zero],
+            []]
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z", "affine", "f8z"])
+def test_lcm_and_product_clearings_agree(name, request, monkeypatch):
+    # conjugate_table, conjugate_sums and conjugate_zeros with fractions
+    # cleared to the lcm of their denominators, and to their product
+    ctx = _rational_context(name, request)
+    n = ctx.order
+    conj = [ctx.sigma_raw(find_normal_element(ctx).raw, k) for k in range(n)]
+    pairs = [(conj, [ctx.inv(c) for c in conj])]
+    rng = rng_for(f"clearings-{name}")
+    pairs += [(w, [ctx.one_raw] * len(w)) for w in _clearing_words(ctx, rng)[:2]]
+    words = _clearing_words(ctx, rng)
+    words.append([ctx.random_element(rng, 2, 2).raw for _ in range(n)])
+    # the lcm is a proper divisor of the product
+    assert ctx._over_one_denominator(words[0])[1] != over_product_denominator(ctx, words[0])[1]
+    results = []
+    for clearing in (None, over_product_denominator):
+        with monkeypatch.context() as patch:
+            if clearing:
+                patch.setattr(RationalFunctions, "_over_one_denominator", clearing)
+            tables = [ctx.conjugate_table(*pair) for pair in pairs]
+            # a table denotes the conjugates and their inverses whatever
+            # denominator it shares
+            for (nums, scales), (values, inverses) in zip(tables, pairs):
+                den = ctx._over_one_denominator(values)[1]
+                assert [ctx._make(num, den) for num in nums] == values * 2
+                over = ctx.inv((den, (1,)))
+                assert [ctx._make(*s) for s in scales] == [ctx.mul(v, over) for v in inverses]
+            out = []
+            for table in tables:
+                for vec in words:
+                    vec = vec[:len(table[1])]
+                    for offset in (0, n - 1, n, 2 * n + 1):
+                        for count in {0, 1, len(table[1])}:
+                            out.append(ctx.conjugate_sums(table, vec, count, offset))
+                            out.append(ctx.conjugate_zeros(table, vec, count, offset))
+            results.append(out)
+    assert results[0] == results[1]
+    assert any(any(z) for z in results[0][1::2])
 
 
 def _counted_cyclotomic_make(monkeypatch):
@@ -353,12 +421,14 @@ def test_poly_gcrd_equals_the_divmod_euclid(name, request):
 
 
 PROTOCOL_CONTEXTS = ["gf4096", "gf81", "gf125", "gf4096-untabled", "rational", "gf9z",
-                     "cyclotomic"]
+                     "cyclotomic", "chi7-order3"]
 
 
 def _protocol_context(name, request, monkeypatch):
     # tabled GF(2^12), odd characteristic, untabled GF(2^12), F_q(z) over
-    # GF(4) and GF(9), Q(chi)
+    # GF(4) and GF(9), Q(chi_7) with sigma of order 6 and of order 3
+    if name == "chi7-order3":
+        return CyclotomicField(7, 2)
     finite = {"gf4096": (2, 12, GF4096_MODULUS, 10), "gf81": (3, 4, "a^4 + 2a^3 + 2", 1),
               "gf125": (5, 3, "a^3 + 3a + 2", 1)}
     field, _, untabled = name.partition("-")
@@ -401,6 +471,24 @@ def test_add_product_equals_element_arithmetic(name, request, monkeypatch):
         for c in values:
             for b in values:
                 assert ctx.add_product(a.raw, c.raw, b.raw) == (a + c * b).raw
+
+
+@pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)
+def test_cleared_scales_each_row_by_one_nonzero_factor(name, request, monkeypatch):
+    # F_q(z) clears each row to polynomials; every other backend scales by one
+    ctx = _protocol_context(name, request, monkeypatch)
+    rng = rng_for(f"cleared-{name}")
+    rows = [[rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng))).raw
+             for _ in range(size)] for size in range(6)]
+    scaled, scales = ctx.cleared(rows)
+    if not isinstance(ctx, RationalFunctions):
+        assert scaled is rows and scales is None
+        return
+    assert len(scaled) == len(scales) == len(rows)
+    for row, out, d in zip(rows, scaled, scales):
+        assert d != ctx.zero_raw
+        assert out == [ctx.mul(d, v) for v in row]
+        assert all(den == (1,) for _, den in out)
 
 
 @pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)

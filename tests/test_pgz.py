@@ -9,10 +9,11 @@ from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     evaluate, find_normal_element, is_normal, left_divmod,
                     locate_positions, parse_poly, solve_row_system, syndromes)
 from skewrs.cli import error_pattern_equivalence, simulate
+from skewrs.fields import FieldContext
 
 from conftest import GF4096_MODULUS, rng_for, random_poly
 from oracles import (contains, decode_by_stages, identity, nearest_codeword_equivalence,
-                     norm_column, right_eval)
+                     norm_column, over_product_denominator, right_eval)
 
 
 def make_received(code, msg, error_vec):
@@ -490,3 +491,23 @@ def test_tabled_and_untabled_fields_decode_alike(monkeypatch):
             y = [v + ctx.element(err.get(j, 0)) for j, v in enumerate(cw.vector(n))]
             texts.append(decode(code, y).to_text(tabled))
         assert texts[0] == texts[1]
+
+
+def test_convolutional_reports_equal_the_reduced_route(monkeypatch):
+    # F_8(z), sigma(z) = 1/(z + a) of order 9, delta = 5: seeded words of
+    # weight 0..t+1 decode to the same text when every clearing goes to the
+    # product of the denominators and dual_support's kernel vector is kept
+    # reduced, as the generic cleared (d_i = one) leaves it
+    ctx = RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
+                            ("0", "1", "1", "a"))
+    code = build_code(ctx, ctx.generator, 0, 5)
+    rng = rng_for("convolutional-reports")
+    words = [make_received(code, random_poly(ctx, rng, code.dimension - 1),
+                           random_error(code, rng, weight))
+             for weight in range(code.t + 2) for _ in range(6)]
+    texts = [decode(code, y).to_text(ctx) for y in words]
+    assert sum("branch = echelon" in text for text in texts) >= 2
+    monkeypatch.setattr(RationalFunctions, "_over_one_denominator", over_product_denominator)
+    monkeypatch.setattr(RationalFunctions, "cleared", FieldContext.cleared)
+    reference = build_code(ctx, ctx.generator, 0, 5)
+    assert [decode(reference, y).to_text(ctx) for y in words] == texts

@@ -194,26 +194,6 @@ def encode(code, message):
     return message * code.g
 
 
-def _lazy_scales(ctx, rows, scales, mu):
-    """Rows and end factors for w over the cleared rows, row i taken times
-    d_i = scales[i]: w_j is kept times d_0 * ... * d_(j-mu), so row i's
-    coefficient k comes times d_(i+k-mu+1) * ... * d_(i-1), and w_j times
-    d_(j-mu+1) * ... * d_(n-mu-1) at the end gives w one common factor."""
-    mul, one = ctx.mul, ctx.one_raw
-    out = []
-    for i, row in enumerate(rows):
-        row, factor = list(row), one
-        for k in range(mu - 2, max(mu - 2 - i, -1), -1):
-            factor = mul(factor, scales[i + k - mu + 1])
-            row[k] = mul(row[k], factor)
-        out.append(row)
-    suffix = [one]
-    for d in reversed(scales):
-        suffix.append(mul(d, suffix[-1]))
-    suffix.reverse()
-    return out, [suffix[max(j - mu + 1, 0)] for j in range(len(rows) + mu)]
-
-
 def dual_support(code, f, offset):
     """Sorted j < n such that no unit vector e_j lies in the row space W of
     the twisted shift rows x^i * f, i < n - deg f, evaluated at
@@ -224,18 +204,15 @@ def dual_support(code, f, offset):
     w_s = 1 for one s < mu and w_(i+mu) = -sum_(k<mu) sigma^i(f_k) * w_(i+k).
 
     Only the zero pattern of the dual sums counts, and a nonzero factor
-    keeps it, so w may be scaled: ``ctx.cleared`` takes row i times a
-    nonzero d_i, which over F_q(z) clears its denominators so that w stays
-    in F_q[z] (see ``_lazy_scales``); elsewhere every d_i is one and the
-    rows are used as they are.
+    keeps it, so w may be kept scaled: ``ctx.kernel_rows`` gives the rows
+    the recurrence runs on and, when they are scaled, one end factor per
+    entry that brings w to one common factor (F_q(z) clears the rows so
+    that w stays in F_q[z]); elsewhere the rows are used as they are.
     """
     ctx, n = code.ctx, code.n
     zero, one, add_product = ctx.zero_raw, ctx.one_raw, ctx.add_product
     mu = len(f.raw) - 1
-    rows, scales = ctx.cleared([poly_twist(ctx, f.raw[:mu], i) for i in range(n - mu)])
-    ends = None
-    if scales is not None:
-        rows, ends = _lazy_scales(ctx, rows, scales, mu)
+    rows, ends = ctx.kernel_rows([poly_twist(ctx, f.raw[:mu], i) for i in range(n - mu)], mu)
     support = set()
     for s in range(mu):
         w = [zero] * n

@@ -16,7 +16,7 @@ All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
     add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  add_product(a, c, b)
-    sigma_raw(u, k)  add_scaled(acc, c, src, shift)  cleared(rows)
+    sigma_raw(u, k)  add_scaled(acc, c, src, shift)  kernel_rows(rows, mu)
     conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
 
@@ -34,9 +34,10 @@ summed by ``_sum`` as its add is, and Q(chi) as one integer vector over one
 denominator, convolved by ``_accumulate``; each reduces it once, where mul
 then add reduce twice, and its mul is the step onto zero.  A tabled field
 of characteristic 2 keeps its own add_scaled: it looks up log c once and
-XORs in exp[log c + log src[j]].  ``cleared(rows)`` scales row i by a
-nonzero d_i, one but over F_q(z), where d_i is the lcm of the row's
-denominators and a fraction over one takes no gcd.
+XORs in exp[log c + log src[j]].  ``kernel_rows(rows, mu)`` gives the
+rows of ``codes.dual_support``'s recurrence and end factors for w: the
+rows as they are and no factors, but over F_q(z), which scales each row
+to clear its denominators, so that w stays in F_q[z] and takes no gcd.
 
 F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
@@ -297,10 +298,12 @@ class FieldContext:
             if b != zero:
                 acc[j] = add_product(acc[j], c, b)
 
-    def cleared(self, rows):
-        """(row i times d_i for each row, [d_i]) for nonzero d_i that make
-        sums of products of the scaled values cheap; here every d_i is one,
-        so the rows come back as they are, with None for the scales."""
+    def kernel_rows(self, rows, mu):
+        """The rows that ``codes.dual_support``'s recurrence w_(i+mu) =
+        -sum_k row_i[k] * w_(i+k) runs on, and the end factors that w's
+        entries are multiplied by after it (None for none): w comes out
+        times one nonzero common factor.  Here the rows are used as they
+        are."""
         return rows, None
 
     def conjugate_table(self, conj, conj_inv):
@@ -799,8 +802,8 @@ class RationalFunctions(FieldContext):
     a denominator of one; an inverse and sigma need none, as they map
     coprime pairs to coprime pairs and only make the denominator monic, in
     ``_monic``, as ``_make`` does last.  Clearing a conjugate sum's word
-    or a row of ``cleared`` to the lcm of its denominators costs one gcd
-    per distinct denominator after the first.
+    or a row of ``kernel_rows`` to the lcm of its denominators costs one
+    gcd per distinct denominator after the first.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -976,14 +979,29 @@ class RationalFunctions(FieldContext):
             cofactors[d] = poly_divmod(base, den, d)[0]
         return [poly_mul(base, num, cofactors[d]) if num else () for num, d in fracs], den
 
-    def cleared(self, rows):
-        # each row's numerators over the lcm of its denominators, and that lcm
+    def kernel_rows(self, rows, mu):
+        # row i over the lcm d_i of its denominators.  w_j is kept times
+        # D_j = d_0 * ... * d_(j-mu) (one for j < mu), so w_(i+mu) comes
+        # times D_(i+mu), and row i's coefficient k times D_(i+mu-1) /
+        # D_(i+k): the d_l for max(i+k-mu+1, 0) <= l < i.  w_j times
+        # d_(j-mu+1) * ... * d_(n-mu-1) at the end gives all of w the factor
+        # D_(n-1), and w stays in F_q[z]
+        mul, one = self.mul, self.one_raw
         out, scales = [], []
-        for row in rows:
+        for i, row in enumerate(rows):
             nums, den = self._over_one_denominator(row)
-            out.append([(num, (1,)) for num in nums])
+            row, factor = [(num, (1,)) for num in nums], one
+            for k in range(mu - 2, -1, -1):
+                if i + k - mu + 1 >= 0:
+                    factor = mul(factor, scales[i + k - mu + 1])
+                row[k] = mul(row[k], factor)
+            out.append(row)
             scales.append((den, (1,)))
-        return out, scales
+        suffix = [one]
+        for d in reversed(scales):
+            suffix.append(mul(d, suffix[-1]))
+        suffix.reverse()
+        return out, [suffix[max(j - mu + 1, 0)] for j in range(len(rows) + mu)]
 
     def conjugate_table(self, conj, conj_inv):
         # the conjugates' numerators over the lcm D of their denominators,

@@ -5,7 +5,7 @@ from skewrs import (CodeError, ConfigError, CyclotomicField, FiniteField,
                     code_from_config, encode, evaluate, find_normal_element,
                     is_normal, left_divmod, min_distance_oracle, parse_poly)
 from skewrs import fields
-from skewrs.codes import conjugate_matrix, dual_support, evaluation_matrix
+from skewrs.codes import conjugate_matrix, dual_support, evaluation_matrix, root_lclm
 from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
@@ -279,7 +279,8 @@ def test_dual_support_reduces_once_per_nonzero_term(all_codes, name, monkeypatch
     # (sigma(z) = 1/(z + a), n = 9) row i is cleared to the lcm of its
     # distinct denominators, one gcd for each after the first, and w stays
     # in F_8[z], so the steps take no gcd.  The zero tests over the dual
-    # table are not counted.
+    # table are not counted.  Over F_8(z) the support is also the one that
+    # the unscaled rows give.
     if name == "f8z":
         ctx = RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
                                 ("0", "1", "1", "a"))
@@ -312,17 +313,37 @@ def test_dual_support_reduces_once_per_nonzero_term(all_codes, name, monkeypatch
             f = SkewPolynomial(ctx, [ctx.random_nonzero(rng) for _ in range(mu)] + [ctx.one])
             calls.clear()
             words.clear()
-            dual_support(code, f, rng.randrange(n))
+            offset = rng.randrange(n)
+            support = dual_support(code, f, offset)
             if name == "f8z":
                 rows = [[ctx.sigma_raw(c, i) for c in f.raw[:mu]] for i in range(n - mu)]
                 assert len(calls) == sum(max(len({d for num, d in row if num}) - 1, 0)
                                          for row in rows)
+                with monkeypatch.context() as m:
+                    m.setattr(RationalFunctions, "kernel_rows", FieldContext.kernel_rows)
+                    assert dual_support(code, f, offset) == support
             else:
                 terms = sum(v != ctx.zero_raw for w in words for i in range(n - mu)
                             for v in w[i:i + mu])
                 assert len(calls) <= terms
             total += len(calls)
     assert total
+
+
+def test_dual_support_of_a_root_lclm_over_f8z_is_its_roots():
+    # F_8(z), sigma(z) = 1/(z + a), n = 9: the lclm of x - sigma^m(beta) for
+    # count consecutive m has exactly those beta-roots, read at an offset.
+    # Degrees 3 and up meet kernel_rows' scaled start entries
+    ctx = RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
+                            ("0", "1", "1", "a"))
+    code = build_code(ctx, ctx.generator, 0, 2)
+    n = code.n
+    for count in range(1, 6):
+        for start in range(n):
+            f = SkewPolynomial.from_raw(ctx, root_lclm(ctx, code.conj, start, count))
+            for offset in (0, 4):
+                assert dual_support(code, f, offset) == sorted(
+                    (start + k - offset) % n for k in range(count))
 
 
 @pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])

@@ -474,21 +474,39 @@ def test_add_product_equals_element_arithmetic(name, request, monkeypatch):
 
 
 @pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)
-def test_cleared_scales_each_row_by_one_nonzero_factor(name, request, monkeypatch):
-    # F_q(z) clears each row to polynomials; every other backend scales by one
+def test_kernel_rows_give_w_times_one_common_factor(name, request, monkeypatch):
+    # dual_support's recurrence w_(i+mu) = -sum_k row_i[k] * w_(i+k) from
+    # w_s = 1, s < mu, over kernel_rows and then its end factors, against
+    # the recurrence over the rows as they are, in Element arithmetic.
+    # F_q(z) keeps w in F_q[z]; every other backend uses the rows as they are
     ctx = _protocol_context(name, request, monkeypatch)
-    rng = rng_for(f"cleared-{name}")
-    rows = [[rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng))).raw
-             for _ in range(size)] for size in range(6)]
-    scaled, scales = ctx.cleared(rows)
-    if not isinstance(ctx, RationalFunctions):
-        assert scaled is rows and scales is None
-        return
-    assert len(scaled) == len(scales) == len(rows)
-    for row, out, d in zip(rows, scaled, scales):
-        assert d != ctx.zero_raw
-        assert out == [ctx.mul(d, v) for v in row]
-        assert all(den == (1,) for _, den in out)
+    rng = rng_for(f"kernel-rows-{name}")
+    zero = ctx.zero_raw
+    for mu in (1, 2, 3, 4):
+        n = mu + 5
+        rows = [[rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng))).raw
+                 for _ in range(mu)] for _ in range(n - mu)]
+        scaled, ends = ctx.kernel_rows(rows, mu)
+        if not isinstance(ctx, RationalFunctions):
+            assert scaled is rows and ends is None
+            continue
+        for s in range(mu):
+            want = [ctx.zero] * n
+            want[s] = ctx.one
+            for i, row in enumerate(rows):
+                want[i + mu] = -sum((Element(ctx, c) * v for c, v in zip(row, want[i:])),
+                                    ctx.zero)
+            w = [zero] * n
+            w[s] = ctx.one_raw
+            for i, row in enumerate(scaled):
+                acc = zero
+                for c, v in zip(row, w[i:]):
+                    acc = ctx.add_product(acc, c, v)
+                assert acc[1] == (1,)
+                w[i + mu] = ctx.neg(acc)
+            w = list(map(ctx.mul, ends, w))
+            assert w[s] != zero
+            assert w == [ctx.mul(w[s], v.raw) for v in want]
 
 
 @pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)

@@ -494,20 +494,25 @@ def test_tabled_and_untabled_fields_decode_alike(monkeypatch):
 
 
 def test_convolutional_reports_equal_the_reduced_route(monkeypatch):
-    # F_8(z), sigma(z) = 1/(z + a) of order 9, delta = 5: seeded words of
-    # weight 0..t+1 decode to the same text when every clearing goes to the
-    # product of the denominators and dual_support's kernel vector is kept
-    # reduced, as the generic cleared (d_i = one) leaves it
+    # F_8(z), sigma(z) = 1/(z + a) of order 9, delta = 5 and 7: seeded words
+    # of weight 0..t+1 decode to the same text when every clearing goes to
+    # the product of the denominators and dual_support's kernel vector is
+    # kept reduced, as the generic kernel_rows leaves it.  At delta = 7 the
+    # locator seeds reach degree 3
     ctx = RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
                             ("0", "1", "1", "a"))
-    code = build_code(ctx, ctx.generator, 0, 5)
     rng = rng_for("convolutional-reports")
-    words = [make_received(code, random_poly(ctx, rng, code.dimension - 1),
-                           random_error(code, rng, weight))
-             for weight in range(code.t + 2) for _ in range(6)]
-    texts = [decode(code, y).to_text(ctx) for y in words]
-    assert sum("branch = echelon" in text for text in texts) >= 2
+    cases = []
+    for delta, per_weight in ((5, 6), (7, 6)):
+        code = build_code(ctx, ctx.generator, 0, delta)
+        words = [make_received(code, random_poly(ctx, rng, code.dimension - 1),
+                               random_error(code, rng, weight))
+                 for weight in range(code.t + 2) for _ in range(per_weight)]
+        cases.append((delta, words, [decode(code, y).to_text(ctx) for y in words]))
+    assert all(sum("branch = echelon" in text for text in texts) >= 2
+               for _, _, texts in cases)
     monkeypatch.setattr(RationalFunctions, "_over_one_denominator", over_product_denominator)
-    monkeypatch.setattr(RationalFunctions, "cleared", FieldContext.cleared)
-    reference = build_code(ctx, ctx.generator, 0, 5)
-    assert [decode(reference, y).to_text(ctx) for y in words] == texts
+    monkeypatch.setattr(RationalFunctions, "kernel_rows", FieldContext.kernel_rows)
+    for delta, words, texts in cases:
+        reference = build_code(ctx, ctx.generator, 0, delta)
+        assert [decode(reference, y).to_text(ctx) for y in words] == texts

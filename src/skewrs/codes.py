@@ -20,22 +20,31 @@ reads the evaluation matrix N off the first table on demand.  A code with
 r > 0 reads the same tables from index r, all indices taken mod n, so the
 decoder never branches on r.
 
-``root_lclm`` builds an lclm of beta-roots one root at a time, with no
+``root_lclm`` extends an lclm by beta-roots one root at a time, with no
 linear solve (Lam & Leroy, J. Algebra 1988).  For the monic g so far and
 a = sigma^m(beta), S = sum_k g_k * sigma^(m+k)(alpha) is sigma^m(alpha)
 times g's right value at a.  S = 0 means that a is already a root of g;
-otherwise lclm(g, x - a) = (x - sigma(S) * S^(-1)) * g.  The generator is
-the lclm of the delta - 1 roots from m = r, in O(delta^2) operations.
+otherwise lclm(g, x - a) = (x - sigma(S) * S^(-1)) * g.  A build walks
+each beta-root once: c is the lclm of the generator's roots m = r ..
+r+delta-2 (mod n) other than m = 0, taken from m = r; the generator is c,
+extended by root 0 when it is one of them; and the lclm h of every root
+but m = 0 extends c over the other nonzero roots from m = 1.  That is
+n - 1 steps when delta = n or 0 is not a root of the generator, n steps
+otherwise, each O(n) operations.
 
 The conjugate matrix C(alpha) holds sigma^(s+j)(alpha) at row s, column
 j, and the trace-dual conjugates X_i = sigma^i(alpha*),
 Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij (Lidl & Niederreiter,
-Finite Fields, ch. 2), solve X * C(alpha) = e_0.  The lclm h of every
-beta-root but m = 0 sums to zero against every row m != 0, so
-X = h / lambda, lambda = sum_k h_k * sigma^k(alpha).  alpha is normal
-exactly when its n beta-roots are independent: no step of h meets S = 0
-and lambda != 0 (``trace_dual``).  The decoder's one conjugate system, for
-the error values at positions k, takes rows r+k straight from ``conj``
+Finite Fields, ch. 2), solve X * C(alpha) = e_0; row j of C(alpha)^(-1)
+is X rotated by j.  The lclm h_j of every beta-root but m = j sums to
+zero against every row m != j, so X_(j+k) = (h_j)_k / lambda_j,
+lambda_j = sum_k (h_j)_k * sigma^(j+k)(alpha) (``trace_dual``).  The
+build reads X off h = h_0, or at delta = n off the generator, which is
+then h_(r-1), with no second walk.  alpha is normal exactly when its n
+beta-roots are independent: no step meets S = 0 and lambda_j != 0, for
+any j; the build refuses alpha at the first step that fails, and
+``is_normal`` walks h_0.  The decoder's one conjugate system, for the
+error values at positions k, takes rows r+k straight from ``conj``
 (``pgz._error_values``); ``conjugate_matrix`` only prints it as a Matrix.
 """
 
@@ -56,6 +65,9 @@ class CodeError(ValueError):
     pass
 
 
+NOT_NORMAL = "alpha is not a normal element"
+
+
 def conjugate_matrix(ctx, conj, starts, size):
     """The matrix with one row per s in starts, holding conj[(s + j) % n]
     for j < size, over the n raw conjugates conj = sigma^k(alpha), k < n."""
@@ -63,20 +75,22 @@ def conjugate_matrix(ctx, conj, starts, size):
     return Matrix.from_raw(ctx, [[conj[(s + j) % n] for j in range(size)] for s in starts])
 
 
-def root_lclm(ctx, conj, start, count):
-    """The monic lclm of x - sigma^m(beta), m = start .. start+count-1 (mod
-    n), as a raw coefficient tuple lowest degree first, built one root at a
-    time over the n raw conjugates conj = sigma^k(alpha); None when some
-    root is already a root of the product so far."""
+def root_lclm(ctx, conj, roots, g=None):
+    """The monic lclm of g (raw, lowest degree first; by default 1) and
+    x - sigma^m(beta) for m in roots (mod n), added one root at a time in
+    that order, over the n raw conjugates conj = sigma^k(alpha); a raw
+    coefficient tuple.  The roots are distinct mod n and none is a root of
+    g, so a step that meets S = 0 means that alpha is not normal, and
+    raises CodeError."""
     n = len(conj)
     zero, add_product = ctx.zero_raw, ctx.add_product
-    g = [ctx.one_raw]
-    for m in range(start, start + count):
+    g = [ctx.one_raw] if g is None else list(g)
+    for m in roots:
         s = zero
         for k, c in enumerate(g):
             s = add_product(s, c, conj[(m + k) % n])
         if s == zero:
-            return None
+            raise CodeError(NOT_NORMAL)
         b = ctx.neg(ctx.mul(ctx.sigma_raw(s, 1), ctx.inv(s)))
         # (x + b) * g: coefficient j is sigma(g_(j-1)) + b * g_j
         twisted = [zero] + poly_twist(ctx, g, 1)
@@ -84,27 +98,33 @@ def root_lclm(ctx, conj, start, count):
     return tuple(g)
 
 
-def trace_dual(ctx, conj):
-    """The raw trace-dual conjugates sigma^k(alpha*), k < n, as h / lambda
-    for h the lclm of every beta-root but sigma^0(beta); None when alpha
-    is not normal."""
-    h = root_lclm(ctx, conj, 1, len(conj) - 1)
-    if h is None:
-        return None
+def trace_dual(ctx, conj, h, j=0):
+    """The raw trace-dual conjugates sigma^k(alpha*), k < n, from h, the
+    lclm of every beta-root but sigma^j(beta): h / lambda_j is row j of
+    C(alpha)^(-1), lambda_j = sum_i h_i * sigma^(j+i)(alpha), and that row
+    is the dual conjugates rotated by j, so sigma^k(alpha*) =
+    h_(k-j) / lambda_j.  lambda_j = 0 raises CodeError: alpha is not
+    normal."""
+    n = len(conj)
     lam = ctx.zero_raw
-    for c, v in zip(h, conj):
-        lam = ctx.add_product(lam, c, v)
+    for i, c in enumerate(h):
+        lam = ctx.add_product(lam, c, conj[(j + i) % n])
     if lam == ctx.zero_raw:
-        return None
+        raise CodeError(NOT_NORMAL)
     inv = ctx.inv(lam)
-    return [ctx.mul(c, inv) for c in h]
+    return [ctx.mul(h[(k - j) % n], inv) for k in range(n)]
 
 
 def is_normal(ctx, alpha):
     """True when the sigma-conjugates of alpha form a basis over the
     invariant subfield (its n beta-roots are independent)."""
     require_context(ctx, (alpha,))
-    return trace_dual(ctx, [ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)]) is not None
+    conj = [ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)]
+    try:
+        trace_dual(ctx, conj, root_lclm(ctx, conj, range(1, ctx.order)))
+    except CodeError:
+        return False
+    return True
 
 
 def find_normal_element(ctx):
@@ -166,6 +186,9 @@ def evaluation_matrix(code):
 
 
 def build_code(ctx, alpha, r, delta):
+    """The code with generator the lclm of x - sigma^m(beta), m = r ..
+    r+delta-2, and its trace-dual table, from one walk over the beta-roots
+    (module docstring); CodeError when alpha is not normal."""
     n = ctx.order
     if not 2 <= delta <= n:
         raise CodeError(f"designed distance must be within [2, {n}], got {delta}")
@@ -174,14 +197,18 @@ def build_code(ctx, alpha, r, delta):
     require_context(ctx, (alpha,))
     sigma = ctx.sigma_raw
     conj = [sigma(alpha.raw, k) for k in range(n)]
-    dual = trace_dual(ctx, conj)
-    if dual is None:
-        raise CodeError("alpha is not a normal element")
+    roots = [(r + i) % n for i in range(delta - 1)]
+    c = root_lclm(ctx, conj, [m for m in roots if m])
+    g = root_lclm(ctx, conj, (0,), c) if 0 in roots else c
+    if delta == n:
+        dual = trace_dual(ctx, conj, g, (r - 1) % n)
+    else:
+        dual = trace_dual(ctx, conj, root_lclm(
+            ctx, conj, [m for m in range(1, n) if m not in roots], c))
     inv = ctx.inv(alpha.raw)
     return SkewRSCode(
         ctx=ctx, alpha=alpha, beta=Element(ctx, ctx.mul(inv, conj[1])), r=r, delta=delta,
-        g=SkewPolynomial.from_raw(ctx, root_lclm(ctx, conj, r, delta - 1)),
-        t=(delta - 1) // 2, n=n, conj=conj,
+        g=SkewPolynomial.from_raw(ctx, g), t=(delta - 1) // 2, n=n, conj=conj,
         conj_table=ctx.conjugate_table(conj, [sigma(inv, k) for k in range(n)]),
         dual_table=ctx.conjugate_table(dual, [ctx.one_raw] * n))
 

@@ -252,6 +252,66 @@ def test_generator_equals_the_hankel_solution(generator_codes, name):
             assert g.raw == generator_by_hankel(ctx, code.conj, r, delta - 1)
 
 
+def _f8z_code():
+    # F_8(z), sigma(z) = 1/(z + a), n = 9
+    ctx = RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
+                            ("0", "1", "1", "a"))
+    return build_code(ctx, ctx.generator, 0, 2)
+
+
+@pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "rational", "cyclotomic", "gf9z",
+                                  "f8z"])
+def test_dual_table_is_the_inverse_row_for_every_offset_and_delta(generator_codes, name):
+    # build_code's one root walk hands the dual either the lclm h of every
+    # root but m = 0 or, at delta = n, g itself rotated by r - 1; either way
+    # the table is the first row of C(alpha)^(-1)
+    code = _f8z_code() if name == "f8z" else generator_codes[name]
+    ctx, n = code.ctx, code.n
+    want = ctx.conjugate_table([v.raw for v in dual_conjugates(code)], [ctx.one_raw] * n)
+    for r in (0, 1, n - 1, n, 2 * n + 1):
+        for delta in range(2, n + 1):
+            assert build_code(ctx, code.alpha, r, delta).dual_table == want
+
+
+@pytest.mark.parametrize("power, modulus, degree", [(3, "a^4 + a + 1", 4),
+                                                    (2, "a^6 + a + 1", 6)],
+                         ids=["gf16-frob3", "gf64-frob2"])
+def test_build_refuses_exactly_the_non_normal_alphas_at_every_split(power, modulus, degree):
+    # each step that can refuse does so for some alpha, r and delta here:
+    # the walk of c (g's roots but m = 0), root 0's step, h's walk from c,
+    # and lambda at j = 0 and, at delta = n, at j = r - 1
+    ctx = FiniteField(2, degree, modulus, frobenius_power=power)
+    n = ctx.order
+    for alpha in ctx.elements():
+        normal = is_normal_by_rank(ctx, alpha)
+        for r in (0, 1, n - 1):
+            for delta in sorted({2, n - 1, n}):
+                if normal:
+                    build_code(ctx, alpha, r, delta)
+                else:
+                    with pytest.raises(CodeError, match="^alpha is not a normal element$"):
+                        build_code(ctx, alpha, r, delta)
+
+
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic", "f8z"])
+def test_build_walks_each_beta_root_once(all_codes, name, monkeypatch):
+    # root_lclm twists the product once per root step.  g and h share
+    # every root of g but m = 0, so a build takes n steps when 0 is one of
+    # g's roots and delta < n, and n - 1 otherwise: at delta = n, g is
+    # already the lclm of every root but r - 1
+    code = _f8z_code() if name == "f8z" else all_codes[name]
+    ctx, n = code.ctx, code.n
+    calls = []
+    monkeypatch.setattr("skewrs.codes.poly_twist",
+                        lambda *a: calls.append(a) or fields.poly_twist(*a))
+    for r in (0, 2):
+        for delta in (2, n - 1, n):
+            calls.clear()
+            build_code(ctx, code.alpha, r, delta)
+            shared_zero = delta < n and 0 in {(r + i) % n for i in range(delta - 1)}
+            assert len(calls) == (n if shared_zero else n - 1)
+
+
 @pytest.mark.parametrize("p, degree, modulus, power, count", [
     (2, 4, "a^4 + a + 1", 3, 8),
     (2, 6, "a^6 + a + 1", 1, 24),
@@ -340,7 +400,7 @@ def test_dual_support_of_a_root_lclm_over_f8z_is_its_roots():
     n = code.n
     for count in range(1, 6):
         for start in range(n):
-            f = SkewPolynomial.from_raw(ctx, root_lclm(ctx, code.conj, start, count))
+            f = SkewPolynomial.from_raw(ctx, root_lclm(ctx, code.conj, range(start, start + count)))
             for offset in (0, 4):
                 assert dual_support(code, f, offset) == sorted(
                     (start + k - offset) % n for k in range(count))

@@ -15,8 +15,8 @@ from .linalg import Matrix, solve_row_system
 from .parsing import ParseError, parse_element, parse_poly
 from .skewpoly import SkewPolynomial, lclm, lclm_many, left_divmod
 from .codes import (CodeError, ConfigError, SkewRSCode, build_code,
-                    code_from_config, codewords, encode, evaluate,
-                    find_normal_element, is_normal, min_distance_oracle)
+                    code_from_config, encode, evaluate, find_normal_element,
+                    is_normal)
 from .pgz import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                   DecodeReport, build_syndrome_matrix, decode, error_values,
                   extract_rho, locate_positions, syndromes)
@@ -32,7 +32,6 @@ __all__ = [
     "parse_element", "parse_poly", "ParseError",
     "SkewRSCode", "build_code", "encode", "evaluate", "is_normal",
     "find_normal_element",
-    "min_distance_oracle", "codewords",
     "code_from_config", "CodeError", "ConfigError",
     "DecodeReport", "decode", "syndromes", "build_syndrome_matrix",
     "extract_rho", "locate_positions", "error_values",

@@ -9,7 +9,8 @@ Verbs:
   simulate       seeded random-error trials with per-weight statistics
   paper-example  replay a bundled worked example and check every
                  intermediate value
-  oracle         exhaustive distance, every error of weight <= t, seeded trials
+  oracle         the distance by parity-check minors and a generator check,
+                 every error of weight <= t up to scale, seeded trials
 
 Exit codes: 0 on success, 1 on a verification or assertion failure, 2 on
 usage or configuration errors.
@@ -28,9 +29,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .codes import (CodeError, ConfigError, code_from_config, encode,
-                    min_distance_oracle)
+from .codes import CodeError, ConfigError, code_from_config, encode
 from .fields import FormatError
+from .linalg import eliminate
 from .parsing import ParseError, parse_poly
 from .pgz import BRANCH_ECHELON, decode
 from .skewpoly import SkewPolynomial
@@ -69,26 +70,15 @@ class TrialStats:
         return "\n".join(lines)
 
 
-def random_message(code, rng):
-    ctx = code.ctx
-    return SkewPolynomial(ctx, [ctx.random_element(rng)
-                                for _ in range(code.dimension)])
-
-
-def random_error(code, rng, weight):
-    ctx = code.ctx
-    vec = [ctx.zero] * code.n
-    for pos in rng.sample(range(code.n), weight):
-        vec[pos] = ctx.random_nonzero(rng)
-    return vec
-
-
 def run_trial(code, rng, weight):
-    """One seeded encode/corrupt/decode round; returns (recovered, report)."""
-    msg = random_message(code, rng)
-    cw = encode(code, msg).vector(code.n)
-    err = random_error(code, rng, weight)
-    received = [a + b for a, b in zip(cw, err)]
+    """One seeded encode/corrupt/decode round, a random message and then
+    a random error of the given weight; returns (recovered, report)."""
+    ctx = code.ctx
+    msg = SkewPolynomial(ctx, [ctx.random_element(rng) for _ in range(code.dimension)])
+    err = [ctx.zero] * code.n
+    for pos in rng.sample(range(code.n), weight):
+        err[pos] = ctx.random_nonzero(rng)
+    received = [a + b for a, b in zip(encode(code, msg).vector(code.n), err)]
     report = decode(code, received)
     ok = report.ok and report.error == err and report.message == msg
     return ok, report
@@ -244,44 +234,75 @@ def cmd_oracle(args):
         if value < 0:
             raise ConfigError(f"{name} must be nonnegative, got {value}")
     ctx, code = load_bundle(args.code)
-    ok = True
+    dist = parity_check_distance(code, args.budget)
+    generated = generator_check(code)
+    print("generator check:", "pass" if generated else "FAIL")
+    print(f"exhaustive minimum distance = {dist} (designed {code.delta})")
+    print("MDS check:", "pass" if dist == code.delta else "FAIL")
+    ok = generated and dist == code.delta
     if ctx.size is None:
-        print("field is infinite: distance enumeration declined,"
-              " running the random property suite instead")
+        print("nearest-codeword equivalence skipped: the field is infinite")
+    elif (patterns := 1 + sum(math.comb(code.n, w) * (ctx.size - 1) ** (w - 1)
+                              for w in range(1, code.t + 1))) > args.budget:
+        print(f"nearest-codeword equivalence skipped: {patterns} error patterns"
+              f" up to scale exceed budget {args.budget}")
     else:
-        dist = min_distance_oracle(code, budget=args.budget)
-        print(f"exhaustive minimum distance = {dist} (designed {code.delta})")
-        ok = dist == code.delta
-        print("MDS check:", "pass" if ok else "FAIL")
-        patterns = sum(math.comb(code.n, w) * (ctx.size - 1) ** w for w in range(code.t + 1))
-        if patterns > args.budget:
-            print(f"nearest-codeword equivalence skipped: {patterns} error patterns"
-                  f" exceed budget {args.budget}")
-        else:
-            mismatches = error_pattern_equivalence(code)
-            print(f"nearest-codeword equivalence: {mismatches} disagreements")
-            ok = ok and mismatches == 0
-    # on a finite field, the sampled check that decode(c + e) is decode(e) shifted by c
+        mismatches = error_pattern_equivalence(code)
+        print(f"nearest-codeword equivalence: {mismatches} disagreements"
+              f" in {patterns} error patterns up to scale")
+        ok = ok and mismatches == 0
+    # the sampled check that decode(c + e) is decode(e) shifted by c
     stats = simulate(code, args.trials, range(code.t + 1), args.seed)
     print(stats.render())
     return 0 if ok and stats.failures == 0 else 1
 
 
+def parity_check_columns(code):
+    """Column j of the parity-check matrix H: the right evaluations of x^j
+    at the delta - 1 beta-roots sigma^(r+i)(beta), as the syndromes sum them."""
+    ctx = code.ctx
+    return [ctx.conjugate_sums(code.conj_table, [ctx.zero_raw] * j + [ctx.one_raw],
+                               code.delta - 1, code.r) for j in range(code.n)]
+
+
+def parity_check_distance(code, budget):
+    """The minimum distance of ker H: s + 1 for the largest s at which every
+    s columns of H are independent, one elimination per column subset, so
+    delta when every delta - 1 are (MacWilliams & Sloane, ch. 11).  A level
+    of more than budget subsets is refused."""
+    columns = parity_check_columns(code)
+    for s in range(code.delta - 1, 0, -1):
+        if math.comb(code.n, s) > budget:
+            raise ConfigError(f"{math.comb(code.n, s)} parity-check minors exceed budget {budget}")
+        if all(len(eliminate(code.ctx, [list(c) for c in subset])) == s
+               for subset in itertools.combinations(columns, s)):
+            return s + 1
+    return 1
+
+
+def generator_check(code):
+    """Whether g has degree delta - 1 and vanishes at the delta - 1
+    beta-roots: then the code {m * g}, of dimension n - delta + 1, lies in
+    ker H, and it is ker H when H has rank delta - 1, as it has at d = delta."""
+    g = code.g
+    return g.degree == code.delta - 1 and all(
+        code.ctx.conjugate_zeros(code.conj_table, g.raw, code.delta - 1, code.r))
+
+
 def error_pattern_equivalence(code):
-    """Decode each error e of weight <= t on the zero codeword; count the
-    reports that are not ok, or whose error is not e, or whose codeword or
-    message is not zero.  The code is L-linear and its syndromes vanish on
-    codewords, so decode(c + e) is decode(e) shifted by c: these decodes
-    stand for every word of every radius-t ball, and each ball's center is
-    its unique nearest codeword when the distance is at least 2t + 1."""
+    """Decode each error e of weight <= t whose first nonzero value is 1,
+    on the zero codeword; count the reports that are not ok, or whose
+    error is not e, or whose codeword or message is not zero.  decode(c + e)
+    is decode(e) shifted by c and decode(lambda * e) is decode(e) scaled by
+    lambda, so these decodes stand for every word within t of a codeword."""
     ctx, n = code.ctx, code.n
     nonzero = [e for e in ctx.elements() if e]
     mismatches = 0
     for w in range(code.t + 1):
         for positions in itertools.combinations(range(n), w):
-            for values in itertools.product(nonzero, repeat=w):
+            for values in itertools.product(nonzero, repeat=max(w - 1, 0)):
                 e = [ctx.zero] * n
-                for k, v in zip(positions, values):
+                for k, v in zip(positions, (ctx.one,) + values):
                     e[k] = v
                 report = decode(code, e)
                 if not (report.ok and report.error == e and not any(report.codeword)
@@ -330,10 +351,10 @@ def _parser():
     p = sub.add_parser("oracle", help="brute-force verification suite")
     p.add_argument("--code", required=True)
     p.add_argument("--budget", type=int, default=1 << 20,
-                   help="most codewords, and most error patterns of weight <= t")
+                   help="most parity-check minors, C(n, delta-1), and most error"
+                        " patterns of weight <= t up to scale")
     p.add_argument("--trials", type=int, default=200,
-                   help="seeded trials of weight <= t: the shift check, or the"
-                        " property suite on an infinite field")
+                   help="seeded trials of weight <= t, the shift check")
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_oracle)
     return parser

@@ -50,7 +50,6 @@ error values at positions k, takes rows r+k straight from ``conj``
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -257,33 +256,6 @@ def dual_support(code, f, offset):
         if len(support) == n:
             break
     return sorted(support)
-
-
-def codewords(code):
-    """All codewords of a finite-field code, as coefficient vectors."""
-    ctx = code.ctx
-    if ctx.size is None:
-        raise CodeError("codeword enumeration needs a finite field")
-    k = code.dimension
-    for msg in itertools.product(list(ctx.elements()), repeat=k):
-        f = SkewPolynomial(ctx, msg)
-        yield encode(code, f).vector(code.n)
-
-
-def min_distance_oracle(code, budget=1 << 20):
-    """Exhaustive minimum Hamming weight over all nonzero codewords."""
-    ctx = code.ctx
-    if ctx.size is None:
-        raise CodeError("distance enumeration needs a finite field")
-    count = ctx.size ** code.dimension
-    if count > budget:
-        raise CodeError(f"enumeration of {count} codewords exceeds budget {budget}")
-    best = None
-    for vec in codewords(code):
-        w = sum(1 for v in vec if v)
-        if w and (best is None or w < best):
-            best = w
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -793,8 +793,9 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n, and in-process on a 2-vCPU host F_16(z) and
-    F_17(z) with n = 17 build in 0.2 to 0.5 s.  Fractions are kept
+    whose degrees grow with n.  At n = 17 a build takes 68 to 71 ms over
+    F_16(z) and 0.17 s over F_17(z), at every delta (best of five,
+    in-process, Python 3.11 on a 2-vCPU host).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum
     and a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul``
@@ -1103,11 +1104,12 @@ class CyclotomicField(FieldContext):
 
     A code build costs about m^3 integer products (the norm inverse) plus
     m^2 * n^2 (the lclm of the beta-roots), n sigma's order.  The bound
-    m^3 + m^2 * n^3 <= 10^7 dates from an n^3 linear solve; at its edges a
-    build takes 0.2 to 0.3 s (m = 211, sigma(chi) = chi^(-1)) and 0.1 s
-    (m = 23, sigma of full order) in-process on a 2-vCPU host.  Past it a
-    field is refused, on m^3 before m is factorised and sigma's powers
-    walked.
+    m^3 + m^2 * n^3 <= 10^7 is kept from an n^3 linear solve that builds no
+    longer make, so it is loose: at its edges a build takes 36 ms (m = 211,
+    sigma(chi) = chi^(-1)) and 38 to 40 ms (m = 23, sigma of full order),
+    at every delta (best of five, in-process, Python 3.11 on a 2-vCPU
+    host).  Past it a field is refused, on m^3 before m is factorised and
+    sigma's powers walked.
     """
 
     def __init__(self, order, exponent, symbol="chi"):

@@ -29,18 +29,25 @@ coefficients from its Hankel system, and ``is_normal_by_rank`` is the rank
 of the conjugate matrix; ``codes.build_code`` reaches all three by the
 root-by-root lclm of ``codes.root_lclm``.
 
+``codewords`` lists all q^k codewords of a finite-field code, and
+``min_distance_oracle`` is their least nonzero weight, over one codeword
+of each scalar class.  ``cli.parity_check_distance`` reaches the same
+distance from the minors of the parity-check matrix.
+
 ``nearest_codeword_equivalence`` decodes every word of every radius-t
 ball around every codeword and compares each report with the ball's
-center.  ``cli.error_pattern_equivalence`` reaches the same count by
-linearity, one decode per error pattern on the zero codeword, so the
-walk does q^k times its work.
+center.  ``cli.error_pattern_equivalence`` reaches the same verdict by
+linearity, one decode per error pattern up to scale on the zero codeword,
+so the walk does about q^k * (q - 1) times its work, and counts each of
+its faulty patterns q^k * (q - 1) times.
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 from skewrs import CodeError, Element, SkewPolynomial, left_divmod
-from skewrs.codes import codewords, conjugate_matrix, dual_support, evaluate
+from skewrs.codes import conjugate_matrix, dual_support, encode, evaluate
 from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
                            power, require_context)
 from skewrs.linalg import Matrix, eliminate, solve_row_system
@@ -323,11 +330,44 @@ def decode_by_stages(code, y):
                         codeword=corrected, message=q)
 
 
+def codewords(code):
+    """All codewords of a finite-field code, as coefficient vectors."""
+    ctx = code.ctx
+    if ctx.size is None:
+        raise CodeError("codeword enumeration needs a finite field")
+    k = code.dimension
+    for msg in itertools.product(list(ctx.elements()), repeat=k):
+        f = SkewPolynomial(ctx, msg)
+        yield encode(code, f).vector(code.n)
+
+
+def min_distance_oracle(code, budget=1 << 20):
+    """Exhaustive minimum Hamming weight over the nonzero codewords m * g.
+    Scaling keeps the weight and lambda * (m * g) = (lambda * m) * g, so
+    one codeword per scalar class is enough: m runs over the monic
+    messages, (q^k - 1) / (q - 1) of them."""
+    ctx = code.ctx
+    if ctx.size is None:
+        raise CodeError("distance enumeration needs a finite field")
+    k = code.dimension
+    count = (ctx.size ** k - 1) // (ctx.size - 1)
+    if count > budget:
+        raise CodeError(f"enumeration of {count} codewords exceeds budget {budget}")
+    elements = list(ctx.elements())
+    best = None
+    for degree in range(k):
+        for low in itertools.product(elements, repeat=degree):
+            vec = encode(code, SkewPolynomial(ctx, low + (ctx.one,))).vector(code.n)
+            w = sum(1 for v in vec if v)
+            if best is None or w < best:
+                best = w
+    return best
+
+
 def nearest_codeword_equivalence(code):
     """Decode every word within the packing radius t of a codeword and
     compare against the ball center; the balls are disjoint, so the center
     is the unique nearest codeword.  Returns the disagreement count."""
-    import itertools
     ctx = code.ctx
     ball = {}
     nonzero = [e for e in ctx.elements() if e]

@@ -5,13 +5,12 @@ are wall-clock budgets."""
 import time
 
 from skewrs import (FiniteField, SkewPolynomial, build_code,
-                    find_normal_element, lclm, lclm_many,
-                    min_distance_oracle, run_example)
+                    find_normal_element, lclm, lclm_many, run_example)
 from skewrs.cli import simulate
 from skewrs.codes import evaluation_matrix
 
 from conftest import rng_for, random_nonzero_poly
-from oracles import gcrd, nearest_codeword_equivalence
+from oracles import gcrd, min_distance_oracle, nearest_codeword_equivalence
 
 
 def report(criterion, ok, detail):

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import pathlib
 import stat
@@ -8,11 +10,12 @@ import time
 
 import pytest
 
-from skewrs import EXAMPLE_CONFIGS, ConfigError, FieldError, cli, code_from_config, pgz
+from skewrs import (EXAMPLE_CONFIGS, ConfigError, FieldError, FiniteField, SkewPolynomial,
+                    build_code, cli, code_from_config, find_normal_element, pgz)
 from skewrs.cli import main, parse_weights
 
 from conftest import LONG_LITERAL
-from oracles import nearest_codeword_equivalence
+from oracles import min_distance_oracle, nearest_codeword_equivalence
 
 
 @pytest.fixture
@@ -214,35 +217,124 @@ delta = 5
 """
 
 
-def test_oracle_budget_bounds_the_radius_t_balls(tmp_path, capsys):
-    # GF(32), n = 5, delta = 5: 32 codewords, within the budget, but the
-    # errors of weight <= 2 number 1 + 5*31 + 10*31^2, beyond it
+@pytest.fixture
+def gf32_bundle(tmp_path):
     cfg = tmp_path / "g32.cfg"
     cfg.write_text(GF32_DELTA5)
     bundle = tmp_path / "g32.bundle"
     assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+    return bundle
+
+
+def test_oracle_budget_bounds_the_radius_t_balls(gf32_bundle, capsys):
+    # GF(32), n = 5, delta = 5: C(5, 4) = 5 minors, within the budget, but
+    # the errors of weight <= 2 up to scale number 1 + 5 + 10*31, beyond it
     capsys.readouterr()
     start = time.perf_counter()
-    assert main(["oracle", "--code", str(bundle), "--budget", "5000"]) == 0
+    assert main(["oracle", "--code", str(gf32_bundle), "--budget", "300"]) == 0
     assert time.perf_counter() - start < 1.0
     out = capsys.readouterr().out
     assert "minimum distance = 5" in out
-    assert "nearest-codeword equivalence skipped: 9766 error patterns exceed budget 5000" in out
+    assert "nearest-codeword equivalence skipped: 316 error patterns up to scale" \
+           " exceed budget 300" in out
 
 
-def test_oracle_decodes_every_error_pattern_of_the_gf32_code(tmp_path, capsys):
-    # the 9766 error patterns fit the default budget; the ball walk in
-    # oracles would decode 32 times as many words
-    cfg = tmp_path / "g32.cfg"
-    cfg.write_text(GF32_DELTA5)
-    bundle = tmp_path / "g32.bundle"
-    assert main(["build", "--config", str(cfg), "--out", str(bundle)]) == 0
+def test_oracle_decodes_every_error_pattern_of_the_gf32_code(gf32_bundle, capsys):
+    # the 316 error patterns up to scale fit the default budget; the ball
+    # walk in oracles would decode about 32 * 31 times as many words
     capsys.readouterr()
-    assert main(["oracle", "--code", str(bundle)]) == 0
+    assert main(["oracle", "--code", str(gf32_bundle)]) == 0
     out = capsys.readouterr().out
     assert "exhaustive minimum distance = 5" in out
-    assert "nearest-codeword equivalence: 0 disagreements" in out
+    assert "nearest-codeword equivalence: 0 disagreements in 316 error patterns" in out
     assert "failures = 0" in out
+
+
+def test_error_patterns_are_decoded_once_per_scalar_class(gf32_bundle, monkeypatch):
+    # 1 + C(5, 1) + C(5, 2) * 31 distinct patterns, each with first nonzero
+    # value 1
+    ctx, code = cli.load_bundle(str(gf32_bundle))
+    seen = []
+    real = cli.decode
+
+    def counting(code, e):
+        seen.append(tuple(v.raw for v in e))
+        return real(code, e)
+
+    monkeypatch.setattr(cli, "decode", counting)
+    assert cli.error_pattern_equivalence(code) == 0
+    assert len(seen) == len(set(seen)) == 316
+    assert all(next((v for v in e if v != ctx.zero_raw), ctx.one_raw) == ctx.one_raw
+               for e in seen)
+
+
+def test_a_dependent_parity_check_column_is_reported_as_a_short_distance(
+        gf32_bundle, monkeypatch, capsys):
+    # the patterns are skipped and no trial runs, so only the minors can fail
+    argv = ["oracle", "--code", str(gf32_bundle), "--budget", "300", "--trials", "0"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    real = cli.parity_check_columns
+
+    def dependent(code):
+        columns = real(code)
+        columns[3] = list(columns[1])
+        return columns
+
+    monkeypatch.setattr(cli, "parity_check_columns", dependent)
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "generator check: pass" in out
+    assert "exhaustive minimum distance = 2 (designed 5)" in out
+    assert "MDS check: FAIL" in out
+
+
+def test_a_changed_generator_constant_fails_the_generator_check(
+        gf32_bundle, monkeypatch, capsys):
+    # H is the code's, so the minors still pass; g no longer vanishes at
+    # the beta-roots
+    argv = ["oracle", "--code", str(gf32_bundle), "--budget", "300", "--trials", "0"]
+    real = cli.load_bundle
+
+    def changed(path):
+        ctx, code = real(path)
+        g = code.g.raw
+        return ctx, dataclasses.replace(code, g=SkewPolynomial.from_raw(
+            ctx, (ctx.add(g[0], ctx.one_raw),) + g[1:]))
+
+    monkeypatch.setattr(cli, "load_bundle", changed)
+    capsys.readouterr()
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "generator check: FAIL" in out
+    assert "exhaustive minimum distance = 5 (designed 5)" in out
+    assert "MDS check: pass" in out
+
+
+# p, d, modulus and Frobenius power of each field, sigma of order n
+MINORS_FIELDS = {
+    "gf8": (2, 3, "a^3 + a + 1", 1),
+    "gf16": (2, 4, "a^4 + a + 1", 1),
+    "gf16-frob3": (2, 4, "a^4 + a + 1", 3),
+    "gf27": (3, 3, "a^3 + 2a + 1", 1),
+    "gf32": (2, 5, "a^5 + a^2 + 1", 1),
+    "gf64-frob2": (2, 6, "a^6 + a + 1", 2),
+    "gf81": (3, 4, "a^4 + 2a^3 + 2", 1),
+}
+
+
+@pytest.mark.parametrize("name", MINORS_FIELDS)
+def test_minors_distance_equals_the_codeword_enumeration(name):
+    p, d, modulus, power = MINORS_FIELDS[name]
+    ctx = FiniteField(p, d, modulus, frobenius_power=power)
+    alpha = find_normal_element(ctx)
+    n = ctx.order
+    for delta in range(2, n + 1):
+        for r in (0, 1, n - 1):
+            code = build_code(ctx, alpha, r, delta)
+            assert cli.generator_check(code), (delta, r)
+            assert cli.parity_check_distance(code, math.comb(n, delta - 1)) == \
+                min_distance_oracle(code) == delta, (delta, r)
 
 
 @pytest.fixture
@@ -293,9 +385,11 @@ def test_a_planted_value_fault_is_caught_by_both_oracles(gf16_bundle, monkeypatc
     plant_value_fault(monkeypatch)
     patterns = cli.error_pattern_equivalence(code)
     assert patterns > 0
-    # decode(c + e) is decode(e) shifted by c, so each faulty pattern fails
-    # once in the ball of every codeword
-    assert nearest_codeword_equivalence(code) == ctx.size ** code.dimension * patterns
+    # decode(c + e) is decode(e) shifted by c, and the fault hits every
+    # multiple of a faulty pattern, so each faulty pattern up to scale fails
+    # q - 1 times in the ball of every codeword
+    assert nearest_codeword_equivalence(code) == \
+        ctx.size ** code.dimension * (ctx.size - 1) * patterns
     capsys.readouterr()
     assert main(["oracle", "--code", str(gf16_bundle)]) == 1
     out = capsys.readouterr().out
@@ -312,7 +406,12 @@ def test_oracle_declines_infinite_field(tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", "--code", str(bundle), "--trials", "20"]) == 0
     out = capsys.readouterr().out
-    assert "declined" in out
+    # the minors and the generator check run on every field; only the
+    # error patterns need a finite one
+    assert "generator check: pass" in out
+    assert "exhaustive minimum distance = 5 (designed 5)" in out
+    assert "MDS check: pass" in out
+    assert "nearest-codeword equivalence skipped: the field is infinite" in out
     assert "failures = 0" in out
 
 
@@ -335,10 +434,10 @@ def test_oracle_rejects_negative_trials_on_infinite_field(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["--budget", "-1"], ["--budget", "10"], ["--trials", "-5"]],
+@pytest.mark.parametrize("argv", [["--budget", "-1"], ["--budget", "5"], ["--trials", "-5"]],
                          ids=["negative-budget", "budget-below-count", "negative-trials"])
 def test_oracle_refusals_on_a_finite_field_are_one_error_line(tmp_path, capsys, argv):
-    # GF(16), n = 4, delta = 3: 256 codewords, more than a budget of 10
+    # GF(16), n = 4, delta = 3: C(4, 2) = 6 minors, more than a budget of 5
     cfg = tmp_path / "small.cfg"
     cfg.write_text("""
 field.kind = finite-field

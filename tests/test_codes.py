@@ -3,15 +3,15 @@ import pytest
 from skewrs import (CodeError, ConfigError, CyclotomicField, FiniteField,
                     RationalFunctions, SkewPolynomial, build_code,
                     code_from_config, encode, evaluate, find_normal_element,
-                    is_normal, left_divmod, min_distance_oracle, parse_poly)
+                    is_normal, left_divmod, parse_poly)
 from skewrs import fields
 from skewrs.codes import conjugate_matrix, dual_support, evaluation_matrix, root_lclm
 from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
 from oracles import (contains, dual_conjugates, full_beta_decomposition_test,
-                     generator_by_hankel, identity, is_normal_by_rank, monomial, norm_column,
-                     right_eval)
+                     generator_by_hankel, identity, is_normal_by_rank, min_distance_oracle,
+                     monomial, norm_column, right_eval)
 
 
 def test_zero_is_not_normal(gf4096):

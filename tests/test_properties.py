@@ -6,6 +6,11 @@ error and the message come back exactly; above t the decoder either
 reports a failure or returns a codeword within distance t of the received
 word.  It never raises.
 
+Decoding is L-homogeneous: a word scaled by lambda != 0 reaches the same
+verdict, mu, rho, branch, positions and failure, with its syndromes,
+values, error, codeword and message scaled by lambda.  ``skewrs oracle``
+decodes its error patterns up to scale on the strength of this.
+
 On the same codes, the echelon branch's positions and failures equal the
 row echelon route it replaces, and the Hankel generator equals the lclm
 of its linear factors.
@@ -75,6 +80,40 @@ def test_decode_contract(property_codes, case, data):
         assert sum(1 for a, b in zip(report.codeword, received) if a != b) <= code.t
     else:
         assert report.failure and "\n" not in report.failure
+
+
+HOMOGENEITY_CASES = [case for case in CASES if case[0] in ("gf4096", "f4z", "cyclotomic", "gf81")]
+
+
+@pytest.mark.parametrize("case", HOMOGENEITY_CASES,
+                         ids=[f"{n}-r{r}-d{d}" for n, r, d in HOMOGENEITY_CASES])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_decode_is_homogeneous(property_codes, case, data):
+    code = property_codes[case]
+    ctx, n = code.ctx, code.n
+    weight = data.draw(st.integers(0, n), label="weight")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    msg = SkewPolynomial(ctx, [ctx.random_element(rng) for _ in range(code.dimension)])
+    err = [ctx.zero] * n
+    for pos in rng.sample(range(n), weight):
+        err[pos] = ctx.random_nonzero(rng)
+    received = [c + e for c, e in zip(encode(code, msg).vector(n), err)]
+    lam = ctx.random_nonzero(rng)
+    plain = decode(code, received)
+    scaled = decode(code, [lam * y for y in received])
+
+    def times(vec):
+        return None if vec is None else [lam * v for v in vec]
+
+    for key in ("failure", "mu", "rho", "branch", "positions"):
+        assert getattr(scaled, key) == getattr(plain, key), key
+    for key in ("syndromes", "values", "error", "codeword"):
+        assert getattr(scaled, key) == times(getattr(plain, key)), key
+    if plain.message is None:
+        assert scaled.message is None
+    else:
+        assert scaled.message == SkewPolynomial(ctx, times(plain.message.coeffs))
 
 
 def _located(code, mu, rho, locate):

@@ -259,7 +259,9 @@ def cmd_oracle(args):
 
 def parity_check_columns(code):
     """Column j of the parity-check matrix H: the right evaluations of x^j
-    at the delta - 1 beta-roots sigma^(r+i)(beta), as the syndromes sum them."""
+    at the delta - 1 beta-roots sigma^(r+i)(beta), as the syndromes sum
+    them, with row i scaled by sigma^(r+i)(alpha).  The conjugate sums are
+    unscaled, and a row scaled by a nonzero factor keeps every minor's rank."""
     ctx = code.ctx
     return [ctx.conjugate_sums(code.conj_table, [ctx.zero_raw] * j + [ctx.one_raw],
                                code.delta - 1, code.r) for j in range(code.n)]

@@ -11,13 +11,16 @@ errors.
 The twisted norms of the beta-roots telescope:
 N_i(sigma^k(beta)) = sigma^k(alpha)^(-1) * sigma^(k+i)(alpha).  So every
 right evaluation at a beta-root is one sum over the conjugates
-sigma^k(alpha).  The code keeps the raw conjugates, k < n, and two
-tables that the field context prepares once and sums over on raw values
-(``ctx.conjugate_table`` and ``ctx.conjugate_sums``; a tabled finite field
-sums in the log domain): the conjugates with their inverses, and the
-trace-dual conjugates below with unit scales.  ``evaluation_matrix``
-reads the evaluation matrix N off the first table on demand.  A code with
-r > 0 reads the same tables from index r, all indices taken mod n, so the
+sigma^k(alpha), times one inverse conjugate.  The code keeps the raw
+conjugates and their inverses, k < n, and two tables that the field
+context prepares once and sums over on raw values (``ctx.conjugate_table``
+and ``ctx.conjugate_sums``; a tabled finite field sums in the log domain):
+of the conjugates, and of the trace-dual conjugates below.  The tables are
+unscaled: a sum is u_k = sum_i vec_i * sigma^(k+i)(alpha), and the
+evaluation at sigma^k(beta) is ``conj_inv[k] * u_k``, which ``evaluate``,
+``evaluation_matrix`` and the decoder's reported syndromes take; the
+decoder's own solves read u straight (see ``pgz``).  A code with r > 0
+reads the same tables from index r, all indices taken mod n, so the
 decoder never branches on r.
 
 ``root_lclm`` extends an lclm by beta-roots one root at a time, with no
@@ -149,10 +152,11 @@ class SkewRSCode:
     g: SkewPolynomial
     t: int
     n: int
-    # the raw conjugates sigma^k(alpha), k < n
+    # the raw conjugates sigma^k(alpha), k < n, and their inverses
     conj: list
-    # ctx.conjugate_table of the conjugates with their inverses, and of the
-    # trace-dual conjugates sigma^k(alpha*) with unit scales
+    conj_inv: list
+    # ctx.conjugate_table of the conjugates, and of the trace-dual
+    # conjugates sigma^k(alpha*)
     conj_table: object
     dual_table: object
 
@@ -165,23 +169,29 @@ class SkewRSCode:
                 f"r={self.r}, dim={self.dimension})")
 
 
+def evaluations(code, sums, offset):
+    """The raw right evaluations at sigma^k(beta), k = offset + j, from the
+    raw conjugate sums u_j = sum_i vec_i * sigma^(k+i)(alpha) of a word:
+    sigma^k(alpha)^(-1) * u_j."""
+    mul, conj_inv, n = code.ctx.mul, code.conj_inv, code.n
+    return [mul(u, conj_inv[(offset + j) % n]) for j, u in enumerate(sums)]
+
+
 def evaluate(code, vec, count, offset):
     """Right evaluations of the word vec (coefficients lowest degree
-    first) at sigma^(offset+j)(beta) for 0 <= j < count: each value is
-    sigma^k(alpha)^(-1) * sum_i vec_i * sigma^(k+i)(alpha), k = offset+j."""
+    first) at sigma^(offset+j)(beta) for 0 <= j < count."""
     ctx = code.ctx
     require_context(ctx, vec)
     sums = ctx.conjugate_sums(code.conj_table, [v.raw for v in vec], count, offset)
-    return [Element(ctx, v) for v in sums]
+    return [Element(ctx, v) for v in evaluations(code, sums, offset)]
 
 
 def evaluation_matrix(code):
     """Row i holds the evaluations of x^i at sigma^j(beta), so entry
     (i, j) is the twisted norm N_i(sigma^j(beta))."""
     ctx, n = code.ctx, code.n
-    return Matrix.from_raw(ctx, [
-        ctx.conjugate_sums(code.conj_table, [ctx.zero_raw] * i + [ctx.one_raw], n, 0)
-        for i in range(n)])
+    return Matrix.from_raw(ctx, [evaluations(code, ctx.conjugate_sums(
+        code.conj_table, [ctx.zero_raw] * i + [ctx.one_raw], n, 0), 0) for i in range(n)])
 
 
 def build_code(ctx, alpha, r, delta):
@@ -208,8 +218,8 @@ def build_code(ctx, alpha, r, delta):
     return SkewRSCode(
         ctx=ctx, alpha=alpha, beta=Element(ctx, ctx.mul(inv, conj[1])), r=r, delta=delta,
         g=SkewPolynomial.from_raw(ctx, g), t=(delta - 1) // 2, n=n, conj=conj,
-        conj_table=ctx.conjugate_table(conj, [sigma(inv, k) for k in range(n)]),
-        dual_table=ctx.conjugate_table(dual, [ctx.one_raw] * n))
+        conj_inv=[sigma(inv, k) for k in range(n)], conj_table=ctx.conjugate_table(conj),
+        dual_table=ctx.conjugate_table(dual))
 
 
 def encode(code, message):
@@ -231,14 +241,15 @@ def dual_support(code, f, offset):
 
     Only the zero pattern of the dual sums counts, and a nonzero factor
     keeps it, so w may be kept scaled: ``ctx.kernel_rows`` gives the rows
-    the recurrence runs on and, when they are scaled, one end factor per
-    entry that brings w to one common factor (F_q(z) clears the rows so
-    that w stays in F_q[z]); elsewhere the rows are used as they are.
+    sigma^i(f_k) that the recurrence runs on and, when they are scaled, one
+    end factor per entry that brings w to one common factor (F_q(z) clears
+    f's low coefficients once and twists the cleared row, so that w stays
+    in F_q[z]); elsewhere the rows are the twists as they are.
     """
     ctx, n = code.ctx, code.n
     zero, one, add_product = ctx.zero_raw, ctx.one_raw, ctx.add_product
     mu = len(f.raw) - 1
-    rows, ends = ctx.kernel_rows([poly_twist(ctx, f.raw[:mu], i) for i in range(n - mu)], mu)
+    rows, ends = ctx.kernel_rows(f.raw[:mu], n - mu)
     support = set()
     for s in range(mu):
         w = [zero] * n

@@ -16,8 +16,8 @@ All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
 
     add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  add_product(a, c, b)
-    sigma_raw(u, k)  add_scaled(acc, c, src, shift)  kernel_rows(rows, mu)
-    conjugate_table(conj, conj_inv)  conjugate_sums(table, vec, count, offset)
+    sigma_raw(u, k)  add_scaled(acc, c, src, shift)  kernel_rows(low, count)
+    conjugate_table(values)  conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
 
 with the constants ``zero_raw``, ``one_raw`` and ``generator_raw``, and
@@ -34,27 +34,30 @@ summed by ``_sum`` as its add is, and Q(chi) as one integer vector over one
 denominator, convolved by ``_accumulate``; each reduces it once, where mul
 then add reduce twice, and its mul is the step onto zero.  A tabled field
 of characteristic 2 keeps its own add_scaled: it looks up log c once and
-XORs in exp[log c + log src[j]].  ``kernel_rows(rows, mu)`` gives the
-rows of ``codes.dual_support``'s recurrence and end factors for w: the
-rows as they are and no factors, but over F_q(z), which scales each row
-to clear its denominators, so that w stays in F_q[z] and takes no gcd.
+XORs in exp[log c + log src[j]].  ``kernel_rows(low, count)`` gives the
+rows sigma^i(low), i < count, of ``codes.dual_support``'s recurrence and
+end factors for w: the twists and no factors, but over F_q(z), which
+clears low once and twists the cleared row, so w stays in F_q[z].
 
 F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
 already in lowest terms, because as binary forms of degree m num and den
 are coprime and an invertible linear change of variables keeps them so.
-Its Euclid keeps only the remainders and reduces them in place.
+The same substitution kernel twists kernel_rows' cleared row.  Its Euclid
+keeps only the remainders and reduces them in place.
 
-The conjugate methods are the right evaluations at the beta-roots of a
-skew Reed-Solomon code (see ``codes``): sums of vec_i * sigma^(k+i)(alpha)
-over a table of conjugates that the context prepares once per code, or,
-from ``conjugate_zeros``, only whether each sum is zero.  The generic
-versions run on add_product; a tabled field of characteristic 2 keeps the
-conjugates' discrete logs and XORs its terms in the log domain.  F_q(z)
-keeps the conjugates over the lcm of their denominators and clears vec to
-the lcm of its own once per call, one gcd per distinct denominator after
-the first; an output is then a sum of F_q[z] products and costs one more
-gcd, a zero test none.  Q(chi) accumulates each output's integer cyclic
+The conjugate methods serve the right evaluations at the beta-roots of a
+skew Reed-Solomon code (see ``codes``): unscaled sums u_k = sum_i vec_i *
+c_(k+i) over a per-code table of the conjugates c_k = sigma^k(alpha) (or
+of the trace dual's), or, from ``conjugate_zeros``, only whether each is
+zero.  The evaluation at sigma^k(beta) is sigma^k(alpha)^(-1) * u_k, one
+more product, for the caller to take.  The generic versions run on
+add_product; a tabled field of characteristic 2 keeps the values'
+discrete logs and XORs its terms in the log domain.  F_q(z) keeps the
+values over the lcm of their denominators and clears vec to the lcm of
+its own once per call, one gcd per distinct denominator after the first;
+an output is then a sum of F_q[z] products and costs one more gcd, a
+zero test none.  Q(chi) accumulates each output's integer cyclic
 convolutions over a common denominator with ``_accumulate`` and reduces it
 once; its zero test reduces nothing, as a sum is zero exactly when the
 accumulated length-m vector has equal entries.
@@ -298,25 +301,24 @@ class FieldContext:
             if b != zero:
                 acc[j] = add_product(acc[j], c, b)
 
-    def kernel_rows(self, rows, mu):
+    def kernel_rows(self, low, count):
         """The rows that ``codes.dual_support``'s recurrence w_(i+mu) =
-        -sum_k row_i[k] * w_(i+k) runs on, and the end factors that w's
-        entries are multiplied by after it (None for none): w comes out
-        times one nonzero common factor.  Here the rows are used as they
-        are."""
-        return rows, None
+        -sum_k row_i[k] * w_(i+k) runs on, row i < count for sigma^i(low),
+        and the end factors that w's entries are multiplied by after it
+        (None for none): w comes out times one nonzero common factor.  Here
+        the rows are the twists themselves."""
+        return [poly_twist(self, low, i) for i in range(count)], None
 
-    def conjugate_table(self, conj, conj_inv):
-        """What ``conjugate_sums`` reads: the raw conjugates sigma^k(alpha),
-        k < n, twice over (so no index wraps), and their inverses."""
-        return list(conj) * 2, list(conj_inv)
+    def conjugate_table(self, values):
+        """What ``conjugate_sums`` reads: the n raw values c_k, here twice
+        over (so no index wraps)."""
+        return list(values) * 2
 
     def conjugate_sums(self, table, vec, count, offset):
         """For k = offset + j, 0 <= j < count, the raw value
-        sigma^k(alpha)^(-1) * sum_i vec_i * sigma^(k+i)(alpha), indices mod
-        n; vec holds at most n raw values, lowest degree first."""
-        conj, conj_inv = table
-        n = len(conj_inv)
+        sum_i vec_i * c_(k+i), indices mod n, over the table of the values
+        c_k; vec holds at most n raw values, lowest degree first."""
+        n = len(table) // 2
         zero, add_product = self.zero_raw, self.add_product
         terms = [(i, v) for i, v in enumerate(vec) if v != zero]
         out = []
@@ -324,8 +326,8 @@ class FieldContext:
             k %= n
             acc = zero
             for i, v in terms:
-                acc = add_product(acc, v, conj[k + i])
-            out.append(self.mul(acc, conj_inv[k]))
+                acc = add_product(acc, v, table[k + i])
+            out.append(acc)
         return out
 
     def conjugate_zeros(self, table, vec, count, offset):
@@ -471,12 +473,17 @@ class FiniteField(FieldContext):
         if self.char == 2:
             return u ^ v
         p = self.char
+        # at degree 1 the packed value is the one digit
+        if self.degree == 1:
+            return (u + v) % p
         return self._pack([(x + y) % p for x, y in zip(self._digits(u), self._digits(v))])
 
     def neg(self, u):
         if self.char == 2:
             return u
         p = self.char
+        if self.degree == 1:
+            return -u % p
         return self._pack([(-x) % p for x in self._digits(u)])
 
     def _raw_mul(self, u, v):
@@ -606,29 +613,28 @@ class FiniteField(FieldContext):
             if b:
                 acc[j] ^= exp[lc + log[b]]
 
-    def conjugate_table(self, conj, conj_inv):
+    def conjugate_table(self, values):
         if self._exp is None or self.char != 2:
-            return super().conjugate_table(conj, conj_inv)
-        # the conjugates of a normal element are nonzero, so all have logs
+            return super().conjugate_table(values)
+        # the conjugates of a normal element and of its trace dual are
+        # nonzero, so all have logs
         log = self._log
-        return [log[c] for c in conj] * 2, [log[c] for c in conj_inv]
+        return [log[c] for c in values] * 2
 
     def conjugate_sums(self, table, vec, count, offset):
         if self._exp is None or self.char != 2:
             return super().conjugate_sums(table, vec, count, offset)
-        # every term is exp[log v_i + log c]; the sum is scaled once, by
-        # exp[log acc + log c_inv]
+        # every term is exp[log v_i + log c]
         exp, log = self._exp, self._log
-        logs, inv_logs = table
-        n = len(inv_logs)
+        n = len(table) // 2
         terms = [(i, log[v]) for i, v in enumerate(vec) if v]
         out = []
         for k in range(offset, offset + count):
             k %= n
             acc = 0
             for i, lv in terms:
-                acc ^= exp[lv + logs[k + i]]
-            out.append(exp[log[acc] + inv_logs[k]] if acc else 0)
+                acc ^= exp[lv + table[k + i]]
+            out.append(acc)
         return out
 
     # -- context API ---------------------------------------------------------
@@ -793,8 +799,8 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n.  At n = 17 a build takes 68 to 71 ms over
-    F_16(z) and 0.17 s over F_17(z), at every delta (best of five,
+    whose degrees grow with n.  At n = 17 a build takes 67 to 70 ms over
+    F_16(z) and 40 to 43 ms over F_17(z), at every delta (best of five,
     in-process, Python 3.11 on a 2-vCPU host).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum
@@ -802,9 +808,12 @@ class RationalFunctions(FieldContext):
     as the step onto zero) reduce once, in ``_make``, and not at all over
     a denominator of one; an inverse and sigma need none, as they map
     coprime pairs to coprime pairs and only make the denominator monic, in
-    ``_monic``, as ``_make`` does last.  Clearing a conjugate sum's word
-    or a row of ``kernel_rows`` to the lcm of its denominators costs one
-    gcd per distinct denominator after the first.
+    ``_monic``, as ``_make`` does last.  One substitution kernel,
+    p -> p(L/D) * D^m for sigma^k(z) = L/D and one m for all its inputs,
+    serves sigma and ``kernel_rows``, which clears its low coefficients
+    once and substitutes the cleared row.  Clearing them, or a conjugate
+    sum's word, to the lcm of the denominators costs one gcd per distinct
+    denominator after the first.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -929,19 +938,12 @@ class RationalFunctions(FieldContext):
         num, den = u
         return self._monic(den, num)
 
-    def sigma_raw(self, u, k=1):
-        """num(L/D) * D^m over den(L/D) * D^m, for sigma^k(z) = L/D with
-        L = az+b, D = cz+d and m = max(deg num, deg den), with no gcd: as
-        binary forms of degree m, num and den are coprime, and the
-        invertible linear substitution (X, Y) -> (L, D) keeps them so."""
-        k %= self.order
-        num, den = u
-        if k == 0 or not num:
-            return u
+    def _substitute(self, polys, k, m):
+        """p(L/D) * D^m, sigma^k(p) times one factor, for each F_q[z]
+        polynomial p of degree at most m; sigma^k(z) = L/D = (az+b)/(cz+d)."""
         base = self.base
         add_scaled = base.add_scaled
-        a, b, c, d = self._mob_pows[k]
-        m = max(len(num), len(den)) - 1
+        a, b, c, d = self._mob_pows[k % self.order]
 
         def times(p, lo, hi):
             # p * (hi*z + lo) in m + 1 slots; p's top slot is zero here
@@ -951,7 +953,6 @@ class RationalFunctions(FieldContext):
             return out
 
         # Horner in L over the powers of D: acc = acc * L + p_i * D^(m-i)
-        polys = (num, den)
         accs = [[p[m] if m < len(p) else 0] + [0] * m for p in polys]
         dpow = [1] + [0] * m
         for i in range(m - 1, -1, -1):
@@ -960,7 +961,18 @@ class RationalFunctions(FieldContext):
                 acc = accs[j] = times(accs[j], b, a)
                 if i < len(p) and p[i]:
                     add_scaled(acc, p[i], dpow, 0)
-        return self._monic(*(poly_trim(base, acc) for acc in accs))
+        return [poly_trim(base, acc) for acc in accs]
+
+    def sigma_raw(self, u, k=1):
+        """num(L/D) * D^m over den(L/D) * D^m, for m = max(deg num,
+        deg den), with no gcd: as binary forms of degree m, num and den are
+        coprime, and the invertible linear substitution (X, Y) -> (L, D)
+        keeps them so."""
+        k %= self.order
+        num, den = u
+        if k == 0 or not num:
+            return u
+        return self._monic(*self._substitute(u, k, max(len(num), len(den)) - 1))
 
     def _over_one_denominator(self, fracs):
         # the numerators over the lcm L of the nonzero fractions' distinct
@@ -980,45 +992,52 @@ class RationalFunctions(FieldContext):
             cofactors[d] = poly_divmod(base, den, d)[0]
         return [poly_mul(base, num, cofactors[d]) if num else () for num, d in fracs], den
 
-    def kernel_rows(self, rows, mu):
-        # row i over the lcm d_i of its denominators.  w_j is kept times
-        # D_j = d_0 * ... * d_(j-mu) (one for j < mu), so w_(i+mu) comes
-        # times D_(i+mu), and row i's coefficient k times D_(i+mu-1) /
+    def kernel_rows(self, low, count):
+        # low is cleared once, to N_k / d; with one m for all, row i is
+        # sigma^i(N_k / d) = P_i(N_k) / P_i(d), P_i the substitution of
+        # sigma^i, over the scale d_i = P_i(d), with no gcd.  w_j is kept
+        # times D_j = d_0 * ... * d_(j-mu) (one for j < mu), so w_(i+mu)
+        # comes times D_(i+mu), and row i's coefficient k times D_(i+mu-1) /
         # D_(i+k): the d_l for max(i+k-mu+1, 0) <= l < i.  w_j times
-        # d_(j-mu+1) * ... * d_(n-mu-1) at the end gives all of w the factor
-        # D_(n-1), and w stays in F_q[z]
+        # d_(j-mu+1) * ... * d_(count-1) at the end gives all of w the factor
+        # D_(count+mu-1), and w stays in F_q[z]
+        mu = len(low)
+        nums, den = self._over_one_denominator(low)
+        polys = nums + [den]
+        m = max(map(len, polys)) - 1
         mul, one = self.mul, self.one_raw
         out, scales = [], []
-        for i, row in enumerate(rows):
-            nums, den = self._over_one_denominator(row)
-            row, factor = [(num, (1,)) for num in nums], one
+        for i in range(count):
+            *row, scale = self._substitute(polys, i, m) if i else polys
+            row, factor = [(num, (1,)) for num in row], one
             for k in range(mu - 2, -1, -1):
                 if i + k - mu + 1 >= 0:
                     factor = mul(factor, scales[i + k - mu + 1])
                 row[k] = mul(row[k], factor)
             out.append(row)
-            scales.append((den, (1,)))
+            scales.append((scale, (1,)))
         suffix = [one]
         for d in reversed(scales):
             suffix.append(mul(d, suffix[-1]))
         suffix.reverse()
-        return out, [suffix[max(j - mu + 1, 0)] for j in range(len(rows) + mu)]
+        return out, [suffix[max(j - mu + 1, 0)] for j in range(count + mu)]
 
-    def conjugate_table(self, conj, conj_inv):
-        # the conjugates' numerators over the lcm D of their denominators,
-        # twice over, and each inverse conjugate divided by D
-        nums, den = self._over_one_denominator(conj)
-        return nums * 2, [(cn, poly_mul(self.base, cd, den)) for cn, cd in conj_inv]
+    def conjugate_table(self, values):
+        # the values' numerators over the lcm D of their denominators, twice
+        # over, and D
+        nums, den = self._over_one_denominator(values)
+        return nums * 2, den
 
     def _numerator_sums(self, table, vec, count, offset):
         # with vec over one denominator V, sum_i vec_i * c_(k+i) is a sum of
-        # F_q[z] products over V * D: returns V and, per output, that
-        # numerator (untrimmed) and the output's scale
-        nums, scales = table
-        n = len(scales)
-        add_scaled = self.base.add_scaled
+        # F_q[z] products over V * D: returns V * D and, per output, that
+        # numerator (untrimmed)
+        nums, den = table
+        n = len(nums) // 2
+        base = self.base
+        add_scaled = base.add_scaled
         terms = [i for i, v in enumerate(vec) if v[0]]
-        cleared, den = self._over_one_denominator([vec[i] for i in terms])
+        cleared, vden = self._over_one_denominator([vec[i] for i in terms])
         width = max(map(len, cleared), default=0) + max(map(len, nums)) - 1
         out = []
         for k in range(offset, offset + count):
@@ -1031,19 +1050,18 @@ class RationalFunctions(FieldContext):
                 for j, a in enumerate(u):
                     if a:
                         add_scaled(acc, a, c, j)
-            out.append((acc, scales[k]))
-        return den, out
+            out.append(acc)
+        return poly_mul(base, vden, den), out
 
     def conjugate_sums(self, table, vec, count, offset):
         # each output pays for one gcd, in _make
         base = self.base
         den, sums = self._numerator_sums(table, vec, count, offset)
-        return [self._make(poly_mul(base, poly_trim(base, acc), sn), poly_mul(base, den, sd))
-                for acc, (sn, sd) in sums]
+        return [self._make(poly_trim(base, acc), den) for acc in sums]
 
     def conjugate_zeros(self, table, vec, count, offset):
         # a sum is zero exactly when its numerator is: no gcd past clearing vec
-        return [not any(acc) for acc, _ in self._numerator_sums(table, vec, count, offset)[1]]
+        return [not any(acc) for acc in self._numerator_sums(table, vec, count, offset)[1]]
 
     # -- context API ---------------------------------------------------------
 
@@ -1202,33 +1220,30 @@ class CyclotomicField(FieldContext):
         return self._make(self._reduce_cyclic(full), den)
 
     def _full_sums(self, table, vec, count, offset):
-        # per output k, sum_i vec_i * sigma^(k+i)(alpha) as a length-m
-        # integer vector over a common denominator, and the output's scale
-        conj, conj_inv = table
-        n, m = len(conj_inv), self.root_order
+        # per output k, sum_i vec_i * c_(k+i) as a length-m integer vector
+        # over a common denominator
+        n, m = len(table) // 2, self.root_order
         accumulate = self._accumulate
         terms = [(i, v) for i, v in enumerate(vec) if any(v[0])]
         for k in range(offset, offset + count):
             k %= n
             full, den = [0] * m, 1
             for i, v in terms:
-                den = accumulate(full, den, v, conj[k + i])
-            yield full, den, conj_inv[k]
+                den = accumulate(full, den, v, table[k + i])
+            yield full, den
 
     def conjugate_sums(self, table, vec, count, offset):
-        # the product by the inverse conjugate reduces each output once, in
-        # _make; a unit scale (the dual table's) is no product at all
-        one, reduce_cyclic = self.one_raw, self._reduce_cyclic
-        return [self._make(reduce_cyclic(full), den) if s == one
-                else self.mul((reduce_cyclic(full), den), s)
-                for full, den, s in self._full_sums(table, vec, count, offset)]
+        # each output is reduced once, in _make
+        reduce_cyclic = self._reduce_cyclic
+        return [self._make(reduce_cyclic(full), den)
+                for full, den in self._full_sums(table, vec, count, offset)]
 
     def conjugate_zeros(self, table, vec, count, offset):
-        # the scale is nonzero and the reduced coordinates are full[i] -
-        # full[m-1], so a sum is zero exactly when full's entries are equal
+        # the reduced coordinates are full[i] - full[m-1], so a sum is zero
+        # exactly when full's entries are equal
         m = self.root_order
         return [full.count(full[0]) == m
-                for full, _, _ in self._full_sums(table, vec, count, offset)]
+                for full, _ in self._full_sums(table, vec, count, offset)]
 
     def inv(self, u):
         if u == self.zero_raw:

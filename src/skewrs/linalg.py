@@ -21,7 +21,7 @@ from .fields import Element, Value, require_context
 def eliminate(ctx, rows):
     """Reduce rows, a list of lists of raw values, in place to reduced row
     echelon form; returns the pivot column of each nonzero row, in order."""
-    zero, mul, neg, add_scaled = ctx.zero_raw, ctx.mul, ctx.neg, ctx.add_scaled
+    zero, one, mul, neg, add_scaled = ctx.zero_raw, ctx.one_raw, ctx.mul, ctx.neg, ctx.add_scaled
     nr = len(rows)
     nc = len(rows[0]) if rows else 0
     pivots = []
@@ -35,12 +35,13 @@ def eliminate(ctx, rows):
         if pivot_row is None:
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        # left of pc the pivot row is zero and at pc it is one, so an
-        # update clears row[pc] and takes factor * prow off the rest
+        # the pivot row is scaled to one at pc, written as one and not
+        # multiplied out.  Left of pc the pivot row is zero, so an update
+        # clears row[pc] and takes factor * prow off the rest
         prow = rows[pr]
         inv = ctx.inv(prow[pc])
-        prow[pc:] = [mul(inv, v) for v in prow[pc:]]
-        tail = prow[pc + 1:]
+        tail = [mul(inv, v) for v in prow[pc + 1:]]
+        prow[pc:] = [one] + tail
         for r, row in enumerate(rows):
             factor = row[pc]
             if r != pr and factor != zero:

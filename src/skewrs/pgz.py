@@ -3,8 +3,14 @@
 Pipeline for a received word y of length n, on raw values throughout:
 
 1. syndromes: s_i = left remainder of y by x - sigma^(r+i)(beta), 0 <= i < 2t.
+   The twisted norms telescope, N_l(sigma^k(beta)) = sigma^k(alpha)^(-1) *
+   sigma^(k+l)(alpha), so s_i = sigma^(r+i)(alpha)^(-1) * u_i for the
+   conjugate sum u_i = sum_l y_l * sigma^(r+i+l)(alpha) (``codes``).  The
+   decoder computes u; s is one more product each, for the report.
 2. syndrome matrix S of shape (t+1) x t with entry (i, j) =
-   sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha).
+   sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha).  By step 1,
+   sigma^(-j)(s_(i+j)) = sigma^(r+i)(alpha)^(-1) * sigma^(-j)(u_(i+j)), so
+   the entry is sigma^(-j)(u_(i+j)): S is read off u with no product.
 3. locator seed rho from the reduced column echelon form of S, rref(S^T)^T:
    one elimination of the rows of S^T gives mu = rank S, a lower bound on
    the number of errors, as its pivot count.
@@ -13,7 +19,8 @@ Pipeline for a received word y of length n, on raw values throughout:
    the kernel of rho's twisted shift matrix (echelon branch,
    ``codes.dual_support``): the columns that no unit row of the paper's
    row echelon form H_rho keeps, found with no shift rows and no rref.
-5. error values: one elimination of the augmented conjugate system.
+5. error values: one elimination of the conjugate system, augmented by
+   its right-hand side sigma^(r+i)(alpha) * s_i, which is u_i.
 
 The decoder then verifies the correction by left-dividing the corrected
 word by the generator g, which also yields the message as the quotient; a
@@ -23,7 +30,8 @@ x - sigma^(r+i)(beta) for 0 <= i <= delta-2 and 2t <= delta-1, so g
 right-dividing the word already makes every syndrome vanish.
 
 Elements, rho and the message are built once, for the ``DecodeReport``;
-the public stage functions run the same raw kernels on Elements.
+the public stage functions run the same raw kernels on Elements, and take
+and give syndromes s, turning them into sums u where a kernel reads u.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .codes import dual_support, evaluate
+from .codes import dual_support, evaluate, evaluations
 from .fields import Element, poly_trim, require_context, same_context
 from .linalg import Matrix, eliminate
 from .skewpoly import SkewPolynomial, left_divmod
@@ -98,13 +106,18 @@ def syndromes(code, y):
     return evaluate(code, _as_vector(code, y), 2 * code.t, code.r)
 
 
-def _syndrome_columns(code, s):
-    """The rows of S^T for the raw syndromes s: row j holds
-    sigma^(-j)(s_(i+j)) * sigma^(r+i)(alpha) for i <= t."""
-    t, n, r, conj = code.t, code.n, code.r, code.conj
-    sigma, mul = code.ctx.sigma_raw, code.ctx.mul
-    return [[mul(sigma(s[i + j], -j), conj[(r + i) % n]) for i in range(t + 1)]
-            for j in range(t)]
+def _sums(code, s):
+    """The raw conjugate sums u_i = sigma^(r+i)(alpha) * s_i from the
+    syndromes s, given as Elements."""
+    mul, conj, n, r = code.ctx.mul, code.conj, code.n, code.r
+    return [mul(conj[(r + i) % n], v.raw) for i, v in enumerate(s)]
+
+
+def _syndrome_columns(code, u):
+    """The rows of S^T for the raw conjugate sums u: row j holds
+    sigma^(-j)(u_(i+j)) for i <= t."""
+    t, sigma = code.t, code.ctx.sigma_raw
+    return [[sigma(u[i + j], -j) for i in range(t + 1)] for j in range(t)]
 
 
 def build_syndrome_matrix(code, s):
@@ -113,7 +126,7 @@ def build_syndrome_matrix(code, s):
     if len(s) != 2 * t:
         raise ValueError(f"expected {2 * t} syndromes")
     require_context(ctx, s)
-    cols = _syndrome_columns(code, [v.raw for v in s])
+    cols = _syndrome_columns(code, _sums(code, s))
     return Matrix.from_raw(ctx, [[col[i] for col in cols] for i in range(t + 1)])
 
 
@@ -162,16 +175,15 @@ def locate_positions(code, mu, rho):
     return positions, BRANCH_ECHELON
 
 
-def _error_values(code, positions, s):
-    """The raw error values at the positions from the raw syndromes s: one
-    elimination of the transposed conjugate system, augmented by its
-    right-hand side sigma^(r+i)(alpha) * s_i."""
+def _error_values(code, positions, u):
+    """The raw error values at the positions from the raw conjugate sums u:
+    one elimination of the transposed conjugate system, augmented by its
+    right-hand side sigma^(r+i)(alpha) * s_i = u_i."""
     ctx, n, r, conj = code.ctx, code.n, code.r, code.conj
     nu = len(positions)
     if nu == 0:
         raise ValueError("no positions")
-    rows = [[conj[(r + k + i) % n] for k in positions] + [ctx.mul(conj[(r + i) % n], s[i])]
-            for i in range(nu)]
+    rows = [[conj[(r + k + i) % n] for k in positions] + [u[i]] for i in range(nu)]
     if eliminate(ctx, rows) != list(range(nu)):
         raise ValueError("matrix is singular")
     return [row[nu] for row in rows]
@@ -183,7 +195,7 @@ def error_values(code, positions, s):
     ctx = code.ctx
     s = s[:len(positions)]
     require_context(ctx, s)
-    return [Element(ctx, v) for v in _error_values(code, positions, [v.raw for v in s])]
+    return [Element(ctx, v) for v in _error_values(code, positions, _sums(code, s))]
 
 
 def decode(code, y):
@@ -196,17 +208,17 @@ def decode(code, y):
                             failure=f"invalid received word: {exc}")
     ctx, t = code.ctx, code.t
     raw = [v.raw for v in vec]
-    s_raw = ctx.conjugate_sums(code.conj_table, raw, 2 * t, code.r)
-    s = [Element(ctx, v) for v in s_raw]
+    u = ctx.conjugate_sums(code.conj_table, raw, 2 * t, code.r)
+    s = [Element(ctx, v) for v in evaluations(code, u, code.r)]
 
     def fail(reason, branch, **kw):
         return DecodeReport(syndromes=s, branch=branch, failure=reason, **kw)
 
     mu, rho, positions, values, branch = 0, None, [], [], BRANCH_ALL_ZERO
     corrected = raw
-    if any(v != ctx.zero_raw for v in s_raw):
+    if any(v != ctx.zero_raw for v in u):
         try:
-            mu, rho = _locator_seed(ctx, _syndrome_columns(code, s_raw))
+            mu, rho = _locator_seed(ctx, _syndrome_columns(code, u))
         except ValueError as exc:
             return fail(f"locator extraction failed: {exc}", None)
         rho = SkewPolynomial.from_raw(ctx, rho)
@@ -220,7 +232,7 @@ def decode(code, y):
             return fail(f"{nu} candidate error positions exceed capability t={t}",
                         branch, mu=mu, rho=rho, positions=positions)
         try:
-            raw_values = _error_values(code, positions, s_raw)
+            raw_values = _error_values(code, positions, u)
         except ValueError as exc:
             return fail(f"value solve failed: {exc}", branch, mu=mu, rho=rho,
                         positions=positions)

@@ -47,7 +47,7 @@ import itertools
 from fractions import Fraction
 
 from skewrs import CodeError, Element, SkewPolynomial, left_divmod
-from skewrs.codes import conjugate_matrix, dual_support, encode, evaluate
+from skewrs.codes import conjugate_matrix, dual_support, encode, evaluate, evaluations
 from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
                            power, require_context)
 from skewrs.linalg import Matrix, eliminate, solve_row_system
@@ -215,7 +215,7 @@ def locate_by_rref(code, mu, rho):
     ctx, n = code.ctx, code.n
 
     def evaluate_row(raw):
-        return ctx.conjugate_sums(code.conj_table, raw, n, code.r)
+        return evaluations(code, ctx.conjugate_sums(code.conj_table, raw, n, code.r), code.r)
 
     zeros = [j for j, v in enumerate(evaluate_row(rho.raw)) if v == ctx.zero_raw]
     if len(zeros) == mu:

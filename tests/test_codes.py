@@ -185,10 +185,11 @@ def test_shift_property_of_codewords(all_codes):
 def test_nonzero_offset_reduces_to_narrow_sense(gf4096):
     code = build_code(gf4096, gf4096.generator, 2, 4)
     assert code.g.degree == 3
-    # the one table is the unshifted conjugates of alpha and their inverses
+    # the one table is the unshifted conjugates of alpha, and the code
+    # keeps their inverses beside it
     assert code.conj == [gf4096.sigma(code.alpha, k).raw for k in range(code.n)]
-    assert code.conj_table == gf4096.conjugate_table(code.conj,
-                                                     [gf4096.inv(c) for c in code.conj])
+    assert code.conj_inv == [gf4096.inv(c) for c in code.conj]
+    assert code.conj_table == gf4096.conjugate_table(code.conj)
     assert full_beta_decomposition_test(code.g, code) == {2, 3, 4}
     # read from index r, the table evaluates at the shifted beta-roots:
     # x^i at sigma^(r+j)(beta) is the norm N_i(sigma^(r+j)(beta))
@@ -212,13 +213,12 @@ def sum_codes(all_codes):
 
 @pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "rational", "cyclotomic"])
 def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
-    # over the conjugate table and over the dual table, whose scales are one
+    # over the conjugate table and over the dual table, both unscaled
     code = sum_codes[name]
     ctx, n = code.ctx, code.n
-    tables = [(code.conj_table, FieldContext.conjugate_table(
-                  ctx, code.conj, [ctx.inv(c) for c in code.conj])),
+    tables = [(code.conj_table, FieldContext.conjugate_table(ctx, code.conj)),
               (code.dual_table, FieldContext.conjugate_table(
-                  ctx, [v.raw for v in dual_conjugates(code)], [ctx.one_raw] * n))]
+                  ctx, [v.raw for v in dual_conjugates(code)]))]
     rng = rng_for(f"conjugate-sums-{name}")
     # zeros, ones and random values, in words of every length up to n; and
     # 7, whose sums over the Q(chi_7) dual (denominator 7) must be reduced
@@ -267,7 +267,7 @@ def test_dual_table_is_the_inverse_row_for_every_offset_and_delta(generator_code
     # the table is the first row of C(alpha)^(-1)
     code = _f8z_code() if name == "f8z" else generator_codes[name]
     ctx, n = code.ctx, code.n
-    want = ctx.conjugate_table([v.raw for v in dual_conjugates(code)], [ctx.one_raw] * n)
+    want = ctx.conjugate_table([v.raw for v in dual_conjugates(code)])
     for r in (0, 1, n - 1, n, 2 * n + 1):
         for delta in range(2, n + 1):
             assert build_code(ctx, code.alpha, r, delta).dual_table == want
@@ -328,19 +328,19 @@ def test_is_normal_agrees_with_the_rank_of_the_conjugate_matrix(p, degree, modul
     assert len(normal) == count
     for alpha in normal:
         code = build_code(ctx, alpha, 0, 2)
-        assert code.dual_table == ctx.conjugate_table(
-            [v.raw for v in dual_conjugates(code)], [ctx.one_raw] * code.n)
+        assert code.dual_table == ctx.conjugate_table([v.raw for v in dual_conjugates(code)])
 
 
 @pytest.mark.parametrize("name", ["f8z", "cyclotomic"])
 def test_dual_support_reduces_once_per_nonzero_term(all_codes, name, monkeypatch):
     # w_(i+mu) = -sum_k sigma^i(f_k) * w_(i+k) is a chain of a + c * b
     # steps.  Over Q(chi) each is reduced once, in _make.  Over F_8(z)
-    # (sigma(z) = 1/(z + a), n = 9) row i is cleared to the lcm of its
-    # distinct denominators, one gcd for each after the first, and w stays
-    # in F_8[z], so the steps take no gcd.  The zero tests over the dual
-    # table are not counted.  Over F_8(z) the support is also the one that
-    # the unscaled rows give.
+    # (sigma(z) = 1/(z + a), n = 9) f's low coefficients are cleared once
+    # per call to the lcm of their distinct denominators, one gcd for each
+    # after the first; the rows are the substitutions of the cleared ones,
+    # with no gcd, and w stays in F_8[z], so the steps take no gcd.  The
+    # zero tests over the dual table are not counted.  Over F_8(z) the
+    # support is also the one that the unscaled rows give.
     if name == "f8z":
         ctx = RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
                                 ("0", "1", "1", "a"))
@@ -376,9 +376,7 @@ def test_dual_support_reduces_once_per_nonzero_term(all_codes, name, monkeypatch
             offset = rng.randrange(n)
             support = dual_support(code, f, offset)
             if name == "f8z":
-                rows = [[ctx.sigma_raw(c, i) for c in f.raw[:mu]] for i in range(n - mu)]
-                assert len(calls) == sum(max(len({d for num, d in row if num}) - 1, 0)
-                                         for row in rows)
+                assert len(calls) == max(len({d for num, d in f.raw[:mu] if num}) - 1, 0)
                 with monkeypatch.context() as m:
                     m.setattr(RationalFunctions, "kernel_rows", FieldContext.kernel_rows)
                     assert dual_support(code, f, offset) == support

@@ -55,9 +55,10 @@ def test_rational_sigma_of_z(rational):
     assert rational.sigma(z, 1) == expected
 
 
-@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic", "gf17"])
 def test_field_axioms_on_random_pairs(all_contexts, name):
-    ctx = all_contexts[name]
+    # GF(17) takes the degree-1 route of odd-characteristic add and neg
+    ctx = all_contexts.get(name) or FiniteField(17, 1, "a + 14", frobenius_power=0)
     rng = rng_for(f"axioms-{name}")
     one = ctx.one
     for _ in range(N_PAIRS):
@@ -293,9 +294,8 @@ def test_lcm_and_product_clearings_agree(name, request, monkeypatch):
     ctx = _rational_context(name, request)
     n = ctx.order
     conj = [ctx.sigma_raw(find_normal_element(ctx).raw, k) for k in range(n)]
-    pairs = [(conj, [ctx.inv(c) for c in conj])]
     rng = rng_for(f"clearings-{name}")
-    pairs += [(w, [ctx.one_raw] * len(w)) for w in _clearing_words(ctx, rng)[:2]]
+    values = [conj] + _clearing_words(ctx, rng)[:2]
     words = _clearing_words(ctx, rng)
     words.append([ctx.random_element(rng, 2, 2).raw for _ in range(n)])
     # the lcm is a proper divisor of the product
@@ -305,20 +305,16 @@ def test_lcm_and_product_clearings_agree(name, request, monkeypatch):
         with monkeypatch.context() as patch:
             if clearing:
                 patch.setattr(RationalFunctions, "_over_one_denominator", clearing)
-            tables = [ctx.conjugate_table(*pair) for pair in pairs]
-            # a table denotes the conjugates and their inverses whatever
-            # denominator it shares
-            for (nums, scales), (values, inverses) in zip(tables, pairs):
-                den = ctx._over_one_denominator(values)[1]
-                assert [ctx._make(num, den) for num in nums] == values * 2
-                over = ctx.inv((den, (1,)))
-                assert [ctx._make(*s) for s in scales] == [ctx.mul(v, over) for v in inverses]
+            tables = [ctx.conjugate_table(v) for v in values]
+            # a table denotes its values whatever denominator they share
+            for (nums, den), v in zip(tables, values):
+                assert [ctx._make(num, den) for num in nums] == v * 2
             out = []
-            for table in tables:
+            for table, v in zip(tables, values):
                 for vec in words:
-                    vec = vec[:len(table[1])]
+                    vec = vec[:len(v)]
                     for offset in (0, n - 1, n, 2 * n + 1):
-                        for count in {0, 1, len(table[1])}:
+                        for count in {0, 1, len(v)}:
                             out.append(ctx.conjugate_sums(table, vec, count, offset))
                             out.append(ctx.conjugate_zeros(table, vec, count, offset))
             results.append(out)
@@ -369,12 +365,9 @@ def test_cyclotomic_add_scaled_reduces_once_per_entry(cyclotomic, monkeypatch):
 
 @pytest.mark.parametrize("table", ["conj_table", "dual_table"])
 def test_cyclotomic_sums_reduce_once_per_output(code_cy, monkeypatch, table):
-    # the conjugate table scales each output by an inverse conjugate, the
-    # dual table by one: either way an output is reduced once, in _make
+    # over either table, each output is reduced once, in _make
     ctx, n = code_cy.ctx, code_cy.n
     table = getattr(code_cy, table)
-    unit = [s == ctx.one_raw for s in table[1]]
-    assert all(unit) or not any(unit)
     rng = rng_for("cy-sums-make")
     words = [[rng.choice((ctx.zero, ctx.random_nonzero(rng))).raw for _ in range(n)]
              for _ in range(6)]
@@ -476,29 +469,37 @@ def test_add_product_equals_element_arithmetic(name, request, monkeypatch):
 @pytest.mark.parametrize("name", PROTOCOL_CONTEXTS)
 def test_kernel_rows_give_w_times_one_common_factor(name, request, monkeypatch):
     # dual_support's recurrence w_(i+mu) = -sum_k row_i[k] * w_(i+k) from
-    # w_s = 1, s < mu, over kernel_rows and then its end factors, against
-    # the recurrence over the rows as they are, in Element arithmetic.
-    # F_q(z) keeps w in F_q[z]; every other backend uses the rows as they are
+    # w_s = 1, s < mu, over kernel_rows(low, count) and then its end
+    # factors, against the recurrence over sigma^i(low_k) in Element
+    # arithmetic.  F_q(z) keeps w in F_q[z]; on every other backend the
+    # rows are the twists themselves.  low has zero coefficients, and
+    # count = 0 (mu = n) gives no rows
     ctx = _protocol_context(name, request, monkeypatch)
     rng = rng_for(f"kernel-rows-{name}")
     zero = ctx.zero_raw
+    cases = []
     for mu in (1, 2, 3, 4):
-        n = mu + 5
-        rows = [[rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng))).raw
-                 for _ in range(mu)] for _ in range(n - mu)]
-        scaled, ends = ctx.kernel_rows(rows, mu)
+        low = [rng.choice((ctx.zero, ctx.one, ctx.random_nonzero(rng))) for _ in range(mu)]
+        cases += [(low, 5), (low, 0)]
+    cases += [([ctx.zero, ctx.random_nonzero(rng), ctx.zero], 4), ([ctx.zero] * 2, 3)]
+    for low, count in cases:
+        mu, n = len(low), len(low) + count
+        rows, ends = ctx.kernel_rows(tuple(c.raw for c in low), count)
+        assert len(rows) == count
+        twists = [[ctx.sigma(c, i) for c in low] for i in range(count)]
         if not isinstance(ctx, RationalFunctions):
-            assert scaled is rows and ends is None
+            assert ends is None
+            assert [list(row) for row in rows] == [[c.raw for c in row] for row in twists]
             continue
+        assert len(ends) == n
         for s in range(mu):
             want = [ctx.zero] * n
             want[s] = ctx.one
-            for i, row in enumerate(rows):
-                want[i + mu] = -sum((Element(ctx, c) * v for c, v in zip(row, want[i:])),
-                                    ctx.zero)
+            for i, row in enumerate(twists):
+                want[i + mu] = -sum((c * v for c, v in zip(row, want[i:])), ctx.zero)
             w = [zero] * n
             w[s] = ctx.one_raw
-            for i, row in enumerate(scaled):
+            for i, row in enumerate(rows):
                 acc = zero
                 for c, v in zip(row, w[i:]):
                     acc = ctx.add_product(acc, c, v)
@@ -551,7 +552,7 @@ def test_every_route_to_zero_gives_the_canonical_zero(name, request):
         ctx = _rational_context(name, request)
     zero = ctx.zero_raw
     conj = [ctx.sigma_raw(ctx.generator_raw, k) for k in range(ctx.order)]
-    table = ctx.conjugate_table(conj, [ctx.inv(c) for c in conj])
+    table = ctx.conjugate_table(conj)
     assert ctx.neg(zero) == zero and (-ctx.zero).raw == zero
     assert all(ctx.sigma_raw(zero, k) == zero for k in range(-1, ctx.order + 1))
     rng = rng_for(f"canonical-zero-{name}")

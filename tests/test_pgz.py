@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from skewrs import fields
+from skewrs import fields, pgz
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     FieldError, FiniteField, Matrix, RationalFunctions, SkewPolynomial,
                     build_code, build_syndrome_matrix, decode, encode,
@@ -516,3 +516,60 @@ def test_convolutional_reports_equal_the_reduced_route(monkeypatch):
     for delta, words, texts in cases:
         reference = build_code(ctx, ctx.generator, 0, delta)
         assert [decode(reference, y).to_text(ctx) for y in words] == texts
+
+
+@pytest.mark.parametrize("name", ["rational", "cyclotomic"])
+def test_decode_takes_no_product_for_s_transpose_or_the_pivots(all_codes, name, monkeypatch):
+    # F_4(z) and Q(chi_7), seeded words of weight 1..t+1: the rows of S^T
+    # are sigma^(-j)(u_(i+j)), read off the unscaled conjugate sums with no
+    # ctx.mul, and eliminate writes one at each pivot: it never multiplies
+    # the entry it inverted by its inverse.  The products inside ctx.inv
+    # (Q(chi)'s norm) are not eliminate's own and are not recorded
+    code = all_codes[name]
+    ctx = code.ctx
+    rng = rng_for(f"no-redundant-products-{name}")
+    words = [make_received(code, random_poly(ctx, rng, code.dimension - 1),
+                           random_error(code, rng, weight))
+             for weight in range(1, code.t + 2) for _ in range(4)]
+    mul, inv, columns, eliminate = ctx.mul, ctx.inv, pgz._syndrome_columns, pgz.eliminate
+    products, inverted, column_products, inside = [], [], [], []
+
+    def recorded_mul(a, b):
+        if inside == [True]:
+            products.append((a, b))
+        return mul(a, b)
+
+    def recorded_inv(u):
+        inside.append(False)
+        try:
+            v = inv(u)
+        finally:
+            inside.pop()
+        inverted.append((u, v))
+        return v
+
+    def recorded_eliminate(ctx, rows):
+        inside.append(True)
+        try:
+            return eliminate(ctx, rows)
+        finally:
+            inside.pop()
+
+    def recorded_columns(code, u):
+        before = len(products)
+        inside.append(True)
+        try:
+            return columns(code, u)
+        finally:
+            inside.pop()
+            column_products.append(len(products) - before)
+
+    monkeypatch.setattr(ctx, "mul", recorded_mul)
+    monkeypatch.setattr(ctx, "inv", recorded_inv)
+    monkeypatch.setattr(pgz, "_syndrome_columns", recorded_columns)
+    monkeypatch.setattr(pgz, "eliminate", recorded_eliminate)
+    reports = [decode(code, y) for y in words]
+    assert {r.branch for r in reports} >= {BRANCH_DIRECT, BRANCH_ECHELON}
+    assert len(column_products) == len(words) and set(column_products) == {0}
+    assert inverted and products
+    assert not any(a is v and b is u for u, v in inverted for a, b in products)

@@ -49,15 +49,26 @@ any j; the build refuses alpha at the first step that fails, and
 ``is_normal`` walks h_0.  The decoder's one conjugate system, for the
 error values at positions k, takes rows r+k straight from ``conj``
 (``pgz._error_values``); ``conjugate_matrix`` only prints it as a Matrix.
+
+Encoding and the decoder's verify run on the generator rows sigma^i(g),
+i < k = n - delta + 1, kept below g's monic top as raw tuples
+(``SkewRSCode.rows``).  They depend only on the code, so they are filled
+once, on first use, each row the twist of the one before, and not at
+build time, which does not need them: ``encode`` sums m_i times row i
+shifted up by i onto x^(deg g) * m, and ``left_divide``, the verify's
+division, subtracts quotient digit q_k times row k, where g monic makes
+q_k the word's current coefficient k + deg g.  Neither applies sigma, nor
+inverts or multiplies by g's leading coefficient, as the generic kernels
+``poly_mul`` and ``fields._left_reduce`` do for every digit.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fields import (CyclotomicField, Element, FiniteField, RationalFunctions,
-                     poly_twist, require_context)
+                     poly_trim, poly_twist, require_context)
 from .linalg import Matrix
 # lclm_many is bound here because perfbench/tracing.py times it by this name
 from .skewpoly import SkewPolynomial, lclm_many
@@ -159,6 +170,10 @@ class SkewRSCode:
     # conjugates sigma^k(alpha*)
     conj_table: object
     dual_table: object
+    # the generator rows, filled by ``generator_rows`` on first use, for
+    # ``encode`` and the verify's ``left_divide``; not an init field, so a
+    # ``dataclasses.replace`` of the code fills its own
+    rows: list = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dimension(self):
@@ -222,12 +237,52 @@ def build_code(ctx, alpha, r, delta):
         dual_table=ctx.conjugate_table(dual))
 
 
+def generator_rows(code):
+    """The raw rows sigma^i(g_0 .. g_(deg g - 1)), i < k, each the twist of
+    the one before (see ``SkewRSCode.rows``)."""
+    rows = code.rows
+    if rows is None:
+        sigma = code.ctx.sigma_raw
+        rows = [code.g.raw[:-1]]
+        for _ in range(1, code.dimension):
+            rows.append(tuple(map(sigma, rows[-1])))
+        code.rows = rows
+    return rows
+
+
 def encode(code, message):
-    """message * g; the message must have at most n - delta + 1 coefficients."""
+    """message * g; the message must have at most n - delta + 1 coefficients.
+    x^i * g = sigma^i(g) * x^i and g is monic, so the product is x^deg g *
+    message plus each m_i times row i, shifted up by i."""
     if message.degree > code.n - code.delta:
         raise CodeError(
             f"message degree {message.degree} exceeds {code.n - code.delta}")
-    return message * code.g
+    ctx = code.ctx
+    if message.ctx is not ctx:
+        require_context(ctx, (message,))
+    out = [ctx.zero_raw] * (code.delta - 1) + list(message.raw)
+    for i, (c, row) in enumerate(zip(message.raw, generator_rows(code))):
+        ctx.add_scaled(out, c, row, i)
+    # the message's top coefficient stays on top: only zero needs trimming
+    return SkewPolynomial.from_raw(ctx, tuple(out) if message.raw else ())
+
+
+def left_divide(code, word):
+    """(q, rem), raw, of the left division word = q * g + rem of a raw word
+    of at most n coefficients: as g is monic, step k, from the top down,
+    takes quotient digit q_k = the word's current coefficient k + deg g and
+    subtracts q_k times row k, shifted up by k."""
+    ctx, dg = code.ctx, code.delta - 1
+    zero, neg, add_scaled = ctx.zero_raw, ctx.neg, ctx.add_scaled
+    rows = generator_rows(code)
+    rem = list(word)
+    q = [zero] * (len(rem) - dg)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + dg]
+        if c != zero:
+            q[k] = c
+            add_scaled(rem, neg(c), rows[k], k)
+    return poly_trim(ctx, q), poly_trim(ctx, rem[:dg])
 
 
 def dual_support(code, f, offset):

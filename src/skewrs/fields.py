@@ -21,7 +21,8 @@ values through one small protocol, with the same names everywhere:
     conjugate_zeros(table, vec, count, offset)
 
 with the constants ``zero_raw``, ``one_raw`` and ``generator_raw``, and
-``symbols``, the map from each name the parser knows to its raw value.
+``symbols``, the map from each name the parser knows to its raw value;
+none may be x, the parser's polynomial variable.
 Raw values are canonical (below), so u is zero exactly when
 ``u == ctx.zero_raw``.
 
@@ -86,9 +87,10 @@ XOR, and a is primitive exactly when the walk first returns to 1 after
 2^d - 1 steps.  Odd characteristic, and a non-primitive root, take the
 general route: find a primitive element (the root first) by its order and
 walk its powers by general multiplication.
-Elements print as powers of the modulus root whenever that root is
-primitive (all bundled examples qualify), otherwise in polynomial form;
-printing then parsing round-trips either way.
+Elements of degree d > 1 print as powers of the modulus root whenever
+that root is primitive (all bundled examples qualify), otherwise in
+polynomial form, and GF(p)'s as integers; printing then parsing
+round-trips either way.
 
 Q(chi) inverts by the norm: u times the product of its other Galois
 conjugates chi -> chi^e (2 <= e < m) is the rational N(u), so u^-1 is that
@@ -139,6 +141,14 @@ def require_context(ctx, items):
     check of its own."""
     if not all(same_context(x.ctx, ctx) for x in items):
         raise FieldError("elements belong to different field contexts")
+
+
+def _symbols(names):
+    """A backend's ``symbols``, once none of them is x, which
+    ``parsing.parse_poly`` reads as the polynomial variable."""
+    if "x" in names:
+        raise FieldError("the symbol 'x' names the polynomial variable; choose another")
+    return names
 
 
 def power(mul, one, u, k):
@@ -390,7 +400,8 @@ class FiniteField(FieldContext):
     2^64; both are checked first, as the primality and irreducibility tests
     would otherwise run for as long as the numbers ask.  Raw values pack
     the coefficient vector in base p, so the residue class of the
-    symbol itself has value p.
+    symbol itself has value p; at d = 1 the symbol is the modulus root,
+    -modulus[0] mod p, and a modulus whose root is 0 is refused.
 
     A field of size up to 2^16 takes its exp/log tables from those of the
     few most recently used moduli, shared process-wide whatever sigma is,
@@ -420,6 +431,10 @@ class FiniteField(FieldContext):
             raise FieldError(f"modulus degree {len(modulus) - 1} != {degree}")
         if modulus[-1] != 1:
             raise FieldError("modulus must be monic")
+        # at degree 1 the symbol is the modulus root, which must not be zero
+        if degree == 1 and modulus[0] == 0:
+            raise FieldError(f"modulus {generator} has the root 0, which the "
+                             f"symbol {generator!r} cannot name")
         self.char = p
         self.degree = degree
         self.modulus = tuple(modulus)
@@ -434,7 +449,7 @@ class FiniteField(FieldContext):
         key = (p, degree, self.modulus)
         if key not in _shared_tables and not self._is_irreducible():
             raise FieldError("modulus is not irreducible")
-        self.generator_raw = p if degree > 1 else 1 % p
+        self.generator_raw = p if degree > 1 else -modulus[0] % p
         self._exp = None
         self._log = None
         self._sigma_mult = None
@@ -451,7 +466,7 @@ class FiniteField(FieldContext):
         self.key = ("ff", p, degree, self.modulus, self.frobenius_power)
         self.zero_raw = 0
         self.one_raw = 1
-        self.symbols = {generator: self.generator_raw}
+        self.symbols = _symbols({generator: self.generator_raw})
 
     # -- packed-int helpers ------------------------------------------------
 
@@ -654,7 +669,8 @@ class FiniteField(FieldContext):
 
     def format(self, x):
         v = x.raw
-        if v and self.generator_primitive:
+        # GF(p) prints integers, whatever its symbol's order
+        if v and self.generator_primitive and self.degree > 1:
             terms = (("1", self._log[v]),)
         else:
             terms = [(str(c), i) for i, c in enumerate(self._digits(v)) if c]
@@ -843,8 +859,8 @@ class RationalFunctions(FieldContext):
         self.zero_raw = ((), (1,))
         self.one_raw = _RF_ONE
         self.generator_raw = ((0, 1), (1,))
-        self.symbols = {variable: self.generator_raw,
-                        **{name: self.from_base(v).raw for name, v in base.symbols.items()}}
+        self.symbols = _symbols({variable: self.generator_raw, **{
+            name: self.from_base(v).raw for name, v in base.symbols.items()}})
 
     def _base_raw(self, c):
         base = self.base
@@ -1123,7 +1139,7 @@ class CyclotomicField(FieldContext):
     A code build costs about m^3 integer products (the norm inverse) plus
     m^2 * n^2 (the lclm of the beta-roots), n sigma's order.  The bound
     m^3 + m^2 * n^3 <= 10^7 is kept from an n^3 linear solve that builds no
-    longer make, so it is loose: at its edges a build takes 36 ms (m = 211,
+    longer make, so it is loose: at its edges a build takes 35 ms (m = 211,
     sigma(chi) = chi^(-1)) and 38 to 40 ms (m = 23, sigma of full order),
     at every delta (best of five, in-process, Python 3.11 on a 2-vCPU
     host).  Past it a field is refused, on m^3 before m is factorised and
@@ -1155,7 +1171,7 @@ class CyclotomicField(FieldContext):
         self.zero_raw = ((0,) * self.dim, 1)
         self.one_raw = ((1,) + (0,) * (self.dim - 1), 1)
         self.generator_raw = ((0, 1) + (0,) * (self.dim - 2), 1)
-        self.symbols = {symbol: self.generator_raw}
+        self.symbols = _symbols({symbol: self.generator_raw})
 
     def _make(self, num, den):
         if den == 0:

@@ -25,7 +25,10 @@ Pipeline for a received word y of length n, on raw values throughout:
 The decoder then verifies the correction by left-dividing the corrected
 word by the generator g, which also yields the message as the quotient; a
 nonzero remainder produces an explicit failure report instead of a silent
-wrong answer.  No second syndrome pass is needed: g is the lclm of
+wrong answer.  g is monic, so each quotient digit is the word's top
+coefficient at its step, taken off with the code's generator rows
+sigma^k(g) (``codes.left_divide``), with no sigma, inverse or product per
+digit.  No second syndrome pass is needed: g is the lclm of
 x - sigma^(r+i)(beta) for 0 <= i <= delta-2 and 2t <= delta-1, so g
 right-dividing the word already makes every syndrome vanish.
 
@@ -39,9 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .codes import dual_support, evaluate, evaluations
-from .fields import Element, poly_trim, require_context, same_context
+from .codes import dual_support, evaluate, evaluations, left_divide
+from .fields import Element, require_context, same_context
 from .linalg import Matrix, eliminate
+# left_divmod is bound here because perfbench/tracing.py replays the verify
+# stage through it by this name
 from .skewpoly import SkewPolynomial, left_divmod
 
 BRANCH_ALL_ZERO = "all-zero"
@@ -240,8 +245,8 @@ def decode(code, y):
         corrected = list(raw)
         for k, v in zip(positions, raw_values):
             corrected[k] = ctx.add(raw[k], ctx.neg(v))
-    q, rem = left_divmod(SkewPolynomial.from_raw(ctx, poly_trim(ctx, corrected)), code.g)
-    if not rem.is_zero:
+    q, rem = left_divide(code, corrected)
+    if rem:
         return fail("generator does not divide the corrected word", branch,
                     mu=mu, rho=rho, positions=positions, values=values)
     err = [ctx.zero] * code.n
@@ -251,4 +256,4 @@ def decode(code, y):
         codeword[k] = Element(ctx, corrected[k])
     return DecodeReport(syndromes=s, mu=mu, rho=rho, branch=branch,
                         positions=positions, values=values, error=err,
-                        codeword=codeword, message=q)
+                        codeword=codeword, message=SkewPolynomial.from_raw(ctx, q))

@@ -659,7 +659,16 @@ def test_build_past_the_mobius_order_bound_is_one_error_line(tmp_path, capsys):
     (3, "cyclotomic.order = 7", "cyclotomic.order = 9", "root order 9 must be an odd prime"),
     (3, "sigma.exponent = 3", "sigma.exponent = 7",
      "sigma exponent must be coprime to the root order"),
-], ids=["unknown-kind", "mobius-arity", "not-monic", "composite-root-order", "exponent"])
+    # parse_poly reads x as the polynomial variable, so a field symbol x
+    # would turn every message's x into a constant
+    (1, "field.modulus = a^12 + a^7 + a^6 + a^5 + a^3 + a + 1\nfield.generator = a",
+     "field.modulus = x^12 + x^7 + x^6 + x^5 + x^3 + x + 1\nfield.generator = x",
+     "the symbol 'x' names the polynomial variable"),
+    (2, "field.variable = z", "field.variable = x", "the symbol 'x' names the polynomial variable"),
+    (3, "cyclotomic.symbol = chi", "cyclotomic.symbol = x",
+     "the symbol 'x' names the polynomial variable"),
+], ids=["unknown-kind", "mobius-arity", "not-monic", "composite-root-order", "exponent",
+        "generator-x", "variable-x", "cyclotomic-symbol-x"])
 def test_build_refusals_are_one_error_line(tmp_path, capsys, which, old, new, message):
     assert message in _build_exits_2_with_one_error_line(tmp_path, capsys, old, new, which)
 

@@ -1,11 +1,16 @@
-import pytest
+import dataclasses
+import random
 
-from skewrs import (CodeError, ConfigError, CyclotomicField, FiniteField,
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewrs import (CodeError, ConfigError, CyclotomicField, FieldError, FiniteField,
                     RationalFunctions, SkewPolynomial, build_code,
                     code_from_config, encode, evaluate, find_normal_element,
                     is_normal, left_divmod, parse_poly)
 from skewrs import fields
-from skewrs.codes import conjugate_matrix, dual_support, evaluation_matrix, root_lclm
+from skewrs.codes import (conjugate_matrix, dual_support, evaluation_matrix, left_divide,
+                          root_lclm)
 from skewrs.fields import FieldContext
 
 from conftest import rng_for, random_poly
@@ -81,6 +86,81 @@ def test_encode_zero_and_length_limit(code_gf, gf4096):
     too_long = monomial(gf4096, gf4096.one, code_gf.n - code_gf.delta + 1)
     with pytest.raises(CodeError):
         encode(code_gf, too_long)
+
+
+def test_encode_refusals_keep_their_errors(code_gf, gf4096, gf16):
+    with pytest.raises(CodeError, match="^message degree 2 exceeds 1$"):
+        encode(code_gf, monomial(gf4096, gf4096.one, 2))
+    with pytest.raises(FieldError, match="^elements belong to different field contexts$"):
+        encode(code_gf, monomial(gf16, gf16.one, 1))
+
+
+# the generator rows against the generic kernels: odd characteristic,
+# Frobenius and its cube, F_q(z) up to n = 9, and Q(chi) with sigma of order
+# 4, 6 and 3
+ROW_FIELDS = {
+    "gf16-frob": lambda: FiniteField(2, 4, "a^4 + a + 1", frobenius_power=1),
+    "gf16-frob3": lambda: FiniteField(2, 4, "a^4 + a + 1", frobenius_power=3),
+    "gf81": lambda: FiniteField(3, 4, "a^4 + 2a^3 + 2", frobenius_power=1),
+    "gf125": lambda: FiniteField(5, 3, "a^3 + 3a + 2", frobenius_power=1),
+    "gf9z": lambda: RationalFunctions(FiniteField(3, 2, "a^2 + 1", frobenius_power=0),
+                                      ("1", "a", "1", "0")),
+    "f4z": lambda: RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
+                                     ("1", "a", "1", "a^2")),
+    "f8z": lambda: RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
+                                     ("0", "1", "1", "a")),
+    "chi5": lambda: CyclotomicField(5, 2),
+    "chi7-3": lambda: CyclotomicField(7, 3),
+    "chi7-2": lambda: CyclotomicField(7, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def row_fields():
+    out = {}
+    for name, make in ROW_FIELDS.items():
+        ctx = make()
+        out[name] = ctx, find_normal_element(ctx)
+    return out
+
+
+@pytest.mark.parametrize("name", ROW_FIELDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_generator_rows_equal_the_generic_kernels(row_fields, name, data):
+    # encode is m * g, and the verify's division is left_divmod by g, raw
+    # for raw, at every delta in [2, n] (n - 1 rows down to one), r in
+    # {0, 1, n - 1, n + 2}, on codewords, words g does not divide and
+    # words shorter than n
+    ctx, alpha = row_fields[name]
+    n = ctx.order
+    delta = data.draw(st.integers(2, n), label="delta")
+    r = data.draw(st.sampled_from((0, 1, n - 1, n + 2)), label="r")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    code = build_code(ctx, alpha, r, delta)
+    assert code.rows is None
+    msg = random_poly(ctx, rng, code.dimension - 1)
+    cw = encode(code, msg)
+    assert cw.raw == (msg * code.g).raw
+    assert len(code.rows) == code.dimension and code.rows[0] == code.g.raw[:-1]
+    pos = rng.randrange(n)
+    off_code = cw + monomial(ctx, ctx.random_nonzero(rng), pos)
+    for word in (cw, off_code, random_poly(ctx, rng, rng.randrange(n))):
+        q, rem = left_divmod(word, code.g)
+        assert left_divide(code, word.raw) == (q.raw, rem.raw)
+    assert left_divide(code, cw.raw) == (msg.raw, ())
+    # a codeword plus an error of weight one is none, as the distance is delta >= 2
+    assert left_divide(code, off_code.raw)[1] != ()
+
+
+def test_the_rows_are_filled_on_first_use_and_not_copied(code_gf, gf4096):
+    code = build_code(gf4096, gf4096.generator, 0, 5)
+    assert code.rows is None and code == code_gf
+    encode(code, monomial(gf4096, gf4096.one, 1))
+    assert len(code.rows) == 2 and code == code_gf
+    # a replaced generator gets rows of its own
+    other = dataclasses.replace(code, g=code.g * SkewPolynomial.variable(gf4096))
+    assert other.rows is None
 
 
 def test_generator_divides_x_n_minus_1(all_codes):

@@ -600,6 +600,31 @@ def test_bad_moduli_are_rejected():
         FiniteField(2, 3, "a^2 + a + 1")  # degree mismatch
     with pytest.raises(FieldError):
         FiniteField(2, 0, "1")  # no extension at all
+    with pytest.raises(FieldError, match="modulus a has the root 0"):
+        FiniteField(5, 1, "a")  # GF(p)'s symbol would name zero
+
+
+@pytest.mark.parametrize("p, modulus, root", [(17, "a + 14", 3), (5, "a + 1", 4), (3, "a + 1", 2)])
+def test_the_gf_p_symbol_is_the_modulus_root(p, modulus, root):
+    F = FiniteField(p, 1, modulus)
+    a = parse_element(F, "a")
+    assert a.raw == root and a == F.generator
+    assert (a + F.from_int(F.modulus[0])).raw == 0
+    # GF(p) keeps printing integers, whether or not its root is primitive
+    assert F.format(a) == str(root) and F.format(a * a) == str(root * root % p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FiniteField(2, 4, "x^4 + x + 1", generator="x"),
+    lambda: RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
+                              ("1", "a", "1", "a^2"), variable="x"),
+    lambda: CyclotomicField(7, 3, symbol="x"),
+], ids=["finite-field", "rational-function", "cyclotomic"])
+def test_a_field_symbol_named_x_is_refused(make):
+    # parse_poly reads x as the polynomial variable, so a field symbol x
+    # would silently turn every message's x into a constant
+    with pytest.raises(FieldError, match="the symbol 'x' names the polynomial variable"):
+        make()
 
 
 @pytest.mark.parametrize("p, degree, irreducible", [(2, 6, 9), (2, 12, 335), (3, 6, 116)])
@@ -650,7 +675,8 @@ def test_a_field_past_the_size_bounds_is_refused_at_once(p, degree, modulus, mes
 ], ids=["p-2^31-1", "2^64"])
 def test_fields_at_the_size_bounds_are_built(p, degree, modulus):
     F = FiniteField(p, degree, modulus)
-    x = F.generator + F.one
+    # over GF(p) the symbol is the root of a + 1, so x is -2
+    x = F.generator - F.one
     assert F.size == p ** degree and x * x.inverse() == F.one
 
 
@@ -709,10 +735,10 @@ def test_the_largest_rational_function_code_in_use_still_builds():
 
 def _reference_tables(F):
     """exp/log by general multiplication: the modulus root when it is
-    primitive (the symbol reads as 1 when d = 1), else the least
-    primitive packed value."""
+    primitive (-modulus[0] mod p when d = 1), else the least primitive
+    packed value."""
     q = F.size
-    gen = F.char if F.degree > 1 else 1 % F.char
+    gen = F.char if F.degree > 1 else -F.modulus[0] % F.char
     primitive = F._element_order(gen) == q - 1
     prim = gen if primitive else next(
         c for c in range(2, q) if F._element_order(c) == q - 1)
@@ -737,7 +763,7 @@ def _reference_tables(F):
     (5, 3, "a^3 + a + 1", False),
     (3, 6, "a^6 + a^5 + 2", True),
     (2, 1, "a + 1", True),
-    (3, 1, "a + 1", False),
+    (3, 1, "a + 1", True),
     (5, 1, "a + 1", False),
 ])
 def test_tables_match_a_general_multiplication_walk(p, d, modulus, primitive):

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import skewrs
 
-# codes imports lclm_many only so that the benchmark's tracer can wrap it
-# under that module's name
-ALLOWED = {("codes", "lclm_many")}
+# codes imports lclm_many, and pgz left_divmod, only so that the benchmark's
+# tracer can wrap them under those modules' names
+ALLOWED = {("codes", "lclm_many"), ("pgz", "left_divmod")}
 
 
 def unused_imports(path):

@@ -29,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .codes import CodeError, ConfigError, code_from_config, encode
+from .codes import CodeError, ConfigError, code_from_config, conjugate_matrix, encode
 from .fields import FormatError
 from .linalg import eliminate
 from .parsing import ParseError, parse_poly
@@ -260,11 +260,10 @@ def cmd_oracle(args):
 def parity_check_columns(code):
     """Column j of the parity-check matrix H: the right evaluations of x^j
     at the delta - 1 beta-roots sigma^(r+i)(beta), as the syndromes sum
-    them, with row i scaled by sigma^(r+i)(alpha).  The conjugate sums are
-    unscaled, and a row scaled by a nonzero factor keeps every minor's rank."""
-    ctx = code.ctx
-    return [ctx.conjugate_sums(code.conj_table, [ctx.zero_raw] * j + [ctx.one_raw],
-                               code.delta - 1, code.r) for j in range(code.n)]
+    them, with row i scaled by sigma^(r+i)(alpha): sigma^(r+i+j)(alpha).  A
+    row scaled by a nonzero factor keeps every minor's rank."""
+    return conjugate_matrix(code.ctx, code.conj, range(code.r, code.r + code.n),
+                            code.delta - 1).raw
 
 
 def parity_check_distance(code, budget):

@@ -25,30 +25,31 @@ decoder never branches on r.
 
 ``root_lclm`` extends an lclm by beta-roots one root at a time, with no
 linear solve (Lam & Leroy, J. Algebra 1988).  For the monic g so far and
-a = sigma^m(beta), S = sum_k g_k * sigma^(m+k)(alpha) is sigma^m(alpha)
-times g's right value at a.  S = 0 means that a is already a root of g;
-otherwise lclm(g, x - a) = (x - sigma(S) * S^(-1)) * g.  A build walks
-each beta-root once: c is the lclm of the generator's roots m = r ..
-r+delta-2 (mod n) other than m = 0, taken from m = r; the generator is c,
-extended by root 0 when it is one of them; and the lclm h of every root
-but m = 0 extends c over the other nonzero roots from m = 1.  That is
-n - 1 steps when delta = n or 0 is not a root of the generator, n steps
-otherwise, each O(n) operations.
+a = sigma^m(beta), S = sum_k g_k * sigma^(m+k)(alpha), g's conjugate sum
+at offset m, is sigma^m(alpha) times g's right value at a.  S = 0 means
+that a is already a root of g; otherwise lclm(g, x - a) = (x - sigma(S)
+* S^(-1)) * g.  A build walks each beta-root once: c is the lclm of the
+generator's roots m = r .. r+delta-2 (mod n) other than m = 0, taken
+from m = r; the generator is c, extended by root 0 when it is one of
+them; and the lclm h of every root but m = 0 extends c over the other
+nonzero roots from m = 1.  That is n - 1 steps when delta = n or 0 is not
+a root of the generator, n steps otherwise, each O(n) operations.
 
 The conjugate matrix C(alpha) holds sigma^(s+j)(alpha) at row s, column
 j, and the trace-dual conjugates X_i = sigma^i(alpha*),
 Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij (Lidl & Niederreiter,
 Finite Fields, ch. 2), solve X * C(alpha) = e_0; row j of C(alpha)^(-1)
 is X rotated by j.  The lclm h_j of every beta-root but m = j sums to
-zero against every row m != j, so X_(j+k) = (h_j)_k / lambda_j,
-lambda_j = sum_k (h_j)_k * sigma^(j+k)(alpha) (``trace_dual``).  The
-build reads X off h = h_0, or at delta = n off the generator, which is
-then h_(r-1), with no second walk.  alpha is normal exactly when its n
-beta-roots are independent: no step meets S = 0 and lambda_j != 0, for
-any j; the build refuses alpha at the first step that fails, and
-``is_normal`` walks h_0.  The decoder's one conjugate system, for the
-error values at positions k, takes rows r+k straight from ``conj``
-(``pgz._error_values``); ``conjugate_matrix`` only prints it as a Matrix.
+zero against every row m != j, so X_(j+k) = (h_j)_k / lambda_j, for
+lambda_j, h_j's conjugate sum at offset j (``trace_dual``).  The build
+reads X off h = h_0, or at delta = n off the generator, which is then
+h_(r-1), with no second walk.  alpha is normal exactly when it is nonzero
+and no step meets S = 0 and lambda_j != 0, for any j; the build refuses
+alpha at the first step that fails, and ``is_normal`` walks h_0.
+``conjugate_matrix`` is the one reader of C(alpha)'s entries but the
+decoder, which takes rows r+k raw from ``conj`` (``pgz._error_values``):
+``evaluation_matrix`` scales its column j by sigma^j(alpha)^(-1), and the
+parity-check matrix (``cli``) is its rows r .. r+n-1 cut to delta - 1.
 
 Encoding and the decoder's verify run on the generator rows sigma^i(g),
 i < k = n - delta + 1, kept below g's monic top as raw tuples
@@ -88,53 +89,49 @@ def conjugate_matrix(ctx, conj, starts, size):
     return Matrix.from_raw(ctx, [[conj[(s + j) % n] for j in range(size)] for s in starts])
 
 
-def root_lclm(ctx, conj, roots, g=None):
+def root_lclm(ctx, table, roots, g=None):
     """The monic lclm of g (raw, lowest degree first; by default 1) and
     x - sigma^m(beta) for m in roots (mod n), added one root at a time in
-    that order, over the n raw conjugates conj = sigma^k(alpha); a raw
-    coefficient tuple.  The roots are distinct mod n and none is a root of
-    g, so a step that meets S = 0 means that alpha is not normal, and
-    raises CodeError."""
-    n = len(conj)
-    zero, add_product = ctx.zero_raw, ctx.add_product
+    that order, over ``ctx.conjugate_table`` of the n raw conjugates
+    sigma^k(alpha); a raw coefficient tuple.  The roots are distinct mod n
+    and none is a root of g, so a step that meets S = 0 means that alpha
+    is not normal, and raises CodeError."""
+    zero = ctx.zero_raw
     g = [ctx.one_raw] if g is None else list(g)
     for m in roots:
-        s = zero
-        for k, c in enumerate(g):
-            s = add_product(s, c, conj[(m + k) % n])
+        s, = ctx.conjugate_sums(table, g, 1, m)
         if s == zero:
             raise CodeError(NOT_NORMAL)
         b = ctx.neg(ctx.mul(ctx.sigma_raw(s, 1), ctx.inv(s)))
         # (x + b) * g: coefficient j is sigma(g_(j-1)) + b * g_j
         twisted = [zero] + poly_twist(ctx, g, 1)
-        g = [add_product(t, b, c) for t, c in zip(twisted, g)] + [twisted[-1]]
+        ctx.add_scaled(twisted, b, g, 0)
+        g = twisted
     return tuple(g)
 
 
-def trace_dual(ctx, conj, h, j=0):
+def trace_dual(ctx, table, h, j=0):
     """The raw trace-dual conjugates sigma^k(alpha*), k < n, from h, the
-    lclm of every beta-root but sigma^j(beta): h / lambda_j is row j of
-    C(alpha)^(-1), lambda_j = sum_i h_i * sigma^(j+i)(alpha), and that row
-    is the dual conjugates rotated by j, so sigma^k(alpha*) =
-    h_(k-j) / lambda_j.  lambda_j = 0 raises CodeError: alpha is not
-    normal."""
-    n = len(conj)
-    lam = ctx.zero_raw
-    for i, c in enumerate(h):
-        lam = ctx.add_product(lam, c, conj[(j + i) % n])
+    lclm of every beta-root but sigma^j(beta), j < n: h / lambda_j is row
+    j of C(alpha)^(-1), lambda_j = sum_i h_i * sigma^(j+i)(alpha) over the
+    conjugate table, and that row is the dual conjugates rotated by j, so
+    sigma^k(alpha*) = h_(k-j) / lambda_j.  lambda_j = 0 raises CodeError."""
+    lam, = ctx.conjugate_sums(table, h, 1, j)
     if lam == ctx.zero_raw:
         raise CodeError(NOT_NORMAL)
     inv = ctx.inv(lam)
-    return [ctx.mul(h[(k - j) % n], inv) for k in range(n)]
+    return [ctx.mul(h[k - j], inv) for k in range(len(h))]
 
 
 def is_normal(ctx, alpha):
     """True when the sigma-conjugates of alpha form a basis over the
     invariant subfield (its n beta-roots are independent)."""
     require_context(ctx, (alpha,))
-    conj = [ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)]
+    if not alpha:   # a tabled field's conjugate table holds logs: zero has none
+        return False
+    table = ctx.conjugate_table([ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)])
     try:
-        trace_dual(ctx, conj, root_lclm(ctx, conj, range(1, ctx.order)))
+        trace_dual(ctx, table, root_lclm(ctx, table, range(1, ctx.order)))
     except CodeError:
         return False
     return True
@@ -203,10 +200,10 @@ def evaluate(code, vec, count, offset):
 
 def evaluation_matrix(code):
     """Row i holds the evaluations of x^i at sigma^j(beta), so entry
-    (i, j) is the twisted norm N_i(sigma^j(beta))."""
+    (i, j) is N_i(sigma^j(beta)) = sigma^j(alpha)^(-1) * sigma^(i+j)(alpha)."""
     ctx, n = code.ctx, code.n
-    return Matrix.from_raw(ctx, [evaluations(code, ctx.conjugate_sums(
-        code.conj_table, [ctx.zero_raw] * i + [ctx.one_raw], n, 0), 0) for i in range(n)])
+    rows = conjugate_matrix(ctx, code.conj, range(n), n).raw
+    return Matrix.from_raw(ctx, [list(map(ctx.mul, code.conj_inv, row)) for row in rows])
 
 
 def build_code(ctx, alpha, r, delta):
@@ -219,21 +216,24 @@ def build_code(ctx, alpha, r, delta):
     if r < 0:
         raise CodeError("root offset must be nonnegative")
     require_context(ctx, (alpha,))
+    if not alpha:
+        raise CodeError(NOT_NORMAL)
     sigma = ctx.sigma_raw
     conj = [sigma(alpha.raw, k) for k in range(n)]
+    table = ctx.conjugate_table(conj)
     roots = [(r + i) % n for i in range(delta - 1)]
-    c = root_lclm(ctx, conj, [m for m in roots if m])
-    g = root_lclm(ctx, conj, (0,), c) if 0 in roots else c
+    c = root_lclm(ctx, table, [m for m in roots if m])
+    g = root_lclm(ctx, table, (0,), c) if 0 in roots else c
     if delta == n:
-        dual = trace_dual(ctx, conj, g, (r - 1) % n)
+        dual = trace_dual(ctx, table, g, (r - 1) % n)
     else:
-        dual = trace_dual(ctx, conj, root_lclm(
-            ctx, conj, [m for m in range(1, n) if m not in roots], c))
+        dual = trace_dual(ctx, table, root_lclm(
+            ctx, table, [m for m in range(1, n) if m not in roots], c))
     inv = ctx.inv(alpha.raw)
     return SkewRSCode(
         ctx=ctx, alpha=alpha, beta=Element(ctx, ctx.mul(inv, conj[1])), r=r, delta=delta,
         g=SkewPolynomial.from_raw(ctx, g), t=(delta - 1) // 2, n=n, conj=conj,
-        conj_inv=[sigma(inv, k) for k in range(n)], conj_table=ctx.conjugate_table(conj),
+        conj_inv=[sigma(inv, k) for k in range(n)], conj_table=table,
         dual_table=ctx.conjugate_table(dual))
 
 

@@ -631,8 +631,8 @@ class FiniteField(FieldContext):
     def conjugate_table(self, values):
         if self._exp is None or self.char != 2:
             return super().conjugate_table(values)
-        # the conjugates of a normal element and of its trace dual are
-        # nonzero, so all have logs
+        # the conjugates of a nonzero alpha (``codes`` refuses zero before
+        # it makes a table) and of its trace dual are nonzero: all have logs
         log = self._log
         return [log[c] for c in values] * 2
 
@@ -815,8 +815,8 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n.  At n = 17 a build takes 67 to 70 ms over
-    F_16(z) and 40 to 43 ms over F_17(z), at every delta (best of five,
+    whose degrees grow with n.  At n = 17 a build takes 52 to 55 ms over
+    F_16(z) and 32 to 34 ms over F_17(z), at every delta (best of five,
     in-process, Python 3.11 on a 2-vCPU host).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum

@@ -9,6 +9,7 @@ from skewrs import (CodeError, ConfigError, CyclotomicField, FieldError, FiniteF
                     code_from_config, encode, evaluate, find_normal_element,
                     is_normal, left_divmod, parse_poly)
 from skewrs import fields
+from skewrs.cli import parity_check_columns
 from skewrs.codes import (conjugate_matrix, dual_support, evaluation_matrix, left_divide,
                           root_lclm)
 from skewrs.fields import FieldContext
@@ -21,6 +22,10 @@ from oracles import (contains, dual_conjugates, full_beta_decomposition_test,
 
 def test_zero_is_not_normal(gf4096):
     assert not is_normal(gf4096, gf4096.zero)
+    # at n = 1 every nonzero element is normal, but not zero, whose log a
+    # tabled field's conjugate table could not hold
+    ctx = FiniteField(2, 4, "a^4 + a + 1", frobenius_power=0)
+    assert [is_normal(ctx, x) for x in ctx.elements()] == [False] + [True] * 15
 
 
 def test_one_is_not_normal_for_nontrivial_sigma(gf4096):
@@ -310,6 +315,15 @@ def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
                 for table, generic in tables:
                     assert ctx.conjugate_sums(table, vec, count, offset) == \
                         FieldContext.conjugate_sums(ctx, generic, vec, count, offset)
+    # the evaluation matrix and the parity-check columns read C(alpha)'s
+    # entries straight: they equal the conjugate sums of x^i and e_j
+    units = [[ctx.one if k == i else ctx.zero for k in range(i + 1)] for i in range(n)]
+    for r in (0, 2):
+        code = build_code(ctx, code.alpha, r, code.delta)
+        assert evaluation_matrix(code).rows == [evaluate(code, x, n, 0) for x in units]
+        assert parity_check_columns(code) == [
+            ctx.conjugate_sums(code.conj_table, [v.raw for v in e], code.delta - 1, r)
+            for e in units]
 
 
 @pytest.fixture(scope="module")
@@ -378,18 +392,25 @@ def test_build_walks_each_beta_root_once(all_codes, name, monkeypatch):
     # root_lclm twists the product once per root step.  g and h share
     # every root of g but m = 0, so a build takes n steps when 0 is one of
     # g's roots and delta < n, and n - 1 otherwise: at delta = n, g is
-    # already the lclm of every root but r - 1
+    # already the lclm of every root but r - 1.  Each step's S and the one
+    # lambda are each one conjugate sum over the code's table
     code = _f8z_code() if name == "f8z" else all_codes[name]
     ctx, n = code.ctx, code.n
-    calls = []
+    calls, sums = [], []
     monkeypatch.setattr("skewrs.codes.poly_twist",
                         lambda *a: calls.append(a) or fields.poly_twist(*a))
+    conjugate_sums = ctx.conjugate_sums
+    monkeypatch.setattr(ctx, "conjugate_sums",
+                        lambda *a: sums.append(a) or conjugate_sums(*a))
     for r in (0, 2):
         for delta in (2, n - 1, n):
             calls.clear()
-            build_code(ctx, code.alpha, r, delta)
+            sums.clear()
+            built = build_code(ctx, code.alpha, r, delta)
             shared_zero = delta < n and 0 in {(r + i) % n for i in range(delta - 1)}
             assert len(calls) == (n if shared_zero else n - 1)
+            assert len(sums) == len(calls) + 1
+            assert all(table is built.conj_table and count == 1 for table, _, count, _ in sums)
 
 
 @pytest.mark.parametrize("p, degree, modulus, power, count", [
@@ -409,6 +430,20 @@ def test_is_normal_agrees_with_the_rank_of_the_conjugate_matrix(p, degree, modul
     for alpha in normal:
         code = build_code(ctx, alpha, 0, 2)
         assert code.dual_table == ctx.conjugate_table([v.raw for v in dual_conjugates(code)])
+
+
+@pytest.mark.parametrize("name", ["rational", "f8z", "cyclotomic"])
+def test_is_normal_agrees_with_the_rank_over_infinite_fields(all_contexts, name):
+    # 0, 1, the generator, generator + 1, its square and random elements,
+    # over F_4(z), F_8(z) (sigma(z) = 1/(z + a), n = 9) and Q(chi_7)
+    ctx = _f8z_code().ctx if name == "f8z" else all_contexts[name]
+    rng = rng_for(f"is-normal-{name}")
+    a = ctx.generator
+    elements = [ctx.zero, ctx.one, a, a + ctx.one, a * a] + \
+        [ctx.random_element(rng) for _ in range(8)]
+    verdicts = [is_normal(ctx, x) for x in elements]
+    assert verdicts == [is_normal_by_rank(ctx, x) for x in elements]
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("name", ["f8z", "cyclotomic"])
@@ -478,7 +513,8 @@ def test_dual_support_of_a_root_lclm_over_f8z_is_its_roots():
     n = code.n
     for count in range(1, 6):
         for start in range(n):
-            f = SkewPolynomial.from_raw(ctx, root_lclm(ctx, code.conj, range(start, start + count)))
+            roots = range(start, start + count)
+            f = SkewPolynomial.from_raw(ctx, root_lclm(ctx, code.conj_table, roots))
             for offset in (0, 4):
                 assert dual_support(code, f, offset) == sorted(
                     (start + k - offset) % n for k in range(count))

@@ -14,7 +14,8 @@ right evaluation at a beta-root is one sum over the conjugates
 sigma^k(alpha), times one inverse conjugate.  The code keeps the raw
 conjugates and their inverses, k < n, and two tables that the field
 context prepares once and sums over on raw values (``ctx.conjugate_table``
-and ``ctx.conjugate_sums``; a tabled finite field sums in the log domain):
+and ``ctx.conjugate_sums``; a tabled finite field sums in the log domain,
+and F_q(z) over GF(2^d) by packed F_q[z] products):
 of the conjugates, and of the trace-dual conjugates below.  The tables are
 unscaled: a sum is u_k = sum_i vec_i * sigma^(k+i)(alpha), and the
 evaluation at sigma^k(beta) is ``conj_inv[k] * u_k``, which ``evaluate``,
@@ -127,7 +128,7 @@ def is_normal(ctx, alpha):
     """True when the sigma-conjugates of alpha form a basis over the
     invariant subfield (its n beta-roots are independent)."""
     require_context(ctx, (alpha,))
-    if not alpha:   # a tabled field's conjugate table holds logs: zero has none
+    if not alpha:   # a tabled field's conjugate table refuses zero, which has no log
         return False
     table = ctx.conjugate_table([ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)])
     try:

@@ -17,7 +17,8 @@ values through one small protocol, with the same names everywhere:
 
     add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  add_product(a, c, b)
     sigma_raw(u, k)  add_scaled(acc, c, src, shift)  kernel_rows(low, count)
-    conjugate_table(values)  conjugate_sums(table, vec, count, offset)
+    poly_sums(terms, polys, starts)  conjugate_table(values)
+    conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
 
 with the constants ``zero_raw``, ``one_raw`` and ``generator_raw``, and
@@ -40,6 +41,21 @@ rows sigma^i(low), i < count, of ``codes.dual_support``'s recurrence and
 end factors for w: the twists and no factors, but over F_q(z), which
 clears low once and twists the cleared row, so w stays in F_q[z].
 
+``poly_sums(terms, polys, starts)`` is, for each s in starts, the sum of
+u * polys[s + i] over the pairs (i, u) of terms, all polynomials over a
+context with sigma = id: F_q[z], for F_q(z)'s conjugate sums.  The generic
+version is schoolbook, one add_scaled per coefficient.  A field of
+characteristic 2 packs it by Kronecker substitution (von zur Gathen &
+Gerhard, Modern Computer Algebra, 8.4): over F_2 a polynomial in z with
+GF(2^d) coefficients is one in a and z, and bit e of the z^j coefficient
+goes to slot (2d - 1) * j + e of an integer, one slot b bits wide.  Each
+operand is packed once per call; an output is one integer sum of
+products, whose slot counts are at most terms * min length * d, fewer
+than 2^b, so no slot carries into the next and each count's low bit is
+its coefficient.  The parities are folded by the modulus (a^e for e >= d)
+and read back to raw tuples, and only then tested for zero: an unfolded
+nonzero can be a multiple of the modulus.
+
 F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
 already in lowest terms, because as binary forms of degree m num and den
@@ -54,14 +70,16 @@ of the trace dual's), or, from ``conjugate_zeros``, only whether each is
 zero.  The evaluation at sigma^k(beta) is sigma^k(alpha)^(-1) * u_k, one
 more product, for the caller to take.  The generic versions run on
 add_product; a tabled field of characteristic 2 keeps the values'
-discrete logs and XORs its terms in the log domain.  F_q(z) keeps the
+discrete logs and XORs its terms in the log domain, and refuses a zero
+value, which has no log.  F_q(z) keeps the
 values over the lcm of their denominators and clears vec to the lcm of
-its own once per call, one gcd per distinct denominator after the first;
-an output is then a sum of F_q[z] products and costs one more gcd, a
-zero test none.  Q(chi) accumulates each output's integer cyclic
-convolutions over a common denominator with ``_accumulate`` and reduces it
-once; its zero test reduces nothing, as a sum is zero exactly when the
-accumulated length-m vector has equal entries.
+its own once per call, one gcd per distinct denominator other than one
+after the first; an output is then a sum of F_q[z] products, the base's
+``poly_sums``, and costs one more gcd, a zero test none.  Q(chi)
+accumulates each output's integer cyclic convolutions over a common
+denominator with ``_accumulate`` and reduces it once; its zero test
+reduces nothing, as a sum is zero exactly when the accumulated length-m
+vector has equal entries.
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -319,9 +337,30 @@ class FieldContext:
         the rows are the twists themselves."""
         return [poly_twist(self, low, i) for i in range(count)], None
 
+    def poly_sums(self, terms, polys, starts):
+        """For each s in starts, sum_(i, u) u * polys[s + i] over the pairs
+        of terms: sums of products of polynomials over this context with
+        sigma = id (F_q[z] for a base field), as trimmed raw tuples.  Here
+        schoolbook, one add_scaled per coefficient of the shorter factor."""
+        zero, add_scaled = self.zero_raw, self.add_scaled
+        width = max((len(u) for _, u in terms), default=0) + max(map(len, polys)) - 1
+        out = []
+        for s in starts:
+            acc = [zero] * width
+            for i, u in terms:
+                c = polys[s + i]
+                if len(c) < len(u):
+                    c, u = u, c
+                for j, a in enumerate(u):
+                    if a != zero:
+                        add_scaled(acc, a, c, j)
+            out.append(poly_trim(self, acc))
+        return out
+
     def conjugate_table(self, values):
         """What ``conjugate_sums`` reads: the n raw values c_k, here twice
-        over (so no index wraps)."""
+        over (so no index wraps).  The values are nonzero, as the conjugates
+        of a normal element and of its trace dual are."""
         return list(values) * 2
 
     def conjugate_sums(self, table, vec, count, offset):
@@ -628,11 +667,61 @@ class FiniteField(FieldContext):
             if b:
                 acc[j] ^= exp[lc + log[b]]
 
+    def poly_sums(self, terms, polys, starts):
+        if self.char != 2 or not terms:
+            return super().poly_sums(terms, polys, starts)
+        # Kronecker substitution: over F_2, bit e of the z^j coefficient
+        # goes to slot j*w + e, b bits wide, with w = 2d - 1 slots per
+        # coefficient for the a-degree 2d - 2 of a product.  An integer
+        # product counts in each slot the bit products that land there, at
+        # most min(ulen, plen) * d per term: b bits hold the sum's counts
+        # with no carry, and each count's low bit is its F_2 coefficient
+        d, w = self.degree, 2 * self.degree - 1
+        ulen = max([len(u) for _, u in terms])
+        plen = max(map(len, polys))
+        b = (len(terms) * min(ulen, plen) * d).bit_length() or 1
+        gap = "0" * (b - 1)
+
+        def pack(poly):
+            # w bits to a coefficient, then bit k moved up to bit k * b
+            v = 0
+            for c in reversed(poly):
+                v = v << w | c
+            return int(gap.join(bin(v)[2:]), 2)
+
+        packed = {}
+        terms = [(i, pack(u)) for i, u in terms]
+        modulus, mask = self._adeg | 1 << d, (1 << w) - 1
+        lows = ((1 << w * (ulen + plen)) - 1) // mask     # bit 0 of each coefficient
+        out = []
+        for s in starts:
+            acc = 0
+            for i, u in terms:
+                poly = polys[s + i]
+                p = packed.get(poly)
+                if p is None:
+                    p = packed[poly] = pack(poly)
+                acc += u * p
+            digits = format(acc, "b")
+            # every b-th digit up from the lowest is a slot's parity: c
+            # holds w bits to a coefficient again
+            c = int(digits[(len(digits) - 1) % b::b], 2)
+            # a^e = a^(e-d) * modulus + lower terms, top down: modulus times
+            # bit e of each coefficient, shifted up by e - d, clears it
+            for e in range(2 * d - 2, d - 1, -1):
+                high = (c >> e) & lows
+                if high:
+                    c ^= (high * modulus) << (e - d)
+            # zero only now: an unfolded nonzero can be a multiple of the modulus
+            out.append(tuple([(c >> x) & mask for x in range(0, c.bit_length(), w)]))
+        return out
+
     def conjugate_table(self, values):
         if self._exp is None or self.char != 2:
             return super().conjugate_table(values)
-        # the conjugates of a nonzero alpha (``codes`` refuses zero before
-        # it makes a table) and of its trace dual are nonzero: all have logs
+        # the values' logs; zero has none (log[0] is 0, the log of one)
+        if 0 in values:
+            raise FieldError("a conjugate table takes nonzero values: zero has no discrete log")
         log = self._log
         return [log[c] for c in values] * 2
 
@@ -815,8 +904,8 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n.  At n = 17 a build takes 52 to 55 ms over
-    F_16(z) and 32 to 34 ms over F_17(z), at every delta (best of five,
+    whose degrees grow with n.  At n = 17 a build takes 52 to 60 ms over
+    F_16(z) and 32 to 36 ms over F_17(z), at every delta (best of five,
     in-process, Python 3.11 on a 2-vCPU host).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum
@@ -829,7 +918,12 @@ class RationalFunctions(FieldContext):
     serves sigma and ``kernel_rows``, which clears its low coefficients
     once and substitutes the cleared row.  Clearing them, or a conjugate
     sum's word, to the lcm of the denominators costs one gcd per distinct
-    denominator after the first.
+    denominator other than one after the first.  The conjugate sums are
+    then sums of F_q[z] products, the base's ``poly_sums``: over GF(2^d)
+    each operand is packed once per call into an integer, 2d - 1 slots of
+    b bits per z-coefficient, with b the bit length of terms * min length
+    * d, the most bit products a slot can count; over odd p they are
+    schoolbook.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -994,10 +1088,11 @@ class RationalFunctions(FieldContext):
         # the numerators over the lcm L of the nonzero fractions' distinct
         # denominators, and L: L grows by d / gcd(L, d), one gcd per
         # denominator after the first, and each numerator is multiplied by
-        # L/d, one exact division per denominator
+        # L/d, one exact division per denominator; a denominator of one
+        # takes neither, as it divides L with L itself for quotient
         base = self.base
         cofactors = dict.fromkeys(d for num, d in fracs if num)
-        dens = iter(cofactors)
+        dens = (d for d in cofactors if d != (1,))
         den = next(dens, (1,))
         for d in dens:
             g = poly_gcrd(base, den, d)
@@ -1005,7 +1100,7 @@ class RationalFunctions(FieldContext):
         if len(cofactors) < 2:
             return [num for num, _ in fracs], den
         for d in cofactors:
-            cofactors[d] = poly_divmod(base, den, d)[0]
+            cofactors[d] = poly_divmod(base, den, d)[0] if d != (1,) else den
         return [poly_mul(base, num, cofactors[d]) if num else () for num, d in fracs], den
 
     def kernel_rows(self, low, count):
@@ -1046,38 +1141,24 @@ class RationalFunctions(FieldContext):
 
     def _numerator_sums(self, table, vec, count, offset):
         # with vec over one denominator V, sum_i vec_i * c_(k+i) is a sum of
-        # F_q[z] products over V * D: returns V * D and, per output, that
-        # numerator (untrimmed)
-        nums, den = table
+        # F_q[z] products over V * D, the base's poly_sums: returns V and,
+        # per output, that numerator
+        nums = table[0]
         n = len(nums) // 2
-        base = self.base
-        add_scaled = base.add_scaled
         terms = [i for i, v in enumerate(vec) if v[0]]
         cleared, vden = self._over_one_denominator([vec[i] for i in terms])
-        width = max(map(len, cleared), default=0) + max(map(len, nums)) - 1
-        out = []
-        for k in range(offset, offset + count):
-            k %= n
-            acc = [0] * width
-            for i, u in zip(terms, cleared):
-                c = nums[k + i]
-                if len(c) < len(u):
-                    c, u = u, c
-                for j, a in enumerate(u):
-                    if a:
-                        add_scaled(acc, a, c, j)
-            out.append(acc)
-        return poly_mul(base, vden, den), out
+        starts = [k % n for k in range(offset, offset + count)]
+        return vden, self.base.poly_sums(list(zip(terms, cleared)), nums, starts)
 
     def conjugate_sums(self, table, vec, count, offset):
         # each output pays for one gcd, in _make
-        base = self.base
-        den, sums = self._numerator_sums(table, vec, count, offset)
-        return [self._make(poly_trim(base, acc), den) for acc in sums]
+        vden, sums = self._numerator_sums(table, vec, count, offset)
+        den = poly_mul(self.base, vden, table[1])
+        return [self._make(num, den) for num in sums]
 
     def conjugate_zeros(self, table, vec, count, offset):
         # a sum is zero exactly when its numerator is: no gcd past clearing vec
-        return [not any(acc) for acc in self._numerator_sums(table, vec, count, offset)[1]]
+        return [not num for num in self._numerator_sums(table, vec, count, offset)[1]]
 
     # -- context API ---------------------------------------------------------
 

@@ -185,14 +185,14 @@ def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
 
 def test_rational_sums_reduce_once_per_output(code_rf, monkeypatch):
     # clearing vec to the lcm of its distinct denominators pays one gcd per
-    # denominator after the first; then each nonzero output pays one, in
-    # _make, not one per term, and a zero output none
+    # denominator after the first, and none for one; then each nonzero
+    # output pays one, in _make, not one per term, and a zero output none
     ctx, n = code_rf.ctx, code_rf.n
     rng = rng_for("rf-sums-gcd")
     words = [[ctx.random_nonzero(rng, 2, 2).raw for _ in range(n)] for _ in range(4)]
     calls = _counted_gcrd(monkeypatch)
     for vec in words:
-        clearing = len({den for _, den in vec}) - 1
+        clearing = max(len({den for _, den in vec} - {(1,)}) - 1, 0)
         for offset in range(n):
             for count in range(1, n + 1):
                 calls.clear()
@@ -1018,3 +1018,109 @@ def test_equal_elements_of_two_equal_contexts_hash_equal(gf4096):
         u, v = gf4096.element(raw), other.element(raw)
         assert u == v and hash(u) == hash(v)
     assert len({gf4096.generator, other.generator, gf4096.one, other.one}) == 2
+
+
+# -- packed F_2^d[z] sums -----------------------------------------------------------
+
+# GF(2), and every irreducible modulus of characteristic 2 that a field in
+# these tests is built on
+CHAR2_MODULI = ["a + 1", "a^2 + a + 1", "a^3 + a + 1", "a^3 + a^2 + 1", "a^4 + a + 1",
+                "a^4 + a^3 + 1", "a^4 + a^3 + a^2 + a + 1", "a^5 + a^2 + 1", "a^6 + a + 1",
+                "a^8 + a^4 + a^3 + a + 1", "a^8 + a^4 + a^3 + a^2 + 1", GF4096_MODULUS,
+                "a^16 + a^12 + a^3 + a + 1", "a^20 + a^3 + 1", "a^64 + a^4 + a^3 + a + 1"]
+
+
+def _char2_field(modulus):
+    degree = int(modulus.split()[0].partition("^")[2] or 1)
+    return FiniteField(2, degree, modulus, frobenius_power=0)
+
+
+CHAR2_FIELDS = {modulus: _char2_field(modulus) for modulus in CHAR2_MODULI}
+
+
+def _schoolbook_sums(ctx, terms, polys, starts):
+    return skewrs.fields.FieldContext.poly_sums(ctx, terms, polys, starts)
+
+
+@st.composite
+def poly_sum_cases(draw):
+    """A char-2 field and a poly_sums call on it: table polynomials, some
+    zero, terms at distinct offsets, unequal lengths, coefficients biased
+    to all ones (the largest slot counts) and starts, repeats allowed."""
+    ctx = CHAR2_FIELDS[draw(st.sampled_from(CHAR2_MODULI))]
+    coeff = st.one_of(st.just(ctx.size - 1), st.just(0), st.integers(0, ctx.size - 1))
+    poly = st.lists(coeff, max_size=9).map(lambda c: poly_trim(ctx, c))
+    n = draw(st.integers(1, 5))
+    polys = draw(st.lists(poly, min_size=n, max_size=n)) * 2
+    offsets = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    terms = [(i, draw(poly)) for i in offsets]
+    starts = draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
+    return ctx, terms, polys, starts
+
+
+@settings(max_examples=400, deadline=None)
+@given(poly_sum_cases())
+def test_packed_poly_sums_equal_the_schoolbook_route(case):
+    ctx, terms, polys, starts = case
+    assert ctx.poly_sums(terms, polys, starts) == _schoolbook_sums(ctx, terms, polys, starts)
+
+
+def _slot_boundary_cases():
+    # all-ones operands of length L, T terms: the slot of z^(L-1) * a^(d-1)
+    # counts T * L * d bit products, the bound the slot width is taken
+    # from; here that count is 2^k - 1 (k bits hold it) or 2^k (k + 1 bits)
+    moduli = {1: "a + 1", 2: "a^2 + a + 1", 3: "a^3 + a + 1", 4: "a^4 + a + 1",
+              8: "a^8 + a^4 + a^3 + a + 1"}
+    for k in range(1, 9):
+        for count in (2 ** k - 1, 2 ** k):
+            for d, modulus in moduli.items():
+                if count % d == 0:
+                    terms = math.gcd(count // d, 4)
+                    yield modulus, terms, count // d // terms
+
+
+@pytest.mark.parametrize("modulus, terms, length", list(_slot_boundary_cases()))
+def test_packed_poly_sums_at_each_slot_width_boundary(modulus, terms, length):
+    ctx = CHAR2_FIELDS[modulus]
+    ones = (ctx.size - 1,) * length
+    cases = [[(i, ones) for i in range(terms)], [(i, ones[:1]) for i in range(terms)]]
+    for case in cases:
+        polys = [ones] * (2 * terms)
+        starts = list(range(terms))
+        assert ctx.poly_sums(case, polys, starts) == _schoolbook_sums(ctx, case, polys, starts)
+
+
+@pytest.mark.parametrize("modulus", CHAR2_MODULI[1:])
+def test_packed_poly_sums_fold_a_multiple_of_the_modulus_to_zero(modulus):
+    # a^(d-1) * a^(j+1) + r * a^j, with the modulus a^d + r, is a^j times
+    # the modulus before it is folded: zero, and in the top coefficient of
+    # a longer sum, a sum one coefficient shorter
+    ctx = CHAR2_FIELDS[modulus]
+    d = ctx.degree
+    rest = sum(c << i for i, c in enumerate(ctx.modulus[:d]))
+    for j in range(d - 1):
+        terms = [(0, (1 << (d - 1),)), (1, (rest,))]
+        polys = [(1 << (j + 1),), (1 << j,)] * 2
+        assert ctx.poly_sums(terms, polys, [0]) == [()]
+        terms = [(0, (1, 1 << (d - 1))), (1, (0, 0, rest))]
+        polys = [(0, 1 << (j + 1)), (1 << j,)] * 2
+        assert ctx.poly_sums(terms, polys, [0]) == [(0, 1 << (j + 1))]
+        assert _schoolbook_sums(ctx, terms, polys, [0]) == [(0, 1 << (j + 1))]
+
+
+@pytest.mark.parametrize("p, degree, modulus", [(2, 4, "a^4 + a + 1"),
+                                                (2, 12, GF4096_MODULUS)])
+def test_a_tabled_conjugate_table_refuses_a_zero_value(p, degree, modulus):
+    # the tabled table holds discrete logs, and zero has none: a zero value
+    # is refused rather than summed as one (log 0 would read as log 1)
+    ctx = FiniteField(p, degree, modulus)
+    assert ctx._exp is not None
+    values = [ctx.generator_raw, 1, ctx.sigma_raw(ctx.generator_raw)]
+    for at in range(len(values) + 1):
+        with pytest.raises(FieldError, match="nonzero values"):
+            ctx.conjugate_table(values[:at] + [0] + values[at:])
+    table = ctx.conjugate_table(values)
+    generic = skewrs.fields.FieldContext.conjugate_table(ctx, values)
+    for vec in ([1], [0, 1], [1, 1, 1], [ctx.generator_raw, 0, 1]):
+        assert ctx.conjugate_sums(table, vec, 3, 1) == \
+            skewrs.fields.FieldContext.conjugate_sums(ctx, generic, vec, 3, 1)

@@ -518,6 +518,40 @@ def test_convolutional_reports_equal_the_reduced_route(monkeypatch):
         assert [decode(reference, y).to_text(ctx) for y in words] == texts
 
 
+# name: (base field, Moebius coefficients, delta, words per weight)
+PACKED_SUM_CODES = {
+    "f4z": ((2, 2, "a^2 + a + 1"), ("1", "a", "1", "a^2"), 5, 6),
+    "gf9z": ((3, 2, "a^2 + 1"), ("1", "a", "1", "0"), 5, 6),
+    "f8z-delta5": ((2, 3, "a^3 + a + 1"), ("0", "1", "1", "a"), 5, 4),
+    "f8z-delta7": ((2, 3, "a^3 + a + 1"), ("0", "1", "1", "a"), 7, 4),
+    "f16z": ((2, 4, "a^4 + a + 1"), ("0", "1", "1", "a"), 5, 2),
+}
+
+
+@pytest.mark.parametrize("name", PACKED_SUM_CODES)
+def test_packed_sums_keep_the_builds_and_reports(name, monkeypatch):
+    # seeded words of weight t and t+1 decode to the same text, and the
+    # code builds to the same generator and tables, when the base field's
+    # poly_sums is the schoolbook default: F_4(z), F_8(z) with n = 9 and
+    # F_16(z) with n = 17 pack their conjugate sums; GF(9)(z) takes the
+    # default either way
+    (p, degree, modulus), mobius, delta, per_weight = PACKED_SUM_CODES[name]
+    ctx = RationalFunctions(FiniteField(p, degree, modulus, frobenius_power=0), mobius)
+    alpha = ctx.generator if p == 2 else find_normal_element(ctx)
+    code = build_code(ctx, alpha, 0, delta)
+    rng = rng_for(f"packed-sums-{name}")
+    words = [make_received(code, random_poly(ctx, rng, code.dimension - 1),
+                           random_error(code, rng, weight))
+             for weight in (code.t, code.t + 1) for _ in range(per_weight)]
+    texts = [decode(code, y).to_text(ctx) for y in words]
+    assert any("branch = echelon" in text for text in texts)
+    monkeypatch.setattr(FiniteField, "poly_sums", FieldContext.poly_sums)
+    reference = build_code(ctx, alpha, 0, delta)
+    assert (reference.g, reference.conj_table, reference.dual_table) == \
+        (code.g, code.conj_table, code.dual_table)
+    assert [decode(reference, y).to_text(ctx) for y in words] == texts
+
+
 @pytest.mark.parametrize("name", ["rational", "cyclotomic"])
 def test_decode_takes_no_product_for_s_transpose_or_the_pivots(all_codes, name, monkeypatch):
     # F_4(z) and Q(chi_7), seeded words of weight 1..t+1: the rows of S^T

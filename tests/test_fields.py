@@ -6,7 +6,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import skewrs
 from skewrs import (CyclotomicField, Element, FieldError, FiniteField,
@@ -1058,17 +1058,26 @@ def poly_sum_cases(draw):
     return ctx, terms, polys, starts
 
 
+def _all_ones_case(modulus, terms, length):
+    # T terms and table entries of L all-ones coefficients: the slot of
+    # z^(L-1) * a^(d-1) counts T * L * d bit products, the slot bound itself
+    ctx = CHAR2_FIELDS[modulus]
+    ones = (ctx.size - 1,) * length
+    return ctx, [(i, ones) for i in range(terms)], [ones] * (2 * terms), list(range(terms))
+
+
 @settings(max_examples=400, deadline=None)
 @given(poly_sum_cases())
+@example(_all_ones_case("a + 1", 1, 4))
+@example(_all_ones_case("a^2 + a + 1", 2, 4))
 def test_packed_poly_sums_equal_the_schoolbook_route(case):
     ctx, terms, polys, starts = case
     assert ctx.poly_sums(terms, polys, starts) == _schoolbook_sums(ctx, terms, polys, starts)
 
 
 def _slot_boundary_cases():
-    # all-ones operands of length L, T terms: the slot of z^(L-1) * a^(d-1)
-    # counts T * L * d bit products, the bound the slot width is taken
-    # from; here that count is 2^k - 1 (k bits hold it) or 2^k (k + 1 bits)
+    # all-ones cases whose largest slot count T * L * d is 2^k - 1 (k bits
+    # hold it) or 2^k (k + 1 bits)
     moduli = {1: "a + 1", 2: "a^2 + a + 1", 3: "a^3 + a + 1", 4: "a^4 + a + 1",
               8: "a^8 + a^4 + a^3 + a + 1"}
     for k in range(1, 9):
@@ -1081,12 +1090,8 @@ def _slot_boundary_cases():
 
 @pytest.mark.parametrize("modulus, terms, length", list(_slot_boundary_cases()))
 def test_packed_poly_sums_at_each_slot_width_boundary(modulus, terms, length):
-    ctx = CHAR2_FIELDS[modulus]
-    ones = (ctx.size - 1,) * length
-    cases = [[(i, ones) for i in range(terms)], [(i, ones[:1]) for i in range(terms)]]
-    for case in cases:
-        polys = [ones] * (2 * terms)
-        starts = list(range(terms))
+    ctx, full, polys, starts = _all_ones_case(modulus, terms, length)
+    for case in (full, [(i, u[:1]) for i, u in full]):
         assert ctx.poly_sums(case, polys, starts) == _schoolbook_sums(ctx, case, polys, starts)
 
 

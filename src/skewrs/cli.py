@@ -40,23 +40,18 @@ from .worked_examples import run_example
 
 @dataclass
 class TrialStats:
-    trials: int = 0
-    successes: int = 0
-    failures: int = 0
     echelon_branch_count: int = 0
-    per_weight: dict = field(default_factory=dict)
+    per_weight: dict = field(default_factory=dict)   # weight -> (trials, successes)
     wall_time: float = 0.0
 
+    trials = property(lambda self: sum(n for n, _ in self.per_weight.values()))
+    successes = property(lambda self: sum(s for _, s in self.per_weight.values()))
+    failures = property(lambda self: self.trials - self.successes)
+
     def record(self, weight, ok, echelon):
-        self.trials += 1
-        t, s = self.per_weight.get(weight, (0, 0))
-        self.per_weight[weight] = (t + 1, s + (1 if ok else 0))
-        if ok:
-            self.successes += 1
-        else:
-            self.failures += 1
-        if echelon:
-            self.echelon_branch_count += 1
+        n, s = self.per_weight.get(weight, (0, 0))
+        self.per_weight[weight] = (n + 1, s + ok)
+        self.echelon_branch_count += echelon
 
     def render(self):
         lines = [f"trials = {self.trials}",

@@ -32,9 +32,14 @@ digit.  No second syndrome pass is needed: g is the lclm of
 x - sigma^(r+i)(beta) for 0 <= i <= delta-2 and 2t <= delta-1, so g
 right-dividing the word already makes every syndrome vanish.
 
-Elements, rho and the message are built once, for the ``DecodeReport``;
-the public stage functions run the same raw kernels on Elements, and take
-and give syndromes s, turning them into sums u where a kernel reads u.
+``decode`` builds its ``DecodeReport`` first and each stage writes its
+result into it, each Element built once.  A ValueError from any stage is
+the one failure exit: the report comes back with what the earlier stages
+wrote and "<stage> failed: <reason>".  Too many positions and a nonzero
+verify remainder keep their own text; "value solve failed" guards a
+system that a normal alpha makes nonsingular.  The public stage functions
+run the same raw kernels on Elements, and take and give syndromes s,
+turning them into sums u where a kernel reads u.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ BRANCH_ECHELON = "echelon"
 @dataclass
 class DecodeReport:
     syndromes: list
-    branch: Optional[str]      # None when decoding stopped before a branch
+    branch: Optional[str]      # None until one is taken; echelon if its search fails
     mu: int = 0
     rho: Optional[SkewPolynomial] = None
     positions: list = field(default_factory=list)
@@ -157,7 +162,7 @@ def extract_rho(st):
     return mu, SkewPolynomial.from_raw(ctx, rho)
 
 
-class LocateFailure(Exception):
+class LocateFailure(ValueError):
     pass
 
 
@@ -204,56 +209,50 @@ def error_values(code, positions, s):
 
 
 def decode(code, y):
-    """Full decode of a received word; never returns a wrong answer on a
-    path that passes verification, and never raises on a malformed word."""
+    """Decode y into a report filled stage by stage (see above); never
+    raises, and reports ok only for a corrected word the verify passes."""
     try:
         vec = _as_vector(code, y)
     except (TypeError, ValueError) as exc:
         return DecodeReport(syndromes=[], branch=None,
                             failure=f"invalid received word: {exc}")
     ctx, t = code.ctx, code.t
-    raw = [v.raw for v in vec]
-    u = ctx.conjugate_sums(code.conj_table, raw, 2 * t, code.r)
-    s = [Element(ctx, v) for v in evaluations(code, u, code.r)]
-
-    def fail(reason, branch, **kw):
-        return DecodeReport(syndromes=s, branch=branch, failure=reason, **kw)
-
-    mu, rho, positions, values, branch = 0, None, [], [], BRANCH_ALL_ZERO
-    corrected = raw
-    if any(v != ctx.zero_raw for v in u):
-        try:
-            mu, rho = _locator_seed(ctx, _syndrome_columns(code, u))
-        except ValueError as exc:
-            return fail(f"locator extraction failed: {exc}", None)
-        rho = SkewPolynomial.from_raw(ctx, rho)
-        try:
-            positions, branch = locate_positions(code, mu, rho)
-        except LocateFailure as exc:
-            return fail(f"position search failed: {exc}", BRANCH_ECHELON,
-                        mu=mu, rho=rho)
-        nu = len(positions)
-        if nu > t:
-            return fail(f"{nu} candidate error positions exceed capability t={t}",
-                        branch, mu=mu, rho=rho, positions=positions)
-        try:
-            raw_values = _error_values(code, positions, u)
-        except ValueError as exc:
-            return fail(f"value solve failed: {exc}", branch, mu=mu, rho=rho,
-                        positions=positions)
-        values = [Element(ctx, v) for v in raw_values]
-        corrected = list(raw)
-        for k, v in zip(positions, raw_values):
-            corrected[k] = ctx.add(raw[k], ctx.neg(v))
-    q, rem = left_divide(code, corrected)
+    raw = corrected = [v.raw for v in vec]
+    report, stage = DecodeReport(syndromes=[], branch=None), "syndromes"
+    try:
+        u = ctx.conjugate_sums(code.conj_table, raw, 2 * t, code.r)
+        report.syndromes = [Element(ctx, v) for v in evaluations(code, u, code.r)]
+        if not any(v != ctx.zero_raw for v in u):
+            report.branch = BRANCH_ALL_ZERO
+        else:
+            stage = "locator extraction"
+            report.mu, rho = _locator_seed(ctx, _syndrome_columns(code, u))
+            report.rho = SkewPolynomial.from_raw(ctx, rho)
+            stage = "position search"
+            report.positions, report.branch = locate_positions(code, report.mu, report.rho)
+            nu = len(report.positions)
+            if nu > t:
+                report.failure = f"{nu} candidate error positions exceed capability t={t}"
+                return report
+            stage = "value solve"
+            raw_values = _error_values(code, report.positions, u)
+            report.values = [Element(ctx, v) for v in raw_values]
+            corrected = list(raw)
+            for k, v in zip(report.positions, raw_values):
+                corrected[k] = ctx.add(raw[k], ctx.neg(v))
+        stage = "verify"
+        q, rem = left_divide(code, corrected)
+    except ValueError as exc:
+        if isinstance(exc, LocateFailure):   # raised on the echelon branch only
+            report.branch = BRANCH_ECHELON
+        report.failure = f"{stage} failed: {exc}"
+        return report
     if rem:
-        return fail("generator does not divide the corrected word", branch,
-                    mu=mu, rho=rho, positions=positions, values=values)
-    err = [ctx.zero] * code.n
-    codeword = list(vec)
-    for k, v in zip(positions, values):
-        err[k] = v
-        codeword[k] = Element(ctx, corrected[k])
-    return DecodeReport(syndromes=s, mu=mu, rho=rho, branch=branch,
-                        positions=positions, values=values, error=err,
-                        codeword=codeword, message=SkewPolynomial.from_raw(ctx, q))
+        report.failure = "generator does not divide the corrected word"
+        return report
+    report.error, report.codeword = [ctx.zero] * code.n, list(vec)
+    for k, v in zip(report.positions, report.values):
+        report.error[k] = v
+        report.codeword[k] = Element(ctx, corrected[k])
+    report.message = SkewPolynomial.from_raw(ctx, q)
+    return report

@@ -448,6 +448,46 @@ def test_each_reachable_failure_reason_keeps_its_report(gf16, delta, word, lines
     assert decode_by_stages(code, y).to_text(gf16) == text
 
 
+# each stage that can raise, its report prefix, and the report fields that
+# the stages before it write
+PLANTED_STAGES = [("_locator_seed", "locator extraction", ()),
+                  ("locate_positions", "position search", ("mu", "rho")),
+                  ("_error_values", "value solve", ("mu", "rho", "branch", "positions"))]
+
+
+@pytest.mark.parametrize("error", [ValueError, FieldError])
+@pytest.mark.parametrize("name, stage, kept", PLANTED_STAGES,
+                         ids=[name for name, _, _ in PLANTED_STAGES])
+@pytest.mark.parametrize("code_name", ["gf4096", "rational", "cyclotomic"])
+def test_a_fault_planted_in_a_stage_returns_its_report(all_codes, code_name, name, stage,
+                                                       kept, error, monkeypatch):
+    code = all_codes[code_name]
+    rng = rng_for(f"planted-{code_name}")
+    y = make_received(code, random_poly(code.ctx, rng, code.dimension - 1),
+                      random_error(code, rng, code.t))
+    clean = decode(code, y)
+    assert clean.ok
+
+    def planted(*args):
+        raise error("planted")
+
+    monkeypatch.setattr(pgz, name, planted)
+    report = decode(code, y)
+    earlier = {"branch": None, **{f: getattr(clean, f) for f in kept}}
+    assert report == pgz.DecodeReport(syndromes=clean.syndromes,
+                                      failure=f"{stage} failed: planted", **earlier)
+
+
+def test_locate_failure_is_a_value_error_raised_by_name(gf16):
+    assert issubclass(pgz.LocateFailure, ValueError)
+    # FAILURE_WORDS' position-search word: no canonical rows survive
+    code = build_code(gf16, gf16.generator ** 11, 0, 3)
+    y = [gf16.element(v) for v in (14, 2, 12, 15)]
+    mu, rho = pgz.extract_rho(build_syndrome_matrix(code, syndromes(code, y)))
+    with pytest.raises(pgz.LocateFailure, match="no canonical rows survive"):
+        locate_positions(code, mu, rho)
+
+
 # -- harness ----------------------------------------------------------------------
 
 def test_simulation_is_deterministic(code_gf):

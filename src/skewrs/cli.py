@@ -7,7 +7,7 @@ Verbs:
   encode         encode a message polynomial file against a bundle
   decode         decode a received word file, write the decode report
   simulate       seeded random-error trials with per-weight statistics
-  paper-example  replay a bundled worked example and check every
+  paper-example  decode a bundled worked example and check every
                  intermediate value
   oracle         the distance by parity-check minors and a generator check,
                  every error of weight <= t up to scale, seeded trials
@@ -340,7 +340,7 @@ def _parser():
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("paper-example", help="replay a bundled worked example")
+    p = sub.add_parser("paper-example", help="decode a bundled worked example and check it")
     p.add_argument("--which", type=int, choices=(1, 2, 3), required=True)
     p.set_defaults(func=cmd_paper_example)
 

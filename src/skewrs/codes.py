@@ -192,8 +192,11 @@ def evaluations(code, sums, offset):
 
 def evaluate(code, vec, count, offset):
     """Right evaluations of the word vec (coefficients lowest degree
-    first) at sigma^(offset+j)(beta) for 0 <= j < count."""
+    first) at sigma^(offset+j)(beta) for 0 <= j < count; vec has at most n
+    coefficients."""
     ctx = code.ctx
+    if len(vec) > code.n:
+        raise ValueError(f"a word has at most n = {code.n} coefficients, got {len(vec)}")
     require_context(ctx, vec)
     sums = ctx.conjugate_sums(code.conj_table, [v.raw for v in vec], count, offset)
     return [Element(ctx, v) for v in evaluations(code, sums, offset)]

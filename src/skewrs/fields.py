@@ -389,9 +389,9 @@ class FieldContext:
         require_context(self, (x,))
         return Element(self, self.sigma_raw(x.raw, k))
 
-    def random_nonzero(self, rng, *args):
+    def random_nonzero(self, rng):
         while True:
-            x = self.random_element(rng, *args)
+            x = self.random_element(rng)
             if x:
                 return x
 
@@ -1169,12 +1169,13 @@ class RationalFunctions(FieldContext):
         v = self._base_raw(c)
         return Element(self, ((v,) if v else (), (1,)))
 
-    def random_element(self, rng, num_degree=1, den_degree=1):
+    def random_element(self, rng):
+        """A fraction whose numerator and denominator have degree at most 1."""
         base = self.base
-        num = [rng.randrange(base.size) for _ in range(num_degree + 1)]
+        num = [rng.randrange(base.size) for _ in range(2)]
         den = ()
         while not den:
-            den = poly_trim(base, [rng.randrange(base.size) for _ in range(den_degree + 1)])
+            den = poly_trim(base, [rng.randrange(base.size) for _ in range(2)])
         return Element(self, self._make(poly_trim(base, num), den))
 
     def format(self, x):
@@ -1376,9 +1377,10 @@ class CyclotomicField(FieldContext):
     def from_int(self, k):
         return Element(self, ((k,) + (0,) * (self.dim - 1), 1))
 
-    def random_element(self, rng, height=4):
-        num = tuple(rng.randint(-height, height) for _ in range(self.dim))
-        return Element(self, self._make(num, rng.randint(1, height)))
+    def random_element(self, rng):
+        """Integer coordinates in [-4, 4] over a denominator in 1..4."""
+        num = tuple(rng.randint(-4, 4) for _ in range(self.dim))
+        return Element(self, self._make(num, rng.randint(1, 4)))
 
     def format(self, x):
         num, den = x.raw

@@ -202,7 +202,11 @@ def _error_values(code, positions, u):
 def error_values(code, positions, s):
     """Solve for the error values at the given positions from the leading
     syndromes; the conjugate matrix is nonsingular for distinct positions."""
-    ctx = code.ctx
+    ctx, n = code.ctx, code.n
+    if len(positions) > len(s):
+        raise ValueError(f"{len(positions)} positions need as many syndromes, got {len(s)}")
+    if not all(0 <= k < n for k in positions):
+        raise ValueError(f"error positions must lie in 0..{n - 1}")
     s = s[:len(positions)]
     require_context(ctx, s)
     return [Element(ctx, v) for v in _error_values(code, positions, _sums(code, s))]

@@ -534,6 +534,15 @@ def test_evaluate_is_right_evaluation_at_the_beta_roots(all_codes, name):
                 [right_eval(f, ctx.sigma(code.beta, k + j)) for j in range(n)]
 
 
+@pytest.mark.parametrize("name", ["gf4096", "rational", "cyclotomic"])
+def test_evaluate_refuses_a_word_longer_than_n(all_codes, name):
+    code = all_codes[name]
+    n = code.n
+    for length in (n + 1, n + 2, 2 * n + 1):
+        with pytest.raises(ValueError, match=f"at most n = {n} coefficients, got {length}"):
+            evaluate(code, [code.ctx.one] * length, n, 0)
+
+
 def test_min_distance_of_small_mds_codes(gf16, gf8):
     code43 = build_code(gf16, find_normal_element(gf16), 0, 3)
     assert min_distance_oracle(code43) == 3

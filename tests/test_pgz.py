@@ -5,7 +5,7 @@ import pytest
 from skewrs import fields, pgz
 from skewrs import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON,
                     FieldError, FiniteField, Matrix, RationalFunctions, SkewPolynomial,
-                    build_code, build_syndrome_matrix, decode, encode,
+                    build_code, build_syndrome_matrix, decode, encode, error_values,
                     evaluate, find_normal_element, is_normal, left_divmod,
                     locate_positions, parse_poly, solve_row_system, syndromes)
 from skewrs.cli import error_pattern_equivalence, simulate
@@ -102,6 +102,15 @@ def test_values_reject_a_foreign_operand(gf4096, gf16, case):
 def test_syndromes_reject_wrong_length(code_gf):
     with pytest.raises(ValueError):
         syndromes(code_gf, [code_gf.ctx.zero] * 3)
+
+
+@pytest.mark.parametrize("positions, match", [([0, 1, 2, 3, 4], "5 positions need as many"),
+                                              ([7], "must lie in 0..5"), ([-1], "must lie in 0..5")])
+def test_error_values_refuse_positions_the_syndromes_cannot_solve(code_gf, positions, match):
+    ctx = code_gf.ctx
+    s = syndromes(code_gf, [ctx.one] + [ctx.zero] * (code_gf.n - 1))
+    with pytest.raises(ValueError, match=match):
+        error_values(code_gf, positions, s)
 
 
 @pytest.mark.parametrize("case", ["length", "degree", "context", "not-iterable", "none"])

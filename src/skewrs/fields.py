@@ -99,12 +99,11 @@ then delegate to the context.  Contexts are immutable and safe to share.
 
 Finite fields of size up to 2^16 get exp/log tables with respect to a
 primitive element, so multiplication, inversion and Frobenius application
-are table lookups.  For p = 2 the tables come from one walk over the
-powers of the modulus root a, where times a is a shift and a conditional
-XOR, and a is primitive exactly when the walk first returns to 1 after
-2^d - 1 steps.  Odd characteristic, and a non-primitive root, take the
-general route: find a primitive element (the root first) by its order and
-walk its powers by general multiplication.
+are table lookups.  The tables come from one walk for every p: the
+powers of the modulus root when it is primitive, else of the least
+primitive packed value, by general multiplication with that element as
+the first operand.  u is primitive exactly when u^((q-1)/l) != 1 for each
+prime l | q - 1.
 Elements of degree d > 1 print as powers of the modulus root whenever
 that root is primitive (all bundled examples qualify), otherwise in
 polynomial form, and GF(p)'s as integers; printing then parsing
@@ -413,23 +412,6 @@ def _factorize(n):
     return fs
 
 
-def _coprime(f, g, p):
-    """True when f and g, low-first coefficient lists over F_p with f's top
-    coefficient nonzero, have no common factor: Euclid, in place."""
-    while g and g[-1] == 0:
-        g.pop()
-    while g:
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g):
-            c, shift = f[-1] * inv % p, len(f) - len(g)
-            for i, y in enumerate(g):
-                f[shift + i] = (f[shift + i] - c * y) % p
-            while f and f[-1] == 0:
-                f.pop()
-        f, g = g, f
-    return len(f) == 1
-
-
 class FiniteField(FieldContext):
     """GF(p^d) presented as F_p[a]/(modulus), sigma = Frobenius^e.
 
@@ -447,7 +429,10 @@ class FiniteField(FieldContext):
     and walks them only on a miss; the shared tables outlive the field.
     Tables are stored only for a modulus that passed Rabin's irreducibility
     test, so a hit also certifies the modulus and the test runs only on a
-    miss.  Its sigma multipliers are its own.
+    miss.  Its sigma multipliers are its own.  Both certificates on a miss
+    are power tests: Rabin's checks a^(p^d) = a and then h^(q-1) = 1 for
+    h the product of a^(p^(d/l)) - a over the primes l | d, and the walk's
+    element u passes u^((q-1)/l) != 1 for each prime l | q - 1.
     """
 
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
@@ -571,59 +556,45 @@ class FiniteField(FieldContext):
         return self._pack(acc[:d])
 
     def _is_irreducible(self):
-        # Rabin: x^(p^d) == x mod f, and gcd(x^(p^(d/l)) - x, f) = 1 for
-        # each prime l | d
+        # Rabin: a^(p^d) = a mod f, and h = prod over primes l | d of
+        # a^(p^(d/l)) - a is a unit.  Once a^(p^d) = a, F_p[a]/(f) is a
+        # product of fields of degrees dividing d, where h is a unit exactly
+        # when h^(q-1) = 1, and a product is a unit exactly when each
+        # factor is, that is, coprime to f
         p, d = self.char, self.degree
         if d == 1:
             return True
         # the symbol a packs to p
         if power(self._raw_mul, 1, p, p ** d) != p:
             return False
+        h = 1
         for ell in _factorize(d):
-            h = self._digits(power(self._raw_mul, 1, p, p ** (d // ell)))
-            h[1] = (h[1] - 1) % p
-            if not _coprime(list(self.modulus), h, p):
-                return False
-        return True
+            frobenius = power(self._raw_mul, 1, p, p ** (d // ell))
+            h = self._raw_mul(h, self.add(frobenius, self.neg(p)))
+        return power(self._raw_mul, 1, h, self.size - 1) == 1
 
-    def _element_order(self, u):
+    def _is_primitive(self, u):
+        # nonzero u generates GF(q)^* exactly when u^((q-1)/l) != 1 for
+        # each prime l | q - 1
         n = self.size - 1
-        order = n
-        for q in _factorize(n):
-            while order % q == 0 and power(self._raw_mul, 1, u, order // q) == 1:
-                order //= q
-        return order
+        return all(power(self._raw_mul, 1, u, n // ell) != 1 for ell in _factorize(n))
 
     def _walk_tables(self):
-        # (exp, log, generator_primitive), shared by every field on the modulus
-        q, p, d = self.size, self.char, self.degree
+        # (exp, log, generator_primitive), shared by every field on the
+        # modulus: the powers of the root if it is primitive, else of the
+        # least primitive packed value, which goes first into each product,
+        # as the product loops over its first operand's digits
+        q = self.size
+        primitive = self._is_primitive(self.generator_raw)
+        prim = self.generator_raw if primitive else next(
+            c for c in range(2, q) if self._is_primitive(c))
         exp = [0] * (2 * (q - 1))
         log = [0] * q
-        walked = p == 2 and d > 1
-        if walked:
-            # walk 1, a, a^2, ...: times a is a shift, folding a^d back in
-            top = 1 << d
-            fold = top ^ self._adeg
-            v = 1
-            for i in range(q - 1):
-                exp[i] = v
-                log[v] = i
-                v <<= 1
-                if v & top:
-                    v ^= fold
-            # a of order m < q - 1 comes back to 1 at step m, so the walk
-            # leaves log[1] > 0 exactly when a is not primitive
-            primitive = log[1] == 0
-        else:
-            primitive = self._element_order(self.generator_raw) == q - 1
-        if not (walked and primitive):
-            prim = self.generator_raw if primitive else next(
-                c for c in range(2, q) if self._element_order(c) == q - 1)
-            acc = 1
-            for i in range(q - 1):
-                exp[i] = acc
-                log[acc] = i
-                acc = self._raw_mul(acc, prim)
+        acc = 1
+        for i in range(q - 1):
+            exp[i] = acc
+            log[acc] = i
+            acc = self._raw_mul(prim, acc)
         exp[q - 1:] = exp[:q - 1]
         return exp, log, primitive
 

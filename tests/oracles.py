@@ -29,6 +29,10 @@ coefficients from its Hankel system, and ``is_normal_by_rank`` is the rank
 of the conjugate matrix; ``codes.build_code`` reaches all three by the
 root-by-root lclm of ``codes.root_lclm``.
 
+``rabin_by_euclid`` is Rabin's irreducibility test as it is first stated,
+with a gcd per prime l | d on coefficient lists over F_p;
+``FiniteField._is_irreducible`` replaces the gcds by one power test.
+
 ``codewords`` lists all q^k codewords of a finite-field code, and
 ``min_distance_oracle`` is their least nonzero weight, over one codeword
 of each scalar class.  ``cli.parity_check_distance`` reaches the same
@@ -328,6 +332,53 @@ def decode_by_stages(code, y):
     return DecodeReport(syndromes=s, mu=mu, rho=rho, branch=branch,
                         positions=positions, values=values, error=err,
                         codeword=corrected, message=q)
+
+
+def _coprime(f, g, p):
+    """True when f and g, low-first coefficient lists over F_p with f's top
+    coefficient nonzero, have no common factor: Euclid, in place."""
+    while g and g[-1] == 0:
+        g.pop()
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c, shift = f[-1] * inv % p, len(f) - len(g)
+            for i, y in enumerate(g):
+                f[shift + i] = (f[shift + i] - c * y) % p
+            while f and f[-1] == 0:
+                f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
+def rabin_by_euclid(p, modulus):
+    """Rabin: monic f of degree d over F_p, a low-first list, is irreducible
+    exactly when x^(p^d) = x mod f and gcd(x^(p^(d/l)) - x, f) = 1 for each
+    prime l | d."""
+    d = len(modulus) - 1
+
+    def mulmod(u, v):
+        acc = [0] * (2 * d)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                acc[i + j] = (acc[i + j] + x * y) % p
+        for k in range(2 * d - 1, d - 1, -1):
+            c = acc[k]
+            for j in range(d + 1):
+                acc[k - d + j] = (acc[k - d + j] - c * modulus[j]) % p
+        return acc[:d]
+
+    x = [0, 1] + [0] * (d - 2) if d > 1 else [-modulus[0] % p]
+    frobenius = [x]                 # x^(p^k) mod f for k = 0 ... d
+    for _ in range(d):
+        frobenius.append(power(mulmod, [1] + [0] * (d - 1), frobenius[-1], p))
+    if frobenius[d] != x:
+        return False
+    for ell in (l for l in range(2, d + 1) if d % l == 0 and all(l % k for k in range(2, l))):
+        h = [(c - y) % p for c, y in zip(frobenius[d // ell], x)]
+        if not _coprime(list(modulus), h, p):
+            return False
+    return True
 
 
 def codewords(code):

@@ -16,7 +16,7 @@ from skewrs.fields import poly_divmod, poly_gcrd, poly_mul, poly_trim
 
 from conftest import GF4096_MODULUS, rng_for
 from oracles import (dual_conjugates, fixed_field_check, from_fraction, gcrd_by_divmod,
-                     over_product_denominator, sigma_by_ladder)
+                     over_product_denominator, rabin_by_euclid, sigma_by_ladder)
 
 N_PAIRS = 1000
 
@@ -747,15 +747,22 @@ def test_the_largest_rational_function_code_in_use_still_builds():
     assert build_code(ctx, ctx.generator, 0, 2).g.degree == 1
 
 
+def _order(F, u):
+    """The least k >= 1 with u^k = 1, by brute force."""
+    k, acc = 1, u
+    while acc != 1:
+        k, acc = k + 1, F._raw_mul(acc, u)
+    return k
+
+
 def _reference_tables(F):
     """exp/log by general multiplication: the modulus root when it is
     primitive (-modulus[0] mod p when d = 1), else the least primitive
-    packed value."""
+    packed value, with orders found by brute force."""
     q = F.size
     gen = F.char if F.degree > 1 else -F.modulus[0] % F.char
-    primitive = F._element_order(gen) == q - 1
-    prim = gen if primitive else next(
-        c for c in range(2, q) if F._element_order(c) == q - 1)
+    primitive = _order(F, gen) == q - 1
+    prim = gen if primitive else next(c for c in range(2, q) if _order(F, c) == q - 1)
     exp, log, acc = [0] * (2 * (q - 1)), [0] * q, 1
     for i in range(q - 1):
         exp[i] = exp[i + q - 1] = acc
@@ -765,6 +772,20 @@ def _reference_tables(F):
     sigma_mult = [pow(F.char, F.frobenius_power * k % F.degree, q - 1)
                   for k in range(F.order)]
     return exp, log, primitive, sigma_mult
+
+
+def _monic_moduli(p, d):
+    """Every monic modulus of degree d over F_p, low-first, but a at d = 1,
+    whose root 0 no symbol may name."""
+    return [list(low) + [1] for low in itertools.product(range(p), repeat=d)
+            if d > 1 or low[0]]
+
+
+# every irreducible monic modulus of GF(2^d), d <= 6, and GF(3^d), d <= 3;
+# whether the root is primitive is the brute-force reference's to say
+_SMALL_IRREDUCIBLE = [pytest.param(p, d, m, None, id=f"{p}-{d}-{''.join(map(str, m[::-1]))}")
+                      for p, top in ((2, 6), (3, 3)) for d in range(1, top + 1)
+                      for m in _monic_moduli(p, d) if rabin_by_euclid(p, m)]
 
 
 @pytest.mark.parametrize("p, d, modulus, primitive", [
@@ -779,10 +800,11 @@ def _reference_tables(F):
     (2, 1, "a + 1", True),
     (3, 1, "a + 1", True),
     (5, 1, "a + 1", False),
-])
+] + _SMALL_IRREDUCIBLE)
 def test_tables_match_a_general_multiplication_walk(p, d, modulus, primitive):
     F = FiniteField(p, d, modulus, frobenius_power=1)
-    assert F.generator_primitive is primitive
+    if primitive is not None:
+        assert F.generator_primitive is primitive
     assert (F._exp, F._log, F.generator_primitive, F._sigma_mult) == _reference_tables(F)
 
 
@@ -822,7 +844,7 @@ def test_the_table_limit_is_checked_before_the_shared_tables(monkeypatch, tabled
 
 
 @pytest.mark.parametrize("p, d, modulus", [
-    (2, 12, GF4096_MODULUS),             # shift-and-reduce walk
+    (2, 12, GF4096_MODULUS),             # primitive root: walk by a
     (2, 8, "a^8 + a^4 + a^3 + a + 1"),   # non-primitive root: general walk
     (5, 3, "a^3 + a + 1"),               # odd p, non-primitive root
 ])
@@ -863,12 +885,36 @@ def irreducibility_tests(monkeypatch):
     return tested
 
 
-def test_a_shared_table_hit_skips_the_irreducibility_test(irreducibility_tests):
+def test_a_shared_table_hit_skips_the_irreducibility_test(irreducibility_tests, monkeypatch):
+    # nor does it walk the tables or test an element for primitivity
+    calls = []
+    for name in ("_walk_tables", "_is_primitive"):
+        def counted(self, *args, name=name, method=getattr(FiniteField, name)):
+            calls.append(name)
+            return method(self, *args)
+        monkeypatch.setattr(FiniteField, name, counted)
     F1 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=1)
     assert irreducibility_tests == [F1.modulus]
+    assert calls == ["_walk_tables", "_is_primitive"]
     F10 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
     assert irreducibility_tests == [F1.modulus]
+    assert calls == ["_walk_tables", "_is_primitive"]
     assert F10._exp is F1._exp
+
+
+@pytest.mark.parametrize("p, degrees", [(2, range(2, 9)), (3, range(2, 5)), (5, (2, 3)),
+                                        (7, (2, 3))])
+def test_rabin_agrees_with_the_euclid_reference(irreducibility_tests, p, degrees):
+    moduli = [m for d in degrees for m in _monic_moduli(p, d)]
+    for m in moduli:
+        try:
+            FiniteField(p, len(m) - 1, m)
+            accepted = True
+        except FieldError:
+            accepted = False
+        assert accepted == rabin_by_euclid(p, m), m
+    # every modulus ran the test: none was certified by shared tables
+    assert len(irreducibility_tests) == len(moduli)
 
 
 def test_an_evicted_modulus_is_tested_again(irreducibility_tests):

@@ -72,6 +72,7 @@ from dataclasses import dataclass, field
 from .fields import (CyclotomicField, Element, FiniteField, RationalFunctions,
                      poly_trim, poly_twist, require_context)
 from .linalg import Matrix
+from .parsing import ParseError, parse_element
 # lclm_many is bound here because perfbench/tracing.py times it by this name
 from .skewpoly import SkewPolynomial, lclm_many
 
@@ -339,13 +340,12 @@ class ConfigError(ValueError):
 def _parse_kv(text):
     out, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
+        key, eq, value = raw.partition("#")[0].partition("=")
         key = key.strip()
+        if not eq:
+            if key:   # not a blank or comment-only line
+                raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            continue
         if key in first:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {first[key]}")
         first[key] = lineno
@@ -375,15 +375,24 @@ def context_from_config(text):
     kind = _need(kv, "field.kind")
     if kind in ("finite-field", "rational-function"):
         # F_q(z) takes its constants from a base field with trivial sigma
-        ctx = FiniteField(
-            _need_int(kv, "field.p"), _need_int(kv, "field.degree"),
-            _need(kv, "field.modulus"), generator=kv.get("field.generator", "a"),
-            frobenius_power=0 if kind == "rational-function"
-            else _need_int(kv, "sigma.frobenius_power"))
+        try:   # the modulus text is the one thing here that raises ParseError
+            ctx = FiniteField(
+                _need_int(kv, "field.p"), _need_int(kv, "field.degree"),
+                _need(kv, "field.modulus"), generator=kv.get("field.generator", "a"),
+                frobenius_power=0 if kind == "rational-function"
+                else _need_int(kv, "sigma.frobenius_power"))
+        except ParseError as exc:
+            raise ConfigError(f"field.modulus: {exc}") from exc
         if kind == "rational-function":
-            mob = [s.strip() for s in _need(kv, "sigma.mobius").split(",")]
-            if len(mob) != 4:
+            values = [s.strip() for s in _need(kv, "sigma.mobius").split(",")]
+            if len(values) != 4:
                 raise ConfigError("sigma.mobius needs four comma-separated values")
+            mob = []
+            for i, value in enumerate(values, start=1):
+                try:
+                    mob.append(parse_element(ctx, value))
+                except ParseError as exc:
+                    raise ConfigError(f"sigma.mobius: value {i} of 4: {exc}") from exc
             ctx = RationalFunctions(ctx, mob, variable=kv.get("field.variable", "z"))
     elif kind == "cyclotomic":
         ctx = CyclotomicField(_need_int(kv, "cyclotomic.order"),
@@ -396,7 +405,6 @@ def context_from_config(text):
 
 def code_from_config(text):
     """Build (ctx, code) from a configuration document; any error is a ConfigError."""
-    from .parsing import parse_element, ParseError
     try:
         ctx, kv = context_from_config(text)
         try:

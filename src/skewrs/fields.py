@@ -10,7 +10,8 @@ Each backend bundles a field L with a finite-order automorphism sigma:
 
 This module reads no text: a modulus string goes to
 ``parsing.parse_int_poly`` and a Moebius coefficient string to
-``parsing.parse_element`` over the base field.
+``parsing.parse_element`` over the base field.  ``parsing`` imports this
+module, which binds it once, at its end, not in the constructors per call.
 
 All arithmetic is exact.  Every backend is a context that computes on raw
 values through one small protocol, with the same names everywhere:
@@ -446,8 +447,7 @@ class FiniteField(FieldContext):
         if degree > 64 or p ** degree > _SIZE_LIMIT:
             raise FieldError(f"field size {p}^{degree} exceeds 2^64")
         if isinstance(modulus, str):
-            from .parsing import parse_int_poly
-            modulus = parse_int_poly(modulus, generator)
+            modulus = parsing.parse_int_poly(modulus, generator)
         modulus = [c % p for c in modulus]
         while modulus and modulus[-1] == 0:
             modulus.pop()
@@ -481,8 +481,8 @@ class FiniteField(FieldContext):
         if self.size <= _TABLE_LIMIT:
             tables = _shared_tables.pop(key, None) or self._walk_tables()
             _shared_tables[key] = tables
-            for stale in list(_shared_tables)[:-_SHARED_TABLE_COUNT]:
-                _shared_tables.pop(stale, None)
+            if len(_shared_tables) > _SHARED_TABLE_COUNT:   # only after a miss
+                del _shared_tables[next(iter(_shared_tables))]
             self._exp, self._log, self.generator_primitive = tables
             # sigma^k multiplies discrete logs by p^(e*k mod d)
             self._sigma_mult = [pow(p, (self.frobenius_power * k) % degree, self.size - 1)
@@ -930,8 +930,7 @@ class RationalFunctions(FieldContext):
     def _base_raw(self, c):
         base = self.base
         if isinstance(c, str):
-            from .parsing import parse_element
-            return parse_element(base, c).raw
+            return parsing.parse_element(base, c).raw
         if isinstance(c, Element):
             require_context(base, (c,))
             return c.raw
@@ -1363,3 +1362,6 @@ class CyclotomicField(FieldContext):
 
     def __repr__(self):
         return f"Q(chi), chi^{self.root_order}=1, sigma(chi)=chi^{self.exponent}"
+
+
+from . import parsing  # noqa: E402  (parsing imports the names above)

@@ -28,11 +28,16 @@ An integer literal is a run of decimal digits, converted to an int once, by
 the tokenizer; one longer than the interpreter's ``int_max_str_digits``
 allows is a ``ParseError`` at its position.
 
-``parse_int_poly`` reads a GF(p^d) modulus from the same tokens, before its
-field exists: a sum of terms c, c*a^k, ca^k, a and a^k in the generator
-symbol a, integer c and k, first sign optional, a repeated power added up.
-An exponent k past ``MAX_EXPONENT`` is a ``ParseError``, as no field of
-degree above 64 exists to take it and its coefficient list would be k long.
+``parse_int_poly`` reads a GF(p^d) modulus, before its field exists: a sum
+of terms c, c*a^k, ca^k, a and a^k in the generator symbol a, integer c
+and k, first sign optional, a repeated power added up.  It reads the text
+in one left-to-right pass, one match of a term pattern per term (sign,
+coefficient, '*', name, exponent), and compares the name with the symbol
+after the match.  It tokenizes only on an error, which is the one the
+tokens give: the tokenizer's own, wherever it is, else the first term not
+of those forms, at its first token.  An exponent k past ``MAX_EXPONENT`` is
+a ``ParseError``, checked before the coefficient list grows to it, as no
+field of degree above 64 exists to take it and that list would be k long.
 
 Parentheses and unary minus signs nest at most ``MAX_NESTING`` deep, so
 deeper input is a ``ParseError``, not a ``RecursionError``.
@@ -101,29 +106,45 @@ def _tokenize(text):
     return tokens
 
 
-# modulus tokens spelt one character each: 0 an int, a the symbol, ? another name, $ the end
-_SPELLING = {"int": "0", "name": "?", "end": "$"}
-_MODULUS_TERM = re.compile(r"(0\*?)?a(\^0)?|0")
+# one modulus term: sign, coefficient, '*', name and exponent, each optional
+# here and checked by the reader; a name token is letters and '_', and this
+# class also takes numeric characters such as '²', which no token holds
+_MODULUS_TERM = re.compile(r"\s*([+-]?)\s*(\d*)\s*(\*?)\s*(?:([^\W\d]+)\s*(?:\^\s*(\d+)\s*)?)?")
+
+
+def _modulus_error(text, message, pos):
+    # the tokenizer's errors come first, wherever they are in the text
+    _tokenize(text)
+    return ParseError(message, pos)
 
 
 def parse_int_poly(text, symbol):
     """The low-first integer coefficients of a modulus in ``symbol``."""
-    tokens = _tokenize(text)
-    if tokens[0][0] not in ("+", "-"):
-        tokens.insert(0, ("+", "+", 0))
-    shape = "".join("a" if value == symbol else _SPELLING.get(kind, kind)
-                    for kind, value, _ in tokens)
-    ends = [j for j, ch in enumerate(shape) if ch in "+-$"]
-    coeffs = {}
-    for s, e in zip(ends, ends[1:]):
-        if not _MODULUS_TERM.fullmatch(shape, s + 1, e):
-            raise ParseError(f"expected a term c*{symbol}^k", tokens[s + 1][2])
-        c = tokens[s + 1][1] if shape[s + 1] == "0" else 1
-        k = tokens[e - 1][1] if shape[e - 2:e] == "^0" else int(shape[e - 1] == "a")
-        if k > MAX_EXPONENT:   # before the dense list below is built
-            raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", tokens[e - 1][2])
-        coeffs[k] = coeffs.get(k, 0) + (-c if shape[s] == "-" else c)
-    return [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
+    coeffs = []
+    n = len(text)
+    # a token is letters and '_' only, so no term names another symbol
+    own = symbol if symbol.replace("_", "a").isalpha() else ""
+    # a term ends the text or a sign follows it, where the next match starts
+    for m in _MODULUS_TERM.finditer(text):
+        sign, c, star, name, k = m.groups()
+        end = m.end()
+        # c alone or the symbol, after c or c* if any, then a sign or the end
+        if (name != own and (name or not c) or star and not (c and name)
+                or end < n and text[end] not in "+-"):
+            raise _modulus_error(text, f"expected a term c*{symbol}^k", m.start(2))
+        try:
+            k = int(k) if k else 1 if name else 0
+            c = int(c) if c else 1
+        except ValueError:   # past int_max_str_digits, which the tokenizer reports
+            _tokenize(text)
+            raise
+        if k > MAX_EXPONENT:   # before the list grows to it
+            raise _modulus_error(text, f"exponent {k} exceeds {MAX_EXPONENT}", m.start(5))
+        if k >= len(coeffs):
+            coeffs += [0] * (k + 1 - len(coeffs))
+        coeffs[k] += -c if sign == "-" else c
+        if end == n:
+            return coeffs
 
 
 class _Parser:

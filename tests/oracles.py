@@ -33,6 +33,11 @@ root-by-root lclm of ``codes.root_lclm``.
 with a gcd per prime l | d on coefficient lists over F_p;
 ``FiniteField._is_irreducible`` replaces the gcds by one power test.
 
+``modulus_by_shape`` is the modulus reader that ``parsing.parse_int_poly``
+replaced: the whole text tokenized, each token spelt as one character, and
+each term of that shape string matched by a pattern.  The new reader reads
+each term's sign, coefficient, symbol and exponent in one pass over the text.
+
 ``codewords`` lists all q^k codewords of a finite-field code, and
 ``min_distance_oracle`` is their least nonzero weight, over one codeword
 of each scalar class.  ``cli.parity_check_distance`` reaches the same
@@ -48,6 +53,7 @@ its faulty patterns q^k * (q - 1) times.
 
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 from skewrs import CodeError, Element, SkewPolynomial, left_divmod
@@ -55,6 +61,7 @@ from skewrs.codes import conjugate_matrix, dual_support, encode, evaluate, evalu
 from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
                            power, require_context)
 from skewrs.linalg import Matrix, eliminate, solve_row_system
+from skewrs.parsing import MAX_EXPONENT, ParseError, _tokenize
 from skewrs.pgz import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON, DecodeReport,
                         LocateFailure, _as_vector, decode, locate_positions)
 from skewrs.skewpoly import twisted_shift_rows
@@ -379,6 +386,31 @@ def rabin_by_euclid(p, modulus):
         if not _coprime(list(modulus), h, p):
             return False
     return True
+
+
+# modulus tokens spelt one character each: 0 an int, a the symbol, ? another name, $ the end
+_SPELLING = {"int": "0", "name": "?", "end": "$"}
+_MODULUS_TERM = re.compile(r"(0\*?)?a(\^0)?|0")
+
+
+def modulus_by_shape(text, symbol):
+    """The low-first integer coefficients of a modulus in ``symbol``."""
+    tokens = _tokenize(text)
+    if tokens[0][0] not in ("+", "-"):
+        tokens.insert(0, ("+", "+", 0))
+    shape = "".join("a" if value == symbol else _SPELLING.get(kind, kind)
+                    for kind, value, _ in tokens)
+    ends = [j for j, ch in enumerate(shape) if ch in "+-$"]
+    coeffs = {}
+    for s, e in zip(ends, ends[1:]):
+        if not _MODULUS_TERM.fullmatch(shape, s + 1, e):
+            raise ParseError(f"expected a term c*{symbol}^k", tokens[s + 1][2])
+        c = tokens[s + 1][1] if shape[s + 1] == "0" else 1
+        k = tokens[e - 1][1] if shape[e - 2:e] == "^0" else int(shape[e - 1] == "a")
+        if k > MAX_EXPONENT:   # before the dense list below is built
+            raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", tokens[e - 1][2])
+        coeffs[k] = coeffs.get(k, 0) + (-c if shape[s] == "-" else c)
+    return [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
 
 
 def codewords(code):

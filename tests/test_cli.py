@@ -693,8 +693,20 @@ def test_a_malformed_word_is_one_error_line(workspace, capsys, verb, text, messa
 @pytest.mark.parametrize("modulus", ["", "a^", "a^12 a", "b^2 + 1", "(a+1)^2", "a^2 ++ 1",
                                      "a^999999999999 + 1"])
 def test_build_with_a_malformed_modulus_is_one_error_line(tmp_path, capsys, modulus):
-    _build_exits_2_with_one_error_line(tmp_path, capsys,
-                                       "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", modulus)
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys,
+                                             "a^12 + a^7 + a^6 + a^5 + a^3 + a + 1", modulus)
+    assert err.startswith("error: field.modulus: ")
+
+
+@pytest.mark.parametrize("mobius, message", [
+    ("$, a, 1, a^2", "value 1 of 4: unexpected character '$' (at position 0)"),
+    ("1, a, 1, a^2 + $", "value 4 of 4: unexpected character '$' (at position 6)"),
+    ("1, a,  a^, a^2", "value 3 of 4: expected 'int', found '' (at position 2)"),
+], ids=["first", "last", "exponent"])
+def test_build_with_a_malformed_mobius_value_names_the_value(tmp_path, capsys, mobius, message):
+    err = _build_exits_2_with_one_error_line(tmp_path, capsys, "sigma.mobius = 1, a, 1, a^2",
+                                             f"sigma.mobius = {mobius}", which=2)
+    assert err == f"error: sigma.mobius: {message}\n"
 
 
 @pytest.mark.parametrize("which, key", [

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import math
@@ -1090,12 +1091,15 @@ CHAR2_MODULI = ["a + 1", "a^2 + a + 1", "a^3 + a + 1", "a^3 + a^2 + 1", "a^4 + a
                 "a^16 + a^12 + a^3 + a + 1", "a^20 + a^3 + 1", "a^64 + a^4 + a^3 + a + 1"]
 
 
+def _char2_degree(modulus):
+    return int(modulus.split()[0].partition("^")[2] or 1)
+
+
+@functools.cache
 def _char2_field(modulus):
-    degree = int(modulus.split()[0].partition("^")[2] or 1)
-    return FiniteField(2, degree, modulus, frobenius_power=0)
-
-
-CHAR2_FIELDS = {modulus: _char2_field(modulus) for modulus in CHAR2_MODULI}
+    # built in the first test that asks, not at import, so that a fault in
+    # construction fails those tests and leaves the module collectable
+    return FiniteField(2, _char2_degree(modulus), modulus, frobenius_power=0)
 
 
 def _schoolbook_sums(ctx, terms, polys, starts):
@@ -1104,10 +1108,12 @@ def _schoolbook_sums(ctx, terms, polys, starts):
 
 @st.composite
 def poly_sum_cases(draw):
-    """A char-2 field and a poly_sums call on it: table polynomials, some
-    zero, terms at distinct offsets, unequal lengths, coefficients biased
-    to all ones (the largest slot counts) and starts, repeats allowed."""
-    ctx = CHAR2_FIELDS[draw(st.sampled_from(CHAR2_MODULI))]
+    """A char-2 modulus and a poly_sums call on its field: table
+    polynomials, some zero, terms at distinct offsets, unequal lengths,
+    coefficients biased to all ones (the largest slot counts) and starts,
+    repeats allowed."""
+    modulus = draw(st.sampled_from(CHAR2_MODULI))
+    ctx = _char2_field(modulus)
     coeff = st.one_of(st.just(ctx.size - 1), st.just(0), st.integers(0, ctx.size - 1))
     poly = st.lists(coeff, max_size=9).map(lambda c: poly_trim(ctx, c))
     n = draw(st.integers(1, 5))
@@ -1115,15 +1121,14 @@ def poly_sum_cases(draw):
     offsets = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     terms = [(i, draw(poly)) for i in offsets]
     starts = draw(st.lists(st.integers(0, n - 1), max_size=n + 1))
-    return ctx, terms, polys, starts
+    return modulus, terms, polys, starts
 
 
 def _all_ones_case(modulus, terms, length):
     # T terms and table entries of L all-ones coefficients: the slot of
     # z^(L-1) * a^(d-1) counts T * L * d bit products, the slot bound itself
-    ctx = CHAR2_FIELDS[modulus]
-    ones = (ctx.size - 1,) * length
-    return ctx, [(i, ones) for i in range(terms)], [ones] * (2 * terms), list(range(terms))
+    ones = (2 ** _char2_degree(modulus) - 1,) * length
+    return modulus, [(i, ones) for i in range(terms)], [ones] * (2 * terms), list(range(terms))
 
 
 @settings(max_examples=400, deadline=None)
@@ -1131,7 +1136,8 @@ def _all_ones_case(modulus, terms, length):
 @example(_all_ones_case("a + 1", 1, 4))
 @example(_all_ones_case("a^2 + a + 1", 2, 4))
 def test_packed_poly_sums_equal_the_schoolbook_route(case):
-    ctx, terms, polys, starts = case
+    modulus, terms, polys, starts = case
+    ctx = _char2_field(modulus)
     assert ctx.poly_sums(terms, polys, starts) == _schoolbook_sums(ctx, terms, polys, starts)
 
 
@@ -1150,7 +1156,8 @@ def _slot_boundary_cases():
 
 @pytest.mark.parametrize("modulus, terms, length", list(_slot_boundary_cases()))
 def test_packed_poly_sums_at_each_slot_width_boundary(modulus, terms, length):
-    ctx, full, polys, starts = _all_ones_case(modulus, terms, length)
+    _, full, polys, starts = _all_ones_case(modulus, terms, length)
+    ctx = _char2_field(modulus)
     for case in (full, [(i, u[:1]) for i, u in full]):
         assert ctx.poly_sums(case, polys, starts) == _schoolbook_sums(ctx, case, polys, starts)
 
@@ -1160,7 +1167,7 @@ def test_packed_poly_sums_fold_a_multiple_of_the_modulus_to_zero(modulus):
     # a^(d-1) * a^(j+1) + r * a^j, with the modulus a^d + r, is a^j times
     # the modulus before it is folded: zero, and in the top coefficient of
     # a longer sum, a sum one coefficient shorter
-    ctx = CHAR2_FIELDS[modulus]
+    ctx = _char2_field(modulus)
     d = ctx.degree
     rest = sum(c << i for i, c in enumerate(ctx.modulus[:d]))
     for j in range(d - 1):

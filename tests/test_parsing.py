@@ -7,7 +7,7 @@ from skewrs import FiniteField, ParseError, SkewPolynomial, parse_element, parse
 from skewrs.parsing import MAX_EXPONENT, parse_int_poly
 
 from conftest import LONG_LITERAL, rng_for, random_poly
-from oracles import coeff, from_fraction, monomial
+from oracles import coeff, from_fraction, modulus_by_shape, monomial
 
 
 def test_whitespace_and_star_are_optional(gf4096):
@@ -224,6 +224,60 @@ def test_a_modulus_exponent_past_the_bound_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         parse_int_poly(text, "a")
     assert str(err.value) == f"exponent {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT} (at position 9)"
+
+
+# -- the one-pass modulus reader against the shape-string reference -----------
+
+def _read(reader, text, symbol):
+    """The coefficients, or the ParseError's text and position."""
+    try:
+        return reader(text, symbol)
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+def _agrees(text, symbol):
+    return _read(parse_int_poly, text, symbol) == _read(modulus_by_shape, text, symbol)
+
+
+# literals past the interpreter's limit, alone and before or after a term
+# error, and a term error before a stray character: the tokenizer's error
+# comes first, wherever it is
+LEXICAL_MODULI = ["a^" + LONG_LITERAL, LONG_LITERAL + "a + 1", "a^2 + " + LONG_LITERAL,
+                  "b + a^" + LONG_LITERAL, "a^" + LONG_LITERAL + " + b", "a^12 a + $"]
+
+
+@pytest.mark.parametrize("text", list(MODULI) + list(MODULUS_SPELLINGS) + MALFORMED_MODULI
+                         + [f"a^{MAX_EXPONENT} + 1", f"a^{MAX_EXPONENT + 1} + 1"])
+def test_the_modulus_reader_agrees_with_the_shape_reference(text):
+    assert _agrees(text, "a")
+    assert _agrees(text.replace("a", "w"), "w")
+    assert _agrees(text, "w")
+
+
+@pytest.mark.parametrize("text", LEXICAL_MODULI)
+def test_the_modulus_reader_reports_the_tokenizer_error_first(int_digit_limit, text):
+    assert _agrees(text, "a")
+
+
+EDIT_ALPHABET = "abw012^*+-()$² "
+
+
+def _one_character_edits(text):
+    for i in range(len(text) + 1):
+        for ch in EDIT_ALPHABET:
+            yield text[:i] + ch + text[i:]
+            if i < len(text):
+                yield text[:i] + ch + text[i + 1:]
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+
+
+@pytest.mark.parametrize("text", list(MODULI))
+def test_the_modulus_reader_agrees_on_every_one_character_edit(text):
+    bad = [edit for edit in _one_character_edits(text)
+           if not (_agrees(edit, "a") and _agrees(edit, "w"))]
+    assert bad == []
 
 
 # -- the parser against SkewPolynomial and Element operators -------------------

@@ -14,6 +14,17 @@ Verbs:
 
 Exit codes: 0 on success, 1 on a verification or assertion failure, 2 on
 usage or configuration errors.
+
+The argument tree is built once per process.  An argv whose first word is
+a verb goes straight to that verb's subparser, and what the subparser
+leaves over is the tree's own "unrecognized arguments" error; any other
+argv goes through the whole tree.  Both routes print the same text.
+
+Files are read and written as bytes, in UTF-8 whatever the locale.  An
+input's "\\r\\n" and lone "\\r" read as "\\n", as text mode reads them, so
+parse positions do not move.  A stdout whose encoding cannot carry the
+output is a usage error.  The one exception is build's summary beside a
+bundle written with --out, which escapes what stdout cannot carry.
 """
 
 from __future__ import annotations
@@ -112,12 +123,18 @@ def write_bundle(path, config_text, code):
 
 
 def read_text(path):
-    """A file's text; bytes that are not UTF-8 are a usage error."""
+    """A file's text: its bytes as UTF-8, with "\\r\\n" and a lone "\\r"
+    read as "\\n", as text mode reads them.  Bytes that are not UTF-8 are a
+    usage error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_bundle(path):
@@ -144,7 +161,7 @@ def summarize(code):
 # ---------------------------------------------------------------------------
 
 def _write_output(path, text):
-    """text to the file at path, or to stdout when no path is given.
+    """text to the file at path in UTF-8, or to stdout when no path is given.
 
     An existing file is written over in place and then cut to the new
     length, so it keeps its inode and mode, and a symlink keeps pointing at
@@ -156,19 +173,34 @@ def _write_output(path, text):
     if not path:
         sys.stdout.write(text)
         return
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
-        fh.write(text)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate()   # flushes, then cuts at the end of the text
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
+
+
+def _note(text):
+    """A line on stdout beside a file written with --out: what stdout's
+    encoding cannot carry is escaped, as stderr escapes it."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def cmd_build(args):
     text = read_text(args.config)
     ctx, code = code_from_config(text)
-    print(summarize(code))
-    if args.out:
-        write_bundle(args.out, text, code)
-        print(f"bundle written to {args.out}")
+    if not args.out:
+        print(summarize(code))
+        return 0
+    _note(summarize(code))
+    write_bundle(args.out, text, code)
+    _note(f"bundle written to {args.out}")
     return 0
 
 
@@ -309,8 +341,9 @@ def error_pattern_equivalence(code):
 
 @functools.cache
 def _parser():
-    # built once per process: building it costs about as much as a whole
-    # in-process encode request, and parsing leaves it unchanged
+    """The argument tree and its subparsers by verb.  Built once per
+    process: building it costs about as much as a whole in-process encode
+    request, and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="skewrs",
         description="skew Reed-Solomon codes over exact fields")
@@ -353,15 +386,28 @@ def _parser():
                    help="seeded trials of weight <= t, the shift check")
     p.add_argument("--seed", default="0")
     p.set_defaults(func=cmd_oracle)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, verbs = _parser()
+    if argv and argv[0] in verbs:
+        # the verb's own subparser, as the tree would call it, and then the
+        # tree's own error for what the subparser leaves over
+        args, extras = verbs[argv[0]].parse_known_args(argv[1:],
+                                                       argparse.Namespace(verb=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError, CodeError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeEncodeError as exc:   # a stdout whose encoding lacks a character
+        print(f"error: stdout cannot carry the output: {exc}", file=sys.stderr)
         return 2
 
 

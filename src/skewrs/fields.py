@@ -133,9 +133,9 @@ _SIZE_LIMIT = 1 << 64
 # Q(chi_m) with sigma of order n needs m^3 + m^2 * n^3 <= this (see CyclotomicField)
 _CYCLOTOMIC_BUDGET = 10 ** 7
 
-# exp/log tables and the modulus root's primitivity by (p, d, modulus), least
-# recently used first (see FiniteField).  No field writes to them, and two
-# builds racing on a miss at worst walk twice.
+# exp/log tables, the modulus root's primitivity and a^d's residue (digits and
+# packed) by (p, d, modulus), least recently used first (see FiniteField).  No
+# field writes to them, and two builds racing on a miss at worst walk twice.
 _shared_tables = {}
 _SHARED_TABLE_COUNT = 4
 
@@ -427,7 +427,8 @@ class FiniteField(FieldContext):
 
     A field of size up to 2^16 takes its exp/log tables from those of the
     few most recently used moduli, shared process-wide whatever sigma is,
-    and walks them only on a miss; the shared tables outlive the field.
+    with the residue of a^d that reduces products, and walks them only on a
+    miss; the shared tables outlive the field.
     Tables are stored only for a modulus that passed Rabin's irreducibility
     test, so a hit also certifies the modulus and the test runs only on a
     miss.  Its sigma multipliers are its own.  Both certificates on a miss
@@ -466,27 +467,36 @@ class FiniteField(FieldContext):
         self.frobenius_power = frobenius_power % degree
         self.size = p ** degree
         self.order = degree // math.gcd(degree, frobenius_power)
-        # residue of a^d used during reduction: a^d = -(f - a^d)
-        self._adeg_digits = [(-c) % p for c in modulus[:degree]]
-        self._adeg = self._pack(self._adeg_digits)
-        # only a modulus that passed Rabin's test has shared tables
+        # only a modulus that passed Rabin's test has shared tables, which
+        # carry the residue of a^d used during reduction: a^d = -(f - a^d)
         key = (p, degree, self.modulus)
-        if key not in _shared_tables and not self._is_irreducible():
-            raise FieldError("modulus is not irreducible")
+        tables = _shared_tables.get(key)
+        if tables:
+            self._adeg_digits, self._adeg = tables[3:]
+        else:
+            self._adeg_digits = [(-c) % p for c in modulus[:degree]]
+            self._adeg = self._pack(self._adeg_digits)
+            if not self._is_irreducible():
+                raise FieldError("modulus is not irreducible")
         self.generator_raw = p if degree > 1 else -modulus[0] % p
         self._exp = None
         self._log = None
         self._sigma_mult = None
         self.generator_primitive = False
         if self.size <= _TABLE_LIMIT:
-            tables = _shared_tables.pop(key, None) or self._walk_tables()
+            tables = _shared_tables.pop(key, None) or \
+                self._walk_tables() + (self._adeg_digits, self._adeg)
             _shared_tables[key] = tables
             if len(_shared_tables) > _SHARED_TABLE_COUNT:   # only after a miss
                 del _shared_tables[next(iter(_shared_tables))]
-            self._exp, self._log, self.generator_primitive = tables
-            # sigma^k multiplies discrete logs by p^(e*k mod d)
-            self._sigma_mult = [pow(p, (self.frobenius_power * k) % degree, self.size - 1)
-                                for k in range(self.order)]
+            self._exp, self._log, self.generator_primitive = tables[:3]
+            # sigma^k multiplies discrete logs by p^(e*k) = (p^e)^k, mod q - 1
+            # as p^d = q is 1 there
+            step, m = p ** self.frobenius_power % (self.size - 1), 1 % (self.size - 1)
+            self._sigma_mult = []
+            for _ in range(self.order):
+                self._sigma_mult.append(m)
+                m = m * step % (self.size - 1)
         self.key = ("ff", p, degree, self.modulus, self.frobenius_power)
         self.zero_raw = 0
         self.one_raw = 1

@@ -28,6 +28,11 @@ An integer literal is a run of decimal digits, converted to an int once, by
 the tokenizer; one longer than the interpreter's ``int_max_str_digits``
 allows is a ``ParseError`` at its position.
 
+The tokenizer is a loop over the characters; a regex scanner made the whole
+parse slower.  ``_Parser`` has one method per grammar level that recurses
+(expr, term, unary with its power and atom), and each reads the token list
+in place, with no call per token.
+
 ``parse_int_poly`` reads a GF(p^d) modulus, before its field exists: a sum
 of terms c, c*a^k, ca^k, a and a^k in the generator symbol a, integer c
 and k, first sign optional, a repeated power added up.  It reads the text
@@ -66,6 +71,9 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*/^()")
+
+# the tokens that start an atom, so that adjacency multiplies
+_ATOM_STARTS = ("name", "int", "(")
 
 MAX_EXPONENT = 1 << 10
 
@@ -154,61 +162,52 @@ class _Parser:
         self.symbols = symbols
         # split unknown names into known one-character symbols so that in
         # "az^5" the exponent binds to z alone, as adjacency notation reads
-        self.tokens = []
-        for kind, tok, pos in _tokenize(text):
-            if kind == "name" and tok not in symbols and \
-                    all(ch in symbols for ch in tok):
-                self.tokens.extend(("name", ch, pos + i)
-                                   for i, ch in enumerate(tok))
+        tokens = self.tokens = []
+        for tok in _tokenize(text):
+            kind, name, pos = tok
+            if kind == "name" and name not in symbols and all(ch in symbols for ch in name):
+                tokens.extend(("name", ch, pos + i) for i, ch in enumerate(name))
             else:
-                self.tokens.append((kind, tok, pos))
+                tokens.append(tok)
         self.pos = 0
         # the largest exponent, multiplied through nested powers, so far
         self.exponent = 1
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    # -- grammar ------------------------------------------------------------
-
     def parse(self):
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        kind, tok, pos = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected {tok!r}", pos)
         return value
 
     def expr(self):
+        ctx, tokens = self.ctx, self.tokens
         value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            value = poly_add(self.ctx, value, rhs if op == "+" else poly_neg(self.ctx, rhs))
-        return value
+        while True:
+            kind = tokens[self.pos][0]
+            if kind == "+":
+                self.pos += 1
+                value = poly_add(ctx, value, self.term())
+            elif kind == "-":
+                self.pos += 1
+                value = poly_add(ctx, value, poly_neg(ctx, self.term()))
+            else:
+                return value
 
     def term(self):
+        ctx, tokens = self.ctx, self.tokens
         value = self.unary()
         while True:
-            kind = self.peek()[0]
-            if kind in ("*", "/"):
-                tok = self.advance()
-                rhs = self.unary()
-                value = poly_mul(self.ctx, value, rhs) if tok[0] == "*" else \
-                    self._divide(value, rhs, tok[2])
-            elif kind in ("name", "int", "("):
-                value = poly_mul(self.ctx, value, self.unary())
+            kind, _, pos = tokens[self.pos]
+            if kind == "*":
+                self.pos += 1
+                value = poly_mul(ctx, value, self.unary())
+            elif kind == "/":
+                self.pos += 1
+                value = self._divide(value, self.unary(), pos)
+            elif kind in _ATOM_STARTS:
+                value = poly_mul(ctx, value, self.unary())
             else:
                 return value
 
@@ -221,44 +220,42 @@ class _Parser:
         return value
 
     def unary(self):
-        if self.peek()[0] == "-":
-            tok = self.advance()
-            return poly_neg(self.ctx, self.nested(self.unary, tok[2]))
-        return self.power()
-
-    def power(self):
+        """A unary minus, or a power: an atom and its optional exponent."""
+        ctx, tokens = self.ctx, self.tokens
+        kind, value, pos = tokens[self.pos]
+        self.pos += 1
+        if kind == "-":
+            return poly_neg(ctx, self.nested(self.unary, pos))
         outer, self.exponent = self.exponent, 1
-        value = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("int")
-            k = tok[1]
+        if kind == "name":
+            if value not in self.symbols:
+                raise ParseError(f"unknown symbol {value!r}", pos)
+            value = self.symbols[value]
+        elif kind == "int":
+            value = poly_trim(ctx, (ctx.from_int(value).raw,))
+        elif kind == "(":
+            value = self.nested(self.expr, pos)
+            kind, _, pos = tokens[self.pos]
+            self.pos += 1
+            if kind != ")":
+                raise ParseError("missing closing parenthesis", pos)
+        else:
+            raise ParseError(f"unexpected {value!r}", pos)
+        if tokens[self.pos][0] == "^":
+            kind, k, pos = tokens[self.pos + 1]
+            self.pos += 2
+            if kind != "int":
+                raise ParseError(f"expected 'int', found {k!r}", pos)
             self.exponent *= k
-            ctx, degree = self.ctx, len(value) - 1
+            degree = len(value) - 1
             if degree > 0 and degree * k > ctx.order:
-                raise ParseError(f"power of degree {degree * k} exceeds n = {ctx.order}", tok[2])
+                raise ParseError(f"power of degree {degree * k} exceeds n = {ctx.order}", pos)
             if ctx.size is None and self.exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {self.exponent} exceeds {MAX_EXPONENT}"
-                                 " over an infinite field", tok[2])
+                                 " over an infinite field", pos)
             value = poly_pow(ctx, value, k)
         self.exponent = max(outer, self.exponent)
         return value
-
-    def atom(self):
-        kind, value, pos = self.advance()
-        if kind == "(":
-            inner = self.nested(self.expr, pos)
-            closing = self.advance()
-            if closing[0] != ")":
-                raise ParseError("missing closing parenthesis", closing[2])
-            return inner
-        if kind == "int":
-            return poly_trim(self.ctx, (self.ctx.from_int(value).raw,))
-        if kind == "name":
-            if value in self.symbols:
-                return self.symbols[value]
-            raise ParseError(f"unknown symbol {value!r}", pos)
-        raise ParseError(f"unexpected {value!r}", pos)
 
     def _divide(self, lhs, rhs, pos):
         if not rhs:

@@ -52,7 +52,7 @@ from .fields import Element, require_context, same_context
 from .linalg import Matrix, eliminate
 # left_divmod is bound here because perfbench/tracing.py replays the verify
 # stage through it by this name
-from .skewpoly import SkewPolynomial, left_divmod
+from .skewpoly import SkewPolynomial, left_divmod, poly_text
 
 BRANCH_ALL_ZERO = "all-zero"
 BRANCH_DIRECT = "direct"
@@ -85,17 +85,17 @@ class DecodeReport:
         lines.append("syndromes = " + "; ".join(fmt(s) for s in self.syndromes))
         lines.append(f"mu = {self.mu}")
         if self.rho is not None:
-            lines.append(f"rho = {SkewPolynomial(ctx, self.rho.coeffs)}")
+            lines.append(f"rho = {poly_text(ctx, self.rho.coeffs)}")
         if self.branch is not None:
             lines.append(f"branch = {self.branch}")
         lines.append("positions = " + ", ".join(str(k) for k in self.positions))
         lines.append("values = " + "; ".join(fmt(v) for v in self.values))
         if self.error is not None:
-            lines.append(f"error = {SkewPolynomial(ctx, self.error)}")
+            lines.append(f"error = {poly_text(ctx, self.error)}")
         if self.codeword is not None:
-            lines.append(f"codeword = {SkewPolynomial(ctx, self.codeword)}")
+            lines.append(f"codeword = {poly_text(ctx, self.codeword)}")
         if self.message is not None:
-            lines.append(f"message = {SkewPolynomial(ctx, self.message.coeffs)}")
+            lines.append(f"message = {poly_text(ctx, self.message.coeffs)}")
         return "\n".join(lines) + "\n"
 
 

@@ -92,10 +92,17 @@ class SkewPolynomial(Value):
         return self.scale_left(self.leading.inverse())
 
     def __repr__(self):
-        fmt = self.ctx.format
-        return join_terms([(fmt(c), i) for i, c in enumerate(self.coeffs) if c], "x")
+        return poly_text(self.ctx, self.coeffs)
 
     __str__ = __repr__
+
+
+def poly_text(ctx, coeffs):
+    """The polynomial in x with these coefficients, lowest first, each
+    printed by ctx, which needs only their raw values: any context of their
+    field prints them alike."""
+    fmt = ctx.format
+    return join_terms([(fmt(c), i) for i, c in enumerate(coeffs) if c], "x")
 
 
 def left_divmod(g, f):

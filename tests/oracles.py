@@ -38,6 +38,11 @@ replaced: the whole text tokenized, each token spelt as one character, and
 each term of that shape string matched by a pattern.  The new reader reads
 each term's sign, coefficient, symbol and exponent in one pass over the text.
 
+``ParserByMethods`` is the recursive-descent parser that ``parsing._Parser``
+replaced: the same grammar, bounds and errors, with each token read through
+``peek``, ``advance`` and ``expect`` calls.  The new parser reads the token
+list in place.
+
 ``codewords`` lists all q^k codewords of a finite-field code, and
 ``min_distance_oracle`` is their least nonzero weight, over one codeword
 of each scalar class.  ``cli.parity_check_distance`` reaches the same
@@ -58,10 +63,10 @@ from fractions import Fraction
 
 from skewrs import CodeError, Element, SkewPolynomial, left_divmod
 from skewrs.codes import conjugate_matrix, dual_support, encode, evaluate, evaluations
-from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_scale, poly_trim,
-                           power, require_context)
+from skewrs.fields import (poly_add, poly_divmod, poly_gcrd, poly_mul, poly_neg, poly_pow,
+                           poly_scale, poly_trim, power, require_context)
 from skewrs.linalg import Matrix, eliminate, solve_row_system
-from skewrs.parsing import MAX_EXPONENT, ParseError, _tokenize
+from skewrs.parsing import MAX_EXPONENT, MAX_NESTING, ParseError, _tokenize
 from skewrs.pgz import (BRANCH_ALL_ZERO, BRANCH_DIRECT, BRANCH_ECHELON, DecodeReport,
                         LocateFailure, _as_vector, decode, locate_positions)
 from skewrs.skewpoly import twisted_shift_rows
@@ -411,6 +416,132 @@ def modulus_by_shape(text, symbol):
             raise ParseError(f"exponent {k} exceeds {MAX_EXPONENT}", tokens[e - 1][2])
         coeffs[k] = coeffs.get(k, 0) + (-c if shape[s] == "-" else c)
     return [coeffs.get(j, 0) for j in range(max(coeffs) + 1)]
+
+
+class ParserByMethods:
+
+    def __init__(self, ctx, text, symbols):
+        self.ctx = ctx
+        self.symbols = symbols
+        # split unknown names into known one-character symbols so that in
+        # "az^5" the exponent binds to z alone, as adjacency notation reads
+        self.tokens = []
+        for kind, tok, pos in _tokenize(text):
+            if kind == "name" and tok not in symbols and \
+                    all(ch in symbols for ch in tok):
+                self.tokens.extend(("name", ch, pos + i)
+                                   for i, ch in enumerate(tok))
+            else:
+                self.tokens.append((kind, tok, pos))
+        self.pos = 0
+        # the largest exponent, multiplied through nested powers, so far
+        self.exponent = 1
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+        return tok
+
+    # -- grammar ------------------------------------------------------------
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.advance()[0]
+            rhs = self.term()
+            value = poly_add(self.ctx, value, rhs if op == "+" else poly_neg(self.ctx, rhs))
+        return value
+
+    def term(self):
+        value = self.unary()
+        while True:
+            kind = self.peek()[0]
+            if kind in ("*", "/"):
+                tok = self.advance()
+                rhs = self.unary()
+                value = poly_mul(self.ctx, value, rhs) if tok[0] == "*" else \
+                    self._divide(value, rhs, tok[2])
+            elif kind in ("name", "int", "("):
+                value = poly_mul(self.ctx, value, self.unary())
+            else:
+                return value
+
+    def nested(self, parse, pos):
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def unary(self):
+        if self.peek()[0] == "-":
+            tok = self.advance()
+            return poly_neg(self.ctx, self.nested(self.unary, tok[2]))
+        return self.power()
+
+    def power(self):
+        outer, self.exponent = self.exponent, 1
+        value = self.atom()
+        if self.peek()[0] == "^":
+            self.advance()
+            tok = self.expect("int")
+            k = tok[1]
+            self.exponent *= k
+            ctx, degree = self.ctx, len(value) - 1
+            if degree > 0 and degree * k > ctx.order:
+                raise ParseError(f"power of degree {degree * k} exceeds n = {ctx.order}", tok[2])
+            if ctx.size is None and self.exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {self.exponent} exceeds {MAX_EXPONENT}"
+                                 " over an infinite field", tok[2])
+            value = poly_pow(ctx, value, k)
+        self.exponent = max(outer, self.exponent)
+        return value
+
+    def atom(self):
+        kind, value, pos = self.advance()
+        if kind == "(":
+            inner = self.nested(self.expr, pos)
+            closing = self.advance()
+            if closing[0] != ")":
+                raise ParseError("missing closing parenthesis", closing[2])
+            return inner
+        if kind == "int":
+            return poly_trim(self.ctx, (self.ctx.from_int(value).raw,))
+        if kind == "name":
+            if value in self.symbols:
+                return self.symbols[value]
+            raise ParseError(f"unknown symbol {value!r}", pos)
+        raise ParseError(f"unexpected {value!r}", pos)
+
+    def _divide(self, lhs, rhs, pos):
+        if not rhs:
+            raise ParseError("division by zero", pos)
+        if len(rhs) > 1:
+            raise ParseError("division by a non-constant polynomial", pos)
+        return poly_scale(self.ctx, lhs, self.ctx.inv(rhs[0]))
+
+
+def parse_by_methods(ctx, text, symbols):
+    """The raw value of text, read by ``ParserByMethods`` over ``symbols``."""
+    return ParserByMethods(ctx, text, symbols).parse()
 
 
 def codewords(code):

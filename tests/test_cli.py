@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -828,3 +829,171 @@ def test_a_directory_output_is_one_error_line(workspace, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
     assert "Is a directory" in err
+
+
+def test_no_output_but_a_regular_file_is_cut(workspace, monkeypatch):
+    tmp, bundle = workspace
+    msg = tmp / "msg.txt"
+    msg.write_text("x + a\n")
+    cut = []
+    ftruncate = os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, n: cut.append(n) or ftruncate(fd, n))
+    encode = ["encode", "--code", str(bundle), "--in", str(msg), "--out"]
+    assert main(encode + [os.devnull]) == 0
+    fifo = tmp / "fifo"
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=fifo.read_bytes, daemon=True)
+    reader.start()
+    assert main(encode + [str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert cut == []
+    assert main(encode + [str(tmp / "cw.txt")]) == 0
+    assert cut == [len((tmp / "cw.txt").read_bytes())]
+
+
+# -- newlines ------------------------------------------------------------------
+
+RECEIVED = ("x^5 + a^3953*x^4 + a^1333*x^3 + a^2604*x^2 + a^1596*x + a^760\n"
+            "+ a^2 + a^1367x^3\n")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("verb, text", [("encode", "x\n+ a\n"), ("decode", RECEIVED)])
+def test_crlf_and_lone_cr_inputs_read_as_their_lf_twins(workspace, capsys, newline, verb, text):
+    tmp, bundle = workspace
+    outputs = []
+    for name, body in (("lf", text), ("other", text.replace("\n", newline))):
+        (tmp / f"{name}.txt").write_bytes(body.encode())
+        assert main([verb, "--code", str(bundle), "--in", str(tmp / f"{name}.txt"),
+                     "--out", str(tmp / f"{name}.out")]) == 0
+        outputs.append((tmp / f"{name}.out").read_bytes())
+    assert outputs[0] == outputs[1] and b"\r" not in outputs[0]
+    if verb == "decode":
+        assert b"status = ok" in outputs[0]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_a_parse_error_keeps_its_position_in_a_crlf_file(workspace, capsys, newline):
+    tmp, bundle = workspace
+    errors = []
+    for name, sep in (("lf", "\n"), ("other", newline)):
+        path = tmp / f"{name}.txt"
+        path.write_bytes(f"x + a{sep}+ a^2 + ${sep}".encode())
+        capsys.readouterr()
+        assert main(["decode", "--code", str(bundle), "--in", str(path)]) == 2
+        errors.append(capsys.readouterr().err.replace(str(path), "PATH"))
+    assert errors[0] == errors[1] == "error: unexpected character '$' (at position 14)\n"
+
+
+# -- verb dispatch against the argument tree ------------------------------------
+
+def _request(argv, capsys):
+    """main's exit code, stdout lines but simulate's timing and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, [l for l in out.splitlines() if not l.startswith("wall_time")], err
+
+
+@pytest.fixture
+def dispatch_corpus(workspace):
+    tmp, bundle = workspace
+    (tmp / "msg.txt").write_text("x + a\n")
+    (tmp / "rx.txt").write_text(RECEIVED)
+    b, m, r, c = (str(tmp / f) for f in ("code.bundle", "msg.txt", "rx.txt", "code.cfg"))
+    valid = [["build", "--config", c], ["encode", "--code", b, "--in", m],
+             ["decode", "--code", b, "--in", r],
+             ["simulate", "--code", b, "--trials", "2", "--weights", "1"],
+             ["paper-example", "--which", "2"],
+             ["oracle", "--code", b, "--budget", "100", "--trials", "2"]]
+    helps = [[argv[0], "-h"] for argv in valid] + [["-h"], ["--help"]]
+    usage = [[], ["frobnicate"], ["frobnicate", "--code", b], ["decode", "--code", b], ["build"],
+             ["paper-example", "--which", "4"], ["decode", "--code", b, "--in"],
+             ["decode", "--code", b, "--in", r, "extra"],
+             ["encode", "--code", b, "--in", m, "--bogus"],
+             ["decode", "--code", b, "--in", r, "--", "extra"], ["decode", "--", "--code", b],
+             ["decode", "--co", b, "--in", r], ["simulate", "--co", b, "--tr", "2", "--we", "0"],
+             ["decode", "--code", b, "--in", m, "--in", r],
+             ["--code", b, "decode", "--in", r], ["-h", "decode"], ["--", "decode"]]
+    return valid + helps + usage
+
+
+def test_verb_dispatch_agrees_with_the_argument_tree(dispatch_corpus, capsys, monkeypatch):
+    direct = [_request(argv, capsys) for argv in dispatch_corpus]
+    tree, _ = cli._parser()
+    # with no verbs to dispatch to, main hands every argv to the tree
+    monkeypatch.setattr(cli, "_parser", lambda: (tree, {}))
+    assert [_request(argv, capsys) for argv in dispatch_corpus] == direct
+    assert [code for code, _, _ in direct[:6]] == [0] * 6
+
+
+def test_a_verb_goes_to_its_subparser_and_not_the_tree(dispatch_corpus, capsys, monkeypatch):
+    tree, _ = cli._parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tree parsed a request that names its verb first")
+
+    monkeypatch.setattr(tree, "parse_args", refuse)
+    monkeypatch.setattr(tree, "parse_known_args", refuse)
+    assert [_request(argv, capsys)[0] for argv in dispatch_corpus[:6]] == [0] * 6
+
+
+def test_a_trailing_argument_is_the_tree_s_error(dispatch_corpus, capsys):
+    argv = next(a for a in dispatch_corpus if a[-1:] == ["extra"] and "--" not in a)
+    code, out, err = _request(argv, capsys)
+    assert (code, out) == (2, [])
+    assert err.startswith("usage: skewrs [-h] {build,")
+    assert err.endswith("\nskewrs: error: unrecognized arguments: extra\n")
+
+
+# -- a locale that is not UTF-8 ------------------------------------------------
+
+# the paper code with its field generator, modulus and alpha written in α
+ALPHA_CONFIG = re.sub(r"\ba\b", "α", EXAMPLE_CONFIGS[1])
+
+
+def _skewrs(argv, cwd, utf8):
+    """skewrs in a new process, under a C locale that Python does not coerce
+    to UTF-8 unless utf8 is set."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    env.update(PYTHONPATH=str(root / "src"), LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="1" if utf8 else "0")
+    return subprocess.run([sys.executable, "-m", "skewrs", *argv], capture_output=True,
+                          env=env, cwd=cwd, timeout=60)
+
+
+def test_outputs_are_utf8_under_a_locale_that_is_not(tmp_path):
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text(ALPHA_CONFIG, encoding="utf-8")
+    (tmp_path / "msg.txt").write_text("x + α\n", encoding="utf-8")
+    (tmp_path / "rx.txt").write_text(RECEIVED.replace("a", "α"), encoding="utf-8")
+    files = {}
+    for utf8 in (True, False):
+        out = tmp_path / ("utf8" if utf8 else "c")
+        out.mkdir()
+        for argv in (["build", "--config", "alpha.cfg", "--out", f"{out}/code.bundle"],
+                     ["encode", "--code", f"{out}/code.bundle", "--in", "msg.txt",
+                      "--out", f"{out}/cw.txt"],
+                     ["decode", "--code", f"{out}/code.bundle", "--in", "rx.txt",
+                      "--out", f"{out}/report.txt"]):
+            run = _skewrs(argv, tmp_path, utf8)
+            assert (run.returncode, run.stderr) == (0, b""), run.stderr
+        files[utf8] = {f: (out / f).read_bytes() for f in ("code.bundle", "cw.txt", "report.txt")}
+    assert files[False] == files[True]
+    assert "message = x + α\n".encode() in files[False]["report.txt"]
+
+
+@pytest.mark.parametrize("argv", [["build", "--config", "alpha.cfg"],
+                                  ["encode", "--code", "alpha.cfg", "--in", "msg.txt"]],
+                         ids=["build", "encode"])
+def test_a_stdout_that_cannot_carry_the_output_is_one_error_line(tmp_path, argv):
+    (tmp_path / "alpha.cfg").write_text(ALPHA_CONFIG, encoding="utf-8")
+    (tmp_path / "msg.txt").write_text("x + α\n", encoding="utf-8")
+    run = _skewrs(argv, tmp_path, utf8=False)
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr.startswith(b"error: stdout cannot carry the output: ")
+    assert run.stderr.count(b"\n") == 1 and b"Traceback" not in run.stderr

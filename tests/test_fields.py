@@ -887,20 +887,30 @@ def irreducibility_tests(monkeypatch):
 
 
 def test_a_shared_table_hit_skips_the_irreducibility_test(irreducibility_tests, monkeypatch):
-    # nor does it walk the tables or test an element for primitivity
+    # nor does it walk the tables, test an element for primitivity, pack
+    # a^d's residue again or take a power per sigma multiplier
     calls = []
-    for name in ("_walk_tables", "_is_primitive"):
+    for name in ("_walk_tables", "_is_primitive", "_pack"):
         def counted(self, *args, name=name, method=getattr(FiniteField, name)):
             calls.append(name)
             return method(self, *args)
         monkeypatch.setattr(FiniteField, name, counted)
+
+    def counted_pow(*args):
+        calls.append("pow")
+        return pow(*args)
+
+    monkeypatch.setattr(skewrs.fields, "pow", counted_pow, raising=False)
     F1 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=1)
     assert irreducibility_tests == [F1.modulus]
-    assert calls == ["_walk_tables", "_is_primitive"]
+    assert calls == ["_pack", "_walk_tables", "_is_primitive"]
+    del calls[:]
     F10 = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
     assert irreducibility_tests == [F1.modulus]
-    assert calls == ["_walk_tables", "_is_primitive"]
+    assert calls == []
     assert F10._exp is F1._exp
+    assert F10._adeg_digits is F1._adeg_digits and F10._adeg == F1._adeg
+    assert F10._sigma_mult == [pow(2, 10 * k % 12, F10.size - 1) for k in range(F10.order)]
 
 
 @pytest.mark.parametrize("p, degrees", [(2, range(2, 9)), (3, range(2, 5)), (5, (2, 3)),

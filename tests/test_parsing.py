@@ -1,13 +1,17 @@
+import importlib.util
+import pathlib
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewrs import FiniteField, ParseError, SkewPolynomial, parse_element, parse_poly
-from skewrs.parsing import MAX_EXPONENT, parse_int_poly
+from skewrs.codes import encode
+from skewrs.parsing import MAX_EXPONENT, _Parser, _symbol_table, parse_int_poly
 
 from conftest import LONG_LITERAL, rng_for, random_poly
-from oracles import coeff, from_fraction, modulus_by_shape, monomial
+from oracles import coeff, from_fraction, modulus_by_shape, monomial, parse_by_methods
 
 
 def test_whitespace_and_star_are_optional(gf4096):
@@ -439,3 +443,149 @@ def test_malformed_input_keeps_its_parse_error(request, fixture, kind, text, mes
     with pytest.raises(ParseError) as err:
         parse(request.getfixturevalue(fixture), text)
     assert str(err.value) == message
+
+
+# -- the parser against the method-call reference ----------------------------
+#
+# ``_Parser`` reads the token list in place; ``oracles.ParserByMethods`` is
+# the same grammar read through peek/advance/expect calls.  Both must give
+# the same raw value, or the same error text and position, on every text.
+
+_WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _outcome(parse):
+    try:
+        return "value", parse()
+    except Exception as exc:   # the exception's type, text and position
+        return type(exc).__name__, str(exc), getattr(exc, "pos", None)
+
+
+def _symbols(ctx, kind):
+    table = _symbol_table(ctx)
+    return {"x": (ctx.zero_raw, ctx.one_raw), **table} if kind == "poly" else table
+
+
+def _parsers_agree(ctx, kind, text):
+    symbols = _symbols(ctx, kind)
+    new = _outcome(lambda: _Parser(ctx, text, symbols).parse())
+    return new == _outcome(lambda: parse_by_methods(ctx, text, symbols))
+
+
+@pytest.fixture(scope="module")
+def agreement_contexts(all_contexts, round_trip_contexts):
+    """GF(2^12), F_4(z), GF(9)(z) and Q(chi_7)."""
+    return dict(all_contexts, f9z=round_trip_contexts["f9z"])
+
+
+@pytest.fixture(scope="module")
+def workload_words():
+    """(code name, message text, received word text) of the first 40
+    trials of the cli-gf4096 and infinite-mix workloads at seed 11, each
+    received word written as the CLI workload writes it: the codeword's
+    text plus the error's."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    words = {}
+    for name in ("cli-gf4096", "infinite-mix"):
+        codes = workloads.build_codes(workloads.WORKLOADS[name])
+        for i in range(40):
+            trial = workloads.draw_trial(name, 11, i, codes).materialize()
+            received = str(encode(trial.code, trial.msg))
+            if trial.weight:
+                received += f" + {trial.err_text()}"
+            words.setdefault(name, []).append((trial.spec.name, trial.msg_text(), received))
+    return words
+
+
+# the texts the tests above parse, beside those of MALFORMED
+TEST_TEXTS = ["a^3953x^4", "a^3953 x^4", "a^3953*x^4", "a ^ 3953 * x ^ 4", "x^2 + a*x + a^7",
+              "a^7 + x^2 + a*x", "x^2 + x^2", "az^5", "2x^4 + 3/2*chi^2", "-chi^5 - chi^3",
+              "(z + a)/(z^2 + a^2*z)", "(z+a) / (z^2+a^2z)", "a^2 + $", "a + q", "(a + 1",
+              "1/(z - z)", "a/x", "x + a", "x*a", "(a^3 + a)*z + a", "(a + 2)*z^2 + a",
+              "x^6 - 1", "(x^2)^3", "x^7", "(x^2)^4", "(x + a)^99999999999", "a^99999999999",
+              "z^99999999999", "((z^99)^99)^99", "(chi + 1)^99999999999", "2^99999999999",
+              "a^²", "(" * 300 + "a" + ")" * 300, "-" * 2000 + "a"]
+
+
+def test_the_parser_agrees_with_the_reference_on_the_test_texts(agreement_contexts):
+    texts = TEST_TEXTS + [text for _, _, text, _ in MALFORMED]
+    bad = [(name, kind, text) for name, ctx in agreement_contexts.items()
+           for kind in ("poly", "element") for text in texts
+           if not _parsers_agree(ctx, kind, text)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("workload, names", [("cli-gf4096", {"gf4096": "gf4096"}),
+                                             ("infinite-mix", {"rational": "rational",
+                                                               "cyclotomic": "cyclotomic"})])
+def test_the_parser_agrees_with_the_reference_on_the_workload_words(
+        agreement_contexts, workload_words, workload, names):
+    bad = []
+    for code, msg, received in workload_words[workload]:
+        ctx = agreement_contexts[names[code]]
+        bad += [text for text in (msg, received) if not _parsers_agree(ctx, "poly", text)]
+    assert bad == []
+
+
+PARSE_EDIT_ALPHABET = ["a", "x", "z", "chi", "0", "1", "2", "^", "*", "+", "-", "/", "(", ")",
+                       "$", "²", " "]
+
+
+def _token_edits(text):
+    """Every insertion, deletion and substitution of one character, with
+    the multi-character chi as one item of the alphabet."""
+    for i in range(len(text) + 1):
+        for item in PARSE_EDIT_ALPHABET:
+            yield text[:i] + item + text[i:]
+            if i < len(text):
+                yield text[:i] + item + text[i + 1:]
+        if i < len(text):
+            yield text[:i] + text[i + 1:]
+
+
+@pytest.mark.parametrize("which", ["message", "received"])
+def test_the_parser_agrees_with_the_reference_on_every_one_character_edit(
+        agreement_contexts, workload_words, which):
+    # a message of a weight-0 trial and a received word of a weight-2 one
+    _, msg, received = workload_words["cli-gf4096"][1 if which == "message" else 3]
+    text = msg if which == "message" else received
+    bad = [(name, edit) for edit in _token_edits(text)
+           for name, ctx in agreement_contexts.items() if not _parsers_agree(ctx, "poly", edit)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("levels", [99, 100, 101])
+def test_the_parser_agrees_with_the_reference_at_the_nesting_bound(agreement_contexts, levels):
+    texts = ["(" * levels + "a" + ")" * levels, "-" * levels + "a",
+             "-(" * (levels // 2) + "a" + ")" * (levels // 2) + "^2",
+             "(" * levels + "x + a" + ")" * levels + "^2", "-" * (levels - 1) + "(a)"]
+    bad = [(name, text) for name, ctx in agreement_contexts.items() for text in texts
+           if not _parsers_agree(ctx, "poly", text)]
+    assert bad == []
+
+
+def test_the_parser_agrees_with_the_reference_at_the_exponent_and_degree_bounds(
+        agreement_contexts):
+    bad = []
+    for name, ctx in agreement_contexts.items():
+        n, s = ctx.order, next(iter(ctx.symbols))
+        texts = [f"{s}^{MAX_EXPONENT}", f"{s}^{MAX_EXPONENT + 1}", f"({s}^32)^32",
+                 f"({s}^32)^33", f"(({s}^2)^2)^256", f"(({s}^2)^2)^257", f"2^{MAX_EXPONENT + 1}",
+                 f"({s} + 1)^{MAX_EXPONENT}", f"({s}^{MAX_EXPONENT})^1 * {s}^2",
+                 f"x^{n}", f"x^{n + 1}", f"(x^2)^{n // 2}", f"(x^2)^{n // 2 + 1}",
+                 f"(x + {s})^{n}", f"(x + {s})^{n + 1}", f"({s}x)^{n}", f"x^{n} - 1",
+                 f"(x^{n})^1 + ({s}^{MAX_EXPONENT})^1"]
+        bad += [(name, text) for text in texts for kind in ("poly", "element")
+                if not _parsers_agree(ctx, kind, text)]
+    assert bad == []
+
+
+@pytest.mark.parametrize("fixture", ["gf4096", "rational", "cyclotomic"])
+@settings(max_examples=60, deadline=None)
+@given(tree=_TREES)
+def test_the_parser_agrees_with_the_reference_on_rendered_trees(request, fixture, tree):
+    ctx = request.getfixturevalue(fixture)
+    assert _parsers_agree(ctx, "poly", _render(ctx, tree)[0])

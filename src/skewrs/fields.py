@@ -18,7 +18,8 @@ values through one small protocol, with the same names everywhere:
 
     add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  add_product(a, c, b)
     sigma_raw(u, k)  add_scaled(acc, c, src, shift)  kernel_rows(low, count)
-    poly_sums(terms, polys, starts)  conjugate_table(values)
+    poly_sums(terms, polys, starts)  poly_product(f, g)  poly_gcd(f, g)
+    poly_quotient(f, g)  conjugate_table(values)
     conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
 
@@ -31,7 +32,7 @@ Raw values are canonical (below), so u is zero exactly when
 ``add_product(a, c, b)`` is a + c * b, the one multiply-accumulate of every
 sum of products; ``add_scaled`` does acc[shift + j] += c * src[j] with it
 in place, skipping zero src[j] and at once done on a zero c: the inner loop
-of polynomial products, divisions and elimination.  The generic version is
+of L[x;sigma] products, divisions and elimination.  The generic version is
 add(a, mul(c, b)).  F_q(z) builds a + c * b as one unreduced fraction,
 summed by ``_sum`` as its add is, and Q(chi) as one integer vector over one
 denominator, convolved by ``_accumulate``; each reduces it once, where mul
@@ -41,6 +42,19 @@ XORs in exp[log c + log src[j]].  ``kernel_rows(low, count)`` gives the
 rows sigma^i(low), i < count, of ``codes.dual_support``'s recurrence and
 end factors for w: the twists and no factors, but over F_q(z), which
 clears low once and twists the cleared row, so w stays in F_q[z].
+
+``poly_product``, ``poly_gcd`` and ``poly_quotient`` are the product, the
+monic gcd and the exact quotient of trimmed polynomials over a context with
+sigma = id: F_q[z], all of F_q(z)'s polynomial work but sums (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 3).  Their generic versions
+are ``poly_mul``, ``poly_gcrd`` and ``poly_divmod``'s quotient.  A tabled
+field of characteristic 2 runs them in the log domain: the fixed
+operand's logs are looked up once per call (a gcd's divisor once per
+Euclid step), each term is one XOR of exp[la + lb] in place, the inverse
+of a leading coefficient has the log q - 1 - log lead, and no index
+reaches 2(q - 1).  Its quotient reads only the top m + 1 coefficients of
+the divisor and the top 2m + 1 of the dividend, m the quotient's degree,
+as the quotient of a long division depends on no others.
 
 ``poly_sums(terms, polys, starts)`` is, for each s in starts, the sum of
 u * polys[s + i] over the pairs (i, u) of terms, all polynomials over a
@@ -114,10 +128,13 @@ Q(chi) inverts by the norm: u times the product of its other Galois
 conjugates chi -> chi^e (2 <= e < m) is the rational N(u), so u^-1 is that
 product divided by N(u).
 
-Polynomials have one arithmetic: the ``poly_*`` kernels on low-first
-tuples of raw values, twisted by x*c = sigma(c)*x.  Over a context they are
-L[x;sigma], which ``SkewPolynomial`` wraps; over a base field with sigma =
-id (``frobenius_power=0``, which F_q(z) demands) they are F_q[z].
+The ``poly_*`` functions are the polynomial arithmetic on low-first tuples
+of raw values, twisted by x*c = sigma(c)*x: L[x;sigma], which
+``SkewPolynomial``, the parser and the worked examples run on.  F_q(z)
+demands a base with sigma = id (``frobenius_power=0``) and computes its
+numerators and denominators in F_q[z] through the base's protocol kernels
+(``poly_product``, ``poly_gcd``, ``poly_quotient``, ``poly_sums``), whose
+generic versions are those same functions with no twist.
 """
 
 from __future__ import annotations
@@ -356,6 +373,22 @@ class FieldContext:
                         add_scaled(acc, a, c, j)
             out.append(poly_trim(self, acc))
         return out
+
+    def poly_product(self, f, g):
+        """f * g for trimmed polynomials over this context with sigma = id
+        (F_q[z] for a base field), as a trimmed raw tuple: with
+        ``poly_gcd`` and ``poly_quotient``, all of F_q(z)'s F_q[z] work but
+        sums.  Here ``poly_mul``."""
+        return poly_mul(self, f, g)
+
+    def poly_gcd(self, f, g):
+        """The monic gcd of f and g, () when f = g = (): here ``poly_gcrd``."""
+        return poly_gcrd(self, f, g)
+
+    def poly_quotient(self, f, g):
+        """The quotient of f by g, exact where g divides f: here
+        ``poly_divmod``'s."""
+        return poly_divmod(self, f, g)[0]
 
     def conjugate_table(self, values):
         """What ``conjugate_sums`` reads: the n raw values c_k, here twice
@@ -697,6 +730,77 @@ class FiniteField(FieldContext):
             out.append(tuple([(c >> x) & mask for x in range(0, c.bit_length(), w)]))
         return out
 
+    # the three F_q[z] kernels in the log domain (see the module docstring);
+    # a quotient digit's log is brought below q - 1 before it is added to
+    # another, so every exp index stays below 2(q - 1)
+
+    def poly_product(self, f, g):
+        if self._exp is None or self.char != 2 or not f or not g:
+            return super().poly_product(f, g)
+        exp, log = self._exp, self._log
+        if len(f) < len(g):
+            f, g = g, f
+        terms = [(j, log[b]) for j, b in enumerate(g) if b]
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                la = log[a]
+                for j, lb in terms:
+                    out[i + j] ^= exp[la + lb]
+        # the leading term is the product of the two nonzero leading ones
+        return tuple(out)
+
+    def _log_reduce(self, rem, g, quot=None):
+        # _left_reduce with sigma = id: rem[:deg g] is the remainder
+        # afterwards, and quot, when given, takes the quotient's digits
+        exp, log, top = self._exp, self._log, self.size - 1
+        dg = len(g) - 1
+        inv_lead = top - log[g[-1]]
+        low = [(j, log[b]) for j, b in enumerate(g[:dg]) if b]
+        for k in range(len(rem) - 1 - dg, -1, -1):
+            c = rem[k + dg]
+            if c:
+                lq = log[c] + inv_lead
+                if lq >= top:
+                    lq -= top
+                if quot is not None:
+                    quot[k] = exp[lq]
+                for j, lb in low:
+                    rem[k + j] ^= exp[lq + lb]
+
+    def poly_gcd(self, f, g):
+        if self._exp is None or self.char != 2:
+            return super().poly_gcd(f, g)
+        # poly_gcrd's Euclid
+        f, g = list(f), list(g)
+        while g:
+            self._log_reduce(f, g)
+            del f[len(g) - 1:]
+            while f and not f[-1]:
+                f.pop()
+            f, g = g, f
+        if not f:
+            return ()
+        exp, log = self._exp, self._log
+        inv_lead = self.size - 1 - log[f[-1]]
+        return tuple([exp[log[c] + inv_lead] if c else 0 for c in f])
+
+    def poly_quotient(self, f, g):
+        if self._exp is None or self.char != 2 or not g:
+            return super().poly_quotient(f, g)
+        # the quotient's m + 1 digits depend only on the top m + 1
+        # coefficients of g and the top 2m + 1 of f, so the rest is cut off
+        m = len(f) - len(g)
+        if m < 0:
+            return ()
+        cut = len(g) - 1 - m
+        if cut > 0:
+            f, g = f[cut:], g[cut:]
+        quot = [0] * (m + 1)
+        self._log_reduce(list(f), g, quot)
+        # the leading digit is f's leading coefficient over g's
+        return tuple(quot)
+
     def conjugate_table(self, values):
         if self._exp is None or self.char != 2:
             return super().conjugate_table(values)
@@ -885,8 +989,8 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n.  At n = 17 a build takes 52 to 60 ms over
-    F_16(z) and 32 to 36 ms over F_17(z), at every delta (best of five,
+    whose degrees grow with n.  At n = 17 a build takes 59 to 77 ms over
+    F_16(z) and 44 to 50 ms over F_17(z), at every delta (best of five,
     in-process, Python 3.11 on a 2-vCPU host).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum
@@ -904,7 +1008,11 @@ class RationalFunctions(FieldContext):
     each operand is packed once per call into an integer, 2d - 1 slots of
     b bits per z-coefficient, with b the bit length of terms * min length
     * d, the most bit products a slot can count; over odd p they are
-    schoolbook.
+    schoolbook.  Every other F_q[z] product, gcd and exact quotient, in
+    ``_make``, ``_sum``, ``add_product``, the clearing and the conjugate
+    sums' denominator, is the base's ``poly_product``, ``poly_gcd`` or
+    ``poly_quotient``: in the log domain over a tabled GF(2^d), else the
+    generic ``poly_mul``, ``poly_gcrd`` and ``poly_divmod``.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -968,10 +1076,10 @@ class RationalFunctions(FieldContext):
         # a polynomial is in lowest terms as it stands
         if den == (1,):
             return num, den
-        g = poly_gcrd(base, num, den)
+        g = base.poly_gcd(num, den)
         if len(g) > 1:
-            num = poly_divmod(base, num, g)[0]
-            den = poly_divmod(base, den, g)[0]
+            num = base.poly_quotient(num, g)
+            den = base.poly_quotient(den, g)
         return self._monic(num, den)
 
     def _monic(self, num, den):
@@ -985,8 +1093,8 @@ class RationalFunctions(FieldContext):
         base = self.base
         if xd == yd:
             return self._make(poly_add(base, xn, yn), xd)
-        return self._make(poly_add(base, poly_mul(base, xn, yd), poly_mul(base, yn, xd)),
-                          poly_mul(base, xd, yd))
+        product = base.poly_product
+        return self._make(poly_add(base, product(xn, yd), product(yn, xd)), product(xd, yd))
 
     # -- raw protocol ----------------------------------------------------------
 
@@ -1015,8 +1123,8 @@ class RationalFunctions(FieldContext):
         if not cn or not bn:
             return a
         base = self.base
-        pn = poly_mul(base, cn, bn)
-        pd = bd if cd == (1,) else poly_mul(base, cd, bd)
+        pn = base.poly_product(cn, bn)
+        pd = bd if cd == (1,) else base.poly_product(cd, bd)
         return self._sum(an, ad, pn, pd) if an else self._make(pn, pd)
 
     def inv(self, u):
@@ -1074,14 +1182,15 @@ class RationalFunctions(FieldContext):
         cofactors = dict.fromkeys(d for num, d in fracs if num)
         dens = (d for d in cofactors if d != (1,))
         den = next(dens, (1,))
+        product, quotient = base.poly_product, base.poly_quotient
         for d in dens:
-            g = poly_gcrd(base, den, d)
-            den = poly_mul(base, den, poly_divmod(base, d, g)[0] if len(g) > 1 else d)
+            g = base.poly_gcd(den, d)
+            den = product(den, quotient(d, g) if len(g) > 1 else d)
         if len(cofactors) < 2:
             return [num for num, _ in fracs], den
         for d in cofactors:
-            cofactors[d] = poly_divmod(base, den, d)[0] if d != (1,) else den
-        return [poly_mul(base, num, cofactors[d]) if num else () for num, d in fracs], den
+            cofactors[d] = quotient(den, d) if d != (1,) else den
+        return [product(num, cofactors[d]) if num else () for num, d in fracs], den
 
     def kernel_rows(self, low, count):
         # low is cleared once, to N_k / d; with one m for all, row i is
@@ -1133,7 +1242,7 @@ class RationalFunctions(FieldContext):
     def conjugate_sums(self, table, vec, count, offset):
         # each output pays for one gcd, in _make
         vden, sums = self._numerator_sums(table, vec, count, offset)
-        den = poly_mul(self.base, vden, table[1])
+        den = self.base.poly_product(vden, table[1])
         return [self._make(num, den) for num in sums]
 
     def conjugate_zeros(self, table, vec, count, offset):

@@ -176,22 +176,24 @@ def test_rational_product_by_one_is_the_operand(rational):
             assert rational.mul(one, x) is x and rational.mul(x, one) is x
 
 
-def _counted_gcrd(monkeypatch):
-    """The list that records each poly_gcrd call from now on."""
-    real, calls = skewrs.fields.poly_gcrd, []
+def _counted_gcd(monkeypatch):
+    """The list that records each F_q[z] gcd from now on: every one is a
+    call of the base field's ``poly_gcd``, whether the log-domain override
+    runs it or hands it to the generic ``poly_gcrd``."""
+    real, calls = FiniteField.poly_gcd, []
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return real(*args)
+        return real(self, *args)
 
-    monkeypatch.setattr(skewrs.fields, "poly_gcrd", counted)
+    monkeypatch.setattr(FiniteField, "poly_gcd", counted)
     return calls
 
 
 def test_rational_sum_with_zero_makes_no_gcd(rational, monkeypatch):
     rng = rng_for("rf-zero-add")
     xs = [random_fraction(rational, rng, 3, 3).raw for _ in range(50)]
-    calls = _counted_gcrd(monkeypatch)
+    calls = _counted_gcd(monkeypatch)
     zero = rational.zero.raw
     for x in xs:
         assert rational.add(zero, x) is x and rational.add(x, zero) is x
@@ -205,7 +207,7 @@ def test_rational_sums_reduce_once_per_output(code_rf, monkeypatch):
     ctx, n = code_rf.ctx, code_rf.n
     rng = rng_for("rf-sums-gcd")
     words = [[random_fraction(ctx, rng, 2, 2, nonzero=True).raw for _ in range(n)] for _ in range(4)]
-    calls = _counted_gcrd(monkeypatch)
+    calls = _counted_gcd(monkeypatch)
     for vec in words:
         clearing = max(len({den for _, den in vec} - {(1,)}) - 1, 0)
         for offset in range(n):
@@ -254,7 +256,7 @@ def test_rational_sigma_makes_no_gcd(name, request, monkeypatch):
     ctx = _rational_context(name, request)
     rng = rng_for(f"sigma-no-gcd-{name}")
     xs = [random_fraction(ctx, rng, rng.randrange(9), rng.randrange(9)).raw for _ in range(30)]
-    calls = _counted_gcrd(monkeypatch)
+    calls = _counted_gcd(monkeypatch)
     for x in xs:
         for k in range(ctx.order):
             ctx.sigma_raw(x, k)
@@ -273,11 +275,33 @@ def test_rational_add_scaled_reduces_once_per_entry(name, request, monkeypatch):
                for _ in range(len(src) + 2)]
         c = rng.choice((ctx.one, random_fraction(ctx, rng, 2, 2, nonzero=True))).raw
         cases.append((acc, c, src))
-    calls = _counted_gcrd(monkeypatch)
+    calls = _counted_gcd(monkeypatch)
     for acc, c, src in cases:
         calls.clear()
         ctx.add_scaled(acc, c, src, rng.randrange(3))
         assert len(calls) <= sum(1 for b in src if b != ctx.zero_raw)
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z", "f4z-untabled"])
+def test_rational_make_of_a_common_factor_makes_one_gcd(name, request, monkeypatch):
+    # the positive control of the counts above: a pair that is not coprime
+    # is reduced by exactly one gcd, on the log-domain route (F_4(z)) and
+    # the generic one (GF(9)(z), and F_4(z) over an untabled GF(4))
+    if name == "f4z-untabled":
+        monkeypatch.setattr(skewrs.fields, "_TABLE_LIMIT", 0)
+        ctx = RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
+                                ("1", "a", "1", "a^2"))
+        assert ctx.base._exp is None
+    else:
+        ctx = _rational_context(name, request)
+    base = ctx.base
+    assert (base._exp is not None and base.char == 2) == (name == "rational")
+    # (1 + z)(z + a) / z^2 (z + a), whose reduced form is (1 + z) / z^2
+    num, den, common = (1, 1), (0, 0, 1), (base.generator_raw, 1)
+    calls = _counted_gcd(monkeypatch)
+    got = ctx._make(poly_mul(base, num, common), poly_mul(base, den, common))
+    assert len(calls) == 1
+    assert got == (num, den)
 
 
 def _clearing_words(ctx, rng):
@@ -1188,6 +1212,81 @@ def test_packed_poly_sums_fold_a_multiple_of_the_modulus_to_zero(modulus):
         polys = [(0, 1 << (j + 1)), (1 << j,)] * 2
         assert ctx.poly_sums(terms, polys, [0]) == [(0, 1 << (j + 1))]
         assert _schoolbook_sums(ctx, terms, polys, [0]) == [(0, 1 << (j + 1))]
+
+
+# -- log-domain F_2^d[z] kernels -------------------------------------------------
+
+# tabled GF(2^d) for d = 1, 2, 3, 4, 8 and 12; the second GF(2^8) modulus has a
+# root that is not primitive, so its tables are walked from another element
+KERNEL_MODULI = ["a + 1", "a^2 + a + 1", "a^3 + a + 1", "a^4 + a + 1",
+                 "a^8 + a^4 + a^3 + a^2 + 1", "a^8 + a^4 + a^3 + a + 1", GF4096_MODULUS]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A tabled char-2 modulus and three F_q[z] operands f, g and h, each
+    given by its coefficients' discrete logs (None for zero, a negative log
+    counted down from q - 1): f and g are multiplied by h, when h is drawn,
+    so that the gcd is planted.  Small and negative logs bias the draws to
+    log sums that cross q - 1 at every d."""
+    logs = st.one_of(st.none(), st.integers(-3, 3), st.integers(0, 1 << 12))
+    poly = st.lists(logs, max_size=7)
+    return (draw(st.sampled_from(KERNEL_MODULI)), draw(poly), draw(poly),
+            draw(st.none() | st.lists(logs, min_size=1, max_size=4)))
+
+
+def _kernel_operands(case):
+    # the field and the trimmed raw operands f and g of a kernel case, with
+    # h multiplied in by the generic product
+    modulus, f, g, h = case
+    ctx = _char2_field(modulus)
+    assert ctx._exp is not None
+    exp, top = ctx._exp, ctx.size - 1
+
+    def raw(logs):
+        return poly_trim(ctx, [0 if e is None else exp[e % top] for e in logs])
+
+    f, g = raw(f), raw(g)
+    if h is not None and raw(h):
+        f, g = poly_mul(ctx, f, raw(h)), poly_mul(ctx, g, raw(h))
+    return ctx, f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+# zero and constant operands, and a divisor of degree 0
+@example(("a^4 + a + 1", [], [], None))
+@example(("a^4 + a + 1", [], [5, 1], None))
+@example(("a^4 + a + 1", [-1, 2, -2], [], None))
+@example(("a^8 + a^4 + a^3 + a + 1", [-1], [-2, 7, None, -1], None))
+@example(("a^8 + a^4 + a^3 + a + 1", [3, None, -1], [-1], None))
+@example((GF4096_MODULUS, [0], [-1], None))
+# g monic and a factor of f: the gcd is g itself and g over it is (1,)
+@example(("a^3 + a + 1", [-1, -2], [0], [-1, 2, 0]))
+@example((GF4096_MODULUS, [5, None, -3, 2], [0], [-2, 0]))
+# a coprime pair, z and z + 1
+@example(("a^2 + a + 1", [None, 0], [0, 0], None))
+# every log q - 2: each product's log sum is 2(q - 2), past q - 1
+@example(("a^8 + a^4 + a^3 + a^2 + 1", [-1] * 5, [-1] * 4, [-1, -1]))
+@example((GF4096_MODULUS, [-1] * 6, [-1] * 3, [-1]))
+@example(("a + 1", [0, None, 0], [0, 0], [0, 0]))
+def test_log_domain_kernels_equal_the_generic_ones(case):
+    ctx, f, g = _kernel_operands(case)
+    generic = skewrs.fields.FieldContext
+    assert ctx.poly_product(f, g) == generic.poly_product(ctx, f, g) == poly_mul(ctx, f, g)
+    for x, y in ((f, g), (g, f)):
+        gcd = ctx.poly_gcd(x, y)
+        assert gcd == generic.poly_gcd(ctx, x, y) == poly_gcrd(ctx, x, y)
+        if y:
+            assert ctx.poly_quotient(x, y) == generic.poly_quotient(ctx, x, y)
+        if gcd:
+            # exact quotients by the gcd, and by each factor of a product
+            for z in (x, y):
+                assert ctx.poly_quotient(z, gcd) == generic.poly_quotient(ctx, z, gcd)
+            if x:
+                assert ctx.poly_quotient(poly_mul(ctx, x, y), x) == y
+    if g and poly_divmod(ctx, f, g)[1] == ():
+        assert poly_mul(ctx, ctx.poly_quotient(f, g), g) == f
 
 
 @pytest.mark.parametrize("p, degree, modulus", [(2, 4, "a^4 + a + 1"),

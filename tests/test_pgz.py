@@ -519,27 +519,53 @@ def test_report_serialization_mentions_all_fields(code_gf, gf4096):
         assert key in text
 
 
+# field, delta and words per weight of each code decoded over a tabled and
+# an untabled field: the paper's GF(2^12) code, then infinite-mix's F_4(z)
+# code, F_8(z) with n = 9 and the affine sigma(z) = (z + 1)/a over F_4(z),
+# whose tabled bases run the log-domain F_q[z] kernels and untabled ones
+# the generic kernels
+TABLED_UNTABLED_CODES = [
+    (lambda: FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10), 5, 50),
+    (lambda: RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
+                               ("1", "a", "1", "a^2")), 5, 10),
+    (lambda: RationalFunctions(FiniteField(2, 3, "a^3 + a + 1", frobenius_power=0),
+                               ("0", "1", "1", "a")), 7, 4),
+    (lambda: RationalFunctions(FiniteField(2, 2, "a^2 + a + 1", frobenius_power=0),
+                               ("1", "1", "0", "a")), 3, 10),
+]
+
+
+def _is_tabled(ctx):
+    return getattr(ctx, "base", ctx)._exp is not None
+
+
 def test_tabled_and_untabled_fields_decode_alike(monkeypatch):
-    # the log-domain fast paths must agree with the general arithmetic
-    tabled = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
-    monkeypatch.setattr(fields, "_TABLE_LIMIT", 1 << 11)
-    untabled = FiniteField(2, 12, GF4096_MODULUS, frobenius_power=10)
-    assert tabled._exp is not None and untabled._exp is None
-    codes = [build_code(ctx, ctx.generator, 0, 5) for ctx in (tabled, untabled)]
-    n, t, k = codes[0].n, codes[0].t, codes[0].dimension
+    # the log-domain fast paths must agree with the general arithmetic: the
+    # same generator, and the same report text for seeded words of weight
+    # 0 .. t+1, every value printed by the tabled field; alpha is the generator
+    # but over the affine sigma, where z is not normal
+    tabled = [make() for make, _, _ in TABLED_UNTABLED_CODES]
+    monkeypatch.setattr(fields, "_TABLE_LIMIT", 0)
+    untabled = [make() for make, _, _ in TABLED_UNTABLED_CODES]
     rng = rng_for("tabled-untabled")
-    for i in range(200):
-        msg = [rng.randrange(1 << 12) for _ in range(k)]
-        err = dict.fromkeys(rng.sample(range(n), i % (t + 2)), 0)
-        for pos in err:
-            err[pos] = rng.randrange(1, 1 << 12)
-        texts = []
-        for code in codes:
-            ctx = code.ctx
-            cw = encode(code, SkewPolynomial(ctx, [ctx.element(v) for v in msg]))
-            y = [v + ctx.element(err.get(j, 0)) for j, v in enumerate(cw.vector(n))]
-            texts.append(decode(code, y).to_text(tabled))
-        assert texts[0] == texts[1]
+    for fast, slow, (_, delta, per_weight) in zip(tabled, untabled, TABLED_UNTABLED_CODES):
+        assert _is_tabled(fast) and not _is_tabled(slow)
+        alpha = find_normal_element(fast).raw
+        codes = [build_code(ctx, ctx.element(alpha), 0, delta) for ctx in (fast, slow)]
+        assert codes[0].g.raw == codes[1].g.raw
+        n, t, k = codes[0].n, codes[0].t, codes[0].dimension
+        for i in range(per_weight * (t + 2)):
+            msg = [fast.random_element(rng).raw for _ in range(k)]
+            err = dict.fromkeys(rng.sample(range(n), i % (t + 2)), 0)
+            for pos in err:
+                err[pos] = fast.random_nonzero(rng).raw
+            texts = []
+            for code in codes:
+                ctx = code.ctx
+                cw = encode(code, SkewPolynomial(ctx, [ctx.element(v) for v in msg]))
+                y = [v + ctx.element(err.get(j, ctx.zero_raw)) for j, v in enumerate(cw.vector(n))]
+                texts.append(decode(code, y).to_text(fast))
+            assert texts[0] == texts[1]
 
 
 def test_convolutional_reports_equal_the_reduced_route(monkeypatch):

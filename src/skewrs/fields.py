@@ -75,8 +75,13 @@ F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
 already in lowest terms, because as binary forms of degree m num and den
 are coprime and an invertible linear change of variables keeps them so.
-The same substitution kernel twists kernel_rows' cleared row.  Its Euclid
-keeps only the remainders and reduces them in place.
+The same substitution kernel twists kernel_rows' cleared row.  It sums
+p_i * B_i, one add_scaled per nonzero coefficient, over a table of the
+images B_i = L^i * D^(m-i) of z^i, built once per (k mod n, m) by one
+product and one exact quotient by a linear polynomial per image and kept
+while all of a context's tables hold at most ``_SUBSTITUTION_LIMIT``
+coefficients.  Its Euclid keeps only the remainders and reduces them in
+place.
 
 The conjugate methods serve the right evaluations at the beta-roots of a
 skew Reed-Solomon code (see ``codes``): unscaled sums u_k = sum_i vec_i *
@@ -110,7 +115,9 @@ the same element:
 ``Element(ctx, raw)``, the one element class, of ``SkewPolynomial`` and of
 ``Matrix``: it owns equality, hashing, ``from_raw`` and the one check that
 a second operand shares the context, else FieldError.  Element operators
-then delegate to the context.  Contexts are immutable and safe to share.
+then delegate to the context.  Contexts are safe to share: what they build
+after construction, F_q(z)'s substitution tables, only caches values, and
+two builds racing on a miss at worst build twice.
 
 Finite fields of size up to 2^16 get exp/log tables with respect to a
 primitive element, so multiplication, inversion and Frobenius application
@@ -979,6 +986,8 @@ def poly_gcrd(ctx, f, g):
 _RF_ONE = ((1,), (1,))
 # F_q(z) with sigma of order n needs n <= this (see RationalFunctions)
 _MAX_MOBIUS_ORDER = 17
+# the most coefficients one F_q(z)'s kept substitution tables hold in all
+_SUBSTITUTION_LIMIT = 1 << 16
 
 
 class RationalFunctions(FieldContext):
@@ -989,9 +998,9 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n.  At n = 17 a build takes 59 to 77 ms over
-    F_16(z) and 44 to 50 ms over F_17(z), at every delta (best of five,
-    in-process, Python 3.11 on a 2-vCPU host).  Fractions are kept
+    whose degrees grow with n.  At n = 17 a build takes 49 to 57 ms over
+    F_16(z) and 42 to 48 ms over F_17(z), at every delta (best of five,
+    in-process, cold substitution tables, Python 3.11 on a 2-vCPU host).  Fractions are kept
     reduced with a monic denominator after every operation so intermediate
     expressions stay small, and each result pays at most one gcd: a sum
     and a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul``
@@ -1001,7 +1010,17 @@ class RationalFunctions(FieldContext):
     ``_monic``, as ``_make`` does last.  One substitution kernel,
     p -> p(L/D) * D^m for sigma^k(z) = L/D and one m for all its inputs,
     serves sigma and ``kernel_rows``, which clears its low coefficients
-    once and substitutes the cleared row.  Clearing them, or a conjugate
+    once and substitutes the cleared row.  It reads a table of the images
+    B_i = L^i * D^(m-i) of z^i, i <= m, so that a substitution is one
+    add_scaled per nonzero coefficient.  A table is built on first use in
+    O(m^2), B_0 = D^m and then B_i = B_(i-1) * L / D, through the base's
+    ``poly_product`` and ``poly_quotient``, and kept by (k mod n, m) while
+    the kept tables hold at most ``_SUBSTITUTION_LIMIT`` (2^16)
+    coefficients in all; one past that is built for its call and dropped.
+    At the cap they take 0.6 MB over a tabled GF(2^12) and 1.6 MB over an
+    untabled GF(2^17) (tracemalloc).  infinite-mix's F_4(z) code keeps 28
+    tables, m <= 10, of 1,144 coefficients; F_16(z) with n = 17 keeps 74,
+    m <= 44, of 10,509.  Clearing them, or a conjugate
     sum's word, to the lcm of the denominators costs one gcd per distinct
     denominator other than one after the first.  The conjugate sums are
     then sums of F_q[z] products, the base's ``poly_sums``: over GF(2^d)
@@ -1044,6 +1063,9 @@ class RationalFunctions(FieldContext):
         self.generator_raw = ((0, 1), (1,))
         self.symbols = _symbols({variable: self.generator_raw, **{
             name: self.from_base(v).raw for name, v in base.symbols.items()}})
+        # _images' tables by (k mod n, m), and how many coefficients they hold
+        self._tables = {}
+        self._table_size = 0
 
     def _base_raw(self, c):
         base = self.base
@@ -1136,39 +1158,58 @@ class RationalFunctions(FieldContext):
         num, den = u
         return self._monic(den, num)
 
+    def _images(self, k, m):
+        """The images B_i = L^i * D^(m-i), i <= m, of z^i under p -> p(L/D)
+        * D^m for sigma^k(z) = L/D = (az+b)/(cz+d): B_0 = D^m, then B_i =
+        B_(i-1) * L / D, one product and one exact quotient by a linear
+        polynomial each.  Kept per (k mod n, m) while all kept tables hold
+        at most _SUBSTITUTION_LIMIT coefficients; one past that is built for
+        its call only."""
+        k %= self.order
+        key = (k, m)
+        images = self._tables.get(key)
+        if images is not None:
+            return images
+        base = self.base
+        product, quotient = base.poly_product, base.poly_quotient
+        a, b, c, d = self._mob_pows[k]
+        num, den = poly_trim(base, (b, a)), poly_trim(base, (d, c))
+        image = (1,)
+        for _ in range(m):
+            image = product(den, image)
+        images = [image]
+        for _ in range(m):
+            image = quotient(product(num, image), den)
+            images.append(image)
+        size = self._table_size + sum(map(len, images))
+        if size <= _SUBSTITUTION_LIMIT:
+            self._tables[key] = images
+            self._table_size = size
+        return images
+
     def _substitute(self, polys, k, m):
         """p(L/D) * D^m, sigma^k(p) times one factor, for each F_q[z]
-        polynomial p of degree at most m; sigma^k(z) = L/D = (az+b)/(cz+d)."""
+        polynomial p of degree at most m: the sum of p_i * B_i over the
+        images of ``_images``, one add_scaled per nonzero coefficient."""
         base = self.base
         add_scaled = base.add_scaled
-        a, b, c, d = self._mob_pows[k % self.order]
-
-        def times(p, lo, hi):
-            # p * (hi*z + lo) in m + 1 slots; p's top slot is zero here
-            out = [0] * (m + 1)
-            add_scaled(out, lo, p, 0)
-            add_scaled(out, hi, p[:m], 1)
-            return out
-
-        # Horner in L over the powers of D: acc = acc * L + p_i * D^(m-i)
-        accs = [[p[m] if m < len(p) else 0] + [0] * m for p in polys]
-        dpow = [1] + [0] * m
-        for i in range(m - 1, -1, -1):
-            dpow = times(dpow, d, c)
-            for j, p in enumerate(polys):
-                acc = accs[j] = times(accs[j], b, a)
-                if i < len(p) and p[i]:
-                    add_scaled(acc, p[i], dpow, 0)
-        return [poly_trim(base, acc) for acc in accs]
+        images = self._images(k, m)
+        out = []
+        for p in polys:
+            acc = [0] * (m + 1)
+            for c, image in zip(p, images):
+                if c:
+                    add_scaled(acc, c, image, 0)
+            out.append(poly_trim(base, acc))
+        return out
 
     def sigma_raw(self, u, k=1):
         """num(L/D) * D^m over den(L/D) * D^m, for m = max(deg num,
         deg den), with no gcd: as binary forms of degree m, num and den are
         coprime, and the invertible linear substitution (X, Y) -> (L, D)
         keeps them so."""
-        k %= self.order
         num, den = u
-        if k == 0 or not num:
+        if k % self.order == 0 or not num:
             return u
         return self._monic(*self._substitute(u, k, max(len(num), len(den)) - 1))
 
@@ -1195,7 +1236,8 @@ class RationalFunctions(FieldContext):
     def kernel_rows(self, low, count):
         # low is cleared once, to N_k / d; with one m for all, row i is
         # sigma^i(N_k / d) = P_i(N_k) / P_i(d), P_i the substitution of
-        # sigma^i, over the scale d_i = P_i(d), with no gcd.  w_j is kept
+        # sigma^i, the sums over the table of (i, m), over the scale d_i =
+        # P_i(d), with no gcd.  w_j is kept
         # times D_j = d_0 * ... * d_(j-mu) (one for j < mu), so w_(i+mu)
         # comes times D_(i+mu), and row i's coefficient k times D_(i+mu-1) /
         # D_(i+k): the d_l for max(i+k-mu+1, 0) <= l < i.  w_j times

@@ -236,19 +236,106 @@ def _rational_context(name, request):
     return request.getfixturevalue(name)
 
 
-@pytest.mark.parametrize("name", ["rational", "gf9z", "affine"])
-def test_sigma_raw_equals_the_ladder_oracle(name, request):
-    ctx = _rational_context(name, request)
-    rng = rng_for(f"sigma-ladder-{name}")
+def _ladder_elements(ctx, rng):
+    """Fractions of every degree up to 12, then up to 40 in steps of 4,
+    drawn in pairs that share the larger degree m, with 0, 1 and z first:
+    ascending, so a later sigma of the same power reuses a substitution
+    table."""
     elements = [ctx.zero_raw, ctx.one_raw, ctx.generator_raw]
-    for deg in range(13):
-        for _ in range(2):
-            other = rng.randrange(13)
+    for deg in [*range(13), *range(16, 41, 4)]:
+        for _ in range(2 if deg < 13 else 1):
+            other = rng.randrange(deg + 1)
             elements.append(random_fraction(ctx, rng, deg, other).raw)
             elements.append(random_fraction(ctx, rng, other, deg).raw)
-    for u in elements:
-        for k in range(-ctx.order, 2 * ctx.order + 1):
-            assert ctx.sigma_raw(u, k) == sigma_by_ladder(ctx, u, k)
+    return elements
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z", "affine", "f8z"])
+def test_sigma_raw_equals_the_ladder_oracle(name, request):
+    # every k in -n..2n, against one ladder per power of sigma: F_4(z),
+    # odd p, an affine sigma (D constant) and sigma(z) = 1/(z + a) (L
+    # constant); the kept tables stay within the cap
+    ctx = _rational_context(name, request)
+    n = ctx.order
+    rng = rng_for(f"sigma-ladder-{name}")
+    for u in _ladder_elements(ctx, rng):
+        want = [sigma_by_ladder(ctx, u, k) for k in range(n)]
+        for k in range(-n, 2 * n + 1):
+            assert ctx.sigma_raw(u, k) == want[k % n]
+    assert sum(map(len, itertools.chain(*ctx._tables.values()))) == ctx._table_size
+    assert ctx._table_size <= skewrs.fields._SUBSTITUTION_LIMIT
+
+
+def _fraction_of_degree(ctx, rng, m):
+    """A nonzero fraction whose larger degree is exactly m."""
+    while True:
+        u = random_fraction(ctx, rng, m, m, nonzero=True).raw
+        if max(map(len, u)) == m + 1:
+            return u
+
+
+def _counted_products(monkeypatch):
+    """The list that records each F_q[z] product from now on, at the base
+    field's ``poly_product``."""
+    real, calls = FiniteField.poly_product, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(FiniteField, "poly_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z", "affine", "f8z"])
+def test_rational_sigma_reuses_its_tables(name, request, monkeypatch):
+    # the first sigma^k of a degree-m fraction builds the table of (k mod n,
+    # m) with 2m products; a second, of another fraction of the same m and
+    # of k, k + n or k - n, builds none, and sigma^k of a lower or higher m
+    # builds its own.  A fresh context, as the fixture's keeps its tables
+    ctx = _rational_context(name, request)
+    ctx = RationalFunctions(ctx.base, ctx.mobius)
+    n = ctx.order
+    rng = rng_for(f"sigma-reuse-{name}")
+    m = 6
+    first, second = (_fraction_of_degree(ctx, rng, m) for _ in range(2))
+    calls = _counted_products(monkeypatch)
+    for k in range(1, n):
+        calls.clear()
+        ctx.sigma_raw(first, k)
+        assert len(calls) == 2 * m
+        calls.clear()
+        for j in (k, k + n, k - n):
+            ctx.sigma_raw(second, j)
+            ctx.sigma_raw(first, j)
+        assert calls == []
+    assert sorted(ctx._tables) == [(k, m) for k in range(1, n)]
+    ctx.sigma_raw(ctx.generator_raw, 1)
+    assert len(calls) == 2 and (1, 1) in ctx._tables
+
+
+@pytest.mark.parametrize("name", ["rational", "gf9z"])
+def test_a_table_past_the_cap_is_used_and_not_kept(name, request, monkeypatch):
+    # with room for 60 coefficients, sigma of a degree-9 fraction (a table
+    # of 100) still equals the ladder oracle and keeps nothing, and a
+    # degree-2 one (a table of at most 9) is kept; the kept tables never
+    # pass the cap
+    monkeypatch.setattr(skewrs.fields, "_SUBSTITUTION_LIMIT", 60)
+    ctx = _rational_context(name, request)
+    ctx = RationalFunctions(ctx.base, ctx.mobius)
+    rng = rng_for(f"sigma-cap-{name}")
+    big, small = _fraction_of_degree(ctx, rng, 9), _fraction_of_degree(ctx, rng, 2)
+    calls = _counted_products(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        assert ctx.sigma_raw(big, 1) == sigma_by_ladder(ctx, big, 1)
+        assert len(calls) == 18
+    assert ctx._tables == {} and ctx._table_size == 0
+    for k in range(1, ctx.order):
+        assert ctx.sigma_raw(small, k) == sigma_by_ladder(ctx, small, k)
+        assert ctx.sigma_raw(big, k) == sigma_by_ladder(ctx, big, k)
+    assert sorted(ctx._tables) == [(k, 2) for k in range(1, ctx.order)]
+    assert 0 < ctx._table_size == sum(map(len, itertools.chain(*ctx._tables.values()))) <= 60
 
 
 @pytest.mark.parametrize("name", ["rational", "gf9z", "affine"])

@@ -76,12 +76,10 @@ F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 already in lowest terms, because as binary forms of degree m num and den
 are coprime and an invertible linear change of variables keeps them so.
 The same substitution kernel twists kernel_rows' cleared row.  It sums
-p_i * B_i, one add_scaled per nonzero coefficient, over a table of the
-images B_i = L^i * D^(m-i) of z^i, built once per (k mod n, m) by one
-product and one exact quotient by a linear polynomial per image and kept
-while all of a context's tables hold at most ``_SUBSTITUTION_LIMIT``
-coefficients.  Its Euclid keeps only the remainders and reduces them in
-place.
+p_i * B_i over a table of the images B_i = L^i * D^(m-i) of z^i, one per
+(k mod n, m), built on first use and kept under one cap (see
+``RationalFunctions``).  Its Euclid keeps only the remainders and reduces
+them in place.
 
 The conjugate methods serve the right evaluations at the beta-roots of a
 skew Reed-Solomon code (see ``codes``): unscaled sums u_k = sum_i vec_i *
@@ -117,7 +115,8 @@ the same element:
 a second operand shares the context, else FieldError.  Element operators
 then delegate to the context.  Contexts are safe to share: what they build
 after construction, F_q(z)'s substitution tables, only caches values, and
-two builds racing on a miss at worst build twice.
+two threads racing on a miss at worst build a table twice and keep one
+past the cap.
 
 Finite fields of size up to 2^16 get exp/log tables with respect to a
 primitive element, so multiplication, inversion and Frobenius application
@@ -1000,38 +999,40 @@ class RationalFunctions(FieldContext):
     a code build takes O(n^2) operations for sigma of order n, on fractions
     whose degrees grow with n.  At n = 17 a build takes 49 to 57 ms over
     F_16(z) and 42 to 48 ms over F_17(z), at every delta (best of five,
-    in-process, cold substitution tables, Python 3.11 on a 2-vCPU host).  Fractions are kept
-    reduced with a monic denominator after every operation so intermediate
-    expressions stay small, and each result pays at most one gcd: a sum
-    and a + c * b (``add_product``, by ``_sum`` as ``add`` is, and ``mul``
-    as the step onto zero) reduce once, in ``_make``, and not at all over
-    a denominator of one; an inverse and sigma need none, as they map
-    coprime pairs to coprime pairs and only make the denominator monic, in
-    ``_monic``, as ``_make`` does last.  One substitution kernel,
-    p -> p(L/D) * D^m for sigma^k(z) = L/D and one m for all its inputs,
-    serves sigma and ``kernel_rows``, which clears its low coefficients
-    once and substitutes the cleared row.  It reads a table of the images
-    B_i = L^i * D^(m-i) of z^i, i <= m, so that a substitution is one
-    add_scaled per nonzero coefficient.  A table is built on first use in
-    O(m^2), B_0 = D^m and then B_i = B_(i-1) * L / D, through the base's
-    ``poly_product`` and ``poly_quotient``, and kept by (k mod n, m) while
-    the kept tables hold at most ``_SUBSTITUTION_LIMIT`` (2^16)
+    in-process, cold substitution tables, Python 3.11 on a 2-vCPU host).
+    Fractions are kept reduced with a monic denominator after every
+    operation so intermediate expressions stay small, and each result pays
+    at most one gcd: a sum and a + c * b (``add_product``, by ``_sum`` as
+    ``add`` is, and ``mul`` as the step onto zero) reduce once, in
+    ``_make``, and not at all over a denominator of one; an inverse and
+    sigma need none, as they map coprime pairs to coprime pairs and only
+    make the denominator monic, in ``_monic``, as ``_make`` does last.  One
+    substitution kernel, p -> p(L/D) * D^m for sigma^k(z) = L/D and one m
+    for all its inputs, serves sigma and ``kernel_rows``, which clears its
+    low coefficients once and substitutes the cleared row.  It reads a table
+    of the images B_i = L^i * D^(m-i) of z^i, i <= m, so that a substitution
+    is one add_scaled per nonzero coefficient.  A table is built on first
+    use in O(m^2), B_0 = D^m and then B_i = B_(i-1) * L / D, through the
+    base's ``poly_product`` and ``poly_quotient``, and kept by (k mod n, m)
+    while the kept tables hold at most ``_SUBSTITUTION_LIMIT`` (2^16)
     coefficients in all; one past that is built for its call and dropped.
     At the cap they take 0.6 MB over a tabled GF(2^12) and 1.6 MB over an
-    untabled GF(2^17) (tracemalloc).  infinite-mix's F_4(z) code keeps 28
-    tables, m <= 10, of 1,144 coefficients; F_16(z) with n = 17 keeps 74,
-    m <= 44, of 10,509.  Clearing them, or a conjugate
-    sum's word, to the lcm of the denominators costs one gcd per distinct
-    denominator other than one after the first.  The conjugate sums are
-    then sums of F_q[z] products, the base's ``poly_sums``: over GF(2^d)
-    each operand is packed once per call into an integer, 2d - 1 slots of
-    b bits per z-coefficient, with b the bit length of terms * min length
-    * d, the most bit products a slot can count; over odd p they are
-    schoolbook.  Every other F_q[z] product, gcd and exact quotient, in
-    ``_make``, ``_sum``, ``add_product``, the clearing and the conjugate
-    sums' denominator, is the base's ``poly_product``, ``poly_gcd`` or
-    ``poly_quotient``: in the log domain over a tabled GF(2^d), else the
-    generic ``poly_mul``, ``poly_gcrd`` and ``poly_divmod``.
+    untabled GF(2^17) (tracemalloc).  Over 2,000 infinite-mix trials its
+    F_4(z) code keeps 34 tables, m up to 11, of 1,473 coefficients; F_16(z)
+    with n = 17 keeps 74, m up to 44, of 10,509 over 24 words.  Clearing
+    the low coefficients, or a conjugate sum's word, to the lcm of the
+    denominators costs one gcd per distinct denominator other than one
+    after the first.  The
+    conjugate sums are then sums of F_q[z] products, the base's
+    ``poly_sums``: over GF(2^d) each operand is packed once per call into an
+    integer, 2d - 1 slots of b bits per z-coefficient, with b the bit length
+    of terms * min length * d, the most bit products a slot can count; over
+    odd p they are schoolbook.  Every other F_q[z] product, gcd and exact
+    quotient, in ``_make``, ``_sum``, ``add_product``, the clearing and the
+    conjugate sums' denominator, is the base's ``poly_product``,
+    ``poly_gcd`` or ``poly_quotient``: in the log domain over a tabled
+    GF(2^d), else the generic ``poly_mul``, ``poly_gcrd`` and
+    ``poly_divmod``.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -1161,10 +1162,8 @@ class RationalFunctions(FieldContext):
     def _images(self, k, m):
         """The images B_i = L^i * D^(m-i), i <= m, of z^i under p -> p(L/D)
         * D^m for sigma^k(z) = L/D = (az+b)/(cz+d): B_0 = D^m, then B_i =
-        B_(i-1) * L / D, one product and one exact quotient by a linear
-        polynomial each.  Kept per (k mod n, m) while all kept tables hold
-        at most _SUBSTITUTION_LIMIT coefficients; one past that is built for
-        its call only."""
+        B_(i-1) * L / D.  Kept per (k mod n, m) while the kept tables fit
+        under _SUBSTITUTION_LIMIT, else built for this call only."""
         k %= self.order
         key = (k, m)
         images = self._tables.get(key)

@@ -236,29 +236,24 @@ def _rational_context(name, request):
     return request.getfixturevalue(name)
 
 
-def _ladder_elements(ctx, rng):
-    """Fractions of every degree up to 12, then up to 40 in steps of 4,
-    drawn in pairs that share the larger degree m, with 0, 1 and z first:
-    ascending, so a later sigma of the same power reuses a substitution
-    table."""
+@pytest.mark.parametrize("name", ["rational", "gf9z", "affine", "f8z"])
+def test_sigma_raw_equals_the_ladder_oracle(name, request):
+    # every k in -n..2n, against one ladder per power of sigma: F_4(z),
+    # odd p, an affine sigma (D constant) and sigma(z) = 1/(z + a) (L
+    # constant).  Fractions drawn with every degree bound up to 12, then up
+    # to 40 in steps of 4, come in pairs with one bound, ascending, so most
+    # later sigmas of a power reuse a substitution table; the kept tables
+    # stay within the cap
+    ctx = _rational_context(name, request)
+    n = ctx.order
+    rng = rng_for(f"sigma-ladder-{name}")
     elements = [ctx.zero_raw, ctx.one_raw, ctx.generator_raw]
     for deg in [*range(13), *range(16, 41, 4)]:
         for _ in range(2 if deg < 13 else 1):
             other = rng.randrange(deg + 1)
             elements.append(random_fraction(ctx, rng, deg, other).raw)
             elements.append(random_fraction(ctx, rng, other, deg).raw)
-    return elements
-
-
-@pytest.mark.parametrize("name", ["rational", "gf9z", "affine", "f8z"])
-def test_sigma_raw_equals_the_ladder_oracle(name, request):
-    # every k in -n..2n, against one ladder per power of sigma: F_4(z),
-    # odd p, an affine sigma (D constant) and sigma(z) = 1/(z + a) (L
-    # constant); the kept tables stay within the cap
-    ctx = _rational_context(name, request)
-    n = ctx.order
-    rng = rng_for(f"sigma-ladder-{name}")
-    for u in _ladder_elements(ctx, rng):
+    for u in elements:
         want = [sigma_by_ladder(ctx, u, k) for k in range(n)]
         for k in range(-n, 2 * n + 1):
             assert ctx.sigma_raw(u, k) == want[k % n]

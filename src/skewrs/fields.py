@@ -96,8 +96,8 @@ after the first; an output is then a sum of F_q[z] products, the base's
 ``poly_sums``, and costs one more gcd, a zero test none.  Q(chi)
 accumulates each output's integer cyclic convolutions over a common
 denominator with ``_accumulate`` and reduces it once; its zero test
-reduces nothing, as a sum is zero exactly when the accumulated length-m
-vector has equal entries.
+accumulates only the outputs whose image under chi -> zeta in F_q, q a
+split prime, is zero (see ``CyclotomicField``).
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -131,8 +131,8 @@ polynomial form, and GF(p)'s as integers; printing then parsing
 round-trips either way.
 
 Q(chi) inverts by the norm: u times the product of its other Galois
-conjugates chi -> chi^e (2 <= e < m) is the rational N(u), so u^-1 is that
-product divided by N(u).
+conjugates, formed by an addition chain, is the rational N(u), so u^-1 is
+that product divided by N(u).
 
 The ``poly_*`` functions are the polynomial arithmetic on low-first tuples
 of raw values, twisted by x*c = sigma(c)*x: L[x;sigma], which
@@ -147,13 +147,16 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 _TABLE_LIMIT = 1 << 16
 # GF(p^d) needs p < 2^31 and p^d <= 2^64 (see FiniteField)
 _CHAR_BOUND = 1 << 31
 _SIZE_LIMIT = 1 << 64
-# Q(chi_m) with sigma of order n needs m^3 + m^2 * n^3 <= this (see CyclotomicField)
+# Q(chi_m) with sigma of order n needs m^3 + m^2 * n^3 <= this (see CyclotomicField).
+# The inverse's norm chain takes about 2 log2(m) products, not the m - 2 that m^3
+# was set for; raising the bound is a separate decision, on a measured build cost
 _CYCLOTOMIC_BUDGET = 10 ** 7
 
 # exp/log tables, the modulus root's primitivity and a^d's residue (digits and
@@ -1336,6 +1339,38 @@ class RationalFunctions(FieldContext):
 # Q(chi), chi a primitive m-th root of unity, m prime
 # ---------------------------------------------------------------------------
 
+def _is_prime(n):
+    """Miller-Rabin with bases 2, 7 and 61, exact below 4,759,123,141
+    (Jaeschke, Math. Comp. 61(204), 1993)."""
+    if n < 2 or n % 2 == 0 or n in (7, 61):
+        return n in (2, 7, 61)
+    d = n - 1
+    while d % 2 == 0:
+        d //= 2
+    for a in (2, 7, 61):
+        t, x = d, pow(a, d, n)
+        while t != n - 1 and x not in (1, n - 1):
+            t, x = t * 2, x * x % n
+        if x != n - 1 and t % 2 == 0:
+            return False
+    return True
+
+
+def _split_prime(m):
+    """The largest prime q = 1 (mod m) below 2^30 and the powers zeta^i, i <
+    m - 1, of zeta = h^((q-1)/m) != 1 for the least h >= 2: zeta has order
+    m, as m is prime, so chi -> zeta is a ring map Z[chi] -> F_q (q splits
+    completely in Q(chi_m))."""
+    q = ((1 << 30) - 2) // m * m + 1
+    while not _is_prime(q):
+        q -= m
+    zeta = next(z for h in range(2, q) if (z := pow(h, (q - 1) // m, q)) != 1)
+    powers = [1]
+    while len(powers) < m - 1:
+        powers.append(powers[-1] * zeta % q)
+    return q, powers
+
+
 class CyclotomicField(FieldContext):
     """Q(chi) with chi^m = 1 primitive, m prime, and sigma(chi) = chi^k.
 
@@ -1343,19 +1378,24 @@ class CyclotomicField(FieldContext):
     as the step onto zero) and a conjugate sum gather their integer
     coordinates over one denominator with ``_accumulate``, whose outer loop
     runs over the second operand's nonzero coordinates, and reduce the
-    content once, in ``_make``.  A zero test of conjugate sums reduces
-    nothing: it asks only whether the accumulated vector's entries are
-    equal.  A Galois image needs no reduction (an automorphism keeps Z[chi]
-    and so the content), nor does the inverse of one.
+    content once, in ``_make``.  A Galois image needs no reduction (an
+    automorphism keeps Z[chi] and so the content), nor does the inverse of
+    one.
 
-    A code build costs about m^3 integer products (the norm inverse) plus
-    m^2 * n^2 (the lclm of the beta-roots), n sigma's order.  The bound
-    m^3 + m^2 * n^3 <= 10^7 is kept from an n^3 linear solve that builds no
-    longer make, so it is loose: at its edges a build takes 35 ms (m = 211,
-    sigma(chi) = chi^(-1)) and 38 to 40 ms (m = 23, sigma of full order),
-    at every delta (best of five, in-process, Python 3.11 on a 2-vCPU
-    host).  Past it a field is refused, on m^3 before m is factorised and
-    sigma's powers walked.
+    A prime q = 1 (mod m) splits completely in Q(chi_m) (Washington,
+    Introduction to Cyclotomic Fields, Thm 2.13), so chi -> zeta, zeta of
+    order m in F_q, is a ring map.  The field takes the largest such q below
+    2^30.  A zero test of conjugate sums is one-sided: an output whose image
+    sum is nonzero is nonzero, and only the rest (all of them when q divides
+    a denominator) are accumulated, with no reduction: such a sum is zero
+    exactly when its vector's entries are equal.  No answer depends on q.
+
+    A code build costs about 2 m^2 log2(m) integer products (the norm
+    chain) plus m^2 * n^2 (the lclm of the beta-roots), n sigma's order.
+    The bound m^3 + m^2 * n^3 <= 10^7 is kept from an n^3 linear solve that
+    builds no longer make, so it is loose (README gives build times at its
+    edges).  Past it a field is refused, on m^3 before m is factorised,
+    sigma's powers walked or the split prime sought.
     """
 
     def __init__(self, order, exponent, symbol="chi"):
@@ -1379,6 +1419,13 @@ class CyclotomicField(FieldContext):
         self.order = n = len(exps)
         if m ** 3 + m ** 2 * n ** 3 > _CYCLOTOMIC_BUDGET:
             raise FieldError(f"root order {m} with sigma of order {n} is past {bound}")
+        # tau: chi -> chi^g, g a primitive root mod m, generates the Galois
+        # group (the inverse's chain); the split prime q and zeta give the
+        # one-sided zero test of conjugate sums (see conjugate_zeros)
+        primes = _factorize(m - 1)
+        self._primitive = next(g for g in range(2, m)
+                               if all(pow(g, (m - 1) // l, m) != 1 for l in primes))
+        self._prime, self._zeta_powers = _split_prime(m)
         self.key = ("cyc", m, self.exponent)
         self.zero_raw = ((0,) * self.dim, 1)
         self.one_raw = ((1,) + (0,) * (self.dim - 1), 1)
@@ -1447,44 +1494,87 @@ class CyclotomicField(FieldContext):
         den = self._accumulate(full, ad if any(an) else c[1] * b[1], c, b)
         return self._make(self._reduce_cyclic(full), den)
 
-    def _full_sums(self, table, vec, count, offset):
-        # per output k, sum_i vec_i * c_(k+i) as a length-m integer vector
-        # over a common denominator
-        n, m = len(table) // 2, self.root_order
+    def conjugate_table(self, values):
+        # the values twice over, as the generic table, beside their images
+        # in F_q twice over (None when q divides a denominator)
+        images = self._images(values)
+        return list(values) * 2, images and images * 2
+
+    def _images(self, values):
+        # each value's image under the ring map chi -> zeta into F_q, or
+        # None when q divides a denominator
+        q, powers = self._prime, self._zeta_powers
+        out = []
+        for coords, den in values:
+            if den % q == 0:
+                return None
+            x = sum(map(operator.mul, coords, powers))
+            out.append((x if den == 1 else x * pow(den, -1, q)) % q)
+        return out
+
+    def _full_sum(self, values, terms, k):
+        # sum_i vec_i * c_(k+i) over the (i, vec_i) of terms, as a length-m
+        # integer vector over a common denominator
         accumulate = self._accumulate
-        terms = [(i, v) for i, v in enumerate(vec) if any(v[0])]
-        for k in range(offset, offset + count):
-            k %= n
-            full, den = [0] * m, 1
-            for i, v in terms:
-                den = accumulate(full, den, v, table[k + i])
-            yield full, den
+        full, den = [0] * self.root_order, 1
+        for i, v in terms:
+            den = accumulate(full, den, v, values[k + i])
+        return full, den
 
     def conjugate_sums(self, table, vec, count, offset):
         # each output is reduced once, in _make
-        reduce_cyclic = self._reduce_cyclic
-        return [self._make(reduce_cyclic(full), den)
-                for full, den in self._full_sums(table, vec, count, offset)]
+        values = table[0]
+        n = len(values) // 2
+        terms = [(i, v) for i, v in enumerate(vec) if any(v[0])]
+        out = []
+        for k in range(offset, offset + count):
+            full, den = self._full_sum(values, terms, k % n)
+            out.append(self._make(self._reduce_cyclic(full), den))
+        return out
 
     def conjugate_zeros(self, table, vec, count, offset):
-        # the reduced coordinates are full[i] - full[m-1], so a sum is zero
-        # exactly when full's entries are equal
-        m = self.root_order
-        return [full.count(full[0]) == m
-                for full, _ in self._full_sums(table, vec, count, offset)]
+        # one-sided (class docstring); the reduced coordinates are
+        # full[i] - full[m-1], so a sum is zero when full's entries are equal
+        values, images = table
+        n, m, q = len(values) // 2, self.root_order, self._prime
+        terms = [(i, v) for i, v in enumerate(vec) if any(v[0])]
+        term_images = images and self._images([v for _, v in terms])
+        out = []
+        for k in range(offset, offset + count):
+            k %= n
+            if term_images and sum(x * images[k + i]
+                                   for (i, _), x in zip(terms, term_images)) % q:
+                out.append(False)
+            else:
+                full = self._full_sum(values, terms, k)[0]
+                out.append(full.count(full[0]) == m)
+        return out
 
     def inv(self, u):
         if u == self.zero_raw:
             raise ZeroDivisionError("inverse of zero")
         if u == self.one_raw:
             return u
-        # u times its other Galois conjugates is the rational norm N(u)
-        rest = self._conjugate(u, 2)
-        for e in range(3, self.root_order):
-            rest = self.mul(rest, self._conjugate(u, e))
-        (c, *_), d = self.mul(u, rest)
-        coords, den = rest
-        return self._make(tuple(a * d for a in coords), den * c)
+        # Itoh & Tsujii (Inf. Comput. 78(3), 1988): tau: chi -> chi^g
+        # generates the Galois group, and P_k = prod_(i<k) tau^i(u) follows
+        # P_2k = P_k * tau^k(P_k), P_(k+1) = P_k * tau^k(u) to P_(m-2), so
+        # rest = tau(P_(m-2)) = r / e is the product of u's other
+        # conjugates.  Keeping u's denominator lets _make cancel content on
+        # the way.  For u = a / d, N(u) = c / (d * e), c = sum_i a_i *
+        # (r_(-i) - r_(1-i)) (indices mod m, r_(m-1) = 0) the constant
+        # coordinate of a * r, and u^(-1) = r * d / c
+        m, g = self.root_order, self._primitive
+        mul, conjugate = self.mul, self._conjugate
+        p, k = u, 1
+        for bit in bin(m - 2)[3:]:
+            p = mul(p, conjugate(p, pow(g, k, m)))
+            k *= 2
+            if bit == "1":
+                p = mul(p, conjugate(u, pow(g, k, m)))
+                k += 1
+        rest = (*conjugate(p, g)[0], 0)
+        norm = sum(x * (rest[-i] - rest[1 - i]) for i, x in enumerate(u[0]))
+        return self._make(tuple(x * u[1] for x in rest[:-1]), norm)
 
     def sigma_raw(self, u, k=1):
         k %= self.order

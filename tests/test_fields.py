@@ -13,11 +13,12 @@ import skewrs
 from skewrs import (CyclotomicField, Element, FieldError, FiniteField,
                     RationalFunctions, build_code, find_normal_element,
                     parse_element)
-from skewrs.fields import poly_divmod, poly_gcrd, poly_mul, poly_trim
+from skewrs.fields import FieldContext, poly_divmod, poly_gcrd, poly_mul, poly_trim
 
 from conftest import GF4096_MODULUS, rng_for
 from oracles import (dual_conjugates, fixed_field_check, from_fraction, gcrd_by_divmod,
-                     over_product_denominator, rabin_by_euclid, sigma_by_ladder)
+                     inverse_by_conjugates, over_product_denominator, rabin_by_euclid,
+                     sigma_by_ladder)
 
 N_PAIRS = 1000
 
@@ -1170,6 +1171,213 @@ def test_cyclotomic_inverse_by_norm(case):
     assert y.inverse() == x
     coords, d = y.raw
     assert d > 0 and math.gcd(*coords, d) == 1
+
+
+# -- Q(chi): the inverse's chain and the split-prime zero test ------------------------
+
+# two sigma exponents per root order, one of full order where the bound allows
+INVERSE_FIELDS = [(3, 2), (3, 1), (5, 2), (5, 4), (7, 3), (7, 2), (11, 2), (11, 10),
+                  (13, 2), (13, 3), (23, 5), (23, 22)]
+
+
+@pytest.mark.parametrize("m, exponent", INVERSE_FIELDS)
+@settings(deadline=None, max_examples=30)
+@given(coords=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=22, max_size=22),
+       den=st.integers(1, 10 ** 6), shape=st.sampled_from(["dense", "rational", "quotient"]))
+@example(coords=[1] + [0] * 21, den=1, shape="rational")
+@example(coords=[-6] + [0] * 21, den=35, shape="rational")
+@example(coords=[0] * 21 + [1], den=1, shape="dense")
+def test_cyclotomic_inverse_equals_the_conjugate_product(m, exponent, coords, den, shape):
+    # raw-equal to the product of all m - 2 other conjugates over the norm,
+    # on one, rationals, dense values and quotients, whose coordinates and
+    # denominator share most of their norm, as a decode's pivots do
+    ctx = CyclotomicField(m, exponent)
+    coords = coords[:m - 1]
+    if shape == "rational":
+        coords[1:] = [0] * (m - 2)
+    if not any(coords):
+        return
+    u = ctx._make(tuple(coords), den)
+    if shape == "quotient":
+        v = ctx._make(tuple(reversed(coords)), den + 1)
+        u = ctx.mul(u, inverse_by_conjugates(ctx, v))
+    assert ctx.inv(u) == inverse_by_conjugates(ctx, u)
+
+
+def _counted_accumulate(monkeypatch):
+    """The list that records each CyclotomicField._accumulate call from now on."""
+    real, calls = CyclotomicField._accumulate, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(CyclotomicField, "_accumulate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 11, 13, 23, 211])
+def test_a_cyclotomic_inverse_takes_a_logarithmic_chain(m, monkeypatch):
+    # at most 2 * ceil(log2(m - 2)) + 1 products, where the conjugate
+    # product takes m - 2
+    ctx = CyclotomicField(m, m - 1)
+    rng = rng_for(f"inverse-chain-{m}")
+    xs = [ctx.random_nonzero(rng).raw for _ in range(2 if m == 211 else 20)]
+    xs.append(ctx.from_int(-5).raw)
+    calls = _counted_accumulate(monkeypatch)
+    for x in xs:
+        calls.clear()
+        ctx.inv(x)
+        assert len(calls) <= 2 * math.ceil(math.log2(m - 2)) + 1
+    if m < 211:
+        calls.clear()
+        inverse_by_conjugates(ctx, xs[0])
+        assert len(calls) == m - 2
+
+
+def test_the_split_prime_maps_z_chi_into_f_q():
+    # q is the largest prime = 1 (mod m) below 2^30, zeta has order m, and
+    # chi -> zeta respects sums and products
+    assert [n for n in range(200) if skewrs.fields._is_prime(n)] == [
+        n for n in range(2, 200) if all(n % d for d in range(2, n))]
+    assert not skewrs.fields._is_prime(3215031751)   # a strong pseudoprime to 2, 3, 5, 7
+    for m in (3, 5, 7, 11, 13, 23, 211):
+        q, powers = skewrs.fields._split_prime(m)
+        assert q % m == 1 and q < 1 << 30 and len(powers) == m - 1
+        assert all(q % d for d in range(2, math.isqrt(q) + 1))
+        assert not any(skewrs.fields._is_prime(c) for c in range(q + m, 1 << 30, m))
+        zeta = powers[1]
+        assert zeta != 1 and pow(zeta, m, q) == 1
+        if m > 23:
+            continue
+        ctx = CyclotomicField(m, 2 if m == 3 else m - 1)
+        rng = rng_for(f"split-prime-{m}")
+        for _ in range(20):
+            x, y = ctx.random_element(rng).raw, ctx.random_element(rng).raw
+            ix, iy, isum, iprod = ctx._images([x, y, ctx.add(x, y), ctx.mul(x, y)])
+            assert isum == (ix + iy) % q and iprod == ix * iy % q
+
+
+ZERO_TEST_FIELDS = {"chi5": (5, 2), "chi7-3": (7, 3), "chi7-2": (7, 2), "chi11": (11, 2)}
+
+
+@functools.cache
+def _zero_test_code(name):
+    ctx = CyclotomicField(*ZERO_TEST_FIELDS[name])
+    return build_code(ctx, find_normal_element(ctx), 0, 2)
+
+
+def _planted_zero_words(code):
+    """(table, vec) pairs whose conjugate sums vanish at some outputs: the
+    shifted dual conjugates over the conjugate table, and the other way
+    round, vanish at every output but one; the generator of the code with
+    all n - 1 roots but one vanishes at its roots; and words of entries
+    over unequal denominators, the last solved so that output 0 vanishes."""
+    ctx, n = code.ctx, code.n
+    conj, dual = code.conj, [v.raw for v in dual_conjugates(code)]
+    words = [(table, [other[(i + j) % n] for i in range(n)])
+             for table, other in ((code.conj_table, dual), (code.dual_table, conj))
+             for j in range(n)]
+    words.append((code.conj_table, list(build_code(ctx, code.alpha, 1, n).g.raw)))
+    rng = rng_for(f"planted-zeros-{code.ctx.key}")
+    for table, values in ((code.conj_table, conj), (code.dual_table, dual)):
+        for _ in range(3):
+            vec = [ctx._make(tuple(rng.randint(-9, 9) for _ in range(ctx.dim)), d)
+                   for d in rng.sample(range(1, 30), n - 1)]
+            acc = ctx.zero_raw
+            for v, c in zip(vec, values):
+                acc = ctx.add_product(acc, v, c)
+            words.append((table, vec + [ctx.neg(ctx.mul(acc, ctx.inv(values[-1])))]))
+    return words
+
+
+@pytest.mark.parametrize("table", ["conj_table", "dual_table"])
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_FIELDS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_cyclotomic_zero_test_equals_the_generic_route(name, table, data):
+    # the one-sided image test gives what comparing each conjugate_sums
+    # output with zero gives, on drawn vectors and on drawn multiples of
+    # the planted zero words
+    code = _zero_test_code(name)
+    ctx, n = code.ctx, code.n
+    entry = st.builds(lambda c, d: ctx._make(tuple(c), d),
+                      st.lists(st.integers(-9, 9), min_size=ctx.dim, max_size=ctx.dim),
+                      st.integers(1, 9))
+    if data.draw(st.booleans()):
+        tab = getattr(code, table)
+        vec = data.draw(st.lists(st.one_of(st.just(ctx.zero_raw), st.just(ctx.one_raw), entry),
+                                 max_size=n))
+    else:
+        tab, vec = data.draw(st.sampled_from(_planted_zero_words(code)))
+        c = data.draw(entry)
+        vec = [ctx.mul(c, v) for v in vec]
+    count, offset = data.draw(st.integers(0, n)), data.draw(st.integers(0, 2 * n))
+    assert ctx.conjugate_zeros(tab, vec, count, offset) == \
+        FieldContext.conjugate_zeros(ctx, tab, vec, count, offset)
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_FIELDS))
+def test_cyclotomic_zero_test_falls_back_where_the_image_cannot_tell(name):
+    # planted: sums that are exactly zero; nonzero sums whose image
+    # vanishes (entries times q); entries, and a table's values, whose
+    # denominator is a multiple of q, which have no image
+    code = _zero_test_code(name)
+    ctx, n = code.ctx, code.n
+    q = ctx._prime
+    times_q, over_q = ctx.from_int(q).raw, ctx.inv(ctx.from_int(3 * q).raw)
+    cases = []
+    for table, vec in _planted_zero_words(code):
+        cases.append((table, vec, "exact zeros"))
+        cases.append((table, [ctx.mul(times_q, v) for v in vec], "no image"))
+        cases.append((table, [ctx.mul(over_q, v) for v in vec], "q in a denominator"))
+    for table in (code.conj_table, code.dual_table):
+        cases.append((table, [times_q], "nonzero, image zero"))
+        cases.append((table, [ctx.one_raw, over_q], "q in a denominator"))
+    over_q_table = ctx.conjugate_table([ctx.mul(over_q, c) for c in code.conj])
+    assert over_q_table[1] is None
+    cases.append((over_q_table, [ctx.one_raw], "q in a table's denominator"))
+    for table, vec, kind in cases:
+        want = FieldContext.conjugate_zeros(ctx, table, vec, n, 0)
+        assert ctx.conjugate_zeros(table, vec, n, 0) == want, kind
+        if kind == "nonzero, image zero":
+            assert ctx._images(vec) == [0] and not any(want)
+        if kind == "exact zeros":
+            assert any(want)
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_TEST_FIELDS))
+def test_a_cyclotomic_zero_test_sums_exactly_only_where_the_image_vanishes(name, monkeypatch):
+    # an output costs one _accumulate per nonzero entry only when it is
+    # zero; a call whose sums are all nonzero makes none
+    code = _zero_test_code(name)
+    ctx, n = code.ctx, code.n
+    rng = rng_for(f"zero-test-counts-{name}")
+    words = [(table, vec) for table, vec in _planted_zero_words(code)]
+    for _ in range(6):
+        vec = [rng.choice((ctx.zero, ctx.one, ctx.random_element(rng))).raw for _ in range(n)]
+        words += [(code.conj_table, vec), (code.dual_table, vec)]
+    calls = _counted_accumulate(monkeypatch)
+    none_zero = some_zero = 0
+    for table, vec in words:
+        terms = sum(1 for v in vec if v != ctx.zero_raw)
+        for offset in range(n):
+            calls.clear()
+            zeros = ctx.conjugate_zeros(table, vec, n, offset)
+            assert len(calls) == terms * sum(zeros)
+            none_zero += not any(zeros)
+            some_zero += any(zeros)
+    assert none_zero and some_zero
+
+
+def test_a_refused_cyclotomic_field_never_searches_for_a_split_prime(monkeypatch):
+    # the search runs after every bound check: past the bound, below 2^30
+    # there may be no prime = 1 (mod m) to find
+    monkeypatch.setattr(skewrs.fields, "_split_prime",
+                        lambda m: pytest.fail(f"split-prime search for m = {m}"))
+    for m, exponent in [(100003, 2), (10 ** 18 + 3, 2), (223, 222), (29, 2), (9, 2), (7, 14)]:
+        with pytest.raises(FieldError):
+            CyclotomicField(m, exponent)
 
 
 def test_untabled_powers_equal_the_tabled_ones(gf4096, monkeypatch):

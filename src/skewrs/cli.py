@@ -114,12 +114,12 @@ def simulate(code, trials, weights, seed):
 # code bundles: the original config plus derived fields for display
 # ---------------------------------------------------------------------------
 
-def write_bundle(path, config_text, code):
+def write_bundle(path, config_text, code, beta, g):
     if not config_text.endswith("\n"):
         config_text += "\n"
     _write_output(path, f"{config_text}# derived: n = {code.n}, t = {code.t}\n"
-                        f"# derived: beta = {code.ctx.format(code.beta)}\n"
-                        f"# derived: g = {code.g}\n")
+                        f"# derived: beta = {beta}\n"
+                        f"# derived: g = {g}\n")
 
 
 def read_text(path):
@@ -141,7 +141,7 @@ def load_bundle(path):
     return code_from_config(read_text(path))
 
 
-def summarize(code):
+def summarize(code, beta, g):
     ctx = code.ctx
     return "\n".join([
         f"field = {ctx!r}",
@@ -151,8 +151,8 @@ def summarize(code):
         f"r = {code.r}",
         f"dimension = {code.dimension}",
         f"alpha = {ctx.format(code.alpha)}",
-        f"beta = {ctx.format(code.beta)}",
-        f"g = {code.g}",
+        f"beta = {beta}",
+        f"g = {g}",
     ])
 
 
@@ -195,11 +195,12 @@ def _note(text):
 def cmd_build(args):
     text = read_text(args.config)
     ctx, code = code_from_config(text)
+    beta, g = ctx.format(code.beta), str(code.g)    # once, for summary and bundle
     if not args.out:
-        print(summarize(code))
+        print(summarize(code, beta, g))
         return 0
-    _note(summarize(code))
-    write_bundle(args.out, text, code)
+    _note(summarize(code, beta, g))
+    write_bundle(args.out, text, code, beta, g)
     _note(f"bundle written to {args.out}")
     return 0
 

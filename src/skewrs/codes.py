@@ -16,8 +16,8 @@ conjugates and their inverses, k < n, and two tables that the field
 context prepares once and sums over on raw values (``ctx.conjugate_table``
 and ``ctx.conjugate_sums``; a tabled finite field sums in the log domain,
 and F_q(z) over GF(2^d) by packed F_q[z] products):
-of the conjugates, and of the trace-dual conjugates below.  The tables are
-unscaled: a sum is u_k = sum_i vec_i * sigma^(k+i)(alpha), and the
+of the conjugates, and of a multiple of the trace-dual conjugates below.
+The sums are unscaled: u_k = sum_i vec_i * sigma^(k+i)(alpha), and the
 evaluation at sigma^k(beta) is ``conj_inv[k] * u_k``, which ``evaluate``,
 ``evaluation_matrix`` and the decoder's reported syndromes take; the
 decoder's own solves read u straight (see ``pgz``).  A code with r > 0
@@ -42,11 +42,13 @@ Tr(sigma^i(alpha) * sigma^j(alpha*)) = delta_ij (Lidl & Niederreiter,
 Finite Fields, ch. 2), solve X * C(alpha) = e_0; row j of C(alpha)^(-1)
 is X rotated by j.  The lclm h_j of every beta-root but m = j sums to
 zero against every row m != j, so X_(j+k) = (h_j)_k / lambda_j, for
-lambda_j, h_j's conjugate sum at offset j (``trace_dual``).  The build
-reads X off h = h_0, or at delta = n off the generator, which is then
-h_(r-1), with no second walk.  alpha is normal exactly when it is nonzero
-and no step meets S = 0 and lambda_j != 0, for any j; the build refuses
-alpha at the first step that fails, and ``is_normal`` walks h_0.
+lambda_j, h_j's conjugate sum at offset j.  The decoder asks only which
+sums over X are zero, and a nonzero factor keeps that, so the build keeps
+lambda_j * X, h_j rotated back by j, and tests lambda_j only for zero
+(``dual_multiple``), with h_j = h = h_0, or at delta = n the generator,
+then h_(r-1), so with no second walk.  alpha is normal exactly when it is
+nonzero and no step meets S = 0 and lambda_j != 0, for any j; the build
+refuses alpha at the first step that fails, and ``is_normal`` walks h_0.
 ``conjugate_matrix`` is the one reader of C(alpha)'s entries but the
 decoder, which takes rows r+k raw from ``conj`` (``pgz._error_values``):
 ``evaluation_matrix`` scales its column j by sigma^j(alpha)^(-1), and the
@@ -112,17 +114,16 @@ def root_lclm(ctx, table, roots, g=None):
     return tuple(g)
 
 
-def trace_dual(ctx, table, h, j=0):
-    """The raw trace-dual conjugates sigma^k(alpha*), k < n, from h, the
-    lclm of every beta-root but sigma^j(beta), j < n: h / lambda_j is row
-    j of C(alpha)^(-1), lambda_j = sum_i h_i * sigma^(j+i)(alpha) over the
-    conjugate table, and that row is the dual conjugates rotated by j, so
-    sigma^k(alpha*) = h_(k-j) / lambda_j.  lambda_j = 0 raises CodeError."""
-    lam, = ctx.conjugate_sums(table, h, 1, j)
-    if lam == ctx.zero_raw:
+def dual_multiple(ctx, table, h, j=0):
+    """lambda_j times the raw trace-dual conjugates sigma^k(alpha*), k < n,
+    from h, the lclm of every beta-root but sigma^j(beta), j < n: h /
+    lambda_j is row j of C(alpha)^(-1), lambda_j = sum_i h_i *
+    sigma^(j+i)(alpha) over the conjugate table, and that row is the dual
+    conjugates rotated by j, so lambda_j * sigma^k(alpha*) = h_(k-j).
+    lambda_j is only tested for zero, and zero raises CodeError."""
+    if ctx.conjugate_zeros(table, h, 1, j)[0]:
         raise CodeError(NOT_NORMAL)
-    inv = ctx.inv(lam)
-    return [ctx.mul(h[k - j], inv) for k in range(len(h))]
+    return [h[k - j] for k in range(len(h))]
 
 
 def is_normal(ctx, alpha):
@@ -133,7 +134,7 @@ def is_normal(ctx, alpha):
         return False
     table = ctx.conjugate_table([ctx.sigma_raw(alpha.raw, k) for k in range(ctx.order)])
     try:
-        trace_dual(ctx, table, root_lclm(ctx, table, range(1, ctx.order)))
+        dual_multiple(ctx, table, root_lclm(ctx, table, range(1, ctx.order)))
     except CodeError:
         return False
     return True
@@ -165,8 +166,8 @@ class SkewRSCode:
     # the raw conjugates sigma^k(alpha), k < n, and their inverses
     conj: list
     conj_inv: list
-    # ctx.conjugate_table of the conjugates, and of the trace-dual
-    # conjugates sigma^k(alpha*)
+    # ctx.conjugate_table of the conjugates, and of lambda_j times the trace-
+    # dual conjugates sigma^k(alpha*) (``dual_multiple``), for zero tests
     conj_table: object
     dual_table: object
     # the generator rows, filled by ``generator_rows`` on first use, for
@@ -213,8 +214,8 @@ def evaluation_matrix(code):
 
 def build_code(ctx, alpha, r, delta):
     """The code with generator the lclm of x - sigma^m(beta), m = r ..
-    r+delta-2, and its trace-dual table, from one walk over the beta-roots
-    (module docstring); CodeError when alpha is not normal."""
+    r+delta-2, and its dual table (``dual_multiple``), from one walk over
+    the beta-roots (module docstring); CodeError when alpha is not normal."""
     n = ctx.order
     if not 2 <= delta <= n:
         raise CodeError(f"designed distance must be within [2, {n}], got {delta}")
@@ -230,9 +231,9 @@ def build_code(ctx, alpha, r, delta):
     c = root_lclm(ctx, table, [m for m in roots if m])
     g = root_lclm(ctx, table, (0,), c) if 0 in roots else c
     if delta == n:
-        dual = trace_dual(ctx, table, g, (r - 1) % n)
+        dual = dual_multiple(ctx, table, g, (r - 1) % n)
     else:
-        dual = trace_dual(ctx, table, root_lclm(
+        dual = dual_multiple(ctx, table, root_lclm(
             ctx, table, [m for m in range(1, n) if m not in roots], c))
     inv = ctx.inv(alpha.raw)
     return SkewRSCode(
@@ -299,12 +300,13 @@ def dual_support(code, f, offset):
     i + mu of row i, mu = deg f, so forward substitution gives the basis:
     w_s = 1 for one s < mu and w_(i+mu) = -sum_(k<mu) sigma^i(f_k) * w_(i+k).
 
-    Only the zero pattern of the dual sums counts, and a nonzero factor
-    keeps it, so w may be kept scaled: ``ctx.kernel_rows`` gives the rows
-    sigma^i(f_k) that the recurrence runs on and, when they are scaled, one
-    end factor per entry that brings w to one common factor (F_q(z) clears
-    f's low coefficients once and twists the cleared row, so that w stays
-    in F_q[z]); elsewhere the rows are the twists as they are.
+    Only the zero pattern of the dual sums counts, and a nonzero factor,
+    such as the dual table's lambda_j, keeps it, so w may be kept scaled:
+    ``ctx.kernel_rows`` gives the rows sigma^i(f_k) that the recurrence
+    runs on and, when they are scaled, one end factor per entry that brings
+    w to one common factor (F_q(z) clears f's low coefficients once and
+    twists the cleared row, so that w stays in F_q[z]); elsewhere the rows
+    are the twists as they are.
     """
     ctx, n = code.ctx, code.n
     zero, one, add_product = ctx.zero_raw, ctx.one_raw, ctx.add_product

@@ -61,15 +61,11 @@ u * polys[s + i] over the pairs (i, u) of terms, all polynomials over a
 context with sigma = id: F_q[z], for F_q(z)'s conjugate sums.  The generic
 version is schoolbook, one add_scaled per coefficient.  A field of
 characteristic 2 packs it by Kronecker substitution (von zur Gathen &
-Gerhard, Modern Computer Algebra, 8.4): over F_2 a polynomial in z with
-GF(2^d) coefficients is one in a and z, and bit e of the z^j coefficient
-goes to slot (2d - 1) * j + e of an integer, one slot b bits wide.  Each
-operand is packed once per call; an output is one integer sum of
-products, whose slot counts are at most terms * min length * d, fewer
-than 2^b, so no slot carries into the next and each count's low bit is
-its coefficient.  The parities are folded by the modulus (a^e for e >= d)
-and read back to raw tuples, and only then tested for zero: an unfolded
-nonzero can be a multiple of the modulus.
+Gerhard, Modern Computer Algebra, 8.4; ``FiniteField._packed_sums``),
+but a tabled one sums a call of fewer than ``_PACKED_SUMS_MIN``
+coefficient products (outputs * terms * the longest term * the longest
+polynomial), such as a small code's one-output build sums, by the
+schoolbook, which costs less than packing there.
 
 F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
 (cz+d) into num/den, both multiplied by D^m for m the larger degree, is
@@ -84,20 +80,20 @@ them in place.
 The conjugate methods serve the right evaluations at the beta-roots of a
 skew Reed-Solomon code (see ``codes``): unscaled sums u_k = sum_i vec_i *
 c_(k+i) over a per-code table of the conjugates c_k = sigma^k(alpha) (or
-of the trace dual's), or, from ``conjugate_zeros``, only whether each is
-zero.  The evaluation at sigma^k(beta) is sigma^k(alpha)^(-1) * u_k, one
-more product, for the caller to take.  The generic versions run on
-add_product; a tabled field of characteristic 2 keeps the values'
-discrete logs and XORs its terms in the log domain, and refuses a zero
-value, which has no log.  F_q(z) keeps the
-values over the lcm of their denominators and clears vec to the lcm of
-its own once per call, one gcd per distinct denominator other than one
-after the first; an output is then a sum of F_q[z] products, the base's
-``poly_sums``, and costs one more gcd, a zero test none.  Q(chi)
-accumulates each output's integer cyclic convolutions over a common
-denominator with ``_accumulate`` and reduces it once; its zero test
-accumulates only the outputs whose image under chi -> zeta in F_q, q a
-split prime, is zero (see ``CyclotomicField``).
+of a multiple of the trace dual's), or, from ``conjugate_zeros``, only
+whether each is zero.  The evaluation at sigma^k(beta) is
+sigma^k(alpha)^(-1) * u_k, one more product, for the caller to take.  The
+generic versions run on add_product; a tabled field of characteristic 2
+keeps the values' discrete logs and XORs its terms in the log domain, and
+refuses a zero value, which has no log.  F_q(z) keeps the values over the
+lcm of their denominators and clears vec to the lcm of its own once per
+call, one gcd per distinct denominator other than one after the first; an
+output is then a sum of F_q[z] products, the base's ``poly_sums``, and
+costs one more gcd, a zero test none.  Q(chi) accumulates each output's
+integer cyclic convolutions over a common denominator with
+``_accumulate`` and reduces it once; its zero test accumulates only the
+outputs whose image under chi -> zeta in F_q, q a split prime, is zero
+(see ``CyclotomicField``).
 
 Raw values are canonical, so two values are equal exactly when they denote
 the same element:
@@ -158,6 +154,9 @@ _SIZE_LIMIT = 1 << 64
 # The inverse's norm chain takes about 2 log2(m) products, not the m - 2 that m^3
 # was set for; raising the bound is a separate decision, on a measured build cost
 _CYCLOTOMIC_BUDGET = 10 ** 7
+# a tabled GF(2^d) packs poly_sums from this many schoolbook products up (measured
+# crossover: near 1,000 at one output, 100 at four); an untabled one packs always
+_PACKED_SUMS_MIN = 400
 
 # exp/log tables, the modulus root's primitivity and a^d's residue (digits and
 # packed) by (p, d, modulus), least recently used first (see FiniteField).  No
@@ -401,8 +400,8 @@ class FieldContext:
 
     def conjugate_table(self, values):
         """What ``conjugate_sums`` reads: the n raw values c_k, here twice
-        over (so no index wraps).  The values are nonzero, as the conjugates
-        of a normal element and of its trace dual are."""
+        over (so no index wraps).  The values are nonzero, as a normal
+        element's conjugates and a code's dual table values are."""
         return list(values) * 2
 
     def conjugate_sums(self, table, vec, count, offset):
@@ -691,8 +690,13 @@ class FiniteField(FieldContext):
                 acc[j] ^= exp[lc + log[b]]
 
     def poly_sums(self, terms, polys, starts):
-        if self.char != 2 or not terms:
+        if self.char != 2 or not terms or self._exp is not None and (
+                len(starts) * len(terms) * max([len(u) for _, u in terms])
+                * max(map(len, polys)) < _PACKED_SUMS_MIN):
             return super().poly_sums(terms, polys, starts)
+        return self._packed_sums(terms, polys, starts)
+
+    def _packed_sums(self, terms, polys, starts):
         # Kronecker substitution: over F_2, bit e of the z^j coefficient
         # goes to slot j*w + e, b bits wide, with w = 2d - 1 slots per
         # coefficient for the a-degree 2d - 2 of a product.  An integer
@@ -1000,9 +1004,7 @@ class RationalFunctions(FieldContext):
     base's own sigma must be the identity.  Sigma's order is derived by
     iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
     a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n.  At n = 17 a build takes 49 to 57 ms over
-    F_16(z) and 42 to 48 ms over F_17(z), at every delta (best of five,
-    in-process, cold substitution tables, Python 3.11 on a 2-vCPU host).
+    whose degrees grow with n (README gives measured build times).
     Fractions are kept reduced with a monic denominator after every
     operation so intermediate expressions stay small, and each result pays
     at most one gcd: a sum and a + c * b (``add_product``, by ``_sum`` as
@@ -1019,23 +1021,17 @@ class RationalFunctions(FieldContext):
     base's ``poly_product`` and ``poly_quotient``, and kept by (k mod n, m)
     while the kept tables hold at most ``_SUBSTITUTION_LIMIT`` (2^16)
     coefficients in all; one past that is built for its call and dropped.
-    At the cap they take 0.6 MB over a tabled GF(2^12) and 1.6 MB over an
-    untabled GF(2^17) (tracemalloc).  Over 2,000 infinite-mix trials its
-    F_4(z) code keeps 34 tables, m up to 11, of 1,473 coefficients; F_16(z)
-    with n = 17 keeps 74, m up to 44, of 10,509 over 24 words.  Clearing
-    the low coefficients, or a conjugate sum's word, to the lcm of the
-    denominators costs one gcd per distinct denominator other than one
-    after the first.  The
-    conjugate sums are then sums of F_q[z] products, the base's
-    ``poly_sums``: over GF(2^d) each operand is packed once per call into an
-    integer, 2d - 1 slots of b bits per z-coefficient, with b the bit length
-    of terms * min length * d, the most bit products a slot can count; over
-    odd p they are schoolbook.  Every other F_q[z] product, gcd and exact
-    quotient, in ``_make``, ``_sum``, ``add_product``, the clearing and the
-    conjugate sums' denominator, is the base's ``poly_product``,
-    ``poly_gcd`` or ``poly_quotient``: in the log domain over a tabled
-    GF(2^d), else the generic ``poly_mul``, ``poly_gcrd`` and
-    ``poly_divmod``.
+    Clearing the low coefficients, or a conjugate sum's word, to the lcm of
+    the denominators costs one gcd per distinct denominator other than one
+    after the first.  The conjugate sums are then sums of F_q[z] products,
+    the base's ``poly_sums``: packed over GF(2^d) (module docstring), but
+    by schoolbook over odd p and, below ``_PACKED_SUMS_MIN`` products, as a
+    small code's one-output build sums are, over a tabled GF(2^d).
+    Every other F_q[z] product, gcd and exact quotient, in ``_make``,
+    ``_sum``, ``add_product``, the clearing and the conjugate sums'
+    denominator, is the base's ``poly_product``, ``poly_gcd`` or
+    ``poly_quotient``: in the log domain over a tabled GF(2^d), else the
+    generic ``poly_mul``, ``poly_gcrd`` and ``poly_divmod``.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
@@ -1362,7 +1358,8 @@ def _split_prime(m):
     m, as m is prime, so chi -> zeta is a ring map Z[chi] -> F_q (q splits
     completely in Q(chi_m))."""
     q = ((1 << 30) - 2) // m * m + 1
-    while not _is_prime(q):
+    # one gcd with 2 * 3 * 5 * ... * 31 drops most composites before Miller-Rabin
+    while math.gcd(q, 200560490130) != 1 or not _is_prime(q):
         q -= m
     zeta = next(z for h in range(2, q) if (z := pow(h, (q - 1) // m, q)) != 1)
     powers = [1]

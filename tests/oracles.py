@@ -4,7 +4,7 @@
 twisted shift rows x^i * rho are evaluated at the beta-roots, the
 evaluated matrix is row-reduced, and the columns of its unit rows are the
 positions that hold no error.  ``pgz.locate_positions`` reaches the same
-positions through the trace-dual table without building either matrix.
+positions through the dual table without building either matrix.
 
 ``right_eval`` evaluates by the twisted norms directly, the definition
 that ``codes.evaluate`` shortcuts through the conjugate table.
@@ -32,7 +32,10 @@ the values.
 conjugate matrix, ``generator_by_hankel`` solves the generator's lower
 coefficients from its Hankel system, and ``is_normal_by_rank`` is the rank
 of the conjugate matrix; ``codes.build_code`` reaches all three by the
-root-by-root lclm of ``codes.root_lclm``.
+root-by-root lclm of ``codes.root_lclm``.  ``scaled_dual_conjugates`` is
+what a code's dual table holds: the trace-dual conjugates times lambda_j,
+the conjugate sum at j of the lclm h_j of every beta-root but m = j, with
+h_j solved by ``generator_by_hankel`` for the j the build reads.
 
 ``rabin_by_euclid`` is Rabin's irreducibility test as it is first stated,
 with a gcd per prime l | d on coefficient lists over F_p;
@@ -159,6 +162,27 @@ def dual_conjugates(code):
     c = conjugate_matrix(ctx, code.conj, range(n), n)
     aug = Matrix.from_raw(ctx, [row + unit for row, unit in zip(c.raw, identity(ctx, n).raw)])
     return [Element(ctx, v) for v in aug.rref().raw[0][n:]]
+
+
+def dual_lambda(ctx, conj, j):
+    """The raw lambda_j = sum_i (h_j)_i * sigma^(j+i)(alpha), for h_j the
+    lclm of every beta-root but m = j, that is of m = j+1 .. j+n-1, solved
+    as a Hankel system: h_j rotated back by j is lambda_j times the
+    trace-dual conjugates."""
+    n = len(conj)
+    lam = ctx.zero_raw
+    for i, c in enumerate(generator_by_hankel(ctx, conj, j + 1, n - 1)):
+        lam = ctx.add_product(lam, c, conj[(j + i) % n])
+    return lam
+
+
+def scaled_dual_conjugates(code, dual=None):
+    """The raw values of the code's dual table: lambda_j times the trace-dual
+    conjugates (``dual_conjugates``, or dual when given), for the j the
+    build reads, r - 1 at delta = n, where h_j is the generator, else 0."""
+    ctx, n = code.ctx, code.n
+    lam = dual_lambda(ctx, code.conj, (code.r - 1) % n if code.delta == n else 0)
+    return [ctx.mul(lam, v.raw) for v in dual or dual_conjugates(code)]
 
 
 def generator_by_hankel(ctx, conj, r, d):

@@ -17,7 +17,7 @@ from skewrs.fields import FieldContext
 from conftest import rng_for, random_poly
 from oracles import (contains, dual_conjugates, full_beta_decomposition_test,
                      generator_by_hankel, identity, is_normal_by_rank, min_distance_oracle,
-                     monomial, norm_column, right_eval)
+                     monomial, norm_column, right_eval, scaled_dual_conjugates)
 
 
 def test_zero_is_not_normal(gf4096):
@@ -298,18 +298,20 @@ def sum_codes(all_codes):
 
 @pytest.mark.parametrize("name", ["gf4096", "gf81", "gf125", "rational", "cyclotomic"])
 def test_conjugate_sums_equal_the_generic_route(sum_codes, name):
-    # over the conjugate table and over the dual table, both unscaled
+    # over the conjugate table and over the dual table, both unscaled, the
+    # generic route summing the values each holds: the conjugates, and
+    # lambda_j times the trace-dual conjugates
     code = sum_codes[name]
     ctx, n = code.ctx, code.n
     tables = [(code.conj_table, FieldContext.conjugate_table(ctx, code.conj)),
-              (code.dual_table, FieldContext.conjugate_table(
-                  ctx, [v.raw for v in dual_conjugates(code)]))]
+              (code.dual_table, FieldContext.conjugate_table(ctx, scaled_dual_conjugates(code)))]
     rng = rng_for(f"conjugate-sums-{name}")
     # zeros, ones and random values, in words of every length up to n; and
-    # 7, whose sums over the Q(chi_7) dual (denominator 7) must be reduced
+    # 7 and 1/7, which over Q(chi_7) meet the trace dual's denominator 7
     words = [[rng.choice((ctx.zero, ctx.one, ctx.random_element(rng))).raw
               for _ in range(rng.randrange(n + 1))] for _ in range(4)]
-    for vec in words + [[ctx.from_int(7).raw]]:
+    seven = ctx.from_int(7).raw
+    for vec in words + [[seven], [ctx.inv(seven), seven]]:
         for offset in range(2 * n + 1):
             for count in range(n + 1):
                 for table, generic in tables:
@@ -358,13 +360,15 @@ def _f8z_code():
 def test_dual_table_is_the_inverse_row_for_every_offset_and_delta(generator_codes, name):
     # build_code's one root walk hands the dual either the lclm h of every
     # root but m = 0 or, at delta = n, g itself rotated by r - 1; either way
-    # the table is the first row of C(alpha)^(-1)
+    # the table is the first row of C(alpha)^(-1) times that h's lambda_j,
+    # recomputed here from h_j solved as a Hankel system
     code = _f8z_code() if name == "f8z" else generator_codes[name]
     ctx, n = code.ctx, code.n
-    want = ctx.conjugate_table([v.raw for v in dual_conjugates(code)])
+    dual = dual_conjugates(code)
     for r in (0, 1, n - 1, n, 2 * n + 1):
         for delta in range(2, n + 1):
-            assert build_code(ctx, code.alpha, r, delta).dual_table == want
+            built = build_code(ctx, code.alpha, r, delta)
+            assert built.dual_table == ctx.conjugate_table(scaled_dual_conjugates(built, dual))
 
 
 @pytest.mark.parametrize("power, modulus, degree", [(3, "a^4 + a + 1", 4),
@@ -392,25 +396,40 @@ def test_build_walks_each_beta_root_once(all_codes, name, monkeypatch):
     # root_lclm twists the product once per root step.  g and h share
     # every root of g but m = 0, so a build takes n steps when 0 is one of
     # g's roots and delta < n, and n - 1 otherwise: at delta = n, g is
-    # already the lclm of every root but r - 1.  Each step's S and the one
-    # lambda are each one conjugate sum over the code's table
+    # already the lclm of every root but r - 1.  Each step's S is one
+    # conjugate sum over the code's table, and the one lambda one zero
+    # test; each step takes one inverse, and so does alpha, and the dual
+    # table takes none
     code = _f8z_code() if name == "f8z" else all_codes[name]
     ctx, n = code.ctx, code.n
-    calls, sums = [], []
+    calls, sums, zeros, invs = [], [], [], []
     monkeypatch.setattr("skewrs.codes.poly_twist",
                         lambda *a: calls.append(a) or fields.poly_twist(*a))
-    conjugate_sums = ctx.conjugate_sums
-    monkeypatch.setattr(ctx, "conjugate_sums",
-                        lambda *a: sums.append(a) or conjugate_sums(*a))
+    conjugate_sums, conjugate_zeros, inv = ctx.conjugate_sums, ctx.conjugate_zeros, ctx.inv
+
+    def counted_zeros(*a):
+        before = len(sums)
+        out = conjugate_zeros(*a)
+        del sums[before:]    # the generic zero test compares conjugate sums with zero
+        zeros.append(a)
+        return out
+
+    monkeypatch.setattr(ctx, "conjugate_sums", lambda *a: sums.append(a) or conjugate_sums(*a))
+    monkeypatch.setattr(ctx, "conjugate_zeros", counted_zeros)
+    monkeypatch.setattr(ctx, "inv", lambda u: invs.append(u) or inv(u))
     for r in (0, 2):
         for delta in (2, n - 1, n):
             calls.clear()
             sums.clear()
+            zeros.clear()
+            invs.clear()
             built = build_code(ctx, code.alpha, r, delta)
             shared_zero = delta < n and 0 in {(r + i) % n for i in range(delta - 1)}
             assert len(calls) == (n if shared_zero else n - 1)
-            assert len(sums) == len(calls) + 1
-            assert all(table is built.conj_table and count == 1 for table, _, count, _ in sums)
+            assert len(sums) == len(calls) and len(zeros) == 1
+            assert all(table is built.conj_table and count == 1
+                       for table, _, count, _ in sums + zeros)
+            assert len(invs) == len(calls) + 1 and invs[-1] == code.alpha.raw
 
 
 @pytest.mark.parametrize("p, degree, modulus, power, count", [
@@ -423,13 +442,14 @@ def test_is_normal_agrees_with_the_rank_of_the_conjugate_matrix(p, degree, modul
                                                                  count):
     # every element; the normal ones number Phi_q(x^n - 1), q the fixed
     # field's size, and each one's dual table is the inverse's first row
+    # times lambda_0
     ctx = FiniteField(p, degree, modulus, frobenius_power=power)
     normal = [x for x in ctx.elements() if is_normal(ctx, x)]
     assert normal == [x for x in ctx.elements() if is_normal_by_rank(ctx, x)]
     assert len(normal) == count
     for alpha in normal:
         code = build_code(ctx, alpha, 0, 2)
-        assert code.dual_table == ctx.conjugate_table([v.raw for v in dual_conjugates(code)])
+        assert code.dual_table == ctx.conjugate_table(scaled_dual_conjugates(code))
 
 
 @pytest.mark.parametrize("name", ["rational", "f8z", "cyclotomic"])

@@ -1460,9 +1460,14 @@ def _all_ones_case(modulus, terms, length):
 @example(_all_ones_case("a + 1", 1, 4))
 @example(_all_ones_case("a^2 + a + 1", 2, 4))
 def test_packed_poly_sums_equal_the_schoolbook_route(case):
+    # the packing kernel on every drawn call, and poly_sums on whichever
+    # side of its size rule the call falls
     modulus, terms, polys, starts = case
     ctx = _char2_field(modulus)
-    assert ctx.poly_sums(terms, polys, starts) == _schoolbook_sums(ctx, terms, polys, starts)
+    want = _schoolbook_sums(ctx, terms, polys, starts)
+    if terms:
+        assert ctx._packed_sums(terms, polys, starts) == want
+    assert ctx.poly_sums(terms, polys, starts) == want
 
 
 def _slot_boundary_cases():
@@ -1483,7 +1488,7 @@ def test_packed_poly_sums_at_each_slot_width_boundary(modulus, terms, length):
     _, full, polys, starts = _all_ones_case(modulus, terms, length)
     ctx = _char2_field(modulus)
     for case in (full, [(i, u[:1]) for i, u in full]):
-        assert ctx.poly_sums(case, polys, starts) == _schoolbook_sums(ctx, case, polys, starts)
+        assert ctx._packed_sums(case, polys, starts) == _schoolbook_sums(ctx, case, polys, starts)
 
 
 @pytest.mark.parametrize("modulus", CHAR2_MODULI[1:])
@@ -1497,11 +1502,36 @@ def test_packed_poly_sums_fold_a_multiple_of_the_modulus_to_zero(modulus):
     for j in range(d - 1):
         terms = [(0, (1 << (d - 1),)), (1, (rest,))]
         polys = [(1 << (j + 1),), (1 << j,)] * 2
-        assert ctx.poly_sums(terms, polys, [0]) == [()]
+        assert ctx._packed_sums(terms, polys, [0]) == [()]
         terms = [(0, (1, 1 << (d - 1))), (1, (0, 0, rest))]
         polys = [(0, 1 << (j + 1)), (1 << j,)] * 2
-        assert ctx.poly_sums(terms, polys, [0]) == [(0, 1 << (j + 1))]
+        assert ctx._packed_sums(terms, polys, [0]) == [(0, 1 << (j + 1))]
         assert _schoolbook_sums(ctx, terms, polys, [0]) == [(0, 1 << (j + 1))]
+
+
+@pytest.mark.parametrize("modulus", ["a^2 + a + 1", "a^3 + a + 1", "a^4 + a + 1",
+                                     "a^20 + a^3 + 1"], ids=["f4", "f8", "f16", "f2^20"])
+def test_poly_sums_pack_only_from_the_product_bound(modulus, monkeypatch):
+    # the bases of F_4(z), F_8(z) and F_16(z): a call whose outputs * terms *
+    # longest term * longest polynomial is below the bound takes the
+    # schoolbook route, one at the bound packs, and both equal the
+    # schoolbook result; an untabled field packs every call
+    ctx = _char2_field(modulus)
+    packed = []
+    kernel = FiniteField._packed_sums
+    monkeypatch.setattr(FiniteField, "_packed_sums",
+                        lambda self, *a: packed.append(a) or kernel(self, *a))
+    rng = rng_for(f"pack-rule-{modulus}")
+    # two terms of 2 and 4 coefficients over polynomials of 5: 40 products
+    # an output, so one output is below the bound and k at or past it
+    polys = [tuple(rng.randrange(ctx.size) for _ in range(4)) + (1,) for _ in range(12)] * 2
+    terms = [(0, (1, ctx.size - 1)), (2, tuple(rng.randrange(1, ctx.size) for _ in range(4)))]
+    k = -(-skewrs.fields._PACKED_SUMS_MIN // 40)
+    for outputs, packs in ((1, False), (k - 1, False), (k, True)):
+        starts = [s % 12 for s in range(outputs)]
+        packed.clear()
+        assert ctx.poly_sums(terms, polys, starts) == _schoolbook_sums(ctx, terms, polys, starts)
+        assert len(packed) == (packs or ctx._exp is None)
 
 
 # -- log-domain F_2^d[z] kernels -------------------------------------------------

@@ -8,95 +8,21 @@ Each backend bundles a field L with a finite-order automorphism sigma:
 * ``CyclotomicField``   -- Q(chi) for chi a primitive m-th root of unity
                            (m prime) with sigma(chi) = chi^k.
 
-This module reads no text: a modulus string goes to
-``parsing.parse_int_poly`` and a Moebius coefficient string to
-``parsing.parse_element`` over the base field.  ``parsing`` imports this
-module, which binds it once, at its end, not in the constructors per call.
-
 All arithmetic is exact.  Every backend is a context that computes on raw
-values through one small protocol, with the same names everywhere:
+values through one protocol of twelve names, the same everywhere:
 
-    add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  add_product(a, c, b)
-    sigma_raw(u, k)  add_scaled(acc, c, src, shift)  kernel_rows(low, count)
-    poly_sums(terms, polys, starts)  poly_product(f, g)  poly_gcd(f, g)
-    poly_quotient(f, g)  conjugate_table(values)
+    add(u, v)  neg(u)  mul(u, v)  inv(u)  pow(u, k)  sigma_raw(u, k)
+    add_product(a, c, b)  add_scaled(acc, c, src, shift)
+    kernel_rows(low, count)  conjugate_table(values)
     conjugate_sums(table, vec, count, offset)
     conjugate_zeros(table, vec, count, offset)
 
 with the constants ``zero_raw``, ``one_raw`` and ``generator_raw``, and
 ``symbols``, the map from each name the parser knows to its raw value;
 none may be x, the parser's polynomial variable.
-Raw values are canonical (below), so u is zero exactly when
-``u == ctx.zero_raw``.
-
-``add_product(a, c, b)`` is a + c * b, the one multiply-accumulate of every
-sum of products; ``add_scaled`` does acc[shift + j] += c * src[j] with it
-in place, skipping zero src[j] and at once done on a zero c: the inner loop
-of L[x;sigma] products, divisions and elimination.  The generic version is
-add(a, mul(c, b)).  F_q(z) builds a + c * b as one unreduced fraction,
-summed by ``_sum`` as its add is, and Q(chi) as one integer vector over one
-denominator, convolved by ``_accumulate``; each reduces it once, where mul
-then add reduce twice, and its mul is the step onto zero.  A tabled field
-of characteristic 2 keeps its own add_scaled: it looks up log c once and
-XORs in exp[log c + log src[j]].  ``kernel_rows(low, count)`` gives the
-rows sigma^i(low), i < count, of ``codes.dual_support``'s recurrence and
-end factors for w: the twists and no factors, but over F_q(z), which
-clears low once and twists the cleared row, so w stays in F_q[z].
-
-``poly_product``, ``poly_gcd`` and ``poly_quotient`` are the product, the
-monic gcd and the exact quotient of trimmed polynomials over a context with
-sigma = id: F_q[z], all of F_q(z)'s polynomial work but sums (von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 3).  Their generic versions
-are ``poly_mul``, ``poly_gcrd`` and ``poly_divmod``'s quotient.  A tabled
-field of characteristic 2 runs them in the log domain: the fixed
-operand's logs are looked up once per call (a gcd's divisor once per
-Euclid step), each term is one XOR of exp[la + lb] in place, the inverse
-of a leading coefficient has the log q - 1 - log lead, and no index
-reaches 2(q - 1).  Its quotient reads only the top m + 1 coefficients of
-the divisor and the top 2m + 1 of the dividend, m the quotient's degree,
-as the quotient of a long division depends on no others.
-
-``poly_sums(terms, polys, starts)`` is, for each s in starts, the sum of
-u * polys[s + i] over the pairs (i, u) of terms, all polynomials over a
-context with sigma = id: F_q[z], for F_q(z)'s conjugate sums.  The generic
-version is schoolbook, one add_scaled per coefficient.  A field of
-characteristic 2 packs it by Kronecker substitution (von zur Gathen &
-Gerhard, Modern Computer Algebra, 8.4; ``FiniteField._packed_sums``),
-but a tabled one sums a call of fewer than ``_PACKED_SUMS_MIN``
-coefficient products (outputs * terms * the longest term * the longest
-polynomial), such as a small code's one-output build sums, by the
-schoolbook, which costs less than packing there.
-
-F_q(z) applies sigma with no gcd at all: the substitution of L/D = (az+b)/
-(cz+d) into num/den, both multiplied by D^m for m the larger degree, is
-already in lowest terms, because as binary forms of degree m num and den
-are coprime and an invertible linear change of variables keeps them so.
-The same substitution kernel twists kernel_rows' cleared row.  It sums
-p_i * B_i over a table of the images B_i = L^i * D^(m-i) of z^i, one per
-(k mod n, m), built on first use and kept under one cap (see
-``RationalFunctions``).  Its Euclid keeps only the remainders and reduces
-them in place.
-
-The conjugate methods serve the right evaluations at the beta-roots of a
-skew Reed-Solomon code (see ``codes``): unscaled sums u_k = sum_i vec_i *
-c_(k+i) over a per-code table of the conjugates c_k = sigma^k(alpha) (or
-of a multiple of the trace dual's), or, from ``conjugate_zeros``, only
-whether each is zero.  The evaluation at sigma^k(beta) is
-sigma^k(alpha)^(-1) * u_k, one more product, for the caller to take.  The
-generic versions run on add_product; a tabled field of characteristic 2
-keeps the values' discrete logs and XORs its terms in the log domain, and
-refuses a zero value, which has no log.  F_q(z) keeps the values over the
-lcm of their denominators and clears vec to the lcm of its own once per
-call, one gcd per distinct denominator other than one after the first; an
-output is then a sum of F_q[z] products, the base's ``poly_sums``, and
-costs one more gcd, a zero test none.  Q(chi) accumulates each output's
-integer cyclic convolutions over a common denominator with
-``_accumulate`` and reduces it once; its zero test accumulates only the
-outputs whose image under chi -> zeta in F_q, q a split prime, is zero
-(see ``CyclotomicField``).
 
 Raw values are canonical, so two values are equal exactly when they denote
-the same element:
+the same element, and u is zero exactly when ``u == ctx.zero_raw``:
 
 * GF(p^d)  -- an int packing the coefficient digits in base p;
 * F_q(z)   -- ``(num, den)``, coprime low-first tuples of GF(q) ints with
@@ -105,38 +31,16 @@ the same element:
               1, chi, ..., chi^(m-2) and a positive denominator with no
               common factor.
 
-``Value``, a context and a canonical raw value, is the base of
-``Element(ctx, raw)``, the one element class, of ``SkewPolynomial`` and of
-``Matrix``: it owns equality, hashing, ``from_raw`` and the one check that
-a second operand shares the context, else FieldError.  Element operators
-then delegate to the context.  Contexts are safe to share: what they build
-after construction, F_q(z)'s substitution tables, only caches values, and
-two threads racing on a miss at worst build a table twice and keep one
-past the cap.
+Where each family of kernels states its contract:
 
-Finite fields of size up to 2^16 get exp/log tables with respect to a
-primitive element, so multiplication, inversion and Frobenius application
-are table lookups.  The tables come from one walk for every p: the
-powers of the modulus root when it is primitive, else of the least
-primitive packed value, by general multiplication with that element as
-the first operand.  u is primitive exactly when u^((q-1)/l) != 1 for each
-prime l | q - 1.
-Elements of degree d > 1 print as powers of the modulus root whenever
-that root is primitive (all bundled examples qualify), otherwise in
-polynomial form, and GF(p)'s as integers; printing then parsing
-round-trips either way.
-
-Q(chi) inverts by the norm: u times the product of its other Galois
-conjugates, formed by an addition chain, is the rational N(u), so u^-1 is
-that product divided by N(u).
-
-The ``poly_*`` functions are the polynomial arithmetic on low-first tuples
-of raw values, twisted by x*c = sigma(c)*x: L[x;sigma], which
-``SkewPolynomial``, the parser and the worked examples run on.  F_q(z)
-demands a base with sigma = id (``frobenius_power=0``) and computes its
-numerators and denominators in F_q[z] through the base's protocol kernels
-(``poly_product``, ``poly_gcd``, ``poly_quotient``, ``poly_sums``), whose
-generic versions are those same functions with no twist.
+* the protocol -- ``FieldContext``'s generic methods, and each backend's
+  class docstring for its own routes;
+* F_q[z]'s ``poly_product``, ``poly_gcd``, ``poly_quotient`` and
+  ``poly_sums``, all of F_q(z)'s polynomial work -- ``FiniteField``, the
+  one kind of base that F_q(z) takes;
+* the sigma-twisted ``poly_*`` functions on low-first raw tuples, L[x;sigma]
+  under x*c = sigma(c)*x -- each function;
+* elements, polynomials and matrices over a context -- ``Value``.
 """
 
 from __future__ import annotations
@@ -151,11 +55,12 @@ _TABLE_LIMIT = 1 << 16
 _CHAR_BOUND = 1 << 31
 _SIZE_LIMIT = 1 << 64
 # Q(chi_m) with sigma of order n needs m^3 + m^2 * n^3 <= this (see CyclotomicField).
-# The inverse's norm chain takes about 2 log2(m) products, not the m - 2 that m^3
-# was set for; raising the bound is a separate decision, on a measured build cost
+# It is loose: it was set for an n^3 linear solve that builds no longer make and for
+# m - 2 products per inverse, where the norm chain takes about 2 log2(m); raising it
+# is a separate decision, on a measured build cost
 _CYCLOTOMIC_BUDGET = 10 ** 7
-# a tabled GF(2^d) packs poly_sums from this many schoolbook products up (measured
-# crossover: near 1,000 at one output, 100 at four); an untabled one packs always
+# below this many products a tabled GF(2^d)'s schoolbook sums cost less than packing
+# (measured crossover: near 1,000 at one output, 100 at four; see poly_sums)
 _PACKED_SUMS_MIN = 400
 
 # exp/log tables, the modulus root's primitivity and a^d's residue (digits and
@@ -247,8 +152,11 @@ def join_terms(terms, var):
 
 
 class Value:
-    """A canonical raw value and its context; two of one type are equal
-    exactly when their raw values are and their contexts denote one field."""
+    """A canonical raw value and its context, the base of ``Element``,
+    ``SkewPolynomial`` and ``Matrix``: two of one type are equal exactly
+    when their raw values are and their contexts denote one field, and a
+    second operand passes one check that it shares the context, else
+    FieldError."""
 
     __slots__ = ("ctx", "raw")
 
@@ -279,7 +187,8 @@ class Value:
 
 
 class Element(Value):
-    """A field element: ``Element(ctx, raw)`` for a canonical raw value."""
+    """A field element, ``Element(ctx, raw)`` for a canonical raw value: the
+    one element class, whose operators delegate to the context."""
 
     __slots__ = ()
 
@@ -318,12 +227,17 @@ class Element(Value):
 
 
 class FieldContext:
-    """What the backends share on top of the raw protocol.
+    """What the backends share on top of the raw protocol, and the
+    protocol's generic methods, which a backend overrides where it has a
+    route of its own.
 
     A backend supplies ``key``, ``order``, ``zero_raw``, ``one_raw``,
     ``generator_raw``, ``symbols``, the raw operations add, neg, mul, inv
     and sigma_raw (plus pow where it has a faster route), and
-    ``from_int``, ``random_element`` and ``format``.
+    ``from_int``, ``random_element`` and ``format``.  Contexts are safe to
+    share: what one builds after construction, F_q(z)'s substitution
+    tables, only caches values, and two threads racing on a miss at worst
+    build a table twice and keep one past the cap.
     """
 
     # built on access: a context holding Elements of itself would be a
@@ -345,8 +259,9 @@ class FieldContext:
         return self.add(a, self.mul(c, b))
 
     def add_scaled(self, acc, c, src, shift):
-        """acc[shift + j] += c * src[j] in place, skipping zero src[j]: the
-        one inner loop of polynomial products, divisions and elimination."""
+        """acc[shift + j] += c * src[j] in place, skipping zero src[j] and
+        at once done on a zero c: the one inner loop of polynomial products,
+        divisions and elimination."""
         zero, add_product = self.zero_raw, self.add_product
         if c == zero:
             return
@@ -361,42 +276,6 @@ class FieldContext:
         (None for none): w comes out times one nonzero common factor.  Here
         the rows are the twists themselves."""
         return [poly_twist(self, low, i) for i in range(count)], None
-
-    def poly_sums(self, terms, polys, starts):
-        """For each s in starts, sum_(i, u) u * polys[s + i] over the pairs
-        of terms: sums of products of polynomials over this context with
-        sigma = id (F_q[z] for a base field), as trimmed raw tuples.  Here
-        schoolbook, one add_scaled per coefficient of the shorter factor."""
-        zero, add_scaled = self.zero_raw, self.add_scaled
-        width = max((len(u) for _, u in terms), default=0) + max(map(len, polys)) - 1
-        out = []
-        for s in starts:
-            acc = [zero] * width
-            for i, u in terms:
-                c = polys[s + i]
-                if len(c) < len(u):
-                    c, u = u, c
-                for j, a in enumerate(u):
-                    if a != zero:
-                        add_scaled(acc, a, c, j)
-            out.append(poly_trim(self, acc))
-        return out
-
-    def poly_product(self, f, g):
-        """f * g for trimmed polynomials over this context with sigma = id
-        (F_q[z] for a base field), as a trimmed raw tuple: with
-        ``poly_gcd`` and ``poly_quotient``, all of F_q(z)'s F_q[z] work but
-        sums.  Here ``poly_mul``."""
-        return poly_mul(self, f, g)
-
-    def poly_gcd(self, f, g):
-        """The monic gcd of f and g, () when f = g = (): here ``poly_gcrd``."""
-        return poly_gcrd(self, f, g)
-
-    def poly_quotient(self, f, g):
-        """The quotient of f by g, exact where g divides f: here
-        ``poly_divmod``'s."""
-        return poly_divmod(self, f, g)[0]
 
     def conjugate_table(self, values):
         """What ``conjugate_sums`` reads: the n raw values c_k, here twice
@@ -466,16 +345,16 @@ class FiniteField(FieldContext):
     symbol itself has value p; at d = 1 the symbol is the modulus root,
     -modulus[0] mod p, and a modulus whose root is 0 is refused.
 
-    A field of size up to 2^16 takes its exp/log tables from those of the
-    few most recently used moduli, shared process-wide whatever sigma is,
-    with the residue of a^d that reduces products, and walks them only on a
-    miss; the shared tables outlive the field.
-    Tables are stored only for a modulus that passed Rabin's irreducibility
-    test, so a hit also certifies the modulus and the test runs only on a
-    miss.  Its sigma multipliers are its own.  Both certificates on a miss
-    are power tests: Rabin's checks a^(p^d) = a and then h^(q-1) = 1 for
-    h the product of a^(p^(d/l)) - a over the primes l | d, and the walk's
-    element u passes u^((q-1)/l) != 1 for each prime l | q - 1.
+    A field of size up to 2^16 multiplies, inverts and applies Frobenius
+    by lookups in exp/log tables with respect to a primitive element.  It
+    takes them from those of the few most recently used moduli, shared
+    process-wide whatever sigma is, with the residue of a^d that reduces
+    products, and walks them only on a miss; the shared tables outlive the
+    field.  Tables are stored only for a modulus that passed Rabin's
+    irreducibility test, so a hit also certifies the modulus and the test
+    runs only on a miss.  Its sigma multipliers are its own.  Both
+    certificates on a miss are power tests (``_is_irreducible`` and
+    ``_is_primitive``).
     """
 
     def __init__(self, p, degree, modulus, generator="a", frobenius_power=1):
@@ -508,8 +387,7 @@ class FiniteField(FieldContext):
         self.frobenius_power = frobenius_power % degree
         self.size = p ** degree
         self.order = degree // math.gcd(degree, frobenius_power)
-        # only a modulus that passed Rabin's test has shared tables, which
-        # carry the residue of a^d used during reduction: a^d = -(f - a^d)
+        # shared tables carry a^d's residue -(f - a^d), which reduces products
         key = (p, degree, self.modulus)
         tables = _shared_tables.get(key)
         if tables:
@@ -689,20 +567,47 @@ class FiniteField(FieldContext):
             if b:
                 acc[j] ^= exp[lc + log[b]]
 
+    # F_q[z]'s kernels, all of an F_q(z)'s polynomial work over this field:
+    # on trimmed raw tuples, with sigma = id, as F_q(z) demands of its base
+
     def poly_sums(self, terms, polys, starts):
+        """For each s in starts, sum_(i, u) u * polys[s + i] over the pairs
+        of terms, as trimmed raw tuples: F_q(z)'s conjugate sums.
+        Characteristic 2 packs the call (``_packed_sums``), but a tabled
+        field sums a call of fewer than ``_PACKED_SUMS_MIN`` coefficient
+        products (outputs * terms * the longest term * the longest
+        polynomial) by ``_schoolbook_sums``, as odd p sums every call."""
         if self.char != 2 or not terms or self._exp is not None and (
                 len(starts) * len(terms) * max([len(u) for _, u in terms])
                 * max(map(len, polys)) < _PACKED_SUMS_MIN):
-            return super().poly_sums(terms, polys, starts)
+            return self._schoolbook_sums(terms, polys, starts)
         return self._packed_sums(terms, polys, starts)
 
+    def _schoolbook_sums(self, terms, polys, starts):
+        # one add_scaled per nonzero coefficient of the shorter factor
+        add_scaled = self.add_scaled
+        width = max((len(u) for _, u in terms), default=0) + max(map(len, polys)) - 1
+        out = []
+        for s in starts:
+            acc = [0] * width
+            for i, u in terms:
+                c = polys[s + i]
+                if len(c) < len(u):
+                    c, u = u, c
+                for j, a in enumerate(u):
+                    if a:
+                        add_scaled(acc, a, c, j)
+            out.append(poly_trim(self, acc))
+        return out
+
     def _packed_sums(self, terms, polys, starts):
-        # Kronecker substitution: over F_2, bit e of the z^j coefficient
-        # goes to slot j*w + e, b bits wide, with w = 2d - 1 slots per
-        # coefficient for the a-degree 2d - 2 of a product.  An integer
-        # product counts in each slot the bit products that land there, at
-        # most min(ulen, plen) * d per term: b bits hold the sum's counts
-        # with no carry, and each count's low bit is its F_2 coefficient
+        # Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+        # Algebra, 8.4): over F_2, bit e of the z^j coefficient goes to slot
+        # j*w + e, b bits wide, with w = 2d - 1 slots per coefficient for
+        # the a-degree 2d - 2 of a product.  An integer product counts in
+        # each slot the bit products that land there, at most
+        # min(ulen, plen) * d per term: b bits hold the sum's counts with no
+        # carry, and each count's low bit is its F_2 coefficient
         d, w = self.degree, 2 * self.degree - 1
         ulen = max([len(u) for _, u in terms])
         plen = max(map(len, polys))
@@ -743,13 +648,19 @@ class FiniteField(FieldContext):
             out.append(tuple([(c >> x) & mask for x in range(0, c.bit_length(), w)]))
         return out
 
-    # the three F_q[z] kernels in the log domain (see the module docstring);
-    # a quotient digit's log is brought below q - 1 before it is added to
-    # another, so every exp index stays below 2(q - 1)
+    # A tabled field of characteristic 2 runs the product, gcd and quotient
+    # in the log domain (von zur Gathen & Gerhard, Modern Computer Algebra,
+    # ch. 3): the fixed operand's logs are looked up once per call (a gcd's
+    # divisor once per Euclid step), each term is one XOR of exp[la + lb] in
+    # place, and the inverse of a leading coefficient has the log
+    # q - 1 - log lead.  A quotient digit's log is brought below q - 1
+    # before it is added to another, so every exp index stays below 2(q - 1)
 
     def poly_product(self, f, g):
+        """f * g: with ``poly_gcd`` and ``poly_quotient``, all of F_q(z)'s
+        F_q[z] work but sums.  ``poly_mul`` off the log domain."""
         if self._exp is None or self.char != 2 or not f or not g:
-            return super().poly_product(f, g)
+            return poly_mul(self, f, g)
         exp, log = self._exp, self._log
         if len(f) < len(g):
             f, g = g, f
@@ -782,8 +693,10 @@ class FiniteField(FieldContext):
                     rem[k + j] ^= exp[lq + lb]
 
     def poly_gcd(self, f, g):
+        """The monic gcd of f and g, () when f = g = ().  ``poly_gcrd`` off
+        the log domain."""
         if self._exp is None or self.char != 2:
-            return super().poly_gcd(f, g)
+            return poly_gcrd(self, f, g)
         # poly_gcrd's Euclid
         f, g = list(f), list(g)
         while g:
@@ -799,8 +712,10 @@ class FiniteField(FieldContext):
         return tuple([exp[log[c] + inv_lead] if c else 0 for c in f])
 
     def poly_quotient(self, f, g):
+        """The quotient of f by g, exact where g divides f.  ``poly_divmod``'s
+        off the log domain."""
         if self._exp is None or self.char != 2 or not g:
-            return super().poly_quotient(f, g)
+            return poly_divmod(self, f, g)[0]
         # the quotient's m + 1 digits depend only on the top m + 1
         # coefficients of g and the top 2m + 1 of f, so the rest is cut off
         m = len(f) - len(g)
@@ -855,8 +770,11 @@ class FiniteField(FieldContext):
         return Element(self, rng.randrange(1, self.size))
 
     def format(self, x):
+        """A power of the modulus root when d > 1 and that root is primitive
+        (as in every bundled example), else the polynomial form, and an
+        integer over GF(p), whatever its symbol's order: the parser reads
+        either back to the same value."""
         v = x.raw
-        # GF(p) prints integers, whatever its symbol's order
         if v and self.generator_primitive and self.degree > 1:
             terms = (("1", self._log[v]),)
         else:
@@ -999,12 +917,16 @@ _SUBSTITUTION_LIMIT = 1 << 16
 class RationalFunctions(FieldContext):
     """F_q(z) with sigma(z) = (az+b)/(cz+d) fixing F_q pointwise.
 
-    The Moebius coefficients are constants of the base field: text, read by
-    ``parsing.parse_element``, elements of the base or its raw values.  The
-    base's own sigma must be the identity.  Sigma's order is derived by
-    iterating the 2x2 matrix until it becomes a scalar, and refused past 17:
-    a code build takes O(n^2) operations for sigma of order n, on fractions
-    whose degrees grow with n (README gives measured build times).
+    The base F_q is a ``FiniteField`` with sigma = id (built with
+    ``frobenius_power=0``), and every F_q[z] product, gcd, exact quotient
+    and conjugate sum is one of its four F_q[z] kernels.  The Moebius
+    coefficients are constants of the base: text, read by
+    ``parsing.parse_element``, elements of the base or its raw values.
+    Sigma's order is derived by iterating the 2x2 matrix until it becomes
+    a scalar, and refused past 17: a code build takes O(n^2) operations for
+    sigma of order n, on fractions whose degrees grow with n (README gives
+    measured build times).
+
     Fractions are kept reduced with a monic denominator after every
     operation so intermediate expressions stay small, and each result pays
     at most one gcd: a sum and a + c * b (``add_product``, by ``_sum`` as
@@ -1012,29 +934,13 @@ class RationalFunctions(FieldContext):
     ``_make``, and not at all over a denominator of one; an inverse and
     sigma need none, as they map coprime pairs to coprime pairs and only
     make the denominator monic, in ``_monic``, as ``_make`` does last.  One
-    substitution kernel, p -> p(L/D) * D^m for sigma^k(z) = L/D and one m
-    for all its inputs, serves sigma and ``kernel_rows``, which clears its
-    low coefficients once and substitutes the cleared row.  It reads a table
-    of the images B_i = L^i * D^(m-i) of z^i, i <= m, so that a substitution
-    is one add_scaled per nonzero coefficient.  A table is built on first
-    use in O(m^2), B_0 = D^m and then B_i = B_(i-1) * L / D, through the
-    base's ``poly_product`` and ``poly_quotient``, and kept by (k mod n, m)
-    while the kept tables hold at most ``_SUBSTITUTION_LIMIT`` (2^16)
-    coefficients in all; one past that is built for its call and dropped.
-    Clearing the low coefficients, or a conjugate sum's word, to the lcm of
-    the denominators costs one gcd per distinct denominator other than one
-    after the first.  The conjugate sums are then sums of F_q[z] products,
-    the base's ``poly_sums``: packed over GF(2^d) (module docstring), but
-    by schoolbook over odd p and, below ``_PACKED_SUMS_MIN`` products, as a
-    small code's one-output build sums are, over a tabled GF(2^d).
-    Every other F_q[z] product, gcd and exact quotient, in ``_make``,
-    ``_sum``, ``add_product``, the clearing and the conjugate sums'
-    denominator, is the base's ``poly_product``, ``poly_gcd`` or
-    ``poly_quotient``: in the log domain over a tabled GF(2^d), else the
-    generic ``poly_mul``, ``poly_gcrd`` and ``poly_divmod``.
+    substitution kernel, ``_substitute`` over the tables of ``_images``,
+    serves sigma and ``kernel_rows``.
     """
 
     def __init__(self, base: FiniteField, mobius, variable="z"):
+        if not isinstance(base, FiniteField):
+            raise FieldError(f"the base of F_q(z) must be a FiniteField, not {base!r}")
         if base.order != 1:
             raise FieldError("the base of F_q(z) needs sigma = id (frobenius_power=0)")
         self.base = base
@@ -1161,8 +1067,9 @@ class RationalFunctions(FieldContext):
     def _images(self, k, m):
         """The images B_i = L^i * D^(m-i), i <= m, of z^i under p -> p(L/D)
         * D^m for sigma^k(z) = L/D = (az+b)/(cz+d): B_0 = D^m, then B_i =
-        B_(i-1) * L / D.  Kept per (k mod n, m) while the kept tables fit
-        under _SUBSTITUTION_LIMIT, else built for this call only."""
+        B_(i-1) * L / D, built on first use in O(m^2).  Kept per (k mod n,
+        m) while the kept tables fit under _SUBSTITUTION_LIMIT, else built
+        for this call only."""
         k %= self.order
         key = (k, m)
         images = self._tables.get(key)
@@ -1373,11 +1280,9 @@ class CyclotomicField(FieldContext):
 
     A sum (``add``, as a + b * 1), an a + c * b (``add_product``, and ``mul``
     as the step onto zero) and a conjugate sum gather their integer
-    coordinates over one denominator with ``_accumulate``, whose outer loop
-    runs over the second operand's nonzero coordinates, and reduce the
-    content once, in ``_make``.  A Galois image needs no reduction (an
-    automorphism keeps Z[chi] and so the content), nor does the inverse of
-    one.
+    coordinates over one denominator with ``_accumulate`` and reduce the
+    content once, in ``_make``.  A Galois image needs no reduction
+    (``_conjugate``), nor does the inverse of one.
 
     A prime q = 1 (mod m) splits completely in Q(chi_m) (Washington,
     Introduction to Cyclotomic Fields, Thm 2.13), so chi -> zeta, zeta of
@@ -1388,10 +1293,9 @@ class CyclotomicField(FieldContext):
     exactly when its vector's entries are equal.  No answer depends on q.
 
     A code build costs about 2 m^2 log2(m) integer products (the norm
-    chain) plus m^2 * n^2 (the lclm of the beta-roots), n sigma's order.
-    The bound m^3 + m^2 * n^3 <= 10^7 is kept from an n^3 linear solve that
-    builds no longer make, so it is loose (README gives build times at its
-    edges).  Past it a field is refused, on m^3 before m is factorised,
+    chain) plus m^2 * n^2 (the lclm of the beta-roots), n sigma's order,
+    under the bound m^3 + m^2 * n^3 <= 10^7 (README gives build times at
+    its edges).  Past it a field is refused, on m^3 before m is factorised,
     sigma's powers walked or the split prime sought.
     """
 
@@ -1611,4 +1515,5 @@ class CyclotomicField(FieldContext):
         return f"Q(chi), chi^{self.root_order}=1, sigma(chi)=chi^{self.exponent}"
 
 
-from . import parsing  # noqa: E402  (parsing imports the names above)
+# parsing imports the names above, so it is bound here, once, not per call
+from . import parsing  # noqa: E402

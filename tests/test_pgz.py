@@ -607,9 +607,9 @@ PACKED_SUM_CODES = {
 def test_packed_sums_keep_the_builds_and_reports(name, monkeypatch):
     # seeded words of weight t and t+1 decode to the same text, and the
     # code builds to the same generator and tables, when the base field's
-    # poly_sums is the schoolbook default: F_4(z), F_8(z) with n = 9 and
+    # poly_sums is the schoolbook route: F_4(z), F_8(z) with n = 9 and
     # F_16(z) with n = 17 pack their conjugate sums; GF(9)(z) takes the
-    # default either way
+    # schoolbook either way
     (p, degree, modulus), mobius, delta, per_weight = PACKED_SUM_CODES[name]
     ctx = RationalFunctions(FiniteField(p, degree, modulus, frobenius_power=0), mobius)
     alpha = ctx.generator if p == 2 else find_normal_element(ctx)
@@ -620,7 +620,7 @@ def test_packed_sums_keep_the_builds_and_reports(name, monkeypatch):
              for weight in (code.t, code.t + 1) for _ in range(per_weight)]
     texts = [decode(code, y).to_text(ctx) for y in words]
     assert any("branch = echelon" in text for text in texts)
-    monkeypatch.setattr(FiniteField, "poly_sums", FieldContext.poly_sums)
+    monkeypatch.setattr(FiniteField, "poly_sums", FiniteField._schoolbook_sums)
     reference = build_code(ctx, alpha, 0, delta)
     assert (reference.g, reference.conj_table, reference.dual_table) == \
         (code.g, code.conj_table, code.dual_table)

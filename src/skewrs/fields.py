@@ -416,6 +416,8 @@ class FiniteField(FieldContext):
             for _ in range(self.order):
                 self._sigma_mult.append(m)
                 m = m * step % (self.size - 1)
+        # tabled and of characteristic 2: the kernels below run in the log domain
+        self._log_domain = self._exp is not None and p == 2
         self.key = ("ff", p, degree, self.modulus, self.frobenius_power)
         self.zero_raw = 0
         self.one_raw = 1
@@ -557,7 +559,7 @@ class FiniteField(FieldContext):
         return power(self._raw_mul, 1, u, self.char ** ((self.frobenius_power * k) % self.degree))
 
     def add_scaled(self, acc, c, src, shift):
-        if self._exp is None or c == 0 or self.char != 2:
+        if not self._log_domain or c == 0:
             return super().add_scaled(acc, c, src, shift)
         # every term is exp[log c + log b], with log c looked up once, and
         # addition in characteristic 2 is XOR
@@ -577,7 +579,7 @@ class FiniteField(FieldContext):
         field sums a call of fewer than ``_PACKED_SUMS_MIN`` coefficient
         products (outputs * terms * the longest term * the longest
         polynomial) by ``_schoolbook_sums``, as odd p sums every call."""
-        if self.char != 2 or not terms or self._exp is not None and (
+        if self.char != 2 or not terms or self._log_domain and (
                 len(starts) * len(terms) * max([len(u) for _, u in terms])
                 * max(map(len, polys)) < _PACKED_SUMS_MIN):
             return self._schoolbook_sums(terms, polys, starts)
@@ -659,7 +661,7 @@ class FiniteField(FieldContext):
     def poly_product(self, f, g):
         """f * g: with ``poly_gcd`` and ``poly_quotient``, all of F_q(z)'s
         F_q[z] work but sums.  ``poly_mul`` off the log domain."""
-        if self._exp is None or self.char != 2 or not f or not g:
+        if not self._log_domain or not f or not g:
             return poly_mul(self, f, g)
         exp, log = self._exp, self._log
         if len(f) < len(g):
@@ -695,7 +697,7 @@ class FiniteField(FieldContext):
     def poly_gcd(self, f, g):
         """The monic gcd of f and g, () when f = g = ().  ``poly_gcrd`` off
         the log domain."""
-        if self._exp is None or self.char != 2:
+        if not self._log_domain:
             return poly_gcrd(self, f, g)
         # poly_gcrd's Euclid
         f, g = list(f), list(g)
@@ -714,7 +716,7 @@ class FiniteField(FieldContext):
     def poly_quotient(self, f, g):
         """The quotient of f by g, exact where g divides f.  ``poly_divmod``'s
         off the log domain."""
-        if self._exp is None or self.char != 2 or not g:
+        if not self._log_domain or not g:
             return poly_divmod(self, f, g)[0]
         # the quotient's m + 1 digits depend only on the top m + 1
         # coefficients of g and the top 2m + 1 of f, so the rest is cut off
@@ -730,7 +732,7 @@ class FiniteField(FieldContext):
         return tuple(quot)
 
     def conjugate_table(self, values):
-        if self._exp is None or self.char != 2:
+        if not self._log_domain:
             return super().conjugate_table(values)
         # the values' logs; zero has none (log[0] is 0, the log of one)
         if 0 in values:
@@ -739,7 +741,7 @@ class FiniteField(FieldContext):
         return [log[c] for c in values] * 2
 
     def conjugate_sums(self, table, vec, count, offset):
-        if self._exp is None or self.char != 2:
+        if not self._log_domain:
             return super().conjugate_sums(table, vec, count, offset)
         # every term is exp[log v_i + log c]
         exp, log = self._exp, self._log
